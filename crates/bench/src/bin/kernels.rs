@@ -174,13 +174,16 @@ fn main() {
         }
     }
 
-    // A/B candidate-evaluation accounting on the sparse pixel schedule:
-    // with binning every sampled pixel walks only its bin's candidate list
-    // (`bin_candidates`), without it every pixel considers every projected
-    // Gaussian (`gaussians_input × pixels`). Output is bit-identical.
+    // A/B candidate-evaluation accounting on a tile-less copy of the sparse
+    // pixel set, the only input the bin walk still serves (tile-indexed
+    // sets direct-index their bbox tiles): with binning every sampled pixel
+    // walks only its bin's candidate list (`bin_candidates`), without it
+    // every pixel considers every projected Gaussian
+    // (`gaussians_input × pixels`). Output is bit-identical.
     {
-        let out = render_forward(&scene, &cam, &sparse, Pipeline::PixelBased, &cfg);
-        let naive = out.trace.forward.gaussians_input * sparse.len() as u64;
+        let scattered = PixelSet::from_pixels(W, H, sparse.iter_all().collect());
+        let out = render_forward(&scene, &cam, &scattered, Pipeline::PixelBased, &cfg);
+        let naive = out.trace.forward.gaussians_input * scattered.len() as u64;
         let binned = out.trace.forward.bin_candidates;
         t.gauge_set("binning/naive_candidates", naive as f64);
         t.gauge_set("binning/bin_candidates", binned as f64);
@@ -188,12 +191,12 @@ fn main() {
             let reduction = naive as f64 / binned as f64;
             t.gauge_set("binning/candidate_reduction", reduction);
             eprintln!(
-                "[kernels] pixel_sparse16 candidate evaluations: \
+                "[kernels] tile-less sparse16 candidate evaluations: \
                  exhaustive {naive} vs binned {binned} ({reduction:.1}x reduction)"
             );
         } else {
             eprintln!(
-                "[kernels] pixel_sparse16 candidate evaluations: \
+                "[kernels] tile-less sparse16 candidate evaluations: \
                  exhaustive {naive} (binning disabled)"
             );
         }

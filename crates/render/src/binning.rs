@@ -1,39 +1,33 @@
-//! Screen-space bin index for the sparse pixel-based hot path.
+//! Screen-space bin index for tile-less sparse pixel sets.
 //!
-//! The exhaustive pixel pipeline discovers pixel–Gaussian candidates
-//! Gaussian-major: every projected Gaussian enumerates the sampled-pixel
-//! tiles its 3σ bounding box overlaps. That cost scales with the number of
-//! *Gaussians* even when only a handful of pixels is sampled. The bin index
-//! inverts the loop: projected Gaussians are bucketed once per render into a
-//! coarse screen grid ([`crate::RenderConfig::bin_size`] pixels per bin), and each
-//! sampled pixel then visits only the candidates of its own bin — the
-//! GS-TG / SeeLe-style coarse grouping that prunes non-overlapping Gaussians
-//! before any α math runs.
+//! The Gaussian-major pixel pipeline discovers pixel–Gaussian candidates by
+//! letting every projected Gaussian enumerate the samples its bounding box
+//! covers. A tile-indexed set does that by direct indexing, but a set
+//! without tile structure ([`PixelSet::from_pixels`]) can only scan every
+//! sample per Gaussian. The bin index inverts that loop: projected Gaussians
+//! are bucketed once per render into a coarse screen grid
+//! ([`crate::RenderConfig::bin_size`] pixels per bin), and each sampled pixel
+//! then visits only the candidates of its own bin — the GS-TG / SeeLe-style
+//! coarse grouping that prunes non-overlapping Gaussians before any α math
+//! runs.
 //!
 //! # Exactness contract
 //!
-//! The binned path must be **bit-identical** to the exhaustive path, so bin
-//! membership is *conservative with respect to the exhaustive candidate
-//! predicate*, not merely with respect to geometry: a Gaussian is inserted
-//! into every bin that could contain a pixel the exhaustive path would have
-//! visited. Concretely the insertion span is the union of
-//!
-//! * the pixel span of the clamped tile range that
-//!   [`PixelSet::samples_in_bbox`] would enumerate (replicating its
-//!   truncation-toward-zero and edge-clamp semantics exactly), and
-//! * the bounding box itself, widened by one pixel, which covers the
-//!   center-containment predicate used for extra pixels and for pixel sets
-//!   without a tile structure.
-//!
-//! Per-pixel filtering then applies the *same* predicate the exhaustive
-//! path applies, so the surviving pairs — and therefore the per-pixel
-//! entry lists, in the same ascending projected-index order — are
-//! identical. Over-approximation only ever adds `bin_candidates` visits
-//! that the predicate rejects; it can never change the rendered output.
+//! The binned path must be **bit-identical** to the Gaussian-major path, so
+//! bin membership is *conservative with respect to its candidate
+//! predicate*, center containment in the bounding box: a Gaussian is
+//! inserted into every bin its bounding box, widened by one pixel, touches.
+//! Per-pixel filtering then applies the same predicate, so the surviving
+//! pairs — and therefore the per-pixel entry lists, in the same ascending
+//! projected-index order — are identical. Over-approximation only ever adds
+//! `bin_candidates` visits that the predicate rejects; it can never change
+//! the rendered output. Where [`crate::RenderConfig::bbox_prereject`] holds
+//! (the default config), every pair that passes the α-check has its pixel
+//! center inside the box, so the index also covers every contributing pair
+//! of a tile-indexed set.
 
 use crate::kernel::ProjectedGaussian;
 use crate::pixelset::{PixelCoord, PixelSet};
-use splatonic_math::Vec2;
 
 /// Default bin edge length in pixels (matches the rasterizer tile size).
 pub const DEFAULT_BIN_SIZE: usize = 16;
@@ -51,16 +45,6 @@ pub struct BinIndex {
     entries: u64,
 }
 
-/// Replicates the clamped tile range of [`PixelSet::samples_in_bbox`]:
-/// `floor(lo)` / `ceil(hi)` with isize division (truncation toward zero)
-/// and clamping into `[0, n-1]`.
-#[inline]
-pub(crate) fn clamped_range(lo: f64, hi: f64, cell: usize, n: usize) -> (usize, usize) {
-    let a = ((lo.floor() as isize) / cell as isize).clamp(0, n as isize - 1) as usize;
-    let b = ((hi.ceil() as isize) / cell as isize).clamp(0, n as isize - 1) as usize;
-    (a, b)
-}
-
 impl BinIndex {
     /// Builds the index for `projected` over the screen of `pixels`,
     /// with `bin_size`-pixel bins (0 falls back to [`DEFAULT_BIN_SIZE`]).
@@ -76,31 +60,16 @@ impl BinIndex {
         let bins_y = height.div_ceil(bin);
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); bins_x * bins_y];
         let mut entries = 0u64;
-        let tile = pixels.tile_size();
-        let has_tiles = pixels.has_tile_index();
-        let (tiles_x, tiles_y) = pixels.tile_dims();
         for (pi, pg) in projected.iter().enumerate() {
             let (lo, hi) = pg.bbox();
-            // Pixel span of the center-containment predicate (extras and
-            // tile-less sets), widened by one pixel on each side.
-            let mut x_lo = (lo.x - 1.0).floor() as isize;
-            let mut x_hi = (hi.x + 1.0).ceil() as isize;
-            let mut y_lo = (lo.y - 1.0).floor() as isize;
-            let mut y_hi = (hi.y + 1.0).ceil() as isize;
-            if has_tiles {
-                // Union with the pixel span of the clamped tile range the
-                // exhaustive direct-indexing walk would visit.
-                let (tx0, tx1) = clamped_range(lo.x, hi.x, tile, tiles_x);
-                let (ty0, ty1) = clamped_range(lo.y, hi.y, tile, tiles_y);
-                x_lo = x_lo.min((tx0 * tile) as isize);
-                x_hi = x_hi.max(((tx1 + 1) * tile) as isize - 1);
-                y_lo = y_lo.min((ty0 * tile) as isize);
-                y_hi = y_hi.max(((ty1 + 1) * tile) as isize - 1);
-            }
-            let x_lo = x_lo.clamp(0, width as isize - 1) as usize;
-            let x_hi = x_hi.clamp(0, width as isize - 1) as usize;
-            let y_lo = y_lo.clamp(0, height as isize - 1) as usize;
-            let y_hi = y_hi.clamp(0, height as isize - 1) as usize;
+            // Pixel span of the center-containment predicate, widened by one
+            // pixel on each side and clamped to the screen.
+            let span = |a: f64, b: f64, n: usize| {
+                let clamp = |v: f64| (v as isize).clamp(0, n as isize - 1) as usize;
+                (clamp((a - 1.0).floor()), clamp((b + 1.0).ceil()))
+            };
+            let (x_lo, x_hi) = span(lo.x, hi.x, width);
+            let (y_lo, y_hi) = span(lo.y, hi.y, height);
             if x_lo > x_hi || y_lo > y_hi {
                 continue;
             }
@@ -146,33 +115,6 @@ impl BinIndex {
     }
 }
 
-/// The exhaustive candidate predicate for a tile-structured sample: the
-/// sample's pixel-set tile lies inside the clamped tile range that
-/// [`PixelSet::samples_in_bbox`] enumerates for `(lo, hi)`.
-#[inline]
-pub(crate) fn sample_tile_overlaps(
-    p: PixelCoord,
-    lo: Vec2,
-    hi: Vec2,
-    tile: usize,
-    tiles_x: usize,
-    tiles_y: usize,
-) -> bool {
-    let (tx0, tx1) = clamped_range(lo.x, hi.x, tile, tiles_x);
-    let (ty0, ty1) = clamped_range(lo.y, hi.y, tile, tiles_y);
-    let tx = p.x as usize / tile;
-    let ty = p.y as usize / tile;
-    tx >= tx0 && tx <= tx1 && ty >= ty0 && ty <= ty1
-}
-
-/// The exhaustive candidate predicate for extra pixels and tile-less sets:
-/// the pixel center is inside the bounding box (inclusive).
-#[inline]
-pub(crate) fn center_in_bbox(p: PixelCoord, lo: Vec2, hi: Vec2) -> bool {
-    let c = p.center();
-    c.x >= lo.x && c.x <= hi.x && c.y >= lo.y && c.y <= hi.y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,27 +134,28 @@ mod tests {
             Vec3::Y,
         );
         let (projected, _) = project_scene(&world.scene, &cam, &RenderConfig::default());
-        let pixels = PixelSet::from_tile_chooser(96, 72, 16, |_, _, x0, y0, tw, th| {
-            Some(PixelCoord::new((x0 + tw / 2) as u16, (y0 + th / 2) as u16))
-        });
-        (projected, pixels)
+        let pts = (0..96u16)
+            .step_by(7)
+            .flat_map(|x| (0..72u16).step_by(5).map(move |y| PixelCoord::new(x, y)))
+            .collect();
+        (projected, PixelSet::from_pixels(96, 72, pts))
     }
 
     #[test]
-    fn bins_cover_every_exhaustive_candidate() {
+    fn bins_cover_every_center_in_bbox_pair() {
         let (projected, pixels) = setup();
         let index = BinIndex::build(&projected, &pixels, 16);
-        // Re-run the exhaustive discovery and assert each visited pair's
-        // Gaussian appears in the pixel's bin list.
+        let mut pairs = 0;
         for (pi, pg) in projected.iter().enumerate() {
-            let (lo, hi) = pg.bbox();
-            pixels.samples_in_bbox(lo, hi, |_, p| {
+            for p in pixels.iter_all().filter(|p| pg.bbox_contains(p.center())) {
+                pairs += 1;
                 assert!(
                     index.candidates(p).contains(&(pi as u32)),
                     "gaussian {pi} missing from bin of pixel {p:?}"
                 );
-            });
+            }
         }
+        assert!(pairs > 0);
     }
 
     #[test]

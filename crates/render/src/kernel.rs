@@ -13,7 +13,7 @@
 //! the quantity the paper's α-checking thresholds against `α*`.
 
 use splatonic_math::{pool, Mat2, Mat3, Vec2, Vec3};
-use splatonic_scene::{Camera, Gaussian};
+use splatonic_scene::{Camera, Gaussian, ProjectionTerms};
 
 /// Numeric configuration shared by both pipelines.
 ///
@@ -43,7 +43,9 @@ pub struct RenderConfig {
     /// guarantees that any pixel outside the box has `α < 1/255` even at
     /// full opacity (`exp(−3.5²/2)·0.99 ≈ 0.0022 < 1/255`), so bbox-based
     /// candidate discovery (pixel pipeline) and threshold-only α-checking
-    /// (tile pipeline) select exactly the same pixel–Gaussian pairs.
+    /// (tile pipeline) select exactly the same pixel–Gaussian pairs; the
+    /// same bound lets both pipelines skip the `exp` of a pair whose pixel
+    /// lies outside the box ([`RenderConfig::bbox_prereject`]).
     /// Output-affecting.
     pub bbox_sigma: f64,
     /// Near-plane distance for frustum culling (default `0.2`).
@@ -52,11 +54,12 @@ pub struct RenderConfig {
     /// Background color composited where transmittance remains (default
     /// black). Output-affecting.
     pub background: Vec3,
-    /// Screen-space bin index for the pixel-based pipeline: sampled pixels
-    /// visit only the Gaussians binned to their bin instead of being
-    /// discovered Gaussian-major (default `true`). Output is bit-identical
-    /// either way; the `bin_candidates` trace counter records the pruning
-    /// achieved.
+    /// Screen-space bin index for the pixel-based pipeline on pixel sets
+    /// without a tile index: sampled pixels visit only the Gaussians binned
+    /// to their bin instead of being discovered Gaussian-major (default
+    /// `true`; tile-indexed sets are always direct-indexed). Output is
+    /// bit-identical either way; the `bin_candidates` trace counter records
+    /// the pruning achieved.
     pub binning: bool,
     /// Bin edge length in pixels for the bin index (default 16; `0` also
     /// resolves to 16). Output-transparent: any bin size yields bit-identical
@@ -156,6 +159,29 @@ impl ProjectedGaussian {
     pub fn bbox(&self) -> (Vec2, Vec2) {
         (self.mean2d - self.radius, self.mean2d + self.radius)
     }
+
+    /// Whether `pixel` lies inside [`ProjectedGaussian::bbox`] (inclusive).
+    #[inline]
+    pub fn bbox_contains(&self, pixel: Vec2) -> bool {
+        let (lo, hi) = self.bbox();
+        pixel.x >= lo.x && pixel.x <= hi.x && pixel.y >= lo.y && pixel.y <= hi.y
+    }
+}
+
+impl RenderConfig {
+    /// Whether a pixel outside a projected Gaussian's bounding box provably
+    /// fails the α-check, so the host may skip its `exp`.
+    ///
+    /// Outside the box some axis has `|d| > bbox_sigma·√λmax`, hence
+    /// `q = dᵀΣ'⁻¹d ≥ |d|²/λmax > bbox_sigma²` and, with opacity ≤ 1,
+    /// `α < exp(−bbox_sigma²/2)`. That is below `alpha_threshold` exactly
+    /// when `bbox_sigma² ≥ −2·ln(alpha_threshold)` (defaults: 12.25 ≥
+    /// 11.08). The skip is a host shortcut only: the trace still counts the
+    /// check, because the modelled hardware performs it.
+    #[inline]
+    pub fn bbox_prereject(&self) -> bool {
+        self.bbox_sigma * self.bbox_sigma >= -2.0 * self.alpha_threshold.ln()
+    }
 }
 
 /// The projection Jacobian `J` (2×3 stored as rows) for camera point `p`.
@@ -171,42 +197,76 @@ pub fn projection_jacobian(fx: f64, fy: f64, p_cam: Vec3) -> [Vec3; 2] {
     ]
 }
 
-/// Projects one Gaussian; returns `None` if culled (behind camera, outside
-/// the image, or degenerate covariance).
+/// Projects one Gaussian; returns `None` if culled (behind the near plane,
+/// outside the image, degenerate covariance, or any non-finite input that
+/// reaches one of those tests).
+///
+/// This is the scalar oracle: it derives the pose-independent terms inline.
+/// The SIMD path reads the same terms from the scene's
+/// [`GaussianScene::projection_terms`](splatonic_scene::GaussianScene::projection_terms)
+/// column and is bit-identical to it.
 pub fn project_gaussian(
     g: &Gaussian,
     id: u32,
     camera: &Camera,
     config: &RenderConfig,
 ) -> Option<ProjectedGaussian> {
-    let p_cam = camera.to_camera(g.mean);
-    if p_cam.z <= config.near {
+    let (p_cam, mean2d) = project_mean(camera, g.mean);
+    if !in_front_of_near(p_cam.z, config) {
         return None;
     }
+    project_from_cam(
+        &ProjectionTerms::of(g),
+        g.color,
+        id,
+        p_cam,
+        mean2d,
+        camera,
+        config,
+    )
+}
+
+/// Camera-frame mean and pinhole-projected 2D mean of a world point: the
+/// scalar projection head.
+#[inline]
+pub(crate) fn project_mean(camera: &Camera, mean: Vec3) -> (Vec3, Vec2) {
+    let p_cam = camera.to_camera(mean);
     let intr = &camera.intrinsics;
     let mean2d = Vec2::new(
         intr.fx * p_cam.x / p_cam.z + intr.cx,
         intr.fy * p_cam.y / p_cam.z + intr.cy,
     );
-    project_from_cam(g, id, p_cam, mean2d, camera, config)
+    (p_cam, mean2d)
 }
 
-/// Covariance/conic/culling tail of [`project_gaussian`], starting from a
-/// precomputed camera-frame mean and projected 2D mean. The SIMD projection
-/// path vectorizes the transform + pinhole head and finishes each surviving
-/// lane here, so both paths share one covariance pipeline bit-for-bit.
+/// The near-plane cull shared by the scalar and SIMD projection heads. A
+/// positive test, so a NaN depth fails it and is culled.
+#[inline]
+pub(crate) fn in_front_of_near(z: f64, config: &RenderConfig) -> bool {
+    z > config.near
+}
+
+/// Covariance/conic/culling tail of [`project_gaussian`], starting from the
+/// Gaussian's pose-independent terms, a camera-frame mean, and a projected
+/// 2D mean. The SIMD projection path vectorizes the transform + pinhole head
+/// and finishes each surviving lane here, so both paths share one covariance
+/// pipeline bit-for-bit.
 pub(crate) fn project_from_cam(
-    g: &Gaussian,
+    terms: &ProjectionTerms,
+    color: Vec3,
     id: u32,
     p_cam: Vec3,
     mean2d: Vec2,
     camera: &Camera,
     config: &RenderConfig,
 ) -> Option<ProjectedGaussian> {
+    if !terms.opacity.is_finite() {
+        return None;
+    }
     let intr = &camera.intrinsics;
     // 2D covariance: Σ' = J W Σ Wᵀ Jᵀ + blur·I.
     let w = camera.pose.rotation;
-    let sigma_cam = w * g.covariance() * w.transpose();
+    let sigma_cam = w * terms.covariance * w.transpose();
     let j = projection_jacobian(intr.fx, intr.fy, p_cam);
     let js0 = sigma_cam * j[0];
     let js1 = sigma_cam * j[1];
@@ -222,7 +282,9 @@ pub(crate) fn project_from_cam(
     cov2d.m[2] = off;
     let conic = cov2d.inverse()?;
     let (l1, l2) = cov2d.symmetric_eigenvalues();
-    if l1 <= 0.0 || l2 <= 0.0 {
+    // Negated so that NaN eigenvalues (a NaN scale or rotation) are culled
+    // instead of producing a NaN bounding box.
+    if !(l1 > 0.0 && l2 > 0.0) {
         return None;
     }
     let r = config.bbox_sigma * l1.sqrt();
@@ -243,8 +305,8 @@ pub(crate) fn project_from_cam(
         conic,
         depth: p_cam.z,
         mean_cam: p_cam,
-        opacity: g.opacity(),
-        color: g.color.clamp(0.0, 1.0),
+        opacity: terms.opacity,
+        color: color.clamp(0.0, 1.0),
         radius,
     })
 }
@@ -265,13 +327,24 @@ pub fn project_scene(
     config: &RenderConfig,
 ) -> (Vec<ProjectedGaussian>, u64) {
     let threads = pool::resolve_threads(config.threads);
-    let simd = config.kernels.simd_active();
+    let terms = config
+        .kernels
+        .simd_active()
+        .then(|| scene.projection_terms(threads));
     let chunks =
         pool::par_chunks_indexed(threads, scene.means(), PROJECT_CHUNK, |_, offset, means| {
             let mut out = Vec::with_capacity(means.len());
             let mut culled = 0u64;
-            if simd {
-                crate::simd::project_chunk(scene, offset, means.len(), camera, config, &mut out);
+            if let Some(terms) = terms {
+                crate::simd::project_chunk(
+                    scene,
+                    terms,
+                    offset,
+                    means.len(),
+                    camera,
+                    config,
+                    &mut out,
+                );
                 culled += (means.len() - out.len()) as u64;
             } else {
                 for k in 0..means.len() {
@@ -332,13 +405,10 @@ pub fn composite(
 
 /// Sort of projected Gaussians by ascending depth, tie-broken by Gaussian
 /// id so both pipelines composite equal-depth splats in the same order.
+/// `total_cmp` keeps the comparator a total order even on a NaN depth
+/// (projection culls those, so on its output this equals IEEE order).
 pub fn sort_by_depth(list: &mut [ProjectedGaussian]) {
-    list.sort_by(|a, b| {
-        a.depth
-            .partial_cmp(&b.depth)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.id.cmp(&b.id))
-    });
+    list.sort_by(|a, b| a.depth.total_cmp(&b.depth).then(a.id.cmp(&b.id)));
 }
 
 /// Camera-frame covariance `W Σ Wᵀ` (exposed for the backward pass).

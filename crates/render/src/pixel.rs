@@ -15,7 +15,7 @@
 //! reduction recovers `Γ_i`, per-pair gradients are computed in parallel,
 //! and a second reduction aggregates them per Gaussian.
 
-use crate::binning::{self, BinIndex};
+use crate::binning::BinIndex;
 use crate::grad::{pixel_backward, reproject, CamGradAccumulator, PoseGrad, SceneGrads};
 use crate::kernel::{alpha_at, ProjectedGaussian, RenderConfig};
 use crate::loss::LossGrad;
@@ -55,6 +55,8 @@ struct ExtraGrid {
     cells_x: usize,
     cells_y: usize,
     cells: Vec<Vec<(usize, PixelCoord)>>,
+    /// No extra pixels at all: every `visit_bbox` returns immediately.
+    empty: bool,
 }
 
 impl ExtraGrid {
@@ -72,11 +74,12 @@ impl ExtraGrid {
             cells_x,
             cells_y,
             cells,
+            empty: pixels.extra_count() == 0,
         }
     }
 
     fn visit_bbox(&self, lo: Vec2, hi: Vec2, mut visit: impl FnMut(usize, PixelCoord)) {
-        if self.cells.iter().all(Vec::is_empty) {
+        if self.empty {
             return;
         }
         let cx0 = ((lo.x.floor() as isize) / EXTRA_CELL as isize)
@@ -101,29 +104,16 @@ impl ExtraGrid {
 }
 
 /// Decides whether candidate discovery should walk the screen-space bin
-/// index pixel-major instead of the exhaustive Gaussian-major walk.
+/// index pixel-major instead of the Gaussian-major walk.
 ///
-/// Tile-less pixel sets are discovered by a linear scan over every sample
-/// per Gaussian, which the bin walk strictly prunes. Tile-indexed sets
-/// already direct-index their bbox tiles, and the bin walk visits roughly
-/// `sampling_rate · bin²` candidates per exhaustive visit — so the loop is
-/// only inverted while that ratio stays near break-even (sparse sets such
-/// as the one-pixel-per-tile tracking plans), never for dense renders.
-/// The decision is a pure function of the pixel set and the config, so it
-/// is identical at every thread count.
+/// Only tile-less pixel sets take the bin walk: their Gaussian-major walk is
+/// a linear scan over every sample per Gaussian, which the bin walk strictly
+/// prunes. Tile-indexed sets already direct-index their bbox tiles, and the
+/// bin walk measured slower on them even for the sparsest tracking sets
+/// (DESIGN.md §11). The decision is a pure function of the pixel set and the
+/// config, so it is identical at every thread count.
 fn use_bin_walk(pixels: &PixelSet, config: &RenderConfig) -> bool {
-    if !config.binning {
-        return false;
-    }
-    if !pixels.has_tile_index() {
-        return true;
-    }
-    let bin = if config.bin_size == 0 {
-        binning::DEFAULT_BIN_SIZE
-    } else {
-        config.bin_size
-    };
-    pixels.len() * bin * bin <= pixels.width() * pixels.height() * 8
+    config.binning && !pixels.has_tile_index()
 }
 
 /// Forward pass of the pixel-based pipeline.
@@ -163,23 +153,17 @@ pub fn forward(
         // Pixel-major discovery through the screen-space bin index: the
         // index is built once per render, then each sampled pixel visits
         // only its bin's candidates (fanned out over fixed pixel chunks).
-        // Candidates are filtered by the *exact* predicate the exhaustive
-        // walk uses (clamped tile range for tile-indexed samples, center
-        // containment for extras and tile-less sets) before any α math, so
-        // the surviving pairs — per-pixel, in the same ascending projected
-        // order — and every pre-existing counter are identical to the
-        // Gaussian-major walk. Only `bin_candidates` (visits the index
-        // allowed) is new.
+        // Candidates are filtered by the *exact* predicate the Gaussian-major
+        // walk uses on a tile-less set (center containment) before any α
+        // math, so the surviving pairs — per-pixel, in the same ascending
+        // projected order — and every pre-existing counter are identical to
+        // that walk. Only `bin_candidates` (visits the index allowed) is new.
         let index = {
             let _p = crate::phase::begin("render/bin_index");
             BinIndex::build(projected, pixels, config.bin_size)
         };
         let _discover = crate::phase::begin("render/discover_binned");
         let all_pixels: Vec<(usize, PixelCoord)> = pixels.iter_all().enumerate().collect();
-        let sample_count = pixels.sample_count();
-        let has_tiles = pixels.has_tile_index();
-        let tile = pixels.tile_size();
-        let (tiles_x, tiles_y) = pixels.tile_dims();
         struct BinPartial {
             entries: Vec<(usize, PixelEntry)>,
             candidates: Vec<u32>,
@@ -206,13 +190,7 @@ pub fn forward(
                 for &pi in index.candidates(p) {
                     part.bin_candidates += 1;
                     let pg = &projected[pi as usize];
-                    let (lo, hi) = pg.bbox();
-                    let visited = if out_idx < sample_count && has_tiles {
-                        binning::sample_tile_overlaps(p, lo, hi, tile, tiles_x, tiles_y)
-                    } else {
-                        binning::center_in_bbox(p, lo, hi)
-                    };
-                    if !visited {
+                    if !pg.bbox_contains(p.center()) {
                         continue;
                     }
                     part.candidates[pi as usize] += 1;
@@ -280,13 +258,18 @@ pub fn forward(
         }
         trace.proj_candidates.extend(candidates);
     } else {
-        // Exhaustive Gaussian-major discovery: pixel-level projection +
-        // preemptive α-checking, fanned out over fixed chunks of projected
-        // Gaussians. Each chunk emits its passing (pixel, entry) pairs and
-        // counter partials; the merge below applies them in chunk order,
-        // which reproduces the sequential push order.
+        // Gaussian-major discovery: pixel-level projection + preemptive
+        // α-checking, fanned out over fixed chunks of projected Gaussians.
+        // Each chunk emits its passing (pixel, entry) pairs and counter
+        // partials; the merge below applies them in chunk order, which
+        // reproduces the sequential push order.
+        //
+        // A tile-indexed sample whose tile overlaps the bbox can still lie
+        // outside it; such a pair is counted as α-checked (the hardware
+        // checks it) but its `exp` is skipped, since it provably fails.
         let _discover = crate::phase::begin("render/discover_exhaustive");
         let extra_grid = ExtraGrid::build(pixels);
+        let prereject = config.bbox_prereject();
         struct ProjCheckPartial {
             entries: Vec<(usize, PixelEntry)>,
             candidates: Vec<u32>,
@@ -318,8 +301,11 @@ pub fn forward(
                         let mut collect = |out_idx: usize, p: PixelCoord| {
                             candidates += 1;
                             part.alpha_checks += 1;
-                            idx_scratch.push(out_idx);
                             let c = p.center();
+                            if prereject && !pg.bbox_contains(c) {
+                                return;
+                            }
+                            idx_scratch.push(out_idx);
                             px_scratch.push(c.x);
                             py_scratch.push(c.y);
                         };
@@ -350,7 +336,11 @@ pub fn forward(
                         let mut check = |out_idx: usize, p: PixelCoord| {
                             candidates += 1;
                             part.alpha_checks += 1;
-                            let (alpha, _) = alpha_at(pg, p.center(), config);
+                            let c = p.center();
+                            if prereject && !pg.bbox_contains(c) {
+                                return;
+                            }
+                            let (alpha, _) = alpha_at(pg, c, config);
                             if alpha >= config.alpha_threshold {
                                 part.pairs_kept += 1;
                                 part.entries.push((
@@ -429,12 +419,7 @@ pub fn forward(
                 part.sort_elems += sorted.len() as u64;
                 // Tie-break equal depths by projection index (ascending
                 // scene id), matching the tile pipeline's global sort order.
-                sorted.sort_by(|a, b| {
-                    a.depth
-                        .partial_cmp(&b.depth)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.proj.cmp(&b.proj))
-                });
+                sorted.sort_by(|a, b| a.depth.total_cmp(&b.depth).then(a.proj.cmp(&b.proj)));
             }
             let mut contribs = Vec::new();
             let (c, d, t, used) = if let Some(soa) = soa {

@@ -26,11 +26,11 @@
 
 use crate::grad::{CamGradAccumulator, PixelBackwardCounts, GRAD_COMPONENTS};
 use crate::kernel::{
-    alpha_at, project_from_cam, project_gaussian, ProjectedGaussian, RenderConfig,
+    alpha_at, in_front_of_near, project_from_cam, project_mean, ProjectedGaussian, RenderConfig,
 };
 use crate::Contribution;
 use splatonic_math::{Vec2, Vec3};
-use splatonic_scene::{Camera, GaussianScene};
+use splatonic_scene::{Camera, GaussianScene, ProjectionTerms};
 
 /// Kernel implementation selector carried by
 /// [`RenderConfig::kernels`](crate::RenderConfig).
@@ -649,17 +649,21 @@ unsafe fn pixel_backward_impl(
 /// survivors to `out` in index order — bitwise the same records
 /// `project_gaussian` emits for each index.
 ///
-/// The camera transform and pinhole projection run four Gaussians per lane
-/// batch; surviving lanes finish through the shared scalar covariance tail
-/// (`project_from_cam`). Vectorizing that tail (quaternion → Σ' →
+/// `terms` is the scene's
+/// [`projection_terms`](splatonic_scene::GaussianScene::projection_terms)
+/// column, so the per-Gaussian covariance and opacity are read, not
+/// recomputed. The camera transform and pinhole projection run four
+/// Gaussians per lane batch; surviving lanes finish through the shared
+/// scalar tail (`project_from_cam`). Vectorizing that tail (Σ' →
 /// conic/eigenvalues) is the documented future lane in DESIGN.md §13.
 ///
 /// # Panics
 ///
 /// Panics when called without a vector unit ([`lanes`] == 1), or when
-/// `offset + len` exceeds the scene.
+/// `offset + len` exceeds the scene or `terms`.
 pub fn project_chunk(
     scene: &GaussianScene,
+    terms: &[ProjectionTerms],
     offset: usize,
     len: usize,
     camera: &Camera,
@@ -668,12 +672,13 @@ pub fn project_chunk(
 ) {
     assert_vector_unit();
     // SAFETY: `assert_vector_unit` confirmed the target feature at runtime.
-    unsafe { project_chunk_impl(scene, offset, len, camera, config, out) }
+    unsafe { project_chunk_impl(scene, terms, offset, len, camera, config, out) }
 }
 
 #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
 unsafe fn project_chunk_impl(
     scene: &GaussianScene,
+    terms: &[ProjectionTerms],
     offset: usize,
     len: usize,
     camera: &Camera,
@@ -681,6 +686,8 @@ unsafe fn project_chunk_impl(
     out: &mut Vec<ProjectedGaussian>,
 ) {
     let means = &scene.means()[offset..offset + len];
+    let terms = &terms[offset..offset + len];
+    let colors = &scene.colors()[offset..offset + len];
     let r = camera.pose.rotation.m;
     let tr = camera.pose.translation;
     let intr = &camera.intrinsics;
@@ -688,6 +695,17 @@ unsafe fn project_chunk_impl(
     let (tx, ty, tz) = (F4::splat(tr.x), F4::splat(tr.y), F4::splat(tr.z));
     let (fx, fy) = (F4::splat(intr.fx), F4::splat(intr.fy));
     let (cx, cy) = (F4::splat(intr.cx), F4::splat(intr.cy));
+    // The tail shared by the lane batches and the scalar remainder.
+    let mut finish = |k: usize, p_cam: Vec3, mean2d: Vec2| {
+        if !in_front_of_near(p_cam.z, config) {
+            return;
+        }
+        let id = (offset + k) as u32;
+        if let Some(pg) = project_from_cam(&terms[k], colors[k], id, p_cam, mean2d, camera, config)
+        {
+            out.push(pg);
+        }
+    };
     let mut i = 0;
     while i + 4 <= len {
         let m = &means[i..i + 4];
@@ -704,30 +722,17 @@ unsafe fn project_chunk_impl(
         let my = fy.mul(py).div(pz).add(cy).to_array();
         let (pxa, pya, pza) = (px.to_array(), py.to_array(), pz.to_array());
         for k in 0..4 {
-            if pza[k] <= config.near {
-                continue;
-            }
-            let gi = offset + i + k;
-            let g = scene.gaussian(gi);
-            if let Some(pg) = project_from_cam(
-                &g,
-                gi as u32,
+            finish(
+                i + k,
                 Vec3::new(pxa[k], pya[k], pza[k]),
                 Vec2::new(mx[k], my[k]),
-                camera,
-                config,
-            ) {
-                out.push(pg);
-            }
+            );
         }
         i += 4;
     }
     while i < len {
-        let gi = offset + i;
-        let g = scene.gaussian(gi);
-        if let Some(pg) = project_gaussian(&g, gi as u32, camera, config) {
-            out.push(pg);
-        }
+        let (p_cam, mean2d) = project_mean(camera, means[i]);
+        finish(i, p_cam, mean2d);
         i += 1;
     }
 }
@@ -735,6 +740,7 @@ unsafe fn project_chunk_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::project_gaussian;
     use splatonic_math::{Pose, Quat};
     use splatonic_scene::{Gaussian, Intrinsics};
 
@@ -801,7 +807,15 @@ mod tests {
         let cam = camera();
         let cfg = RenderConfig::default();
         let mut simd_out = Vec::new();
-        project_chunk(&s, 0, s.len(), &cam, &cfg, &mut simd_out);
+        project_chunk(
+            &s,
+            s.projection_terms(1),
+            0,
+            s.len(),
+            &cam,
+            &cfg,
+            &mut simd_out,
+        );
         let mut scalar_out = Vec::new();
         for i in 0..s.len() {
             if let Some(pg) = project_gaussian(&s.gaussian(i), i as u32, &cam, &cfg) {

@@ -95,6 +95,7 @@ pub fn forward(
     let mut contributions: Vec<Vec<Contribution>> = vec![Vec::new(); n_out];
     let groups = group_pixels_by_tile(pixels, tiles_x, tiles_y);
     let threads = pool::resolve_threads(config.threads);
+    let prereject = config.bbox_prereject();
 
     #[derive(Default)]
     struct TilePartial {
@@ -165,10 +166,17 @@ pub fn forward(
                             if t < config.transmittance_min {
                                 continue;
                             }
-                            // α-checking for this pixel–Gaussian pair.
+                            // α-checking for this pixel–Gaussian pair. The
+                            // trace counts the modelled check; the host skips
+                            // the `exp` of a pixel outside the bbox, which
+                            // provably fails (`RenderConfig::bbox_prereject`).
                             part.raster_alpha_checks += 1;
                             part.exp_evals += 1;
-                            let (alpha, _) = alpha_at(pg, p.center(), config);
+                            let center = p.center();
+                            if prereject && !pg.bbox_contains(center) {
+                                continue;
+                            }
+                            let (alpha, _) = alpha_at(pg, center, config);
                             if alpha < config.alpha_threshold {
                                 continue;
                             }

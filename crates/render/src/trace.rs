@@ -24,10 +24,10 @@ pub struct ForwardStats {
     /// (preemptive α-checking, paper Sec. IV-B).
     pub proj_alpha_checks: u64,
     /// Pixel-based: candidate visits made through the screen-space bin
-    /// index ([`crate::binning`]) before the exhaustive predicate filters
-    /// them. Zero when the exhaustive Gaussian-major discovery ran instead
-    /// (binning disabled, or the pixel set is dense enough that the bin
-    /// walk would visit more pairs than direct indexing).
+    /// index ([`crate::binning`]) before the center-in-bbox predicate
+    /// filters them. Zero when the Gaussian-major discovery ran instead
+    /// (binning disabled, or the pixel set carries a tile index and is
+    /// direct-indexed).
     pub bin_candidates: u64,
     /// Pixel-based: candidate pairs that passed preemptive α-checking.
     pub proj_pairs_kept: u64,

@@ -7,9 +7,13 @@
 //! on a seeded random scene for both pipelines.
 
 use splatonic_math::{Rng64, Vec3};
+use splatonic_render::kernel::{alpha_at, project_scene};
 use splatonic_render::loss::LossGrad;
 use splatonic_render::pixelset::{PixelCoord, PixelSet};
-use splatonic_render::{render_backward, render_forward, Pipeline, RenderConfig};
+use splatonic_render::{
+    render_backward, render_forward, Contribution, ForwardResult, KernelMode, Pipeline,
+    RenderConfig, RenderTrace,
+};
 use splatonic_scene::{Camera, Gaussian, GaussianScene, Intrinsics};
 
 const THREAD_COUNTS: [usize; 2] = [2, 8];
@@ -152,7 +156,7 @@ fn tile_backward_is_thread_count_invariant() {
 const EQUALITY_WIDTHS: [usize; 3] = [1, 4, 0];
 
 /// Asserts a binning+cache-enabled render is bit-identical to the
-/// exhaustive uncached path on `pixels`, at every equality width.
+/// Gaussian-major uncached path on `pixels`, at every equality width.
 ///
 /// The traces must match too, except for `bin_candidates` (the one counter
 /// the bin walk adds), which is zeroed before comparison.
@@ -186,7 +190,7 @@ fn assert_binned_matches_exhaustive(pixels: &PixelSet, expect_bin_walk: bool) {
         } else {
             assert_eq!(
                 a.trace.forward.bin_candidates, 0,
-                "dense sets stay exhaustive"
+                "tile-indexed sets take the direct walk"
             );
         }
         assert_eq!(b.trace.forward.bin_candidates, 0);
@@ -199,9 +203,159 @@ fn assert_binned_matches_exhaustive(pixels: &PixelSet, expect_bin_walk: bool) {
     }
 }
 
+/// Brute-force forward pass of the pixel pipeline, with its full trace.
+///
+/// Every sample of every tile in a Gaussian's clamped tile range, and every
+/// extra pixel whose center lies in its bounding box, is α-checked with a
+/// real `exp` — no geometric shortcut — and kept when `α ≥ α*`. Per-pixel
+/// lists are then depth-sorted (projection-index tie-break) and composited
+/// front to back.
+fn oracle_forward(
+    scene: &GaussianScene,
+    cam: &Camera,
+    pixels: &PixelSet,
+    config: &RenderConfig,
+) -> ForwardResult {
+    use splatonic_render::trace::bytes;
+    let (projected, culled) = project_scene(scene, cam, config);
+    let mut lists: Vec<Vec<(f64, u32, f64)>> = vec![Vec::new(); pixels.len()];
+    let mut trace = RenderTrace::new();
+    for (pi, pg) in projected.iter().enumerate() {
+        let (lo, hi) = pg.bbox();
+        let mut candidates = Vec::new();
+        pixels.samples_in_bbox(lo, hi, |i, p| candidates.push((i, p)));
+        for (k, p) in pixels.extra().enumerate() {
+            if pg.bbox_contains(p.center()) {
+                candidates.push((pixels.sample_count() + k, p));
+            }
+        }
+        trace.proj_candidates.push(candidates.len() as u32);
+        for (out_idx, p) in candidates {
+            let (alpha, _) = alpha_at(pg, p.center(), config);
+            if alpha >= config.alpha_threshold {
+                lists[out_idx].push((pg.depth, pi as u32, alpha));
+            }
+        }
+    }
+    let f = &mut trace.forward;
+    f.gaussians_input = scene.len() as u64;
+    f.gaussians_culled = culled;
+    f.gaussians_projected = projected.len() as u64;
+    f.proj_alpha_checks = trace.proj_candidates.iter().map(|&c| c as u64).sum();
+    f.exp_evals = f.proj_alpha_checks;
+    f.proj_pairs_kept = lists.iter().map(|l| l.len() as u64).sum();
+    f.bytes_read = scene.len() as u64 * bytes::GAUSSIAN + f.proj_pairs_kept * bytes::PAIR_ENTRY;
+    f.bytes_written = f.proj_pairs_kept * bytes::PAIR_ENTRY;
+    let mut out = ForwardResult {
+        color: Vec::new(),
+        depth: Vec::new(),
+        final_transmittance: Vec::new(),
+        contributions: Vec::new(),
+        trace: RenderTrace::new(),
+    };
+    for mut list in lists {
+        if !list.is_empty() {
+            f.sort_lists += 1;
+            f.sort_elems += list.len() as u64;
+        }
+        list.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let (mut t, mut c, mut d) = (1.0, Vec3::ZERO, 0.0);
+        let mut contribs = Vec::new();
+        for &(depth, pi, alpha) in &list {
+            if t < config.transmittance_min {
+                break;
+            }
+            let pg = &projected[pi as usize];
+            let w = t * alpha;
+            c += pg.color * w;
+            d += depth * w;
+            contribs.push(Contribution {
+                gaussian: pg.id,
+                alpha,
+                transmittance: t,
+            });
+            t *= 1.0 - alpha;
+        }
+        let used = contribs.len() as u64;
+        f.pairs_integrated += used;
+        f.pixels_shaded += 1;
+        f.warp_steps += 2 * used.div_ceil(32);
+        f.warp_active += 2 * used;
+        f.bytes_read += used * bytes::PROJECTED;
+        f.bytes_written += bytes::PIXEL_OUT;
+        f.pixel_list_len.push(used as f64);
+        trace.pixel_lists.push(used as u32);
+        out.color.push(c + config.background * t);
+        out.depth.push(d);
+        out.final_transmittance.push(t);
+        out.contributions.push(contribs);
+    }
+    out.trace = trace;
+    out
+}
+
+/// Asserts the pixel pipeline is bit-identical to [`oracle_forward`] —
+/// output and every trace counter — at every equality width, in both
+/// kernel modes, with binning and the cache on; and, where the bbox bound
+/// holds, that the tile pipeline renders the same output.
+fn assert_matches_oracle(pixels: &PixelSet, base: RenderConfig) {
+    let scene = random_scene(77, 400);
+    let cam = camera();
+    let want = oracle_forward(&scene, &cam, pixels, &base);
+    assert!(want.trace.forward.proj_pairs_kept > 0);
+    for kernels in [KernelMode::Scalar, KernelMode::Simd] {
+        for threads in EQUALITY_WIDTHS {
+            let config = RenderConfig {
+                threads,
+                kernels,
+                ..base
+            };
+            let got = render_forward(&scene, &cam, pixels, Pipeline::PixelBased, &config);
+            let at = format!("{kernels:?}, {threads} workers");
+            assert_eq!(got.color, want.color, "color, {at}");
+            assert_eq!(got.depth, want.depth, "depth, {at}");
+            assert_eq!(
+                got.final_transmittance, want.final_transmittance,
+                "Γ_final, {at}"
+            );
+            assert_eq!(got.contributions, want.contributions, "contribs, {at}");
+            assert_eq!(got.trace, want.trace, "trace, {at}");
+            // Where the bbox bound holds, both pipelines keep exactly the
+            // pairs with α ≥ α*, so the tile raster loop (which takes the
+            // same shortcut) composites the same pairs in the same order.
+            if config.bbox_prereject() {
+                let tile = render_forward(&scene, &cam, pixels, Pipeline::TileBased, &config);
+                assert_eq!(tile.color, want.color, "tile color, {at}");
+                assert_eq!(tile.depth, want.depth, "tile depth, {at}");
+                assert_eq!(
+                    tile.contributions, want.contributions,
+                    "tile contribs, {at}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn binned_forward_matches_exhaustive_sparse() {
-    assert_binned_matches_exhaustive(&sparse_set(), true);
+    // A tile-indexed sparse set takes the direct-indexed walk even with
+    // binning on (so `bin_candidates` stays 0, checked through the trace),
+    // and the bbox pre-reject must not change a bit or a counter.
+    let config = cfg(0);
+    assert!(config.binning && config.bbox_prereject());
+    assert_matches_oracle(&sparse_set(), config);
+}
+
+#[test]
+fn sparse_forward_without_prereject_matches_oracle() {
+    // At 3σ the bound no longer guarantees α < α* outside the box, so the
+    // pre-reject switches itself off and every candidate pays its `exp`.
+    let config = RenderConfig {
+        bbox_sigma: 3.0,
+        ..cfg(0)
+    };
+    assert!(!config.bbox_prereject());
+    assert_matches_oracle(&sparse_set(), config);
 }
 
 #[test]
@@ -222,9 +376,9 @@ fn binned_forward_matches_exhaustive_pixel_list() {
 
 #[test]
 fn binned_forward_matches_exhaustive_dense() {
-    // Dense sets route to the exhaustive walk even with binning enabled
-    // (the bin walk would visit strictly more candidates), so the traces
-    // match with bin_candidates = 0 on both sides.
+    // Dense sets are tile-indexed, so they take the direct walk even with
+    // binning enabled and the traces match with bin_candidates = 0 on both
+    // sides.
     assert_binned_matches_exhaustive(&PixelSet::dense(96, 72), false);
 }
 

@@ -5,8 +5,9 @@
 //! panics in either pipeline.
 
 use splatonic_math::{Pose, Quat, Vec3};
+use splatonic_render::pixelset::PixelCoord;
 use splatonic_render::prelude::*;
-use splatonic_render::{loss, LossConfig};
+use splatonic_render::{loss, KernelMode, LossConfig};
 use splatonic_scene::{Camera, Frame, Gaussian, GaussianScene, Intrinsics};
 
 const W: usize = 48;
@@ -235,4 +236,81 @@ fn non_finite_gaussian_is_culled_not_propagated() {
     assert_finite(&b);
     // The healthy Gaussian still renders.
     assert!(a.total_contributions() > 0);
+}
+
+/// A Gaussian whose NaN parameter must be culled at projection rather than
+/// projected with a NaN bounding box, depth, or opacity.
+fn nan_rows() -> [(&'static str, Gaussian); 4] {
+    let healthy = Gaussian::new(
+        Vec3::new(0.1, -0.1, 2.0),
+        Vec3::new(0.2, 0.1, 0.15),
+        Quat::from_axis_angle(Vec3::new(0.3, 1.0, 0.2), 0.4),
+        0.9,
+        Vec3::splat(0.5),
+    );
+    let mut depth = healthy;
+    depth.mean.z = f64::NAN;
+    let mut log_scale = healthy;
+    log_scale.log_scale.y = f64::NAN;
+    let mut opacity = healthy;
+    opacity.opacity_logit = f64::NAN;
+    let mut rotation = healthy;
+    rotation.rotation = Quat::new(f64::NAN, 0.0, 0.0, 0.0);
+    [
+        ("mean.z", depth),
+        ("log_scale", log_scale),
+        ("opacity_logit", opacity),
+        ("rotation", rotation),
+    ]
+}
+
+#[test]
+fn nan_parameters_are_culled_in_every_pipeline_and_kernel_mode() {
+    let sparse = PixelSet::from_tile_chooser(W, H, 8, |_, _, x0, y0, tw, th| {
+        Some(PixelCoord::new((x0 + tw / 2) as u16, (y0 + th / 2) as u16))
+    });
+    let cam = camera();
+    for (what, bad) in nan_rows() {
+        // Four healthy neighbours, so the bad row lands in a SIMD lane batch
+        // at index 1 and in the scalar remainder at index 4.
+        for pos in [1usize, 4] {
+            let mut scene = GaussianScene::new();
+            for k in 0..5 {
+                if k == pos {
+                    scene.push(bad);
+                } else {
+                    scene.push(Gaussian::new(
+                        Vec3::new(0.2 * k as f64 - 0.4, 0.05 * k as f64, 1.5 + 0.3 * k as f64),
+                        Vec3::new(0.2, 0.1, 0.15),
+                        Quat::from_axis_angle(Vec3::new(0.3, 1.0, 0.2), 0.4),
+                        0.9,
+                        Vec3::splat(0.5),
+                    ));
+                }
+            }
+            for pixels in [&sparse, &PixelSet::dense(W, H)] {
+                for kernels in [KernelMode::Scalar, KernelMode::Simd] {
+                    for pipeline in [Pipeline::TileBased, Pipeline::PixelBased] {
+                        let cfg = RenderConfig {
+                            kernels,
+                            ..RenderConfig::default()
+                        };
+                        let at = format!("NaN {what} at {pos}, {pipeline:?}, {kernels:?}");
+                        let out = render_forward(&scene, &cam, pixels, pipeline, &cfg);
+                        assert_finite(&out);
+                        assert_eq!(out.trace.forward.gaussians_culled, 1, "{at}");
+                        assert_eq!(out.trace.forward.gaussians_projected, 4, "{at}");
+                        assert!(out.total_contributions() > 0, "{at}");
+                        assert!(
+                            out.contributions
+                                .iter()
+                                .flatten()
+                                .all(|c| c.gaussian != pos as u32),
+                            "{at}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

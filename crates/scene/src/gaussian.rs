@@ -16,8 +16,9 @@
 //! accessor assembles or scatters one on the fly, which costs the same
 //! copies the old array-of-structs layout paid per element.
 
-use splatonic_math::{Mat3, Quat, Vec3};
+use splatonic_math::{pool, Mat3, Quat, Vec3};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Process-global source of scene revision numbers. Every value handed out
 /// is unique for the lifetime of the process, so two scenes (or two states
@@ -137,6 +138,51 @@ impl Gaussian {
     }
 }
 
+/// The pose-independent inputs of projection for one Gaussian: exactly
+/// [`Gaussian::covariance`] and [`Gaussian::opacity`], bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProjectionTerms {
+    /// World-space 3D covariance `Σ = R S Sᵀ Rᵀ`.
+    pub covariance: Mat3,
+    /// Natural opacity `sigmoid(opacity_logit)`.
+    pub opacity: f64,
+}
+
+impl ProjectionTerms {
+    /// Computes the terms of `g`.
+    #[inline]
+    pub fn of(g: &Gaussian) -> Self {
+        ProjectionTerms {
+            covariance: g.covariance(),
+            opacity: g.opacity(),
+        }
+    }
+}
+
+/// Fixed fan-out granularity for building the terms column.
+const TERMS_CHUNK: usize = 512;
+
+/// Lazily built [`ProjectionTerms`] column. It is derived from the scene's
+/// contents, so it is never part of the scene's value: clones start empty,
+/// equality and snapshots ignore it, and every new revision drops it.
+#[derive(Default)]
+struct TermsColumn(OnceLock<Vec<ProjectionTerms>>);
+
+impl Clone for TermsColumn {
+    fn clone(&self) -> Self {
+        TermsColumn::default()
+    }
+}
+
+impl std::fmt::Debug for TermsColumn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0.get() {
+            Some(terms) => write!(f, "TermsColumn({} built)", terms.len()),
+            None => f.write_str("TermsColumn(unbuilt)"),
+        }
+    }
+}
+
 /// Structure-of-arrays view handed out by [`GaussianScene::fields_mut`]:
 /// one mutable slice per attribute, all of equal length.
 ///
@@ -187,6 +233,9 @@ pub struct GaussianScene {
     colors: Vec<Vec3>,
     /// Monotonic content-change token; see [`GaussianScene::revision`].
     revision: u64,
+    /// Derived [`ProjectionTerms`] column for the current revision; see
+    /// [`GaussianScene::projection_terms`].
+    terms: TermsColumn,
 }
 
 /// Scene equality is content equality; the revision token is an identity
@@ -217,6 +266,7 @@ impl GaussianScene {
             opacity_logits: Vec::new(),
             colors: Vec::new(),
             revision: fresh_revision(),
+            terms: TermsColumn::default(),
         }
     }
 
@@ -229,6 +279,7 @@ impl GaussianScene {
             opacity_logits: Vec::with_capacity(n),
             colors: Vec::with_capacity(n),
             revision: fresh_revision(),
+            terms: TermsColumn::default(),
         }
     }
 
@@ -257,15 +308,43 @@ impl GaussianScene {
     /// Process-unique token identifying the current contents of this scene.
     ///
     /// Every constructor draws a fresh value and every mutating accessor
-    /// (`push`, `fields_mut`, `set`, `update`, `retain`, `extend`) replaces
-    /// it with a new one, so *equal revisions imply bitwise-equal
-    /// Gaussians*. Cloning keeps the revision (contents are identical at
-    /// clone time); the first mutation of either copy separates them. The
-    /// render-side projection cache keys on this to detect scene changes
-    /// in O(1).
+    /// (`push`, `fields_mut`, `set`, `update`, `update_each`, `retain`,
+    /// `extend`) replaces it with a new one — dropping the derived
+    /// [`GaussianScene::projection_terms`] column with it — so *equal
+    /// revisions imply bitwise-equal Gaussians*. Cloning keeps the revision
+    /// (contents are identical at clone time); the first mutation of either
+    /// copy separates them. The render-side projection cache keys on this
+    /// to detect scene changes in O(1).
     #[inline]
     pub fn revision(&self) -> u64 {
         self.revision
+    }
+
+    /// Draws a fresh revision and drops the derived column. Every mutating
+    /// accessor calls this before it writes.
+    #[inline]
+    fn new_revision(&mut self) {
+        self.revision = fresh_revision();
+        self.terms = TermsColumn::default();
+    }
+
+    /// The [`ProjectionTerms`] of every Gaussian, indexed by Gaussian id.
+    ///
+    /// Built on first use after each new revision, fanned out over
+    /// `threads` pool workers (the result does not depend on `threads`),
+    /// then shared by every render until the next mutation. Projecting at
+    /// many poses of one revision — the tracking loop — thus computes each
+    /// covariance once instead of once per render.
+    pub fn projection_terms(&self, threads: usize) -> &[ProjectionTerms] {
+        self.terms.0.get_or_init(|| {
+            let chunks =
+                pool::par_chunks_indexed(threads, &self.means, TERMS_CHUNK, |_, offset, chunk| {
+                    (offset..offset + chunk.len())
+                        .map(|i| ProjectionTerms::of(&self.gaussian(i)))
+                        .collect::<Vec<_>>()
+                });
+            chunks.concat()
+        })
     }
 
     /// Number of Gaussians.
@@ -292,7 +371,7 @@ impl GaussianScene {
 
     /// Appends a Gaussian, returning its index.
     pub fn push(&mut self, g: Gaussian) -> usize {
-        self.revision = fresh_revision();
+        self.new_revision();
         self.push_fields(g);
         self.means.len() - 1
     }
@@ -333,7 +412,7 @@ impl GaussianScene {
     /// *may* change contents, and the cache contract only requires that
     /// equal revisions imply equal contents.
     pub fn fields_mut(&mut self) -> SceneFieldsMut<'_> {
-        self.revision = fresh_revision();
+        self.new_revision();
         SceneFieldsMut {
             means: &mut self.means,
             log_scales: &mut self.log_scales,
@@ -376,7 +455,7 @@ impl GaussianScene {
     ///
     /// Panics when `i` is out of bounds.
     pub fn set(&mut self, i: usize, g: Gaussian) {
-        self.revision = fresh_revision();
+        self.new_revision();
         self.means[i] = g.mean;
         self.log_scales[i] = g.log_scale;
         self.rotations[i] = g.rotation;
@@ -398,7 +477,7 @@ impl GaussianScene {
 
     /// Applies `f` to every Gaussian in index order.
     pub fn update_each(&mut self, mut f: impl FnMut(usize, &mut Gaussian)) {
-        self.revision = fresh_revision();
+        self.new_revision();
         for i in 0..self.len() {
             let mut g = self.gaussian(i);
             f(i, &mut g);
@@ -415,7 +494,7 @@ impl GaussianScene {
     /// All attribute arrays are compacted in lockstep, preserving the
     /// relative order of survivors.
     pub fn retain(&mut self, mut f: impl FnMut(&Gaussian) -> bool) {
-        self.revision = fresh_revision();
+        self.new_revision();
         let n = self.len();
         let mut write = 0usize;
         for read in 0..n {
@@ -495,7 +574,7 @@ impl FromIterator<Gaussian> for GaussianScene {
 
 impl Extend<Gaussian> for GaussianScene {
     fn extend<I: IntoIterator<Item = Gaussian>>(&mut self, iter: I) {
-        self.revision = fresh_revision();
+        self.new_revision();
         for g in iter {
             self.push_fields(g);
         }
@@ -719,6 +798,69 @@ mod tests {
         // Clones share the revision until one of them is mutated.
         let c = scene.clone();
         assert_eq!(c.revision(), scene.revision());
+    }
+
+    #[test]
+    fn every_mutation_invalidates_projection_terms() {
+        // The column must always equal a fresh per-Gaussian computation,
+        // however the scene was last changed.
+        fn assert_fresh(scene: &GaussianScene, what: &str) {
+            let terms = scene.projection_terms(2);
+            assert_eq!(terms.len(), scene.len(), "{what}: column length");
+            for (i, t) in terms.iter().enumerate() {
+                assert_eq!(
+                    *t,
+                    ProjectionTerms::of(&scene.gaussian(i)),
+                    "{what}: row {i}"
+                );
+            }
+        }
+        let mut scene = GaussianScene::from_vec(vec![sample(); 3]);
+        assert_fresh(&scene, "from_vec");
+        scene.push(Gaussian::new(
+            Vec3::ZERO,
+            Vec3::splat(0.3),
+            Quat::IDENTITY,
+            0.2,
+            Vec3::ZERO,
+        ));
+        assert_fresh(&scene, "push");
+        scene.fields_mut().log_scales[0].x += 0.5;
+        assert_fresh(&scene, "fields_mut");
+        let mut g = sample();
+        g.rotation = Quat::from_axis_angle(Vec3::Z, 1.1);
+        scene.set(1, g);
+        assert_fresh(&scene, "set");
+        scene.update(2, |g| g.opacity_logit -= 2.0);
+        assert_fresh(&scene, "update");
+        scene.update_each(|i, g| g.log_scale.y -= 0.1 * i as f64);
+        assert_fresh(&scene, "update_each");
+        scene.retain(|g| g.opacity_logit > logit(0.3));
+        assert_fresh(&scene, "retain");
+        scene.extend([sample()]);
+        assert_fresh(&scene, "extend");
+        let copy = scene.clone();
+        assert_fresh(&copy, "clone");
+        let rebuilt = GaussianScene::from_vec(copy.to_vec()[1..].to_vec());
+        assert_fresh(&rebuilt, "from_vec of a subset");
+    }
+
+    #[test]
+    fn projection_terms_are_width_independent() {
+        let gs: Vec<Gaussian> = (0..1100)
+            .map(|i| {
+                Gaussian::new(
+                    Vec3::splat(0.01 * i as f64),
+                    Vec3::new(0.02 + 1e-4 * i as f64, 0.05, 0.07),
+                    Quat::from_axis_angle(Vec3::new(1.0, 0.5, -0.25), 0.01 * i as f64),
+                    0.5,
+                    Vec3::ZERO,
+                )
+            })
+            .collect();
+        let one = GaussianScene::from_vec(gs.clone());
+        let four = GaussianScene::from_vec(gs);
+        assert_eq!(one.projection_terms(1), four.projection_terms(4));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod world;
 
 pub use camera::{Camera, Intrinsics};
 pub use frame::{ColorImage, DepthImage, Frame};
-pub use gaussian::{Gaussian, GaussianScene};
+pub use gaussian::{Gaussian, GaussianScene, ProjectionTerms};
 pub use lod::{decimate, decimate_fraction, LodStats};
 pub use ply::{decode_ply, encode_ply, read_ply_file, write_ply_file, PlyError};
 pub use trajectory::{Trajectory, TrajectoryKind};

@@ -312,6 +312,71 @@ fn bin_index_is_conservative() {
     });
 }
 
+/// A pixel outside a projected Gaussian's bounding box always fails the
+/// α-check, which is what lets the renderer skip its `exp`
+/// (`RenderConfig::bbox_prereject`). Random strongly anisotropic Gaussians
+/// under random poses, with means anywhere in the image plus the
+/// `0.3·max(W, H)` guard band the frustum cull admits beyond each edge, and
+/// pixels from just past a box edge to far outside it.
+#[test]
+fn alpha_fails_outside_bbox() {
+    use splatonic::math::Vec2;
+    use splatonic::render::kernel::{alpha_at, project_gaussian};
+    let cfg = RenderConfig::default();
+    assert!(cfg.bbox_prereject());
+    let (w, h) = (48.0, 36.0);
+    let guard = 0.3 * w;
+    for_each_case(0xB0B0_0075, |case, rng| {
+        let cam = Camera::new(Intrinsics::with_fov(48, 36, 1.2), arb_pose(rng));
+        let mut checked = 0;
+        for _ in 0..48 {
+            let mean = cam.unproject_to_world(
+                rng.gen_range(-guard..w + guard),
+                rng.gen_range(-guard..h + guard),
+                rng.gen_range(0.21..6.0),
+            );
+            let mut axis = || 10f64.powf(rng.gen_range(-3.0..0.3));
+            let scale = Vec3::new(axis(), axis(), axis());
+            let rotation = Quat::new(
+                rng.gen_range(-1.0..1.0),
+                rng.gen_range(-1.0..1.0),
+                rng.gen_range(-1.0..1.0),
+                rng.gen_range(-1.0..1.0),
+            );
+            let opacity = rng.gen_range(0.01..1.0);
+            let g = Gaussian::new(mean, scale, rotation, opacity, Vec3::splat(0.5));
+            let Some(pg) = project_gaussian(&g, 0, &cam, &cfg) else {
+                continue;
+            };
+            let (lo, hi) = pg.bbox();
+            let r = pg.radius.x;
+            for _ in 0..16 {
+                let past = 10f64.powf(rng.gen_range(-6.0..2.0));
+                let along = Vec2::new(
+                    rng.gen_range(lo.x - 2.0 * r..hi.x + 2.0 * r),
+                    rng.gen_range(lo.y - 2.0 * r..hi.y + 2.0 * r),
+                );
+                let pixel = match rng.gen_range(0usize..4) {
+                    0 => Vec2::new(lo.x - past, along.y),
+                    1 => Vec2::new(hi.x + past, along.y),
+                    2 => Vec2::new(along.x, lo.y - past),
+                    _ => Vec2::new(along.x, hi.y + past),
+                };
+                if pg.bbox_contains(pixel) {
+                    continue; // `past` vanished in rounding
+                }
+                let (alpha, q) = alpha_at(&pg, pixel, &cfg);
+                assert!(
+                    alpha < cfg.alpha_threshold,
+                    "case {case}: α {alpha} (q {q}) at {pixel:?} outside bbox {lo:?}..{hi:?}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "case {case}: no projected Gaussian");
+    });
+}
+
 /// The cross-iteration projection cache never changes rendered output:
 /// repeated renders (cache hits) and pose-stepped renders (invalidations)
 /// are bit-identical to cache-off renders of the same inputs.
