@@ -9,8 +9,7 @@
 //!
 //! Usage:
 //!   kernels [--iters N] [--threads N] [--report out.json]
-//!           [--no-binning] [--no-cache] [--scalar | --simd]
-//!           [--no-tile-grouping] [--no-sort-cache]
+//!           [--scalar | --simd] [--no-tile-grouping] [--no-sort-cache]
 //!           [--trace-out trace.json] [--events-out events.jsonl]
 //!
 //! `--trace-out` writes a Chrome trace-event JSON (Perfetto-loadable) of
@@ -21,10 +20,11 @@
 //! `SPLATONIC_THREADS` environment variable, then host parallelism).
 //! Results are bit-identical for every value; only wall-clock changes.
 //!
-//! `--no-binning` / `--no-cache` disable the screen-space bin index and
-//! the cross-iteration projection cache for A/B comparison — rendered
-//! output is bit-identical either way, so only the timing spans and the
-//! `binning/` / `cache/` gauges move.
+//! The forward cases time both schedules on the dense set and on the
+//! one-per-16×16-tile sparse set, plus the pixel schedule on a tile-less
+//! copy of the sparse set (`pixel_scattered16`), whose pixels are found
+//! through the pixel set's cell index instead of its tile slots. The
+//! `cache/*` gauges report the projection cache's hits over those cases.
 //!
 //! `--no-tile-grouping` / `--no-sort-cache` disable the tile pipeline's
 //! GS-TG-style grouped depth sort and the frame-coherent sorted-list cache.
@@ -110,8 +110,6 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(0);
-    let binning = !args.iter().any(|a| a == "--no-binning");
-    let cache = !args.iter().any(|a| a == "--no-cache");
     let tile_grouping = !args.iter().any(|a| a == "--no-tile-grouping");
     let sort_cache = !args.iter().any(|a| a == "--no-sort-cache");
     let mode = if args.iter().any(|a| a == "--scalar") {
@@ -144,8 +142,6 @@ fn main() {
     let (scene, cam) = bench_scene();
     let cfg = RenderConfig {
         threads,
-        binning,
-        cache,
         tile_grouping,
         sort_cache,
         kernels: mode,
@@ -160,11 +156,13 @@ fn main() {
     eprintln!("[kernels] kernel mode: {} ({lanes} lane(s))", mode.label());
     let dense = PixelSet::dense(W, H);
     let sparse = sparse_set();
-    let forward_cases: [(&str, Pipeline, &PixelSet); 4] = [
+    let scattered = PixelSet::from_pixels(W, H, sparse.iter_all().collect());
+    let forward_cases: [(&str, Pipeline, &PixelSet); 5] = [
         ("tile_dense", Pipeline::TileBased, &dense),
         ("pixel_dense", Pipeline::PixelBased, &dense),
         ("tile_sparse16", Pipeline::TileBased, &sparse),
         ("pixel_sparse16", Pipeline::PixelBased, &sparse),
+        ("pixel_scattered16", Pipeline::PixelBased, &scattered),
     ];
     for (name, pipeline, pixels) in forward_cases {
         let _outer = t.span("forward");
@@ -174,37 +172,10 @@ fn main() {
         }
     }
 
-    // A/B candidate-evaluation accounting on a tile-less copy of the sparse
-    // pixel set, the only input the bin walk still serves (tile-indexed
-    // sets direct-index their bbox tiles): with binning every sampled pixel
-    // walks only its bin's candidate list (`bin_candidates`), without it
-    // every pixel considers every projected Gaussian
-    // (`gaussians_input × pixels`). Output is bit-identical.
-    {
-        let scattered = PixelSet::from_pixels(W, H, sparse.iter_all().collect());
-        let out = render_forward(&scene, &cam, &scattered, Pipeline::PixelBased, &cfg);
-        let naive = out.trace.forward.gaussians_input * scattered.len() as u64;
-        let binned = out.trace.forward.bin_candidates;
-        t.gauge_set("binning/naive_candidates", naive as f64);
-        t.gauge_set("binning/bin_candidates", binned as f64);
-        if binned > 0 {
-            let reduction = naive as f64 / binned as f64;
-            t.gauge_set("binning/candidate_reduction", reduction);
-            eprintln!(
-                "[kernels] tile-less sparse16 candidate evaluations: \
-                 exhaustive {naive} vs binned {binned} ({reduction:.1}x reduction)"
-            );
-        } else {
-            eprintln!(
-                "[kernels] tile-less sparse16 candidate evaluations: \
-                 exhaustive {naive} (binning disabled)"
-            );
-        }
-        let cache_stats = splatonic_render::projcache::stats();
-        t.gauge_set("cache/hits", cache_stats.hits as f64);
-        t.gauge_set("cache/misses", cache_stats.misses as f64);
-        t.gauge_set("cache/invalidations", cache_stats.invalidations as f64);
-    }
+    let cache_stats = splatonic_render::projcache::stats();
+    t.gauge_set("cache/hits", cache_stats.hits as f64);
+    t.gauge_set("cache/misses", cache_stats.misses as f64);
+    t.gauge_set("cache/invalidations", cache_stats.invalidations as f64);
 
     // A/B sorted-tile-list accounting on the tile schedule: a short
     // tracking burst (4 nearby poses × 2 Adam iterations, forward +

@@ -244,7 +244,9 @@ impl Histogram {
 
 /// Percentile of a sample (nearest-rank), `p ∈ [0, 100]`.
 ///
-/// Returns 0 for an empty slice.
+/// Returns 0 for an empty slice. Values are ranked by [`f64::total_cmp`],
+/// so a NaN sample ranks above +∞ (or below −∞ when its sign bit is set)
+/// instead of leaving the order undefined.
 ///
 /// # Examples
 ///
@@ -257,7 +259,7 @@ pub fn percentile(values: &mut [f64], p: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    values.sort_by(f64::total_cmp);
     let rank = ((p / 100.0) * (values.len() as f64 - 1.0)).round() as usize;
     values[rank.min(values.len() - 1)]
 }

@@ -54,29 +54,14 @@ pub struct RenderConfig {
     /// Background color composited where transmittance remains (default
     /// black). Output-affecting.
     pub background: Vec3,
-    /// Screen-space bin index for the pixel-based pipeline on pixel sets
-    /// without a tile index: sampled pixels visit only the Gaussians binned
-    /// to their bin instead of being discovered Gaussian-major (default
-    /// `true`; tile-indexed sets are always direct-indexed). Output is
-    /// bit-identical either way; the `bin_candidates` trace counter records
-    /// the pruning achieved.
-    pub binning: bool,
-    /// Bin edge length in pixels for the bin index (default 16; `0` also
-    /// resolves to 16). Output-transparent: any bin size yields bit-identical
-    /// renders.
-    pub bin_size: usize,
-    /// Cross-iteration projection cache: reuse per-Gaussian projection
-    /// results across renders that share the exact camera and unchanged
-    /// Gaussian parameters (default `true`; invalidated by any pose delta,
-    /// see `projcache`). Output is bit-identical either way.
-    pub cache: bool,
     /// Worker threads for the parallel render/backward paths (default `0` =
     /// auto: the `SPLATONIC_THREADS` environment variable, falling back to
     /// `available_parallelism()`). Results are bit-identical for every
     /// value (see `splatonic_math::pool`).
     pub threads: usize,
     /// GS-TG-style tile grouping for the tile pipeline (default `true`):
-    /// 16×16 tiles are partitioned into `group_size`×`group_size` groups,
+    /// 16×16 tiles are partitioned into
+    /// [`crate::tilesort::GROUP_SIZE`]² groups,
     /// one shared depth sort runs per group over the union candidate list,
     /// and each tile's list is derived by masking the shared order. Because
     /// the depth comparator (`depth` ascending, id tie-break) is a total
@@ -85,11 +70,6 @@ pub struct RenderConfig {
     /// by the determinism suite. The `sort_lists`/`sort_elems`/
     /// `sort_group_reuse` trace counters record the schedule that ran.
     pub tile_grouping: bool,
-    /// Tile-group edge length in tiles (default `2`, i.e. 2×2 tiles = one
-    /// 32×32-pixel group; `0` also resolves to 2). Output-transparent: any
-    /// group size yields bit-identical renders, only the sort accounting
-    /// changes.
-    pub group_size: usize,
     /// Frame-coherent sorted-list cache (default `true`): sorted tile/group
     /// lists are keyed on the scene-revision counter + pose bits (the
     /// `projcache` key extended with the grid/grouping context). An exact
@@ -121,11 +101,7 @@ impl Default for RenderConfig {
             bbox_sigma: 3.5,
             near: 0.2,
             background: Vec3::ZERO,
-            binning: true,
-            bin_size: crate::binning::DEFAULT_BIN_SIZE,
-            cache: true,
             tile_grouping: true,
-            group_size: crate::tilesort::DEFAULT_GROUP_SIZE,
             sort_cache: true,
             threads: 0,
             kernels: crate::simd::KernelMode::Simd,

@@ -15,8 +15,6 @@
 //! Supporting modules:
 //!
 //! * [`kernel`] — EWA projection, α evaluation, and the analytic Jacobians,
-//! * [`binning`] — the screen-space bin index that prunes per-pixel
-//!   candidate discovery on sparse pixel sets (bit-identical output),
 //! * [`projcache`] — the cross-iteration projection cache reusing
 //!   per-Gaussian projection results across Adam iterations,
 //! * [`tilesort`] — GS-TG-style tile grouping (one shared depth sort per
@@ -53,7 +51,6 @@
 // document their default and bit-exactness contract (DESIGN.md §13).
 #![warn(missing_docs)]
 
-pub mod binning;
 pub mod grad;
 pub mod kernel;
 pub mod loss;
@@ -67,7 +64,6 @@ pub mod tile;
 pub mod tilesort;
 pub mod trace;
 
-pub use binning::BinIndex;
 pub use grad::{PoseGrad, SceneGrads};
 pub use kernel::{ProjectedGaussian, RenderConfig};
 pub use loss::{LossConfig, LossGrad};

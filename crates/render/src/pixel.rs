@@ -15,7 +15,6 @@
 //! reduction recovers `Γ_i`, per-pair gradients are computed in parallel,
 //! and a second reduction aggregates them per Gaussian.
 
-use crate::binning::BinIndex;
 use crate::grad::{pixel_backward, reproject, CamGradAccumulator, PoseGrad, SceneGrads};
 use crate::kernel::{alpha_at, ProjectedGaussian, RenderConfig};
 use crate::loss::LossGrad;
@@ -24,7 +23,7 @@ use crate::projcache::project_scene_cached;
 use crate::simd::{self, ProjectedSoA};
 use crate::trace::{bytes, RenderTrace};
 use crate::{Contribution, ForwardResult};
-use splatonic_math::{pool, Vec2, Vec3};
+use splatonic_math::{pool, Vec3};
 use splatonic_scene::{Camera, GaussianScene};
 use std::sync::Mutex;
 
@@ -34,13 +33,8 @@ pub const WARP: usize = 32;
 /// Fixed fan-out granularities (thread-count independent; see
 /// `splatonic_math::pool` for why this matters for determinism).
 const PROJ_CHECK_CHUNK: usize = 256;
-const BIN_CHUNK: usize = 128;
 const RASTER_CHUNK: usize = 128;
 const BACKWARD_CHUNK: usize = 128;
-
-/// Cell edge (pixels) of the transient grid bucketing the *extra* (unseen)
-/// pixels; paper Sec. V-C stores those indices separately.
-const EXTRA_CELL: usize = 8;
 
 /// A per-pixel intersection entry produced by preemptive α-checking.
 #[derive(Debug, Clone, Copy)]
@@ -48,72 +42,6 @@ struct PixelEntry {
     proj: u32,
     alpha: f64,
     depth: f64,
-}
-
-/// Spatial hash over the extra pixels (outside the one-per-tile structure).
-struct ExtraGrid {
-    cells_x: usize,
-    cells_y: usize,
-    cells: Vec<Vec<(usize, PixelCoord)>>,
-    /// No extra pixels at all: every `visit_bbox` returns immediately.
-    empty: bool,
-}
-
-impl ExtraGrid {
-    fn build(pixels: &PixelSet) -> ExtraGrid {
-        let cells_x = pixels.width().div_ceil(EXTRA_CELL).max(1);
-        let cells_y = pixels.height().div_ceil(EXTRA_CELL).max(1);
-        let mut cells: Vec<Vec<(usize, PixelCoord)>> = vec![Vec::new(); cells_x * cells_y];
-        let base = pixels.sample_count();
-        for (k, p) in pixels.extra().enumerate() {
-            let cx = p.x as usize / EXTRA_CELL;
-            let cy = p.y as usize / EXTRA_CELL;
-            cells[cy * cells_x + cx].push((base + k, p));
-        }
-        ExtraGrid {
-            cells_x,
-            cells_y,
-            cells,
-            empty: pixels.extra_count() == 0,
-        }
-    }
-
-    fn visit_bbox(&self, lo: Vec2, hi: Vec2, mut visit: impl FnMut(usize, PixelCoord)) {
-        if self.empty {
-            return;
-        }
-        let cx0 = ((lo.x.floor() as isize) / EXTRA_CELL as isize)
-            .clamp(0, self.cells_x as isize - 1) as usize;
-        let cy0 = ((lo.y.floor() as isize) / EXTRA_CELL as isize)
-            .clamp(0, self.cells_y as isize - 1) as usize;
-        let cx1 = ((hi.x.ceil() as isize) / EXTRA_CELL as isize).clamp(0, self.cells_x as isize - 1)
-            as usize;
-        let cy1 = ((hi.y.ceil() as isize) / EXTRA_CELL as isize).clamp(0, self.cells_y as isize - 1)
-            as usize;
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                for &(idx, p) in &self.cells[cy * self.cells_x + cx] {
-                    let c = p.center();
-                    if c.x >= lo.x && c.x <= hi.x && c.y >= lo.y && c.y <= hi.y {
-                        visit(idx, p);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Decides whether candidate discovery should walk the screen-space bin
-/// index pixel-major instead of the Gaussian-major walk.
-///
-/// Only tile-less pixel sets take the bin walk: their Gaussian-major walk is
-/// a linear scan over every sample per Gaussian, which the bin walk strictly
-/// prunes. Tile-indexed sets already direct-index their bbox tiles, and the
-/// bin walk measured slower on them even for the sparsest tracking sets
-/// (DESIGN.md §11). The decision is a pure function of the pixel set and the
-/// config, so it is identical at every thread count.
-fn use_bin_walk(pixels: &PixelSet, config: &RenderConfig) -> bool {
-    config.binning && !pixels.has_tile_index()
 }
 
 /// Forward pass of the pixel-based pipeline.
@@ -149,226 +77,116 @@ pub fn forward(
     let soa = soa.as_ref();
     let simd = soa.is_some();
 
-    if use_bin_walk(pixels, config) {
-        // Pixel-major discovery through the screen-space bin index: the
-        // index is built once per render, then each sampled pixel visits
-        // only its bin's candidates (fanned out over fixed pixel chunks).
-        // Candidates are filtered by the *exact* predicate the Gaussian-major
-        // walk uses on a tile-less set (center containment) before any α
-        // math, so the surviving pairs — per-pixel, in the same ascending
-        // projected order — and every pre-existing counter are identical to
-        // that walk. Only `bin_candidates` (visits the index allowed) is new.
-        let index = {
-            let _p = crate::phase::begin("render/bin_index");
-            BinIndex::build(projected, pixels, config.bin_size)
-        };
-        let _discover = crate::phase::begin("render/discover_binned");
-        let all_pixels: Vec<(usize, PixelCoord)> = pixels.iter_all().enumerate().collect();
-        struct BinPartial {
-            entries: Vec<(usize, PixelEntry)>,
-            candidates: Vec<u32>,
-            bin_candidates: u64,
-            alpha_checks: u64,
-            pairs_kept: u64,
-        }
-        let partials = pool::par_chunks_indexed(threads, &all_pixels, BIN_CHUNK, |_, _, chunk| {
-            let mut part = BinPartial {
+    // Gaussian-major discovery, the only walk: pixel-level projection +
+    // preemptive α-checking, fanned out over fixed chunks of projected
+    // Gaussians. Each Gaussian direct-indexes its bbox through the pixel
+    // set (tile slots, then the cell-indexed pixels without one). Each chunk
+    // emits its passing (pixel, entry) pairs and counter partials; the merge
+    // below applies them in chunk order, which reproduces the sequential
+    // push order. A pixel gets at most one entry per Gaussian, so the visit
+    // order inside one Gaussian never reaches a per-pixel list.
+    //
+    // A tile-indexed sample whose tile overlaps the bbox can still lie
+    // outside it; such a pair is counted as α-checked (the hardware
+    // checks it) but its `exp` is skipped, since it provably fails.
+    let _discover = crate::phase::begin("render/discover_exhaustive");
+    let prereject = config.bbox_prereject();
+    struct ProjCheckPartial {
+        entries: Vec<(usize, PixelEntry)>,
+        candidates: Vec<u32>,
+        alpha_checks: u64,
+        pairs_kept: u64,
+    }
+    let proj_partials =
+        pool::par_chunks_indexed(threads, projected, PROJ_CHECK_CHUNK, |_, offset, chunk| {
+            let mut part = ProjCheckPartial {
                 entries: Vec::new(),
-                candidates: vec![0u32; projected.len()],
-                bin_candidates: 0,
+                candidates: Vec::with_capacity(chunk.len()),
                 alpha_checks: 0,
                 pairs_kept: 0,
             };
-            // Scratch for the SIMD two-phase walk: collect the candidates
-            // passing the exact geometric predicate, then α-check them in
-            // lane batches. Same predicate, same candidate order, same
-            // counters as the interleaved scalar walk.
-            let mut cand_scratch: Vec<u32> = Vec::new();
+            // SIMD scratch: candidate pixel indices and centers per
+            // Gaussian, α-checked in lane batches after collection.
+            let mut idx_scratch: Vec<usize> = Vec::new();
+            let mut px_scratch: Vec<f64> = Vec::new();
+            let mut py_scratch: Vec<f64> = Vec::new();
             let mut alpha_scratch: Vec<f64> = Vec::new();
-            for &(out_idx, p) in chunk {
-                cand_scratch.clear();
-                for &pi in index.candidates(p) {
-                    part.bin_candidates += 1;
-                    let pg = &projected[pi as usize];
-                    if !pg.bbox_contains(p.center()) {
-                        continue;
-                    }
-                    part.candidates[pi as usize] += 1;
-                    part.alpha_checks += 1;
-                    if soa.is_some() {
-                        cand_scratch.push(pi);
-                        continue;
-                    }
-                    let (alpha, _) = alpha_at(pg, p.center(), config);
-                    if alpha >= config.alpha_threshold {
-                        part.pairs_kept += 1;
-                        part.entries.push((
-                            out_idx,
-                            PixelEntry {
-                                proj: pi,
-                                alpha,
-                                depth: pg.depth,
-                            },
-                        ));
-                    }
-                }
-                if let Some(soa) = soa {
+            for (k, pg) in chunk.iter().enumerate() {
+                let pi = offset + k;
+                let (lo, hi) = pg.bbox();
+                let mut candidates = 0u32;
+                if simd {
+                    idx_scratch.clear();
+                    px_scratch.clear();
+                    py_scratch.clear();
+                    let collect = |out_idx: usize, p: PixelCoord| {
+                        candidates += 1;
+                        part.alpha_checks += 1;
+                        let c = p.center();
+                        if prereject && !pg.bbox_contains(c) {
+                            return;
+                        }
+                        idx_scratch.push(out_idx);
+                        px_scratch.push(c.x);
+                        py_scratch.push(c.y);
+                    };
+                    pixels.samples_in_bbox(lo, hi, collect);
                     alpha_scratch.clear();
-                    simd::alpha_batch_pixel(
-                        soa,
-                        projected,
-                        &cand_scratch,
-                        p.center(),
+                    simd::alpha_batch_gaussian(
+                        pg,
+                        &px_scratch,
+                        &py_scratch,
                         config,
                         &mut alpha_scratch,
                     );
-                    for (&pi, &alpha) in cand_scratch.iter().zip(&alpha_scratch) {
+                    for (j, &alpha) in alpha_scratch.iter().enumerate() {
+                        if alpha >= config.alpha_threshold {
+                            part.pairs_kept += 1;
+                            part.entries.push((
+                                idx_scratch[j],
+                                PixelEntry {
+                                    proj: pi as u32,
+                                    alpha,
+                                    depth: pg.depth,
+                                },
+                            ));
+                        }
+                    }
+                } else {
+                    let check = |out_idx: usize, p: PixelCoord| {
+                        candidates += 1;
+                        part.alpha_checks += 1;
+                        let c = p.center();
+                        if prereject && !pg.bbox_contains(c) {
+                            return;
+                        }
+                        let (alpha, _) = alpha_at(pg, c, config);
                         if alpha >= config.alpha_threshold {
                             part.pairs_kept += 1;
                             part.entries.push((
                                 out_idx,
                                 PixelEntry {
-                                    proj: pi,
+                                    proj: pi as u32,
                                     alpha,
-                                    depth: projected[pi as usize].depth,
+                                    depth: pg.depth,
                                 },
                             ));
                         }
-                    }
+                    };
+                    pixels.samples_in_bbox(lo, hi, check);
                 }
+                part.candidates.push(candidates);
             }
             part
         });
-        // Merge in chunk order. Every pixel lives in exactly one chunk and
-        // walks its candidates ascending, so each per-pixel list arrives
-        // already in the exhaustive path's push order; the per-Gaussian
-        // candidate counts sum elementwise across chunks.
-        let mut candidates = vec![0u32; projected.len()];
-        for part in partials {
-            f.proj_alpha_checks += part.alpha_checks;
-            f.exp_evals += part.alpha_checks;
-            f.bin_candidates += part.bin_candidates;
-            f.proj_pairs_kept += part.pairs_kept;
-            for (out_idx, e) in part.entries {
-                lists[out_idx].push(e);
-            }
-            for (total, c) in candidates.iter_mut().zip(part.candidates) {
-                *total += c;
-            }
+    for part in proj_partials {
+        f.proj_alpha_checks += part.alpha_checks;
+        f.exp_evals += part.alpha_checks;
+        f.proj_pairs_kept += part.pairs_kept;
+        for (out_idx, e) in part.entries {
+            lists[out_idx].push(e);
         }
-        trace.proj_candidates.extend(candidates);
-    } else {
-        // Gaussian-major discovery: pixel-level projection + preemptive
-        // α-checking, fanned out over fixed chunks of projected Gaussians.
-        // Each chunk emits its passing (pixel, entry) pairs and counter
-        // partials; the merge below applies them in chunk order, which
-        // reproduces the sequential push order.
-        //
-        // A tile-indexed sample whose tile overlaps the bbox can still lie
-        // outside it; such a pair is counted as α-checked (the hardware
-        // checks it) but its `exp` is skipped, since it provably fails.
-        let _discover = crate::phase::begin("render/discover_exhaustive");
-        let extra_grid = ExtraGrid::build(pixels);
-        let prereject = config.bbox_prereject();
-        struct ProjCheckPartial {
-            entries: Vec<(usize, PixelEntry)>,
-            candidates: Vec<u32>,
-            alpha_checks: u64,
-            pairs_kept: u64,
-        }
-        let proj_partials =
-            pool::par_chunks_indexed(threads, projected, PROJ_CHECK_CHUNK, |_, offset, chunk| {
-                let mut part = ProjCheckPartial {
-                    entries: Vec::new(),
-                    candidates: Vec::with_capacity(chunk.len()),
-                    alpha_checks: 0,
-                    pairs_kept: 0,
-                };
-                // SIMD scratch: candidate pixel indices and centers per
-                // Gaussian, α-checked in lane batches after collection.
-                let mut idx_scratch: Vec<usize> = Vec::new();
-                let mut px_scratch: Vec<f64> = Vec::new();
-                let mut py_scratch: Vec<f64> = Vec::new();
-                let mut alpha_scratch: Vec<f64> = Vec::new();
-                for (k, pg) in chunk.iter().enumerate() {
-                    let pi = offset + k;
-                    let (lo, hi) = pg.bbox();
-                    let mut candidates = 0u32;
-                    if simd {
-                        idx_scratch.clear();
-                        px_scratch.clear();
-                        py_scratch.clear();
-                        let mut collect = |out_idx: usize, p: PixelCoord| {
-                            candidates += 1;
-                            part.alpha_checks += 1;
-                            let c = p.center();
-                            if prereject && !pg.bbox_contains(c) {
-                                return;
-                            }
-                            idx_scratch.push(out_idx);
-                            px_scratch.push(c.x);
-                            py_scratch.push(c.y);
-                        };
-                        pixels.samples_in_bbox(lo, hi, &mut collect);
-                        extra_grid.visit_bbox(lo, hi, &mut collect);
-                        alpha_scratch.clear();
-                        simd::alpha_batch_gaussian(
-                            pg,
-                            &px_scratch,
-                            &py_scratch,
-                            config,
-                            &mut alpha_scratch,
-                        );
-                        for (j, &alpha) in alpha_scratch.iter().enumerate() {
-                            if alpha >= config.alpha_threshold {
-                                part.pairs_kept += 1;
-                                part.entries.push((
-                                    idx_scratch[j],
-                                    PixelEntry {
-                                        proj: pi as u32,
-                                        alpha,
-                                        depth: pg.depth,
-                                    },
-                                ));
-                            }
-                        }
-                    } else {
-                        let mut check = |out_idx: usize, p: PixelCoord| {
-                            candidates += 1;
-                            part.alpha_checks += 1;
-                            let c = p.center();
-                            if prereject && !pg.bbox_contains(c) {
-                                return;
-                            }
-                            let (alpha, _) = alpha_at(pg, c, config);
-                            if alpha >= config.alpha_threshold {
-                                part.pairs_kept += 1;
-                                part.entries.push((
-                                    out_idx,
-                                    PixelEntry {
-                                        proj: pi as u32,
-                                        alpha,
-                                        depth: pg.depth,
-                                    },
-                                ));
-                            }
-                        };
-                        pixels.samples_in_bbox(lo, hi, &mut check);
-                        extra_grid.visit_bbox(lo, hi, &mut check);
-                    }
-                    part.candidates.push(candidates);
-                }
-                part
-            });
-        for part in proj_partials {
-            f.proj_alpha_checks += part.alpha_checks;
-            f.exp_evals += part.alpha_checks;
-            f.proj_pairs_kept += part.pairs_kept;
-            for (out_idx, e) in part.entries {
-                lists[out_idx].push(e);
-            }
-            trace.proj_candidates.extend(part.candidates);
-        }
+        trace.proj_candidates.extend(part.candidates);
     }
     f.bytes_written += f.proj_pairs_kept * bytes::PAIR_ENTRY;
     f.bytes_read += f.proj_pairs_kept * bytes::PAIR_ENTRY;

@@ -4,7 +4,10 @@
 //! the projection unit's *direct indexing*, paper Sec. V-C) plus the
 //! separately-stored *unseen* pixels of the mapping sampler ("the unseen
 //! pixel indices are stored separately, so that \[they] do not interrupt our
-//! indexing strategy").
+//! indexing strategy"). Pixels without a tile slot — the extras, and every
+//! pixel of a tile-less set ([`PixelSet::from_pixels`]) — are bucketed into
+//! a coarse cell index when the set is built, so a projected Gaussian finds
+//! them by the same bounding-box indexing instead of a scan.
 //!
 //! Storage is structure-of-arrays: sample and extra coordinates live in
 //! parallel `Vec<u16>` columns (`x` and `y` separately) so the SIMD kernels
@@ -16,6 +19,94 @@ use splatonic_math::Vec2;
 
 /// Sentinel marking a tile without a sample.
 const NO_SAMPLE: u32 = u32::MAX;
+
+/// Cell edge (pixels) of the index over the pixels without a tile slot.
+const CELL: usize = 8;
+
+/// The inclusive range of `edge`-pixel grid cells, clamped to `[0, count)`,
+/// that the bounding-box span `[lo, hi]` touches. Truncating division, then
+/// clamp: conservative for every pixel whose center lies in the span.
+///
+/// `count` must be positive.
+#[inline]
+fn cell_span(lo: f64, hi: f64, edge: usize, count: usize) -> (usize, usize) {
+    let last = count as isize - 1;
+    let first = ((lo.floor() as isize) / edge as isize).clamp(0, last) as usize;
+    let end = ((hi.ceil() as isize) / edge as isize).clamp(0, last) as usize;
+    (first, end)
+}
+
+/// Index over the pixels without a tile slot, built with the set.
+///
+/// Pixels are bucketed into `CELL × CELL` cells stored as compressed rows:
+/// cell `c` holds `members[start[c]..start[c + 1]]`, each an
+/// `(output index, coordinate)` pair in ascending output-index order. Cells
+/// are row-major, so the cells of one grid row inside a bounding box form
+/// one contiguous slice. Coordinates past the image edge land in the edge
+/// cells, so no pixel is ever lost.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct CellIndex {
+    cells_x: usize,
+    cells_y: usize,
+    start: Vec<u32>,
+    members: Vec<(u32, PixelCoord)>,
+}
+
+impl CellIndex {
+    /// Buckets `pixels` (`(output index, coordinate)`, ascending index).
+    fn build(width: usize, height: usize, pixels: &[(u32, PixelCoord)]) -> CellIndex {
+        if pixels.is_empty() {
+            return CellIndex::default();
+        }
+        let cells_x = width.div_ceil(CELL).max(1);
+        let cells_y = height.div_ceil(CELL).max(1);
+        let cell_of = |p: PixelCoord| {
+            (p.y as usize / CELL).min(cells_y - 1) * cells_x
+                + (p.x as usize / CELL).min(cells_x - 1)
+        };
+        let mut start = vec![0u32; cells_x * cells_y + 1];
+        for &(_, p) in pixels {
+            start[cell_of(p) + 1] += 1;
+        }
+        for c in 1..start.len() {
+            start[c] += start[c - 1];
+        }
+        let mut fill = start.clone();
+        let mut members = vec![(0u32, PixelCoord::new(0, 0)); pixels.len()];
+        for &(i, p) in pixels {
+            let slot = &mut fill[cell_of(p)];
+            members[*slot as usize] = (i, p);
+            *slot += 1;
+        }
+        CellIndex {
+            cells_x,
+            cells_y,
+            start,
+            members,
+        }
+    }
+
+    /// Visits every indexed pixel whose center lies in `[lo, hi]` — the
+    /// exact center-containment test, so only true candidates are visited.
+    #[inline]
+    fn visit(&self, lo: Vec2, hi: Vec2, visit: &mut impl FnMut(usize, PixelCoord)) {
+        if self.members.is_empty() {
+            return;
+        }
+        let (cx0, cx1) = cell_span(lo.x, hi.x, CELL, self.cells_x);
+        let (cy0, cy1) = cell_span(lo.y, hi.y, CELL, self.cells_y);
+        for cy in cy0..=cy1 {
+            let row = cy * self.cells_x;
+            let run = self.start[row + cx0] as usize..self.start[row + cx1 + 1] as usize;
+            for &(i, p) in &self.members[run] {
+                let c = p.center();
+                if c.x >= lo.x && c.x <= hi.x && c.y >= lo.y && c.y <= hi.y {
+                    visit(i as usize, p);
+                }
+            }
+        }
+    }
+}
 
 /// A selected pixel (integer coordinates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,6 +158,9 @@ pub struct PixelSet {
     extra_xs: Vec<u16>,
     /// Extra-pixel rows (SoA with `extra_xs`).
     extra_ys: Vec<u16>,
+    /// The pixels without a tile slot (a tile-less set's samples, then the
+    /// extras), rebuilt whenever they change.
+    untiled: CellIndex,
 }
 
 impl PixelSet {
@@ -90,6 +184,7 @@ impl PixelSet {
             tile_grid,
             extra_xs: Vec::new(),
             extra_ys: Vec::new(),
+            untiled: CellIndex::default(),
         }
     }
 
@@ -143,14 +238,16 @@ impl PixelSet {
             tile_grid,
             extra_xs: Vec::new(),
             extra_ys: Vec::new(),
+            untiled: CellIndex::default(),
         }
     }
 
-    /// Builds a set from an explicit pixel list (tile structure degenerate).
+    /// Builds a set from an explicit pixel list (tile structure degenerate:
+    /// every pixel goes into the cell index).
     pub fn from_pixels(width: usize, height: usize, pixels: Vec<PixelCoord>) -> Self {
         let sample_xs = pixels.iter().map(|p| p.x).collect();
         let sample_ys = pixels.iter().map(|p| p.y).collect();
-        PixelSet {
+        let mut set = PixelSet {
             width,
             height,
             tile: 1,
@@ -159,7 +256,10 @@ impl PixelSet {
             sample_ys,
             extra_xs: Vec::new(),
             extra_ys: Vec::new(),
-        }
+            untiled: CellIndex::default(),
+        };
+        set.index_untiled();
+        set
     }
 
     /// Appends extra (unseen) pixels stored outside the tile structure.
@@ -168,6 +268,20 @@ impl PixelSet {
             self.extra_xs.push(p.x);
             self.extra_ys.push(p.y);
         }
+        self.index_untiled();
+    }
+
+    /// Rebuilds the cell index over the pixels without a tile slot: the
+    /// samples too when the set has no tile grid, and always the extras.
+    fn index_untiled(&mut self) {
+        let first = if self.tile_grid.is_empty() {
+            0
+        } else {
+            self.sample_count()
+        };
+        let untiled: Vec<(u32, PixelCoord)> =
+            (first as u32..).zip(self.iter_all().skip(first)).collect();
+        self.untiled = CellIndex::build(self.width, self.height, &untiled);
     }
 
     /// Image width.
@@ -269,48 +383,28 @@ impl PixelSet {
         self.len() as f64 / (self.width * self.height) as f64
     }
 
-    /// Direct indexing (paper Sec. V-C): all tile-structured samples whose
-    /// tile overlaps the pixel-space bounding box `[min, max]`.
+    /// Direct indexing (paper Sec. V-C): the candidate pixels of the
+    /// pixel-space bounding box `[min, max]`, as `(index, coord)` pairs with
+    /// `index` in [`PixelSet::iter_all`] order.
     ///
-    /// Returns `(sample_index, coord)` pairs; extras are *not* included —
-    /// iterate [`PixelSet::extra`] separately, offset by
-    /// [`PixelSet::sample_count`].
+    /// Visits every tile-structured sample whose tile overlaps the box
+    /// (the sample itself may lie outside it), then every pixel without a
+    /// tile slot whose center lies inside the box.
     pub fn samples_in_bbox(&self, min: Vec2, max: Vec2, mut visit: impl FnMut(usize, PixelCoord)) {
-        if self.tile_grid.is_empty() {
-            // Degenerate structure: scan all samples.
-            for (i, p) in self.samples().enumerate() {
-                let c = p.center();
-                if c.x >= min.x && c.x <= max.x && c.y >= min.y && c.y <= max.y {
-                    visit(i, p);
-                }
-            }
-            return;
-        }
-        let tiles_x = self.width.div_ceil(self.tile);
-        let tiles_y = self.height.div_ceil(self.tile);
-        let tx0 =
-            ((min.x.floor() as isize) / self.tile as isize).clamp(0, tiles_x as isize - 1) as usize;
-        let ty0 =
-            ((min.y.floor() as isize) / self.tile as isize).clamp(0, tiles_y as isize - 1) as usize;
-        let tx1 =
-            ((max.x.ceil() as isize) / self.tile as isize).clamp(0, tiles_x as isize - 1) as usize;
-        let ty1 =
-            ((max.y.ceil() as isize) / self.tile as isize).clamp(0, tiles_y as isize - 1) as usize;
-        for ty in ty0..=ty1 {
-            for tx in tx0..=tx1 {
-                let slot = self.tile_grid[ty * tiles_x + tx];
-                if slot != NO_SAMPLE {
-                    visit(slot as usize, self.sample(slot as usize));
+        if !self.tile_grid.is_empty() {
+            let (tiles_x, tiles_y) = self.tile_dims();
+            let (tx0, tx1) = cell_span(min.x, max.x, self.tile, tiles_x);
+            let (ty0, ty1) = cell_span(min.y, max.y, self.tile, tiles_y);
+            for ty in ty0..=ty1 {
+                for tx in tx0..=tx1 {
+                    let slot = self.tile_grid[ty * tiles_x + tx];
+                    if slot != NO_SAMPLE {
+                        visit(slot as usize, self.sample(slot as usize));
+                    }
                 }
             }
         }
-    }
-
-    /// Whether the set carries a tile index ([`PixelSet::samples_in_bbox`]
-    /// uses direct indexing rather than a linear center-containment scan).
-    #[inline]
-    pub fn has_tile_index(&self) -> bool {
-        !self.tile_grid.is_empty()
+        self.untiled.visit(min, max, &mut visit);
     }
 
     /// Tile-space dimensions `(tiles_x, tiles_y)`.
@@ -434,13 +528,73 @@ mod tests {
     }
 
     #[test]
-    fn from_pixels_scans_linearly() {
-        let s = PixelSet::from_pixels(16, 16, vec![PixelCoord::new(1, 1), PixelCoord::new(10, 10)]);
+    fn from_pixels_is_cell_indexed() {
+        let mut s =
+            PixelSet::from_pixels(16, 16, vec![PixelCoord::new(1, 1), PixelCoord::new(10, 10)]);
+        s.add_extra([PixelCoord::new(2, 3)]);
         let mut hits = Vec::new();
-        s.samples_in_bbox(Vec2::new(0.0, 0.0), Vec2::new(4.0, 4.0), |i, _| {
-            hits.push(i)
+        s.samples_in_bbox(Vec2::new(0.0, 0.0), Vec2::new(4.0, 4.0), |i, p| {
+            hits.push((i, p))
         });
-        assert_eq!(hits, vec![0]);
+        hits.sort_by_key(|&(i, _)| i);
+        assert_eq!(
+            hits,
+            vec![(0, PixelCoord::new(1, 1)), (2, PixelCoord::new(2, 3))]
+        );
+    }
+
+    #[test]
+    fn bbox_visits_match_a_brute_force_scan() {
+        use splatonic_math::Rng64;
+        let mut rng = Rng64::seed_from_u64(17);
+        for case in 0..64 {
+            let (w, h) = (rng.gen_range(1usize..60), rng.gen_range(1usize..60));
+            // Coordinates up to 4 px past the edge stay indexable.
+            let mut coord = || {
+                PixelCoord::new(
+                    rng.gen_range(0usize..w + 4) as u16,
+                    rng.gen_range(0usize..h + 4) as u16,
+                )
+            };
+            let tiled = case % 2 == 0;
+            let mut s = if tiled {
+                PixelSet::from_tile_chooser(w, h, 5, |_, _, x0, y0, _, _| {
+                    Some(PixelCoord::new(x0 as u16, y0 as u16))
+                })
+            } else {
+                PixelSet::from_pixels(w, h, (0..case).map(|_| coord()).collect())
+            };
+            s.add_extra((0..case % 7 * 9).map(|_| coord()).collect::<Vec<_>>());
+            for _ in 0..32 {
+                let lo = Vec2::new(rng.gen_range(-20.0..70.0), rng.gen_range(-20.0..70.0));
+                let hi = lo + Vec2::new(rng.gen_range(0.0..30.0), rng.gen_range(0.0..30.0));
+                let mut got = Vec::new();
+                s.samples_in_bbox(lo, hi, |i, p| got.push((i, p)));
+                got.sort_by_key(|&(i, _)| i);
+                let inside = |p: PixelCoord| {
+                    let c = p.center();
+                    c.x >= lo.x && c.x <= hi.x && c.y >= lo.y && c.y <= hi.y
+                };
+                // Tile slots are visited by tile overlap; check them against
+                // the tile walk alone and the rest against the scan.
+                let first_untiled = if tiled { s.sample_count() } else { 0 };
+                let want: Vec<_> = s
+                    .iter_all()
+                    .enumerate()
+                    .skip(first_untiled)
+                    .filter(|&(_, p)| inside(p))
+                    .collect();
+                let untiled: Vec<_> = got
+                    .iter()
+                    .copied()
+                    .filter(|&(i, _)| i >= first_untiled)
+                    .collect();
+                assert_eq!(untiled, want, "case {case}: bbox {lo:?}..{hi:?}");
+                for &(i, p) in &got[..got.len() - untiled.len()] {
+                    assert_eq!(s.sample(i), p);
+                }
+            }
+        }
     }
 
     #[test]

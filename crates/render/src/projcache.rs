@@ -188,19 +188,11 @@ thread_local! {
 /// Projects the scene through the cache: returns the shared projection
 /// list (ordered by scene index, culled Gaussians absent) and the culled
 /// count, replaying the previous result when the key matches bitwise.
-///
-/// With `config.cache == false` this is a plain [`project_scene`] call —
-/// no lookup, no store, no statistics.
 pub fn project_scene_cached(
     scene: &GaussianScene,
     camera: &Camera,
     config: &RenderConfig,
 ) -> (Rc<Vec<ProjectedGaussian>>, u64) {
-    if !config.cache {
-        let _p = crate::phase::begin("render/project");
-        let (projected, culled) = project_scene(scene, camera, config);
-        return (Rc::new(projected), culled);
-    }
     let key = Key::new(scene, camera, config);
     CACHE.with(|cell| {
         let mut state = cell.borrow_mut();
@@ -334,21 +326,6 @@ mod tests {
         );
         let (fresh, _) = project_scene(&scene, &cam, &cfg);
         assert_eq!(*cached, fresh);
-        clear();
-    }
-
-    #[test]
-    fn disabled_cache_bypasses_lookup_and_stats() {
-        clear();
-        let (scene, cam) = setup();
-        let cfg = RenderConfig {
-            cache: false,
-            ..RenderConfig::default()
-        };
-        let (a, _) = project_scene_cached(&scene, &cam, &cfg);
-        let (b, _) = project_scene_cached(&scene, &cam, &cfg);
-        assert_eq!(stats(), CacheStats::default());
-        assert_eq!(*a, *b);
         clear();
     }
 

@@ -206,12 +206,11 @@ pub fn tracking_plan(
             let total_tiles = tiles_x * tiles_y;
             let chosen: Vec<usize> = match prev_tile_loss {
                 Some(losses) if losses.len() == total_tiles => {
+                    // Highest loss first under the IEEE total order: a NaN
+                    // loss ranks above +∞, and the stable sort keeps equal
+                    // losses in tile order, so the pick is deterministic.
                     let mut idx: Vec<usize> = (0..total_tiles).collect();
-                    idx.sort_by(|&a, &b| {
-                        losses[b]
-                            .partial_cmp(&losses[a])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    });
+                    idx.sort_by(|&a, &b| losses[b].total_cmp(&losses[a]));
                     idx.truncate(n_tiles_needed);
                     idx
                 }
@@ -476,6 +475,40 @@ mod tests {
         for s in p.samples() {
             assert!((s.x as usize) / 16 == tx && (s.y as usize) / 16 == ty);
         }
+    }
+
+    #[test]
+    fn loss_guided_ranks_non_finite_losses_by_total_order() {
+        // Budget: 4096/4 = 1024 pixels = 4 tiles of the 4x4 grid. Under the
+        // total order a NaN ranks above +∞ and a negative NaN below −∞;
+        // equal losses keep tile order.
+        let f = frame(64, 64);
+        let mut losses = vec![1.0; 16];
+        losses[0] = -f64::NAN;
+        losses[3] = f64::NEG_INFINITY;
+        losses[6] = f64::NAN;
+        losses[9] = f64::INFINITY;
+        losses[12] = 7.0;
+        let plan = || {
+            let SamplingPlan::Pixels(p) = tracking_plan(
+                SamplingStrategy::LossGuidedTiles { tile: 2 },
+                &f,
+                1,
+                Some(&losses),
+            ) else {
+                panic!("expected pixels")
+            };
+            p
+        };
+        let p = plan();
+        assert_eq!(p, plan(), "the pick must be deterministic");
+        let mut tiles: Vec<usize> = p
+            .samples()
+            .map(|s| (s.y as usize / 16) * 4 + s.x as usize / 16)
+            .collect();
+        tiles.dedup();
+        assert_eq!(tiles, vec![6, 9, 12, 1]);
+        assert_eq!(p.len(), 1024);
     }
 
     #[test]

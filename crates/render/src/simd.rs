@@ -2,7 +2,7 @@
 //! scalar code as the bit-exactness oracle.
 //!
 //! The four hot kernels — projection (`project_chunk`), preemptive
-//! α-checking (`alpha_batch_gaussian` / `alpha_batch_pixel`), compositing
+//! α-checking (`alpha_batch_gaussian`), compositing
 //! (`composite_pixel`), and per-pixel gradient accumulation
 //! (`pixel_backward_simd`) — get explicit vector paths here. Every shipped
 //! lane replicates the scalar operation *order* exactly (same adds in the
@@ -412,73 +412,6 @@ unsafe fn alpha_batch_gaussian_impl(
     }
 }
 
-/// α-check of one pixel against a batch of projected-Gaussian candidates
-/// (indices into `soa` / `projected`), appending each α to `out`.
-///
-/// Bit-identical to `alpha_at(&projected[c], pixel, config).0` per
-/// candidate; `projected` backs the scalar tail for partial batches.
-///
-/// # Panics
-///
-/// Panics when called without a vector unit ([`lanes`] == 1).
-pub fn alpha_batch_pixel(
-    soa: &ProjectedSoA,
-    projected: &[ProjectedGaussian],
-    cands: &[u32],
-    pixel: Vec2,
-    config: &RenderConfig,
-    out: &mut Vec<f64>,
-) {
-    assert_vector_unit();
-    debug_assert_eq!(soa.len(), projected.len());
-    // SAFETY: `assert_vector_unit` confirmed the target feature at runtime.
-    unsafe { alpha_batch_pixel_impl(soa, projected, cands, pixel, config, out) }
-}
-
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
-unsafe fn alpha_batch_pixel_impl(
-    soa: &ProjectedSoA,
-    projected: &[ProjectedGaussian],
-    cands: &[u32],
-    pixel: Vec2,
-    config: &RenderConfig,
-    out: &mut Vec<f64>,
-) {
-    let n = cands.len();
-    out.reserve(n);
-    let pxv = F4::splat(pixel.x);
-    let pyv = F4::splat(pixel.y);
-    let zero = F4::splat(0.0);
-    let gather =
-        |v: &[f64], a: usize, b: usize, c: usize, d: usize| F4::new(v[a], v[b], v[c], v[d]);
-    let mut i = 0;
-    while i + 4 <= n {
-        let (a, b, c, d) = (
-            cands[i] as usize,
-            cands[i + 1] as usize,
-            cands[i + 2] as usize,
-            cands[i + 3] as usize,
-        );
-        let dx = pxv.sub(gather(&soa.mx, a, b, c, d));
-        let dy = pyv.sub(gather(&soa.my, a, b, c, d));
-        let ux = gather(&soa.c00, a, b, c, d)
-            .mul(dx)
-            .add(gather(&soa.c01, a, b, c, d).mul(dy));
-        let uy = gather(&soa.c10, a, b, c, d)
-            .mul(dx)
-            .add(gather(&soa.c11, a, b, c, d).mul(dy));
-        let q = zero.add(ux.mul(dx)).add(uy.mul(dy)).max(zero).to_array();
-        for (k, &ci) in [a, b, c, d].iter().enumerate() {
-            out.push((soa.opacity[ci] * (-0.5 * q[k]).exp()).min(config.alpha_max));
-        }
-        i += 4;
-    }
-    while i < n {
-        out.push(alpha_at(&projected[cands[i] as usize], pixel, config).0);
-        i += 1;
-    }
-}
-
 /// Front-to-back compositing of one pixel's depth-sorted candidate list
 /// (parallel `projs` / `alphas` arrays — the SoA form of the per-pixel
 /// entry list).
@@ -839,7 +772,6 @@ mod tests {
         }
         let cfg = RenderConfig::default();
         let (projected, _) = crate::kernel::project_scene(&scene(), &camera(), &cfg);
-        let soa = ProjectedSoA::build(&projected);
         // Odd-length batches exercise the scalar tails too.
         let pts: Vec<Vec2> = (0..13)
             .map(|k| Vec2::new(3.0 + 4.7 * k as f64, 2.0 + 3.1 * k as f64))
@@ -850,14 +782,6 @@ mod tests {
             let mut batched = Vec::new();
             alpha_batch_gaussian(pg, &px, &py, &cfg, &mut batched);
             for (k, p) in pts.iter().enumerate() {
-                assert_eq!(batched[k].to_bits(), alpha_at(pg, *p, &cfg).0.to_bits());
-            }
-        }
-        let cands: Vec<u32> = (0..projected.len() as u32).collect();
-        for p in &pts {
-            let mut batched = Vec::new();
-            alpha_batch_pixel(&soa, &projected, &cands, *p, &cfg, &mut batched);
-            for (k, pg) in projected.iter().enumerate() {
                 assert_eq!(batched[k].to_bits(), alpha_at(pg, *p, &cfg).0.to_bits());
             }
         }

@@ -6,8 +6,8 @@
 //! hierarchical sorting:
 //!
 //! 1. **Tile grouping.** The 16×16 tiles are partitioned into
-//!    `group_size`×`group_size` groups ([`RenderConfig::tile_grouping`] /
-//!    [`RenderConfig::group_size`]). One shared depth sort runs per group
+//!    [`GROUP_SIZE`]×[`GROUP_SIZE`] groups ([`RenderConfig::tile_grouping`]).
+//!    One shared depth sort runs per group
 //!    over the union candidate list; each member tile's list is then derived
 //!    by *masking* — walking the shared order and keeping the elements whose
 //!    bbox covers the tile. Neighbouring tiles overlap heavily in candidates
@@ -54,18 +54,9 @@ use splatonic_scene::{Camera, GaussianScene};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Default tile-group edge length in tiles (2×2 tiles = one 32×32-pixel
-/// group, the GS-TG sweet spot between union size and mask selectivity).
-pub const DEFAULT_GROUP_SIZE: usize = 2;
-
-/// Resolves the configured group size (`0` → [`DEFAULT_GROUP_SIZE`]).
-pub fn resolve_group_size(group_size: usize) -> usize {
-    if group_size == 0 {
-        DEFAULT_GROUP_SIZE
-    } else {
-        group_size
-    }
-}
+/// Tile-group edge length in tiles (2×2 tiles = one 32×32-pixel group, the
+/// GS-TG sweet spot between union size and mask selectivity).
+pub const GROUP_SIZE: usize = 2;
 
 /// Sorted tile lists plus everything the tile passes need alongside them.
 ///
@@ -151,7 +142,6 @@ struct SortKey {
     grid_w: usize,
     grid_h: usize,
     tile_grouping: bool,
-    group_size: usize,
 }
 
 impl SortKey {
@@ -167,7 +157,6 @@ impl SortKey {
             grid_w: width,
             grid_h: height,
             tile_grouping: config.tile_grouping,
-            group_size: resolve_group_size(config.group_size),
         }
     }
 
@@ -178,7 +167,6 @@ impl SortKey {
         self.grid_w == other.grid_w
             && self.grid_h == other.grid_h
             && self.tile_grouping == other.tile_grouping
-            && self.group_size == other.group_size
             && self.proj.pose_only_delta(&other.proj)
     }
 }
@@ -223,10 +211,7 @@ fn tile_range(
 #[inline]
 fn depth_cmp(projected: &[ProjectedGaussian], a: u32, b: u32) -> std::cmp::Ordering {
     let (pa, pb) = (&projected[a as usize], &projected[b as usize]);
-    pa.depth
-        .partial_cmp(&pb.depth)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then(pa.id.cmp(&pb.id))
+    pa.depth.total_cmp(&pb.depth).then(pa.id.cmp(&pb.id))
 }
 
 /// Unit grid: groups when grouping is on, individual tiles when off.
@@ -239,11 +224,7 @@ struct UnitGrid {
 
 impl UnitGrid {
     fn new(tiles_x: usize, tiles_y: usize, config: &RenderConfig) -> UnitGrid {
-        let gs = if config.tile_grouping {
-            resolve_group_size(config.group_size)
-        } else {
-            1
-        };
+        let gs = if config.tile_grouping { GROUP_SIZE } else { 1 };
         UnitGrid {
             units_x: tiles_x.div_ceil(gs),
             units_y: tiles_y.div_ceil(gs),
@@ -597,25 +578,6 @@ mod tests {
                 prepared.tile_pairs,
                 oracle.iter().map(|l| l.len() as u64).sum::<u64>()
             );
-        }
-        clear();
-        crate::projcache::clear();
-    }
-
-    #[test]
-    fn larger_groups_still_match_oracle() {
-        clear();
-        crate::projcache::clear();
-        let (scene, cam) = setup();
-        for gs in [1usize, 2, 3, 4, 16] {
-            let config = RenderConfig {
-                group_size: gs,
-                sort_cache: false,
-                ..RenderConfig::default()
-            };
-            let prepared = prepare_tiles(&scene, &cam, 64, 48, &config);
-            let oracle = oracle_tile_lists(&prepared.projected, 64, 48);
-            assert_eq!(prepared.tile_lists, oracle, "group_size={gs}");
         }
         clear();
         crate::projcache::clear();

@@ -23,11 +23,10 @@ pub struct ForwardStats {
     /// Pixel-based: candidate pixel–Gaussian pairs α-checked at projection
     /// (preemptive α-checking, paper Sec. IV-B).
     pub proj_alpha_checks: u64,
-    /// Pixel-based: candidate visits made through the screen-space bin
-    /// index ([`crate::binning`]) before the center-in-bbox predicate
-    /// filters them. Zero when the Gaussian-major discovery ran instead
-    /// (binning disabled, or the pixel set carries a tile index and is
-    /// direct-indexed).
+    /// Always zero: it counted the visits of a screen-space bin walk that
+    /// no longer exists (every pixel set is direct-indexed, DESIGN.md §11).
+    /// Kept because the benchmark driver and the snapshot format read it;
+    /// it goes with the next change to the benchmark (ROADMAP item 4).
     pub bin_candidates: u64,
     /// Pixel-based: candidate pairs that passed preemptive α-checking.
     pub proj_pairs_kept: u64,

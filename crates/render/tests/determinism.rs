@@ -6,15 +6,16 @@
 //! **bit-identical** for 1, 2, and 8 workers. These tests pin that contract
 //! on a seeded random scene for both pipelines.
 
-use splatonic_math::{Rng64, Vec3};
+use splatonic_math::{Image, Rng64, Vec3};
 use splatonic_render::kernel::{alpha_at, project_scene};
 use splatonic_render::loss::LossGrad;
 use splatonic_render::pixelset::{PixelCoord, PixelSet};
+use splatonic_render::sampling::MappingStrategy;
 use splatonic_render::{
-    render_backward, render_forward, Contribution, ForwardResult, KernelMode, Pipeline,
-    RenderConfig, RenderTrace,
+    render_backward, render_forward, Contribution, ForwardResult, KernelMode, MappingSampler,
+    Pipeline, RenderConfig, RenderTrace,
 };
-use splatonic_scene::{Camera, Gaussian, GaussianScene, Intrinsics};
+use splatonic_scene::{Camera, Frame, Gaussian, GaussianScene, Intrinsics};
 
 const THREAD_COUNTS: [usize; 2] = [2, 8];
 
@@ -151,82 +152,61 @@ fn tile_backward_is_thread_count_invariant() {
     assert_backward_bit_identical(Pipeline::TileBased, &PixelSet::dense(96, 72));
 }
 
-/// Widths for the binned/cached equality tests: 1, a fixed multi-worker
+/// Empties the thread-local projection and sorted-list caches, so the next
+/// render starts cold.
+fn clear_caches() {
+    splatonic_render::projcache::clear();
+    splatonic_render::tilesort::clear();
+}
+
+/// Widths for the oracle and cached equality tests: 1, a fixed multi-worker
 /// width, and the session default (0 = `SPLATONIC_THREADS` / host).
 const EQUALITY_WIDTHS: [usize; 3] = [1, 4, 0];
 
-/// Asserts a binning+cache-enabled render is bit-identical to the
-/// Gaussian-major uncached path on `pixels`, at every equality width.
-///
-/// The traces must match too, except for `bin_candidates` (the one counter
-/// the bin walk adds), which is zeroed before comparison.
-fn assert_binned_matches_exhaustive(pixels: &PixelSet, expect_bin_walk: bool) {
-    let scene = random_scene(77, 400);
-    let cam = camera();
-    for threads in EQUALITY_WIDTHS {
-        let on = cfg(threads);
-        let off = RenderConfig {
-            binning: false,
-            cache: false,
-            ..cfg(threads)
-        };
-        let a = render_forward(&scene, &cam, pixels, Pipeline::PixelBased, &on);
-        let b = render_forward(&scene, &cam, pixels, Pipeline::PixelBased, &off);
-        assert_eq!(a.color, b.color, "color, {threads} workers");
-        assert_eq!(a.depth, b.depth, "depth, {threads} workers");
-        assert_eq!(
-            a.final_transmittance, b.final_transmittance,
-            "Γ_final, {threads} workers"
-        );
-        assert_eq!(
-            a.contributions, b.contributions,
-            "contribs, {threads} workers"
-        );
-        if expect_bin_walk {
-            assert!(
-                a.trace.forward.bin_candidates > 0,
-                "bin walk must actually run on this set"
-            );
-        } else {
-            assert_eq!(
-                a.trace.forward.bin_candidates, 0,
-                "tile-indexed sets take the direct walk"
-            );
-        }
-        assert_eq!(b.trace.forward.bin_candidates, 0);
-        let mut ta = a.trace.clone();
-        ta.forward.bin_candidates = 0;
-        assert_eq!(
-            ta, b.trace,
-            "trace (bin_candidates zeroed), {threads} workers"
-        );
-    }
-}
-
 /// Brute-force forward pass of the pixel pipeline, with its full trace.
 ///
-/// Every sample of every tile in a Gaussian's clamped tile range, and every
-/// extra pixel whose center lies in its bounding box, is α-checked with a
-/// real `exp` — no geometric shortcut — and kept when `α ≥ α*`. Per-pixel
-/// lists are then depth-sorted (projection-index tie-break) and composited
-/// front to back.
+/// The candidates of a Gaussian are found without the pixel set's indexes:
+/// when `tiled`, every sample whose tile lies in the Gaussian's clamped
+/// tile range (computed here), and every other pixel — all of them when
+/// not `tiled` — whose center lies in its bounding box, by a scan. Each
+/// candidate is α-checked with a real `exp` — no geometric shortcut — and
+/// kept when `α ≥ α*`. Per-pixel lists are then depth-sorted
+/// (projection-index tie-break) and composited front to back.
 fn oracle_forward(
     scene: &GaussianScene,
     cam: &Camera,
     pixels: &PixelSet,
+    tiled: bool,
     config: &RenderConfig,
 ) -> ForwardResult {
     use splatonic_render::trace::bytes;
     let (projected, culled) = project_scene(scene, cam, config);
     let mut lists: Vec<Vec<(f64, u32, f64)>> = vec![Vec::new(); pixels.len()];
     let mut trace = RenderTrace::new();
+    let tile = pixels.tile_size();
+    let (tiles_x, tiles_y) = pixels.tile_dims();
+    let tile_span = |lo: f64, hi: f64, n: usize| {
+        let clamp = |v: f64| ((v as isize) / tile as isize).clamp(0, n as isize - 1) as usize;
+        clamp(lo.floor())..=clamp(hi.ceil())
+    };
+    let untiled_from = if tiled { pixels.sample_count() } else { 0 };
     for (pi, pg) in projected.iter().enumerate() {
         let (lo, hi) = pg.bbox();
         let mut candidates = Vec::new();
-        pixels.samples_in_bbox(lo, hi, |i, p| candidates.push((i, p)));
-        for (k, p) in pixels.extra().enumerate() {
+        if tiled {
+            let (xs, ys) = (
+                tile_span(lo.x, hi.x, tiles_x),
+                tile_span(lo.y, hi.y, tiles_y),
+            );
+            for (i, p) in pixels.samples().enumerate() {
+                if xs.contains(&(p.x as usize / tile)) && ys.contains(&(p.y as usize / tile)) {
+                    candidates.push((i, p));
+                }
+            }
+        }
+        for (i, p) in pixels.iter_all().enumerate().skip(untiled_from) {
             if pg.bbox_contains(p.center()) {
-                candidates.push((pixels.sample_count() + k, p));
+                candidates.push((i, p));
             }
         }
         trace.proj_candidates.push(candidates.len() as u32);
@@ -296,12 +276,12 @@ fn oracle_forward(
 
 /// Asserts the pixel pipeline is bit-identical to [`oracle_forward`] —
 /// output and every trace counter — at every equality width, in both
-/// kernel modes, with binning and the cache on; and, where the bbox bound
+/// kernel modes, with the projection cache on; and, where the bbox bound
 /// holds, that the tile pipeline renders the same output.
-fn assert_matches_oracle(pixels: &PixelSet, base: RenderConfig) {
+fn assert_matches_oracle(pixels: &PixelSet, tiled: bool, base: RenderConfig) {
     let scene = random_scene(77, 400);
     let cam = camera();
-    let want = oracle_forward(&scene, &cam, pixels, &base);
+    let want = oracle_forward(&scene, &cam, pixels, tiled, &base);
     assert!(want.trace.forward.proj_pairs_kept > 0);
     for kernels in [KernelMode::Scalar, KernelMode::Simd] {
         for threads in EQUALITY_WIDTHS {
@@ -337,13 +317,12 @@ fn assert_matches_oracle(pixels: &PixelSet, base: RenderConfig) {
 }
 
 #[test]
-fn binned_forward_matches_exhaustive_sparse() {
-    // A tile-indexed sparse set takes the direct-indexed walk even with
-    // binning on (so `bin_candidates` stays 0, checked through the trace),
-    // and the bbox pre-reject must not change a bit or a counter.
+fn sparse_forward_matches_oracle() {
+    // Tile slots plus two cell-indexed extras, at the default config, where
+    // the bbox pre-reject must not change a bit or a counter.
     let config = cfg(0);
-    assert!(config.binning && config.bbox_prereject());
-    assert_matches_oracle(&sparse_set(), config);
+    assert!(config.bbox_prereject());
+    assert_matches_oracle(&sparse_set(), true, config);
 }
 
 #[test]
@@ -355,13 +334,13 @@ fn sparse_forward_without_prereject_matches_oracle() {
         ..cfg(0)
     };
     assert!(!config.bbox_prereject());
-    assert_matches_oracle(&sparse_set(), config);
+    assert_matches_oracle(&sparse_set(), true, config);
 }
 
 #[test]
-fn binned_forward_matches_exhaustive_pixel_list() {
-    // A tile-less set (`from_pixels`): the exhaustive path scans every
-    // sample per Gaussian, the binned path prunes by bin — same output.
+fn pixel_list_forward_matches_oracle() {
+    // A tile-less set (`from_pixels`, as loss-guided tracking builds):
+    // every sample is found through the cell index.
     let mut rng = Rng64::seed_from_u64(9);
     let pts: Vec<PixelCoord> = (0..150)
         .map(|_| {
@@ -371,32 +350,37 @@ fn binned_forward_matches_exhaustive_pixel_list() {
             )
         })
         .collect();
-    assert_binned_matches_exhaustive(&PixelSet::from_pixels(96, 72, pts), true);
+    assert_matches_oracle(&PixelSet::from_pixels(96, 72, pts), false, cfg(0));
+}
+
+/// A mapping pixel set from [`MappingSampler`] over a textured frame, with
+/// every pixel where a diagonal stripe pattern puts `Γ_final` above the
+/// unseen threshold added as an extra.
+fn mapping_set(strategy: MappingStrategy) -> PixelSet {
+    let color = Image::from_fn(96, 72, |x, y| {
+        Vec3::splat(((x * 3 + y * 5) % 11) as f64 / 10.0)
+    });
+    let frame = Frame::new(color, Image::filled(96, 72, 2.0), 0);
+    let transmittance = Image::from_fn(96, 72, |x, y| if (x + 2 * y) % 7 < 2 { 0.9 } else { 0.1 });
+    let set = MappingSampler::new(8, strategy).build(&frame, &transmittance, 5);
+    assert!(set.extra_count() > 1000);
+    set
 }
 
 #[test]
-fn binned_forward_matches_exhaustive_dense() {
-    // Dense sets are tile-indexed, so they take the direct walk even with
-    // binning enabled and the traces match with bin_candidates = 0 on both
-    // sides.
-    assert_binned_matches_exhaustive(&PixelSet::dense(96, 72), false);
+fn mapping_combined_forward_matches_oracle() {
+    // Tile slots plus ~1.6k cell-indexed unseen pixels.
+    let set = mapping_set(MappingStrategy::Combined);
+    assert!(set.sample_count() > 0);
+    assert_matches_oracle(&set, true, cfg(0));
 }
 
 #[test]
-fn bin_size_does_not_change_output() {
-    let scene = random_scene(83, 400);
-    let cam = camera();
-    let pixels = sparse_set();
-    let base = render_forward(&scene, &cam, &pixels, Pipeline::PixelBased, &cfg(1));
-    for bin_size in [4usize, 8, 32] {
-        let c = RenderConfig { bin_size, ..cfg(1) };
-        let out = render_forward(&scene, &cam, &pixels, Pipeline::PixelBased, &c);
-        assert_eq!(base.color, out.color, "bin_size {bin_size}");
-        assert_eq!(base.contributions, out.contributions, "bin_size {bin_size}");
-        let mut t = out.trace.clone();
-        t.forward.bin_candidates = base.trace.forward.bin_candidates;
-        assert_eq!(base.trace, t, "bin_size {bin_size} trace");
-    }
+fn mapping_unseen_only_forward_matches_oracle() {
+    // No samples at all: every pixel is a cell-indexed extra.
+    let set = mapping_set(MappingStrategy::UnseenOnly);
+    assert_eq!(set.sample_count(), 0);
+    assert_matches_oracle(&set, false, cfg(0));
 }
 
 #[test]
@@ -404,7 +388,7 @@ fn cached_render_sequence_matches_uncached() {
     // A tracking-shaped sequence — forward and backward at pose A (the
     // backward is a guaranteed cache hit), then forward at pose B (pose
     // delta, invalidation) — must be bit-identical to the same sequence
-    // with the cache disabled, at every equality width and both pipelines.
+    // rendered cold, at every equality width and both pipelines.
     let scene = random_scene(91, 400);
     let cam_a = camera();
     let cam_b = Camera::look_at(
@@ -417,21 +401,28 @@ fn cached_render_sequence_matches_uncached() {
     let lg = loss_grads(pixels.len());
     for pipeline in [Pipeline::PixelBased, Pipeline::TileBased] {
         for threads in EQUALITY_WIDTHS {
-            splatonic_render::projcache::clear();
-            splatonic_render::tilesort::clear();
+            clear_caches();
             let on = cfg(threads);
             let off = RenderConfig {
-                cache: false,
                 sort_cache: false,
                 ..cfg(threads)
             };
-            let run = |c: &RenderConfig| {
+            // The cold run empties both caches before every render.
+            let run = |c: &RenderConfig, cold: bool| {
+                let fresh = || {
+                    if cold {
+                        clear_caches();
+                    }
+                };
+                fresh();
                 let f = render_forward(&scene, &cam_a, &pixels, pipeline, c);
+                fresh();
                 let bwd = render_backward(&scene, &cam_a, &pixels, &f, &lg, pipeline, c);
+                fresh();
                 let f2 = render_forward(&scene, &cam_b, &pixels, pipeline, c);
                 (f, bwd, f2)
             };
-            let (fa, ba, fa2) = run(&on);
+            let (fa, ba, fa2) = run(&on, false);
             match pipeline {
                 Pipeline::PixelBased => {
                     // The pixel pipeline reuses projections directly.
@@ -457,9 +448,7 @@ fn cached_render_sequence_matches_uncached() {
                     );
                 }
             }
-            splatonic_render::projcache::clear();
-            splatonic_render::tilesort::clear();
-            let (fb, bb, fb2) = run(&off);
+            let (fb, bb, fb2) = run(&off, true);
             assert_eq!(
                 fa.color, fb.color,
                 "{pipeline:?} fwd color, {threads} workers"
@@ -481,8 +470,7 @@ fn cached_render_sequence_matches_uncached() {
             );
         }
     }
-    splatonic_render::projcache::clear();
-    splatonic_render::tilesort::clear();
+    clear_caches();
 }
 
 /// Runs the tile pipeline forward+backward under `c` and returns every
@@ -501,15 +489,14 @@ fn tile_round(
         splatonic_render::RenderTrace,
     ),
 ) {
-    splatonic_render::projcache::clear();
-    splatonic_render::tilesort::clear();
+    clear_caches();
     let f = render_forward(scene, cam, pixels, Pipeline::TileBased, c);
     let b = render_backward(scene, cam, pixels, &f, lg, Pipeline::TileBased, c);
     (f, b)
 }
 
 /// Zeroes the sorting-schedule counters, which legitimately differ between
-/// grouped and ungrouped runs (the same pattern as `bin_candidates`).
+/// grouped and ungrouped runs.
 fn zero_sort_counters(t: &mut splatonic_render::RenderTrace) {
     t.forward.sort_lists = 0;
     t.forward.sort_elems = 0;
@@ -561,8 +548,7 @@ fn grouped_sort_matches_per_tile_oracle() {
             assert_eq!(bg.2, bo.2, "backward trace, {threads} workers");
         }
     }
-    splatonic_render::projcache::clear();
-    splatonic_render::tilesort::clear();
+    clear_caches();
 }
 
 #[test]
@@ -585,27 +571,35 @@ fn cached_sort_matches_cold_sort() {
         })
         .collect();
     for threads in EQUALITY_WIDTHS {
-        let walk = |c: &RenderConfig| {
-            splatonic_render::projcache::clear();
-            splatonic_render::tilesort::clear();
+        // The cold walk empties both caches before every render.
+        let walk = |c: &RenderConfig, cold: bool| {
+            clear_caches();
             let mut outs = Vec::new();
             for cam in &poses {
                 let f = render_forward(&scene, cam, &pixels, Pipeline::TileBased, c);
+                if cold {
+                    clear_caches();
+                }
                 let b = render_backward(&scene, cam, &pixels, &f, &lg, Pipeline::TileBased, c);
+                if cold {
+                    clear_caches();
+                }
                 outs.push((f, b));
             }
             outs
         };
-        let cached = walk(&cfg(threads));
+        let cached = walk(&cfg(threads), false);
         let stats = splatonic_render::tilesort::stats();
         assert_eq!(stats.misses, 1, "only the first pose builds cold");
         assert_eq!(stats.merges as usize, poses.len() - 1, "pose steps merge");
         assert_eq!(stats.hits as usize, poses.len(), "every backward hits");
-        let cold = walk(&RenderConfig {
-            cache: false,
-            sort_cache: false,
-            ..cfg(threads)
-        });
+        let cold = walk(
+            &RenderConfig {
+                sort_cache: false,
+                ..cfg(threads)
+            },
+            true,
+        );
         for (i, ((fc, bc), (fx, bx))) in cached.iter().zip(&cold).enumerate() {
             assert_eq!(fc.color, fx.color, "pose {i} color, {threads} workers");
             assert_eq!(
@@ -618,35 +612,7 @@ fn cached_sort_matches_cold_sort() {
             assert_eq!(bc.2, bx.2, "pose {i} bwd trace, {threads} workers");
         }
     }
-    splatonic_render::projcache::clear();
-    splatonic_render::tilesort::clear();
-}
-
-#[test]
-fn group_size_does_not_change_output() {
-    let scene = random_scene(131, 400);
-    let cam = camera();
-    let pixels = sparse_set();
-    let base = render_forward(&scene, &cam, &pixels, Pipeline::TileBased, &cfg(1));
-    for group_size in [1usize, 3, 4, 8] {
-        let c = RenderConfig {
-            group_size,
-            ..cfg(1)
-        };
-        let out = render_forward(&scene, &cam, &pixels, Pipeline::TileBased, &c);
-        assert_eq!(base.color, out.color, "group_size {group_size}");
-        assert_eq!(
-            base.contributions, out.contributions,
-            "group_size {group_size}"
-        );
-        let mut t = out.trace.clone();
-        zero_sort_counters(&mut t);
-        let mut tb = base.trace.clone();
-        zero_sort_counters(&mut tb);
-        assert_eq!(tb, t, "group_size {group_size} trace");
-    }
-    splatonic_render::projcache::clear();
-    splatonic_render::tilesort::clear();
+    clear_caches();
 }
 
 #[test]

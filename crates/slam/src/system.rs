@@ -122,9 +122,10 @@ impl SlamConfig {
     /// setup is rejected as stale ([`SnapshotError::ConfigMismatch`]).
     ///
     /// Execution knobs that are bitwise-transparent by contract are
-    /// deliberately excluded — `render.threads`, `render.binning`,
-    /// `render.cache`, `render.bin_size`, `render.kernels` (scalar and SIMD
-    /// kernels are bit-identical, DESIGN.md §13), `checkpoint_every`
+    /// deliberately excluded — the four render execution knobs
+    /// `render.threads`, `render.tile_grouping`, `render.sort_cache` and
+    /// `render.kernels` (scalar and SIMD kernels are bit-identical,
+    /// DESIGN.md §13), `checkpoint_every`
     /// itself, and `lod_budget` (a post-run pass that never shapes
     /// per-frame results) — so a snapshot taken at one thread width or
     /// kernel mode resumes at any other.
@@ -1242,8 +1243,9 @@ mod tests {
         // ...but ignore bitwise-transparent execution knobs.
         let mut b2 = b;
         b2.render.threads = 13;
-        b2.render.binning = false;
-        b2.render.cache = false;
+        b2.render.tile_grouping = false;
+        b2.render.sort_cache = false;
+        b2.render.kernels = splatonic_render::KernelMode::Scalar;
         b2.checkpoint_every = 5;
         b2.lod_budget = 1000;
         assert_eq!(b.fingerprint(), b2.fingerprint());

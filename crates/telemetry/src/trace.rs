@@ -134,13 +134,8 @@ pub(crate) fn chrome_trace_json(spans: &[SpanEvent], session: &TraceSession) -> 
     // simple stack walk for validators.
     rows.sort_by(|a, b| {
         a.ts_us
-            .partial_cmp(&b.ts_us)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(
-                b.dur_us
-                    .partial_cmp(&a.dur_us)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
+            .total_cmp(&b.ts_us)
+            .then(b.dur_us.total_cmp(&a.dur_us))
     });
 
     let mut events: Vec<Json> = Vec::new();

@@ -247,71 +247,6 @@ fn covariance_is_spd() {
     });
 }
 
-/// The screen-space bin index is conservative with respect to rendering:
-/// every Gaussian that contributes non-zero α to a pixel in the exhaustive
-/// (binning-off) path appears in that pixel's bin candidate list, for
-/// arbitrary sparse pixel sets (tile-structured or not) and bin sizes.
-#[test]
-fn bin_index_is_conservative() {
-    use splatonic::render::kernel::project_scene;
-    use splatonic::render::pixelset::PixelCoord;
-    use splatonic::render::BinIndex;
-    for_each_case(0xB1A5_ED00, |case, rng| {
-        let scene = arb_scene(rng, 4, 40);
-        let cam = camera();
-        let cfg = RenderConfig {
-            binning: false,
-            cache: false,
-            ..RenderConfig::default()
-        };
-        // A mixed sparse set: either a one-per-tile structure or scattered
-        // pixels, plus one extra pixel.
-        let mut pixels = if rng.gen_range(0.0..1.0) < 0.5 {
-            let tile = [4usize, 6, 8][rng.gen_range(0usize..3)];
-            PixelSet::from_tile_chooser(48, 36, tile, |tx, ty, x0, y0, tw, th| {
-                Some(PixelCoord::new(
-                    (x0 + (tx * 7 + ty) % tw) as u16,
-                    (y0 + (ty * 5 + tx) % th) as u16,
-                ))
-            })
-        } else {
-            let pts: Vec<PixelCoord> = (0..rng.gen_range(4usize..40))
-                .map(|_| {
-                    PixelCoord::new(
-                        rng.gen_range(0usize..48) as u16,
-                        rng.gen_range(0usize..36) as u16,
-                    )
-                })
-                .collect();
-            PixelSet::from_pixels(48, 36, pts)
-        };
-        pixels.add_extra([PixelCoord::new(
-            rng.gen_range(0usize..48) as u16,
-            rng.gen_range(0usize..36) as u16,
-        )]);
-        let out = render_forward(&scene, &cam, &pixels, Pipeline::PixelBased, &cfg);
-        let (projected, _) = project_scene(&scene, &cam, &cfg);
-        let bin_size = [4usize, 8, 16, 32][rng.gen_range(0usize..4)];
-        let index = BinIndex::build(&projected, &pixels, bin_size);
-        for (i, p) in pixels.iter_all().enumerate() {
-            for c in &out.contributions[i] {
-                assert!(c.alpha > 0.0);
-                let pi = projected
-                    .iter()
-                    .position(|pg| pg.id == c.gaussian)
-                    .expect("contributing gaussian must be projected")
-                    as u32;
-                assert!(
-                    index.candidates(p).contains(&pi),
-                    "case {case}: gaussian {} contributes to pixel {p:?} but is \
-                     missing from its bin (bin_size {bin_size})",
-                    c.gaussian
-                );
-            }
-        }
-    });
-}
-
 /// A pixel outside a projected Gaussian's bounding box always fails the
 /// α-check, which is what lets the renderer skip its `exp`
 /// (`RenderConfig::bbox_prereject`). Random strongly anisotropic Gaussians
@@ -377,23 +312,27 @@ fn alpha_fails_outside_bbox() {
     });
 }
 
+/// Empties the thread-local projection and sorted-list caches, so the next
+/// render starts cold.
+fn clear_caches() {
+    splatonic::render::projcache::clear();
+    splatonic::render::tilesort::clear();
+}
+
 /// The cross-iteration projection cache never changes rendered output:
-/// repeated renders (cache hits) and pose-stepped renders (invalidations)
-/// are bit-identical to cache-off renders of the same inputs.
+/// repeated renders (cache hits) are bit-identical to cold renders (both
+/// caches emptied first) of the same inputs.
 #[test]
 fn projection_cache_is_transparent() {
     for_each_case(0xCAC4_E5EED, |case, rng| {
         let scene = arb_scene(rng, 4, 32);
         let cam = camera();
-        let on = RenderConfig::default();
-        let off = RenderConfig {
-            cache: false,
-            ..RenderConfig::default()
-        };
+        let cfg = RenderConfig::default();
         let pixels = PixelSet::dense(48, 36);
-        let a1 = render_forward(&scene, &cam, &pixels, Pipeline::PixelBased, &on);
-        let a2 = render_forward(&scene, &cam, &pixels, Pipeline::PixelBased, &on);
-        let b = render_forward(&scene, &cam, &pixels, Pipeline::PixelBased, &off);
+        let a1 = render_forward(&scene, &cam, &pixels, Pipeline::PixelBased, &cfg);
+        let a2 = render_forward(&scene, &cam, &pixels, Pipeline::PixelBased, &cfg);
+        clear_caches();
+        let b = render_forward(&scene, &cam, &pixels, Pipeline::PixelBased, &cfg);
         assert_eq!(a1.color, b.color, "case {case}: first render");
         assert_eq!(a2.color, b.color, "case {case}: repeat (cached) render");
         assert_eq!(a1.trace, b.trace, "case {case}: trace");
@@ -403,7 +342,7 @@ fn projection_cache_is_transparent() {
 
 /// The grouped tile sort (one shared depth sort per tile group, per-tile
 /// lists recovered by masking, DESIGN.md §16) is schedule-only: for
-/// arbitrary scenes, poses, and group sizes it must reproduce the per-tile
+/// arbitrary scenes and poses it must reproduce the per-tile
 /// oracle's forward output and backward gradients bit-for-bit. Only the
 /// sorting-schedule counters may differ.
 #[test]
@@ -419,13 +358,10 @@ fn grouped_sort_matches_per_tile_oracle() {
                 d_depth: rng.gen_range(-0.5..0.5),
             })
             .collect();
-        let group_size = [2usize, 3, 4][rng.gen_range(0usize..3)];
         let run = |tile_grouping: bool| {
-            splatonic::render::projcache::clear();
-            splatonic::render::tilesort::clear();
+            clear_caches();
             let cfg = RenderConfig {
                 tile_grouping,
-                group_size,
                 sort_cache: false,
                 ..RenderConfig::default()
             };
@@ -441,7 +377,7 @@ fn grouped_sort_matches_per_tile_oracle() {
             fg.contributions, fo.contributions,
             "case {case}: contribution lists"
         );
-        assert_eq!(bg.0, bo.0, "case {case}: scene grads (group {group_size})");
+        assert_eq!(bg.0, bo.0, "case {case}: scene grads");
         assert_eq!(bg.1, bo.1, "case {case}: pose grad");
         // The grouped schedule never sorts more than the per-tile oracle
         // (shared group sorts subsume the per-tile ones).
@@ -452,14 +388,14 @@ fn grouped_sort_matches_per_tile_oracle() {
             fo.trace.forward.sort_elems
         );
     });
-    splatonic::render::projcache::clear();
-    splatonic::render::tilesort::clear();
+    clear_caches();
 }
 
 /// The frame-coherent sort cache never changes rendered output: repeated
 /// renders (exact hits), small pose steps (coherent re-merges), and scene
-/// mutations (revision invalidations) are all bit-identical to cache-off
-/// renders of the same inputs, forward and backward.
+/// mutations (revision invalidations) are all bit-identical to cold renders
+/// of the same inputs (both caches emptied before each), forward and
+/// backward.
 #[test]
 fn sort_cache_is_transparent() {
     use splatonic::render::LossGrad;
@@ -487,26 +423,33 @@ fn sort_cache_is_transparent() {
             let nudge = small_vec3(rng) * 0.05;
             scene.update(i, |g| g.mean += nudge);
         };
+        // The cached walk keeps both caches across renders; the cold walk
+        // runs without the sort cache and empties both before every render.
         let walk = |scene: &mut GaussianScene, rng: &mut Rng64, sort_cache: bool| {
-            splatonic::render::projcache::clear();
-            splatonic::render::tilesort::clear();
+            clear_caches();
             let cfg = RenderConfig {
-                cache: false,
                 sort_cache,
                 ..RenderConfig::default()
             };
+            let fresh = || {
+                if !sort_cache {
+                    clear_caches();
+                }
+            };
             let mut outs = Vec::new();
-            for cam_pose in &poses {
-                let cam = Camera::new(Intrinsics::with_fov(48, 36, 1.2), *cam_pose);
+            let mut round = |scene: &GaussianScene, pose: &Pose| {
+                let cam = Camera::new(Intrinsics::with_fov(48, 36, 1.2), *pose);
+                fresh();
                 let f = render_forward(scene, &cam, &pixels, Pipeline::TileBased, &cfg);
+                fresh();
                 let b = render_backward(scene, &cam, &pixels, &f, &lg, Pipeline::TileBased, &cfg);
                 outs.push((f, b));
+            };
+            for cam_pose in &poses {
+                round(scene, cam_pose);
             }
             mutate(scene, rng);
-            let cam = Camera::new(Intrinsics::with_fov(48, 36, 1.2), *poses.last().unwrap());
-            let f = render_forward(scene, &cam, &pixels, Pipeline::TileBased, &cfg);
-            let b = render_backward(scene, &cam, &pixels, &f, &lg, Pipeline::TileBased, &cfg);
-            outs.push((f, b));
+            round(scene, poses.last().unwrap());
             outs
         };
         // Both walks must see the same scene trajectory: clone the scene so
@@ -531,8 +474,7 @@ fn sort_cache_is_transparent() {
             assert_eq!(bc.2, bx.2, "case {case}: render {i} bwd trace");
         }
     });
-    splatonic::render::projcache::clear();
-    splatonic::render::tilesort::clear();
+    clear_caches();
 }
 
 /// Snapshot wire-format round trip: encode → decode → re-encode is the
