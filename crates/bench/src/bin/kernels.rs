@@ -9,7 +9,7 @@
 //!
 //! Usage:
 //!   kernels [--iters N] [--threads N] [--report out.json]
-//!           [--scalar | --simd] [--no-tile-grouping] [--no-sort-cache]
+//!           [--scalar | --simd] [--no-tile-grouping]
 //!           [--trace-out trace.json] [--events-out events.jsonl]
 //!
 //! `--trace-out` writes a Chrome trace-event JSON (Perfetto-loadable) of
@@ -26,12 +26,11 @@
 //! through the pixel set's cell index instead of its tile slots. The
 //! `cache/*` gauges report the projection cache's hits over those cases.
 //!
-//! `--no-tile-grouping` / `--no-sort-cache` disable the tile pipeline's
-//! GS-TG-style grouped depth sort and the frame-coherent sorted-list cache.
-//! Output is again bit-identical; the run's `sort/*` gauges record the
-//! compared-element counts of a short tracking burst under the selected
-//! schedule against the per-tile uncached baseline measured in the same
-//! run, so a single default run quantifies the sort-work reduction.
+//! `--no-tile-grouping` disables the tile pipeline's GS-TG-style grouped
+//! depth sort. Output is again bit-identical; the run's `sort/*` gauges
+//! record the compared-element counts of a short tracking burst under the
+//! selected schedule against the per-tile uncached baseline measured in the
+//! same run, so a single default run quantifies the sort-work reduction.
 //!
 //! `--scalar` / `--simd` select the kernel mode (DESIGN.md §13). The SIMD
 //! kernels are bit-identical to the scalar oracles, so this is a pure A/B
@@ -111,7 +110,6 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(0);
     let tile_grouping = !args.iter().any(|a| a == "--no-tile-grouping");
-    let sort_cache = !args.iter().any(|a| a == "--no-sort-cache");
     let mode = if args.iter().any(|a| a == "--scalar") {
         splatonic_render::KernelMode::Scalar
     } else {
@@ -143,7 +141,6 @@ fn main() {
     let cfg = RenderConfig {
         threads,
         tile_grouping,
-        sort_cache,
         kernels: mode,
         ..RenderConfig::default()
     };
@@ -179,13 +176,12 @@ fn main() {
 
     // A/B sorted-tile-list accounting on the tile schedule: a short
     // tracking burst (4 nearby poses × 2 Adam iterations, forward +
-    // backward) under the selected grouping/sort-cache knobs, against the
-    // per-tile uncached baseline. The backward pass rebuilds the identical
-    // sorted lists, so every uncached pass is charged twice (fwd + bwd);
-    // with the frame-coherent cache the backward (and repeat iterations)
-    // replay the forward result, so `sort/realized_elems` counts only the
-    // elements actually scattered cold or adaptively re-merged. Output is
-    // bit-identical across all four knob combinations.
+    // backward) under the selected grouping knob, against the per-tile
+    // uncached baseline. Without reuse every pass sorts its lists, so each
+    // is charged twice (fwd + bwd); the sorted-list cache replays the
+    // forward's lists for the backward and for repeat iterations at the
+    // same pose, so `sort/realized_elems` counts only the elements sorted
+    // cold — once per pose. Output is bit-identical either way.
     {
         const POSES: usize = 4;
         const ITERS_PER_POSE: usize = 2;
@@ -209,7 +205,6 @@ fn main() {
         // 2 × POSES × ITERS_PER_POSE passes sorts every tile list cold.
         let naive_cfg = RenderConfig {
             tile_grouping: false,
-            sort_cache: false,
             ..cfg
         };
         let mut naive_elems = 0u64;
@@ -245,25 +240,19 @@ fn main() {
             }
         }
         let s = splatonic_render::tilesort::stats().since(&sort_before);
-        let realized = if sort_cache {
-            s.cold_elems + s.merged_elems
-        } else {
-            sched_elems
-        };
+        let realized = s.cold_elems;
         t.gauge_set("sort/naive_elems", naive_elems as f64);
         t.gauge_set("sort/sched_elems", sched_elems as f64);
         t.gauge_set("sort/realized_elems", realized as f64);
         t.gauge_set("sort/group_reuse", group_reuse as f64);
         t.gauge_set("sort/hits", s.hits as f64);
         t.gauge_set("sort/misses", s.misses as f64);
-        t.gauge_set("sort/merges", s.merges as f64);
         let reduction = naive_elems as f64 / realized.max(1) as f64;
         t.gauge_set("sort/elems_reduction", reduction);
         eprintln!(
             "[kernels] tile sort burst: per-tile uncached {naive_elems} elems \
-             vs realized {realized} ({reduction:.1}x reduction; grouping {}, cache {})",
+             vs realized {realized} ({reduction:.1}x reduction; grouping {})",
             if tile_grouping { "on" } else { "off" },
-            if sort_cache { "on" } else { "off" },
         );
     }
 

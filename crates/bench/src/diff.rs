@@ -42,9 +42,7 @@ pub const REQUIRED_COUNTERS: &[&str] = &[
     "slam/checkpoints_written",
     "render/sort_hits",
     "render/sort_misses",
-    "render/sort_merges",
     "render/sort_cold_elems",
-    "render/sort_merged_elems",
     "assets/ply_gaussians_written",
     "assets/ply_gaussians_read",
     "lod/pruned",
@@ -53,7 +51,7 @@ pub const REQUIRED_COUNTERS: &[&str] = &[
 /// The [`REQUIRED_COUNTERS`] subset that must additionally be nonzero: any
 /// instrumented run checkpoints, performs at least one cold tile-sort
 /// build (the per-frame PSNR evaluation renders the tile schedule), and
-/// roundtrips the scene through the `.ply` codec. Exact hits/merges depend
+/// roundtrips the scene through the `.ply` codec. Exact hits depend
 /// on the run shape — and `lod/pruned` / `mapping/densify_capped` are zero
 /// whenever their knobs are off — so those are presence-only.
 pub const REQUIRED_NONZERO: &[&str] = &[

@@ -150,7 +150,7 @@ pub fn gamma_cache(settings: &Settings) -> Vec<Table> {
 /// mask/scatter stream pass — the win reported is net of that cost.
 pub fn tile_grouping(settings: &Settings) -> Vec<Table> {
     let scenario = canonical_scenario(settings);
-    // Reference schedule: per-tile sorts, no sorted-list cache.
+    // Reference schedule: per-tile sorts.
     let per_tile = measure_dense_iteration_with_config(
         &scenario,
         Pipeline::TileBased,

@@ -41,7 +41,6 @@ const SORT_GAUGES: &[&str] = &[
     "sort/group_reuse",
     "sort/hits",
     "sort/misses",
-    "sort/merges",
 ];
 
 const KERNELS_DESCRIPTION: &str = "Scalar-vs-SIMD kernel timing trajectory \
@@ -246,8 +245,7 @@ mod tests {
             ("sort/elems_reduction", reduction),
             ("sort/group_reuse", 168.0),
             ("sort/hits", 12.0),
-            ("sort/misses", 1.0),
-            ("sort/merges", 3.0),
+            ("sort/misses", 4.0),
         ] {
             gauges.set(name, value);
         }

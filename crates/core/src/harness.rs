@@ -94,15 +94,16 @@ pub struct IterationMeasurement {
 
 /// The reference render configuration used by the measurement harness.
 ///
-/// Tile grouping and the sorted-list cache are pinned **off** so measured
-/// traces/workloads reflect the conventional per-tile schedule regardless
-/// of the runtime defaults — hardware gauges derived from the harness stay
-/// comparable across releases, and ablation experiments switch schedules
-/// explicitly via the `_with_config` variants.
+/// Tile grouping is pinned **off** so measured traces/workloads reflect the
+/// conventional per-tile sort schedule regardless of the runtime default —
+/// the `sort_*` trace counters (and the hardware gauges priced from them)
+/// stay comparable across releases, and ablation experiments switch
+/// schedules explicitly via the `_with_config` variants. The sorted-list
+/// cache needs no pin: a hit replays exactly the counters a cold build
+/// records, so it never reaches the trace.
 pub fn reference_render_config() -> RenderConfig {
     RenderConfig {
         tile_grouping: false,
-        sort_cache: false,
         ..RenderConfig::default()
     }
 }
@@ -322,7 +323,7 @@ mod tests {
         // Default harness calls pin the reference per-tile schedule…
         let reference = measure_dense_iteration(&s, Pipeline::TileBased);
         assert_eq!(reference.trace.forward.sort_group_reuse, 0);
-        // …while the runtime default (grouping + sort cache on) is reached
+        // …while the runtime default (grouping on) is reached
         // through the explicit-config variant for ablation rows.
         let grouped =
             measure_dense_iteration_with_config(&s, Pipeline::TileBased, &RenderConfig::default());

@@ -168,16 +168,6 @@ pub fn trace_events_since(cursor: usize) -> Vec<PoolEvent> {
     events.get(cursor..).map_or_else(Vec::new, <[_]>::to_vec)
 }
 
-/// Like [`trace_events_since`], but keeps only events attributed to `run`
-/// ([`PoolEvent::run`]). Concurrent sessions sharing the process-global
-/// buffer use this so one session's drain cannot steal another's events.
-pub fn trace_events_since_for_run(cursor: usize, run: u32) -> Vec<PoolEvent> {
-    let events = TRACE_EVENTS.lock().expect("pool trace lock");
-    events.get(cursor..).map_or_else(Vec::new, |tail| {
-        tail.iter().filter(|e| e.run == run).copied().collect()
-    })
-}
-
 fn record_trace_event(worker: usize, run: u32, start_ns: u64, dur_ns: u64, chunks: u64) {
     let mut events = TRACE_EVENTS.lock().expect("pool trace lock");
     if events.len() < MAX_POOL_EVENTS {
@@ -393,14 +383,17 @@ mod tests {
             let _scope = timebase::run_scope(7702);
             let _ = par_chunks_indexed(2, &items, 16, |_, _, c| c.len());
         }
-        let only_a = trace_events_since_for_run(cursor, 7701);
-        let only_b = trace_events_since_for_run(cursor, 7702);
+        let events = trace_events_since(cursor);
         trace_enable(false);
+        let for_run = |run: u32| -> Vec<PoolEvent> {
+            events.iter().filter(|e| e.run == run).copied().collect()
+        };
+        let (only_a, only_b) = (for_run(7701), for_run(7702));
 
         assert!(!only_a.is_empty() && !only_b.is_empty());
         assert!(only_a.iter().all(|e| e.run == 7701));
         assert!(only_b.iter().all(|e| e.run == 7702));
-        // Each scoped drain sees its own chunks in full.
+        // Each run's filtered events carry its own chunks in full.
         assert_eq!(only_a.iter().map(|e| e.chunks).sum::<u64>(), 16);
         assert_eq!(only_b.iter().map(|e| e.chunks).sum::<u64>(), 16);
     }

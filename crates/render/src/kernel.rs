@@ -70,15 +70,6 @@ pub struct RenderConfig {
     /// by the determinism suite. The `sort_lists`/`sort_elems`/
     /// `sort_group_reuse` trace counters record the schedule that ran.
     pub tile_grouping: bool,
-    /// Frame-coherent sorted-list cache (default `true`): sorted tile/group
-    /// lists are keyed on the scene-revision counter + pose bits (the
-    /// `projcache` key extended with the grid/grouping context). An exact
-    /// key match replays the previous lists; a pose-only delta re-merges
-    /// the nearly-sorted previous order instead of sorting cold. Output is
-    /// bit-identical either way (the comparator's total order makes the
-    /// sorted result unique); realized hit/merge statistics are exported as
-    /// side-band `render/sort_*` counters, never through the trace.
-    pub sort_cache: bool,
     /// Kernel implementation selector (default [`crate::simd::KernelMode::Simd`]).
     ///
     /// `Simd` uses the runtime-detected vector paths in [`crate::simd`] and
@@ -102,7 +93,6 @@ impl Default for RenderConfig {
             near: 0.2,
             background: Vec3::ZERO,
             tile_grouping: true,
-            sort_cache: true,
             threads: 0,
             kernels: crate::simd::KernelMode::Simd,
         }

@@ -18,7 +18,7 @@
 //! * [`projcache`] — the cross-iteration projection cache reusing
 //!   per-Gaussian projection results across Adam iterations,
 //! * [`tilesort`] — GS-TG-style tile grouping (one shared depth sort per
-//!   tile group, per-tile lists derived by masking) plus the frame-coherent
+//!   tile group, per-tile lists derived by masking) plus an exact-key
 //!   sorted-list cache keyed like `projcache` (bit-identical output),
 //! * [`phase`] — gated side-band phase tracing feeding the Chrome trace
 //!   export (trace-only; never perturbs reports),

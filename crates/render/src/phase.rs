@@ -63,16 +63,6 @@ pub fn events_since(cursor: usize) -> Vec<PhaseEvent> {
     events.get(cursor..).map_or_else(Vec::new, <[_]>::to_vec)
 }
 
-/// Like [`events_since`], but keeps only events attributed to `run`
-/// ([`PhaseEvent::run`]). Concurrent sessions sharing the process-global
-/// buffer use this so one session's drain cannot steal another's phases.
-pub fn events_since_for_run(cursor: usize, run: u32) -> Vec<PhaseEvent> {
-    let events = EVENTS.lock().expect("phase trace lock");
-    events.get(cursor..).map_or_else(Vec::new, |tail| {
-        tail.iter().filter(|e| e.run == run).copied().collect()
-    })
-}
-
 /// Starts a phase; the returned guard records on drop. No-op (one atomic
 /// load) while capture is disabled.
 #[must_use = "dropping the guard immediately records a ~0 ns phase"]
@@ -157,9 +147,12 @@ mod tests {
             let _scope = timebase::run_scope(8802);
             let _g = begin("render/unit_run_b");
         }
-        let only_a = events_since_for_run(cursor, 8801);
-        let only_b = events_since_for_run(cursor, 8802);
+        let events = events_since(cursor);
         enable(false);
+        let for_run = |run: u32| -> Vec<PhaseEvent> {
+            events.iter().filter(|e| e.run == run).copied().collect()
+        };
+        let (only_a, only_b) = (for_run(8801), for_run(8802));
 
         assert!(only_a.iter().any(|e| e.name == "render/unit_run_a"));
         assert!(only_a.iter().all(|e| e.run == 8801));

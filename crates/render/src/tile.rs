@@ -269,7 +269,7 @@ pub fn backward(
     // The projected set and sorted tile lists, read back from the forward
     // pass: the backward pass runs at the exact pose the forward just
     // used, so this is a guaranteed hit in both the projection and the
-    // sorted-list cache whenever they are enabled.
+    // sorted-list cache.
     let prepared = crate::tilesort::prepare_tiles(scene, camera, width, height, config);
     let projected: &[ProjectedGaussian] = &prepared.projected;
     let tile_lists: &[Vec<u32>] = &prepared.tile_lists;
@@ -582,11 +582,10 @@ mod tests {
     #[test]
     fn bbox_to_tiles_covers_projection() {
         let (scene, cam) = small_scene();
-        let cfg = RenderConfig {
-            sort_cache: false,
-            ..RenderConfig::default()
-        };
-        let prepared = crate::tilesort::prepare_tiles(&scene, &cam, 64, 48, &cfg);
+        crate::projcache::clear();
+        crate::tilesort::clear();
+        let prepared =
+            crate::tilesort::prepare_tiles(&scene, &cam, 64, 48, &RenderConfig::default());
         assert_eq!(
             prepared.tile_pairs,
             prepared

@@ -402,11 +402,7 @@ fn cached_render_sequence_matches_uncached() {
     for pipeline in [Pipeline::PixelBased, Pipeline::TileBased] {
         for threads in EQUALITY_WIDTHS {
             clear_caches();
-            let on = cfg(threads);
-            let off = RenderConfig {
-                sort_cache: false,
-                ..cfg(threads)
-            };
+            let c = cfg(threads);
             // The cold run empties both caches before every render.
             let run = |c: &RenderConfig, cold: bool| {
                 let fresh = || {
@@ -422,7 +418,7 @@ fn cached_render_sequence_matches_uncached() {
                 let f2 = render_forward(&scene, &cam_b, &pixels, pipeline, c);
                 (f, bwd, f2)
             };
-            let (fa, ba, fa2) = run(&on, false);
+            let (fa, ba, fa2) = run(&c, false);
             match pipeline {
                 Pipeline::PixelBased => {
                     // The pixel pipeline reuses projections directly.
@@ -436,19 +432,16 @@ fn cached_render_sequence_matches_uncached() {
                 Pipeline::TileBased => {
                     // The tile pipeline reuses whole sorted tile lists: the
                     // backward pass is an exact hit, the pose step at B a
-                    // coherent re-merge of the pose-A order.
+                    // cold miss.
                     let stats = splatonic_render::tilesort::stats();
-                    assert!(
-                        stats.hits >= 1,
-                        "{pipeline:?}: backward must hit the sort cache"
-                    );
-                    assert!(
-                        stats.merges >= 1,
-                        "{pipeline:?}: the pose step must re-merge"
+                    assert_eq!(
+                        (stats.hits, stats.misses),
+                        (1, 2),
+                        "{pipeline:?}: backward hits, the pose step misses"
                     );
                 }
             }
-            let (fb, bb, fb2) = run(&off, true);
+            let (fb, bb, fb2) = run(&c, true);
             assert_eq!(
                 fa.color, fb.color,
                 "{pipeline:?} fwd color, {threads} workers"
@@ -516,12 +509,10 @@ fn grouped_sort_matches_per_tile_oracle() {
         for threads in EQUALITY_WIDTHS {
             let grouped = RenderConfig {
                 tile_grouping: true,
-                sort_cache: false,
                 ..cfg(threads)
             };
             let oracle = RenderConfig {
                 tile_grouping: false,
-                sort_cache: false,
                 ..cfg(threads)
             };
             let (fg, bg) = tile_round(&scene, &cam, &pixels, &lg, &grouped);
@@ -554,9 +545,9 @@ fn grouped_sort_matches_per_tile_oracle() {
 #[test]
 fn cached_sort_matches_cold_sort() {
     // A tracking-shaped pose walk (A, A-backward, then three small pose
-    // steps exercising the coherent re-merge) with the sort cache on must
-    // be bit-identical — outputs *and* traces — to the same walk built
-    // cold, at every width.
+    // steps, each a cold miss) through the sort cache must be
+    // bit-identical — outputs *and* traces — to the same walk built cold,
+    // at every width.
     let scene = random_scene(127, 400);
     let pixels = PixelSet::dense(96, 72);
     let lg = loss_grads(pixels.len());
@@ -588,18 +579,17 @@ fn cached_sort_matches_cold_sort() {
             }
             outs
         };
-        let cached = walk(&cfg(threads), false);
+        let c = cfg(threads);
+        let cached = walk(&c, false);
         let stats = splatonic_render::tilesort::stats();
-        assert_eq!(stats.misses, 1, "only the first pose builds cold");
-        assert_eq!(stats.merges as usize, poses.len() - 1, "pose steps merge");
+        assert_eq!(stats.misses as usize, poses.len(), "every pose builds cold");
         assert_eq!(stats.hits as usize, poses.len(), "every backward hits");
-        let cold = walk(
-            &RenderConfig {
-                sort_cache: false,
-                ..cfg(threads)
-            },
-            true,
-        );
+        // Each pose step superseded its predecessor's entry, so returning to
+        // the first pose misses too.
+        let _ = render_forward(&scene, &poses[0], &pixels, Pipeline::TileBased, &c);
+        let misses = splatonic_render::tilesort::stats().misses as usize;
+        assert_eq!(misses, poses.len() + 1, "the first pose was superseded");
+        let cold = walk(&c, true);
         for (i, ((fc, bc), (fx, bx))) in cached.iter().zip(&cold).enumerate() {
             assert_eq!(fc.color, fx.color, "pose {i} color, {threads} workers");
             assert_eq!(

@@ -238,9 +238,12 @@ fn non_finite_gaussian_is_culled_not_propagated() {
     assert!(a.total_contributions() > 0);
 }
 
-/// A Gaussian whose NaN parameter must be culled at projection rather than
-/// projected with a NaN bounding box, depth, or opacity.
-fn nan_rows() -> [(&'static str, Gaussian); 4] {
+/// Healthy Gaussians with one parameter set to NaN, +∞ or −∞, each with
+/// whether projection must cull it. The rows that project do so by design:
+/// color is clamped into [0, 1] (`Vec3::clamp` maps NaN to 0), log-scale −∞
+/// is a zero-scale splat that the screen blur keeps finite, and a saturated
+/// opacity logit is opacity 0 or 1.
+fn non_finite_rows() -> Vec<(String, Gaussian, bool)> {
     let healthy = Gaussian::new(
         Vec3::new(0.1, -0.1, 2.0),
         Vec3::new(0.2, 0.1, 0.15),
@@ -248,29 +251,44 @@ fn nan_rows() -> [(&'static str, Gaussian); 4] {
         0.9,
         Vec3::splat(0.5),
     );
-    let mut depth = healthy;
-    depth.mean.z = f64::NAN;
-    let mut log_scale = healthy;
-    log_scale.log_scale.y = f64::NAN;
-    let mut opacity = healthy;
-    opacity.opacity_logit = f64::NAN;
-    let mut rotation = healthy;
-    rotation.rotation = Quat::new(f64::NAN, 0.0, 0.0, 0.0);
-    [
-        ("mean.z", depth),
-        ("log_scale", log_scale),
-        ("opacity_logit", opacity),
-        ("rotation", rotation),
-    ]
+    let mut rows = Vec::new();
+    for (label, v) in [
+        ("NaN", f64::NAN),
+        ("+inf", f64::INFINITY),
+        ("-inf", f64::NEG_INFINITY),
+    ] {
+        let mut row = |what: &str, culled: bool, set: &dyn Fn(&mut Gaussian)| {
+            let mut g = healthy;
+            set(&mut g);
+            rows.push((format!("{label} {what}"), g, culled));
+        };
+        row("mean.x", true, &|g| g.mean.x = v);
+        row("mean.y", true, &|g| g.mean.y = v);
+        row("mean.z", true, &|g| g.mean.z = v);
+        row("log_scale", v != f64::NEG_INFINITY, &|g| g.log_scale.y = v);
+        row("opacity_logit", v.is_nan(), &|g| g.opacity_logit = v);
+        row("rotation", true, &|g| {
+            g.rotation = Quat::new(v, 0.0, 0.0, 0.0)
+        });
+        row("color", false, &|g| g.color.y = v);
+    }
+    rows
 }
 
 #[test]
-fn nan_parameters_are_culled_in_every_pipeline_and_kernel_mode() {
+fn non_finite_parameters_in_every_sort_schedule_and_kernel_mode() {
     let sparse = PixelSet::from_tile_chooser(W, H, 8, |_, _, x0, y0, tw, th| {
         Some(PixelCoord::new((x0 + tw / 2) as u16, (y0 + th / 2) as u16))
     });
     let cam = camera();
-    for (what, bad) in nan_rows() {
+    // The tile pipeline with grouped and per-tile sorting, and the pixel
+    // pipeline.
+    let schedules = [
+        (Pipeline::TileBased, true),
+        (Pipeline::TileBased, false),
+        (Pipeline::PixelBased, true),
+    ];
+    for (what, bad, culled) in non_finite_rows() {
         // Four healthy neighbours, so the bad row lands in a SIMD lane batch
         // at index 1 and in the scalar remainder at index 4.
         for pos in [1usize, 4] {
@@ -290,24 +308,33 @@ fn nan_parameters_are_culled_in_every_pipeline_and_kernel_mode() {
             }
             for pixels in [&sparse, &PixelSet::dense(W, H)] {
                 for kernels in [KernelMode::Scalar, KernelMode::Simd] {
-                    for pipeline in [Pipeline::TileBased, Pipeline::PixelBased] {
+                    for (pipeline, tile_grouping) in schedules {
                         let cfg = RenderConfig {
                             kernels,
+                            tile_grouping,
                             ..RenderConfig::default()
                         };
-                        let at = format!("NaN {what} at {pos}, {pipeline:?}, {kernels:?}");
+                        let at = format!(
+                            "{what} at {pos}, {pipeline:?} (grouping {tile_grouping}), {kernels:?}"
+                        );
                         let out = render_forward(&scene, &cam, pixels, pipeline, &cfg);
                         assert_finite(&out);
-                        assert_eq!(out.trace.forward.gaussians_culled, 1, "{at}");
-                        assert_eq!(out.trace.forward.gaussians_projected, 4, "{at}");
                         assert!(out.total_contributions() > 0, "{at}");
-                        assert!(
-                            out.contributions
-                                .iter()
-                                .flatten()
-                                .all(|c| c.gaussian != pos as u32),
-                            "{at}"
-                        );
+                        let fwd = &out.trace.forward;
+                        if culled {
+                            assert_eq!(fwd.gaussians_culled, 1, "{at}");
+                            assert_eq!(fwd.gaussians_projected, 4, "{at}");
+                            assert!(
+                                out.contributions
+                                    .iter()
+                                    .flatten()
+                                    .all(|c| c.gaussian != pos as u32),
+                                "{at}"
+                            );
+                        } else {
+                            assert_eq!(fwd.gaussians_culled, 0, "{at}");
+                            assert_eq!(fwd.gaussians_projected, 5, "{at}");
+                        }
                     }
                 }
             }

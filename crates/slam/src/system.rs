@@ -122,13 +122,12 @@ impl SlamConfig {
     /// setup is rejected as stale ([`SnapshotError::ConfigMismatch`]).
     ///
     /// Execution knobs that are bitwise-transparent by contract are
-    /// deliberately excluded — the four render execution knobs
-    /// `render.threads`, `render.tile_grouping`, `render.sort_cache` and
-    /// `render.kernels` (scalar and SIMD kernels are bit-identical,
-    /// DESIGN.md §13), `checkpoint_every`
-    /// itself, and `lod_budget` (a post-run pass that never shapes
-    /// per-frame results) — so a snapshot taken at one thread width or
-    /// kernel mode resumes at any other.
+    /// deliberately excluded — the three render execution knobs
+    /// `render.threads`, `render.tile_grouping` and `render.kernels`
+    /// (scalar and SIMD kernels are bit-identical, DESIGN.md §13),
+    /// `checkpoint_every` itself, and `lod_budget` (a post-run pass that
+    /// never shapes per-frame results) — so a snapshot taken at one thread
+    /// width or kernel mode resumes at any other.
     pub fn fingerprint(&self) -> u64 {
         let mut buf: Vec<u8> = Vec::with_capacity(256);
         let u = |buf: &mut Vec<u8>, v: u64| buf.extend_from_slice(&v.to_le_bytes());
@@ -235,42 +234,89 @@ struct RunState {
     tracking_iters: usize,
     mapping_iters: usize,
     mapping_invocations: usize,
-    /// Per-worker pool activity attributed to *this* run so far (telemetry
-    /// only). The pool registry is process-global, so a run-start/run-end
-    /// subtraction would absorb every other session's activity when runs
-    /// interleave; instead each frame brackets its own window and the
-    /// deltas accumulate here.
-    pool_accum: Vec<WorkerStats>,
-    /// Projection-cache activity attributed to this run, accumulated the
-    /// same bracket-by-bracket way (telemetry side-band only).
-    cache_accum: projcache::CacheStats,
-    /// Sorted-tile-list cache activity attributed to this run (hits,
-    /// merges, cold/merged element counts), accumulated like `cache_accum`.
-    sort_accum: tilesort::SortStats,
+    /// Pool and cache activity attributed to this run (telemetry only).
+    side_band: SideBand,
 }
 
-/// Adds the per-worker activity since `before` (a
-/// [`splatonic_math::pool::worker_stats_snapshot`]) into `accum`,
-/// merging by worker slot.
-fn accumulate_pool(accum: &mut Vec<WorkerStats>, before: &[WorkerStats]) {
-    let after = splatonic_math::pool::worker_stats_snapshot();
-    for w in &after {
-        let prev = before.iter().find(|b| b.worker == w.worker);
-        let delta_ms = w.busy_ms - prev.map_or(0.0, |b| b.busy_ms);
-        let delta_chunks = w.chunks.saturating_sub(prev.map_or(0, |b| b.chunks));
-        if delta_ms <= 0.0 && delta_chunks == 0 {
-            continue;
+/// Side-band render activity attributed to one run: per-worker pool time
+/// and projection-/sorted-list-cache statistics, outside the bitwise
+/// contract. The pool registry is process-global and the caches are
+/// thread-local, so a run-start/run-end subtraction would absorb every
+/// other session's activity when runs interleave; instead each window is
+/// bracketed ([`Bracket::open`] → [`SideBand::close`]) and the deltas
+/// accumulate here.
+#[derive(Debug, Clone, Default)]
+struct SideBand {
+    pool: Vec<WorkerStats>,
+    cache: projcache::CacheStats,
+    sort: tilesort::SortStats,
+}
+
+/// The side-band sources as they stood when a window opened.
+struct Bracket {
+    /// Pool snapshot; taken only when telemetry is on.
+    pool: Option<Vec<WorkerStats>>,
+    cache: projcache::CacheStats,
+    sort: tilesort::SortStats,
+}
+
+impl Bracket {
+    fn open(telemetry: &Telemetry) -> Bracket {
+        Bracket {
+            pool: telemetry
+                .is_enabled()
+                .then(splatonic_math::pool::worker_stats_snapshot),
+            cache: projcache::stats(),
+            sort: tilesort::stats(),
         }
-        if let Some(slot) = accum.iter_mut().find(|a| a.worker == w.worker) {
-            slot.busy_ms += delta_ms;
-            slot.chunks += delta_chunks;
-        } else {
-            accum.push(WorkerStats {
-                worker: w.worker,
-                busy_ms: delta_ms,
-                chunks: delta_chunks,
-            });
+    }
+
+    /// Projection-cache activity since the window opened.
+    fn cache_so_far(&self) -> projcache::CacheStats {
+        projcache::stats().since(&self.cache)
+    }
+}
+
+impl SideBand {
+    /// Closes `window`, adding the activity since it opened; pool deltas
+    /// merge by worker slot.
+    fn close(&mut self, window: Bracket) {
+        self.cache.add(&window.cache_so_far());
+        self.sort.add(&tilesort::stats().since(&window.sort));
+        let Some(before) = window.pool else {
+            return;
+        };
+        for w in &splatonic_math::pool::worker_stats_snapshot() {
+            let prev = before.iter().find(|b| b.worker == w.worker);
+            let delta_ms = w.busy_ms - prev.map_or(0.0, |b| b.busy_ms);
+            let delta_chunks = w.chunks.saturating_sub(prev.map_or(0, |b| b.chunks));
+            if delta_ms <= 0.0 && delta_chunks == 0 {
+                continue;
+            }
+            if let Some(slot) = self.pool.iter_mut().find(|a| a.worker == w.worker) {
+                slot.busy_ms += delta_ms;
+                slot.chunks += delta_chunks;
+            } else {
+                self.pool.push(WorkerStats {
+                    worker: w.worker,
+                    busy_ms: delta_ms,
+                    chunks: delta_chunks,
+                });
+            }
         }
+    }
+
+    /// Exports the accumulated activity as `render/cache_*`,
+    /// `render/sort_*` counters and `pool/worker<i>` spans, and resets it.
+    fn export(&mut self, telemetry: &Telemetry) {
+        let SideBand { pool, cache, sort } = std::mem::take(self);
+        telemetry.counter_add("render/cache_hits", cache.hits);
+        telemetry.counter_add("render/cache_misses", cache.misses);
+        telemetry.counter_add("render/cache_invalidations", cache.invalidations);
+        telemetry.counter_add("render/sort_hits", sort.hits);
+        telemetry.counter_add("render/sort_misses", sort.misses);
+        telemetry.counter_add("render/sort_cold_elems", sort.cold_elems);
+        telemetry.record_pool_worker_deltas(&pool);
     }
 }
 
@@ -402,40 +448,19 @@ impl SlamSystem {
             let _span = telemetry.span_flat("psnr_eval");
             // The evaluation renders go through the same pool and cache;
             // bracket them so they attribute to this run too.
-            let pool_before = if telemetry.is_enabled() {
-                splatonic_math::pool::worker_stats_snapshot()
-            } else {
-                Vec::new()
-            };
-            let cache_before = projcache::stats();
-            let sort_before = tilesort::stats();
+            let window = Bracket::open(telemetry);
             let v = self.evaluate_psnr(
                 dataset,
                 &state.est_poses,
                 self.config.algorithm.mapping_every,
             );
-            state
-                .cache_accum
-                .add(&projcache::stats().since(&cache_before));
-            state.sort_accum.add(&tilesort::stats().since(&sort_before));
-            if telemetry.is_enabled() {
-                accumulate_pool(&mut state.pool_accum, &pool_before);
-            }
+            state.side_band.close(window);
             v
         };
 
         telemetry.record_trace("tracking", &state.tracking_trace);
         telemetry.record_trace("mapping", &state.mapping_trace);
-        let cache_run = state.cache_accum;
-        telemetry.counter_add("render/cache_hits", cache_run.hits);
-        telemetry.counter_add("render/cache_misses", cache_run.misses);
-        telemetry.counter_add("render/cache_invalidations", cache_run.invalidations);
-        let sort_run = state.sort_accum;
-        telemetry.counter_add("render/sort_hits", sort_run.hits);
-        telemetry.counter_add("render/sort_misses", sort_run.misses);
-        telemetry.counter_add("render/sort_merges", sort_run.merges);
-        telemetry.counter_add("render/sort_cold_elems", sort_run.cold_elems);
-        telemetry.counter_add("render/sort_merged_elems", sort_run.merged_elems);
+        state.side_band.export(telemetry);
         telemetry.counter_add("slam/tracking_iters", state.tracking_iters as u64);
         telemetry.counter_add("slam/mapping_iters", state.mapping_iters as u64);
         telemetry.counter_add("slam/mapping_invocations", state.mapping_invocations as u64);
@@ -455,7 +480,6 @@ impl SlamSystem {
         };
         telemetry.counter_add("lod/pruned", lod.pruned as u64);
         telemetry.gauge_set("slam/scene_size", self.scene.len() as f64);
-        telemetry.record_pool_worker_deltas(&state.pool_accum);
 
         SlamResult {
             est_poses: state.est_poses,
@@ -481,23 +505,9 @@ impl SlamSystem {
     /// [`Self::finalize`] exports after the last resume still cover the
     /// session's whole life. A no-op between runs.
     pub fn flush_counters(&mut self, telemetry: &Telemetry) {
-        let Some(state) = self.run.as_mut() else {
-            return;
-        };
-        let cache = state.cache_accum;
-        state.cache_accum = projcache::CacheStats::default();
-        telemetry.counter_add("render/cache_hits", cache.hits);
-        telemetry.counter_add("render/cache_misses", cache.misses);
-        telemetry.counter_add("render/cache_invalidations", cache.invalidations);
-        let sort = state.sort_accum;
-        state.sort_accum = tilesort::SortStats::default();
-        telemetry.counter_add("render/sort_hits", sort.hits);
-        telemetry.counter_add("render/sort_misses", sort.misses);
-        telemetry.counter_add("render/sort_merges", sort.merges);
-        telemetry.counter_add("render/sort_cold_elems", sort.cold_elems);
-        telemetry.counter_add("render/sort_merged_elems", sort.merged_elems);
-        let pool = std::mem::take(&mut state.pool_accum);
-        telemetry.record_pool_worker_deltas(&pool);
+        if let Some(state) = self.run.as_mut() {
+            state.side_band.export(telemetry);
+        }
     }
 
     /// Serializes the current run state into a [`Snapshot`].
@@ -639,9 +649,7 @@ impl SlamSystem {
                 tracking_iters: snapshot.tracking_iters,
                 mapping_iters: snapshot.mapping_iters,
                 mapping_invocations: snapshot.mapping_invocations,
-                pool_accum: Vec::new(),
-                cache_accum: projcache::CacheStats::default(),
-                sort_accum: tilesort::SortStats::default(),
+                side_band: SideBand::default(),
             })
         };
         Ok(SlamSystem {
@@ -660,19 +668,10 @@ impl SlamSystem {
         // per processed frame, anchor included) without nesting the
         // tracking/mapping paths beneath it.
         let _frame = telemetry.span_flat("frame");
-        // Bracket this frame's window so the pool's per-worker busy time
-        // and the projection-cache deltas attribute to *this* run even when
-        // a session manager interleaves several runs on one thread.
-        let pool_before = if telemetry.is_enabled() {
-            splatonic_math::pool::worker_stats_snapshot()
-        } else {
-            Vec::new()
-        };
-        // Projection-cache statistics are thread-local side-band state (not
-        // part of the render trace — see `projcache`); bracket each frame
-        // with snapshots to accumulate this run's deltas.
-        let cache_before = projcache::stats();
-        let sort_before = tilesort::stats();
+        // Bracket this frame's window so pool and cache activity attribute
+        // to *this* run even when a session manager interleaves several
+        // runs on one thread.
+        let window = Bracket::open(telemetry);
         let cfg = self.config;
         let algo = cfg.algorithm;
 
@@ -698,14 +697,11 @@ impl SlamSystem {
             tracking_iters: 0,
             mapping_iters: 0,
             mapping_invocations: 0,
-            pool_accum: Vec::new(),
-            cache_accum: projcache::CacheStats::default(),
-            sort_accum: tilesort::SortStats::default(),
+            side_band: SideBand::default(),
         };
         let sampler = MappingSampler::new(cfg.mapping_tile, cfg.mapping_strategy);
 
         // Initial mapping refines the seeded scene.
-        let cache_frame_start = projcache::stats();
         let map0_start = Instant::now();
         let m0 = {
             let _span = telemetry.span("mapping");
@@ -726,7 +722,7 @@ impl SlamSystem {
         state.mapping_iters += m0.iters;
         state.mapping_invocations += 1;
         if telemetry.is_enabled() {
-            let cache_frame = projcache::stats().since(&cache_frame_start);
+            let cache_frame = window.cache_so_far();
             telemetry.record_frame(FrameRecord {
                 frame_idx: 0,
                 track_iters: 0,
@@ -742,13 +738,7 @@ impl SlamSystem {
                 map_ms: map0_start.elapsed().as_secs_f64() * 1e3,
             });
         }
-        state
-            .cache_accum
-            .add(&projcache::stats().since(&cache_before));
-        state.sort_accum.add(&tilesort::stats().since(&sort_before));
-        if telemetry.is_enabled() {
-            accumulate_pool(&mut state.pool_accum, &pool_before);
-        }
+        state.side_band.close(window);
         self.run = Some(state);
     }
 
@@ -756,15 +746,8 @@ impl SlamSystem {
     /// `mapping_every` cadence, record the frame.
     fn process_frame(&mut self, dataset: &Dataset, t: usize, telemetry: &Telemetry) {
         let _frame = telemetry.span_flat("frame");
-        // Frame-wide attribution window (see `init_run`): deltas taken at
-        // the end of this function accumulate into this run's own totals.
-        let pool_before = if telemetry.is_enabled() {
-            splatonic_math::pool::worker_stats_snapshot()
-        } else {
-            Vec::new()
-        };
-        let cache_before = projcache::stats();
-        let sort_before = tilesort::stats();
+        // Frame-wide attribution window (see `init_run`).
+        let window = Bracket::open(telemetry);
         let cfg = self.config;
         let algo = cfg.algorithm;
         let mut state = self.run.take().expect("active run");
@@ -777,7 +760,6 @@ impl SlamSystem {
             None
         };
         let init = constant_velocity_init(prev, prev_prev);
-        let cache_frame_start = projcache::stats();
         let track_start = Instant::now();
         let out = {
             let _span = telemetry.span("tracking");
@@ -838,7 +820,7 @@ impl SlamSystem {
         }
 
         if telemetry.is_enabled() {
-            let cache_frame = projcache::stats().since(&cache_frame_start);
+            let cache_frame = window.cache_so_far();
             telemetry.record_frame(FrameRecord {
                 frame_idx: t,
                 track_iters: out.iters,
@@ -854,13 +836,7 @@ impl SlamSystem {
                 map_ms,
             });
         }
-        state
-            .cache_accum
-            .add(&projcache::stats().since(&cache_before));
-        state.sort_accum.add(&tilesort::stats().since(&sort_before));
-        if telemetry.is_enabled() {
-            accumulate_pool(&mut state.pool_accum, &pool_before);
-        }
+        state.side_band.close(window);
         state.next_frame = t + 1;
         self.run = Some(state);
     }
@@ -1244,7 +1220,6 @@ mod tests {
         let mut b2 = b;
         b2.render.threads = 13;
         b2.render.tile_grouping = false;
-        b2.render.sort_cache = false;
         b2.render.kernels = splatonic_render::KernelMode::Scalar;
         b2.checkpoint_every = 5;
         b2.lod_budget = 1000;

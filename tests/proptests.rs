@@ -362,7 +362,6 @@ fn grouped_sort_matches_per_tile_oracle() {
             clear_caches();
             let cfg = RenderConfig {
                 tile_grouping,
-                sort_cache: false,
                 ..RenderConfig::default()
             };
             let f = render_forward(&scene, &cam, &pixels, Pipeline::TileBased, &cfg);
@@ -391,11 +390,10 @@ fn grouped_sort_matches_per_tile_oracle() {
     clear_caches();
 }
 
-/// The frame-coherent sort cache never changes rendered output: repeated
-/// renders (exact hits), small pose steps (coherent re-merges), and scene
-/// mutations (revision invalidations) are all bit-identical to cold renders
-/// of the same inputs (both caches emptied before each), forward and
-/// backward.
+/// The sorted-list cache never changes rendered output: repeated renders
+/// (exact hits), small pose steps and scene mutations (cold misses) are all
+/// bit-identical to cold renders of the same inputs (both caches emptied
+/// before each), forward and backward.
 #[test]
 fn sort_cache_is_transparent() {
     use splatonic::render::LossGrad;
@@ -424,15 +422,12 @@ fn sort_cache_is_transparent() {
             scene.update(i, |g| g.mean += nudge);
         };
         // The cached walk keeps both caches across renders; the cold walk
-        // runs without the sort cache and empties both before every render.
-        let walk = |scene: &mut GaussianScene, rng: &mut Rng64, sort_cache: bool| {
+        // empties both before every render.
+        let walk = |scene: &mut GaussianScene, rng: &mut Rng64, cold: bool| {
             clear_caches();
-            let cfg = RenderConfig {
-                sort_cache,
-                ..RenderConfig::default()
-            };
+            let cfg = RenderConfig::default();
             let fresh = || {
-                if !sort_cache {
+                if cold {
                     clear_caches();
                 }
             };
@@ -457,11 +452,14 @@ fn sort_cache_is_transparent() {
         let mut scene_cold = GaussianScene::from_vec(scene.to_vec());
         let mut rng_cold = Rng64::seed_from_u64(0x50CA_C4ED ^ case as u64 ^ 0xFFFF);
         let mut rng_cached = Rng64::seed_from_u64(0x50CA_C4ED ^ case as u64 ^ 0xFFFF);
-        let cached = walk(&mut scene, &mut rng_cached, true);
+        let cached = walk(&mut scene, &mut rng_cached, false);
         let stats = splatonic::render::tilesort::stats();
-        assert!(stats.hits >= 1, "case {case}: repeats/backward must hit");
-        assert!(stats.merges >= 1, "case {case}: pose steps must merge");
-        let cold = walk(&mut scene_cold, &mut rng_cold, false);
+        assert_eq!(
+            stats.hits, 6,
+            "case {case}: the repeat and every backward hit"
+        );
+        assert_eq!(stats.misses, 4, "case {case}: pose steps and the edit miss");
+        let cold = walk(&mut scene_cold, &mut rng_cold, true);
         for (i, ((fc, bc), (fx, bx))) in cached.iter().zip(&cold).enumerate() {
             assert_eq!(fc.color, fx.color, "case {case}: render {i} color");
             assert_eq!(
