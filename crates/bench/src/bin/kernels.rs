@@ -25,6 +25,8 @@
 //! copy of the sparse set (`pixel_scattered16`), whose pixels are found
 //! through the pixel set's cell index instead of its tile slots. The
 //! `cache/*` gauges report the projection cache's hits over those cases.
+//! The backward cases time the pixel schedule on the sparse set and the
+//! tile schedule on the dense set, each on one forward pass's output.
 //!
 //! `--no-tile-grouping` disables the tile pipeline's GS-TG-style grouped
 //! depth sort. Output is again bit-identical; the run's `sort/*` gauges
@@ -256,28 +258,29 @@ fn main() {
         );
     }
 
-    // Backward kernel on the sparse pixel-based schedule.
+    // Backward kernels: the sparse pixel-based schedule and the dense tile
+    // schedule, each on the output of one forward pass at the same pose.
     {
-        let out = render_forward(&scene, &cam, &sparse, Pipeline::PixelBased, &cfg);
-        let grads = vec![
-            loss::LossGrad {
-                d_color: splatonic_math::Vec3::splat(0.1),
-                d_depth: 0.05,
-            };
-            sparse.len()
+        let backward_cases: [(&str, Pipeline, &PixelSet); 2] = [
+            ("pixel_sparse16", Pipeline::PixelBased, &sparse),
+            ("tile_dense", Pipeline::TileBased, &dense),
         ];
-        let _outer = t.span("backward");
-        for _ in 0..iters {
-            let _span = t.span("pixel_sparse16");
-            std::hint::black_box(render_backward(
-                &scene,
-                &cam,
-                &sparse,
-                &out,
-                &grads,
-                Pipeline::PixelBased,
-                &cfg,
-            ));
+        for (name, pipeline, pixels) in backward_cases {
+            let out = render_forward(&scene, &cam, pixels, pipeline, &cfg);
+            let grads = vec![
+                loss::LossGrad {
+                    d_color: splatonic_math::Vec3::splat(0.1),
+                    d_depth: 0.05,
+                };
+                pixels.len()
+            ];
+            let _outer = t.span("backward");
+            for _ in 0..iters {
+                let _span = t.span(name);
+                std::hint::black_box(render_backward(
+                    &scene, &cam, pixels, &out, &grads, pipeline, &cfg,
+                ));
+            }
         }
     }
 

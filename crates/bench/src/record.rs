@@ -30,6 +30,7 @@ const KERNEL_SPANS: &[&str] = &[
     "forward/tile_dense",
     "forward/tile_sparse16",
     "backward/pixel_sparse16",
+    "backward/tile_dense",
 ];
 
 /// Gauges recorded per sort entry (stored without the `sort/` prefix).

@@ -6,11 +6,14 @@
 //! pair. The warp model mirrors the GPU mapping (one thread per pixel, 32
 //! threads per warp): at each list step a warp is occupied for every resident
 //! pixel, but only pixels whose α-check passes do useful work — the warp
-//! divergence of paper Fig. 6.
+//! divergence of paper Fig. 6. The trace counts every modelled α-check; the
+//! host skips the ones that provably fail, a whole warp at a time where it
+//! can (DESIGN.md §13).
 //!
 //! Backward: reverse rasterization re-walks the cached tile lists per pixel,
 //! re-α-checking, then aggregates partial gradients per Gaussian (the
-//! `atomicAdd` stage) and re-projects them to world space.
+//! `atomicAdd` stage) and re-projects them to world space. The walk computes
+//! no gradient, so the host counts it in closed form.
 
 use crate::grad::{pixel_backward, reproject, CamGradAccumulator, PoseGrad, SceneGrads};
 use crate::kernel::{alpha_at, ProjectedGaussian, RenderConfig};
@@ -18,7 +21,7 @@ use crate::loss::LossGrad;
 use crate::pixelset::{PixelCoord, PixelSet};
 use crate::trace::{bytes, RenderTrace};
 use crate::{Contribution, ForwardResult};
-use splatonic_math::{pool, Vec3};
+use splatonic_math::{pool, Vec2, Vec3};
 use splatonic_scene::{Camera, GaussianScene};
 use std::sync::Mutex;
 
@@ -30,6 +33,22 @@ pub const WARP: usize = 32;
 /// Tiles per pool chunk (fixed fan-out granularity; independent of the
 /// worker count, see `splatonic_math::pool`).
 const TILE_CHUNK: usize = 4;
+
+/// Warps per tile (8 for 16×16 tiles): warp `k` holds pixel rows `2k` and
+/// `2k + 1` of its tile.
+const WARPS_PER_TILE: usize = (TILE * TILE).div_ceil(WARP);
+
+/// Top-left pixel of tile `tile_idx` in a row-major grid `tiles_x` wide.
+#[inline]
+fn tile_origin(tile_idx: usize, tiles_x: usize) -> (usize, usize) {
+    ((tile_idx % tiles_x) * TILE, (tile_idx / tiles_x) * TILE)
+}
+
+/// The warp of the tile at `(x0, y0)` whose lanes hold pixel `p`.
+#[inline]
+fn warp_of(p: PixelCoord, x0: usize, y0: usize) -> usize {
+    ((p.y as usize - y0) * TILE + (p.x as usize - x0)) / WARP
+}
 
 /// Groups the requested pixels by tile, keeping their output indices.
 fn group_pixels_by_tile(
@@ -96,6 +115,8 @@ pub fn forward(
     let groups = group_pixels_by_tile(pixels, tiles_x, tiles_y);
     let threads = pool::resolve_threads(config.threads);
     let prereject = config.bbox_prereject();
+    // `T_min > 1`: no lane ever passes `T ≥ T_min`, so none is α-checked.
+    let idle = 1.0 < config.transmittance_min;
 
     #[derive(Default)]
     struct TilePartial {
@@ -113,6 +134,12 @@ pub fn forward(
     let tile_partials =
         pool::par_chunks_indexed(threads, &groups, TILE_CHUNK, |_, offset, chunk| {
             let mut part = TilePartial::default();
+            // Per-chunk scratch, cleared per tile (`warps`) or per warp (the
+            // rest).
+            let mut warps: [Vec<(PixelCoord, usize)>; WARPS_PER_TILE] = Default::default();
+            let mut state: Vec<(Vec3, f64, f64)> = Vec::new(); // (color, depth, T)
+            let mut member_contribs: Vec<Vec<Contribution>> = Vec::new();
+            let mut centers: Vec<Vec2> = Vec::new();
             for (k, group) in chunk.iter().enumerate() {
                 let tile_idx = offset + k;
                 if group.is_empty() {
@@ -131,49 +158,57 @@ pub fn forward(
                 // lanes per warp. Only warps containing a requested pixel
                 // execute; within them, every resident requested pixel
                 // occupies a lane.
-                let tx = tile_idx % tiles_x;
-                let ty = tile_idx / tiles_x;
-                let x0 = tx * TILE;
-                let y0 = ty * TILE;
-                let lane_of = |p: PixelCoord| -> usize {
-                    let lx = p.x as usize - x0;
-                    let ly = p.y as usize - y0;
-                    ly * TILE + lx
-                };
-                // Bucket requested pixels into warps.
-                let warps_per_tile = (TILE * TILE).div_ceil(WARP);
-                let mut warp_members: Vec<Vec<(PixelCoord, usize)>> =
-                    vec![Vec::new(); warps_per_tile];
+                let (x0, y0) = tile_origin(tile_idx, tiles_x);
+                warps.iter_mut().for_each(Vec::clear);
                 for &(p, out_idx) in group {
-                    warp_members[lane_of(p) / WARP].push((p, out_idx));
+                    warps[warp_of(p, x0, y0)].push((p, out_idx));
                 }
-                for members in warp_members.iter().filter(|m| !m.is_empty()) {
+                for members in warps.iter().filter(|m| !m.is_empty()) {
                     // Per-member compositing state.
-                    let mut state: Vec<(Vec3, f64, f64)> =
-                        vec![(Vec3::ZERO, 0.0, 1.0); members.len()]; // (color, depth, T)
-                    let mut member_contribs: Vec<Vec<Contribution>> =
-                        vec![Vec::new(); members.len()];
+                    state.clear();
+                    state.resize(members.len(), (Vec3::ZERO, 0.0, 1.0));
+                    member_contribs.clear();
+                    member_contribs.resize_with(members.len(), Vec::new);
+                    centers.clear();
+                    centers.extend(members.iter().map(|(p, _)| p.center()));
+                    // The rectangle spanned by the members' pixel centers.
+                    let (rlo, rhi) = centers
+                        .iter()
+                        .fold((centers[0], centers[0]), |(lo, hi), &c| {
+                            (lo.min(c), hi.max(c))
+                        });
                     let mut live = members.len();
                     for &pi in list.iter() {
                         if live == 0 {
                             break;
                         }
                         part.warp_steps += 1;
+                        // The modelled warp α-checks every lane with
+                        // `T ≥ T_min`: every live lane, unless `T_min > 1`
+                        // idles all lanes from the start. The trace counts
+                        // those checks here, once per step; the host then
+                        // skips the ones outside the bbox, which provably
+                        // fail (`RenderConfig::bbox_prereject`) — for the
+                        // whole warp at once when the rectangle misses the
+                        // bbox. NaN bounds compare false and take the
+                        // per-lane path.
+                        let checked = if idle { 0 } else { live as u64 };
+                        part.raster_alpha_checks += checked;
+                        part.exp_evals += checked;
                         let pg = &projected[pi as usize];
+                        let (lo, hi) = pg.bbox();
+                        if prereject
+                            && (rhi.x < lo.x || rlo.x > hi.x || rhi.y < lo.y || rlo.y > hi.y)
+                        {
+                            continue;
+                        }
                         let mut active_this_step = 0u64;
-                        for (mi, &(p, _)) in members.iter().enumerate() {
-                            let (c, d, t) = state[mi];
-                            if t < config.transmittance_min {
+                        for (mi, &center) in centers.iter().enumerate() {
+                            if prereject && !pg.bbox_contains(center) {
                                 continue;
                             }
-                            // α-checking for this pixel–Gaussian pair. The
-                            // trace counts the modelled check; the host skips
-                            // the `exp` of a pixel outside the bbox, which
-                            // provably fails (`RenderConfig::bbox_prereject`).
-                            part.raster_alpha_checks += 1;
-                            part.exp_evals += 1;
-                            let center = p.center();
-                            if prereject && !pg.bbox_contains(center) {
+                            let (c, d, t) = state[mi];
+                            if t < config.transmittance_min {
                                 continue;
                             }
                             let (alpha, _) = alpha_at(pg, center, config);
@@ -290,9 +325,9 @@ pub fn backward(
     // Reverse rasterization with the same warp shape as the forward pass:
     // every pixel re-walks its tile list, α-checking each pair. Fanned out
     // over fixed chunks of tiles; each chunk aggregates into a private
-    // accumulator (recycled through a small pool) whose per-Gaussian
-    // partials are merged in chunk order below, so the aggregation is
-    // identical for every worker count.
+    // accumulator (recycled through a small pool, together with the chunk's
+    // list-position table) whose per-Gaussian partials are merged in chunk
+    // order below, so the aggregation is identical for every worker count.
     let groups = group_pixels_by_tile(pixels, tiles_x, tiles_y);
     let lookup = |id: u32| projected[proj_of_id[id as usize] as usize];
     // SoA view for the vector backward kernel (bit-identical to `lookup` +
@@ -302,7 +337,7 @@ pub fn backward(
     .then(|| crate::simd::ProjectedSoA::build(projected));
     let soa = soa.as_ref();
     let threads = pool::resolve_threads(config.threads);
-    let acc_pool: Mutex<Vec<CamGradAccumulator>> = Mutex::new(Vec::new());
+    let scratch_pool: Mutex<Vec<(CamGradAccumulator, Vec<u32>)>> = Mutex::new(Vec::new());
 
     #[derive(Default)]
     struct TileBackwardPartial {
@@ -316,11 +351,12 @@ pub fn backward(
         bytes_written: u64,
     }
     let partials = pool::par_chunks_indexed(threads, &groups, TILE_CHUNK, |_, offset, chunk| {
-        let mut acc = acc_pool
-            .lock()
-            .unwrap()
-            .pop()
-            .unwrap_or_else(|| CamGradAccumulator::new(scene.len()));
+        let (mut acc, mut list_pos) = scratch_pool.lock().unwrap().pop().unwrap_or_else(|| {
+            (
+                CamGradAccumulator::new(scene.len()),
+                vec![u32::MAX; scene.len()],
+            )
+        });
         acc.reset(scene.len());
         let mut part = TileBackwardPartial::default();
         for (k, group) in chunk.iter().enumerate() {
@@ -332,40 +368,44 @@ pub fn backward(
             if list.is_empty() {
                 continue;
             }
-            let tx = tile_idx % tiles_x;
-            let ty = tile_idx / tiles_x;
-            let x0 = tx * TILE;
-            let y0 = ty * TILE;
-            let warps_per_tile = (TILE * TILE).div_ceil(WARP);
-            let mut warp_members: Vec<Vec<(PixelCoord, usize)>> = vec![Vec::new(); warps_per_tile];
-            for &(p, out_idx) in group {
-                let lane = (p.y as usize - y0) * TILE + (p.x as usize - x0);
-                warp_members[lane / WARP].push((p, out_idx));
+            // The modelled walk: each lane keeps a cursor into its pixel's
+            // contribution list, and the warp steps through the whole tile
+            // list, α-checking every lane whose cursor is not yet at the
+            // end; a lane is active on the steps where its next contribution
+            // matches. Contributions are a subsequence of the list in list
+            // order, and a Gaussian appears in a list at most once, so the
+            // counters have a closed form, computed here from
+            // each Gaussian's list position: a warp takes `list.len()` steps,
+            // and a lane issues (position of its last match + 1) checks and
+            // is active once per match. A contribution absent from the list
+            // or out of order (a forward pass at another pose or scene)
+            // stalls the cursor for good, so that lane checks on every step.
+            let (x0, y0) = tile_origin(tile_idx, tiles_x);
+            for (pos, &pi) in list.iter().enumerate() {
+                list_pos[projected[pi as usize].id as usize] = pos as u32;
             }
-            for members in warp_members.iter().filter(|m| !m.is_empty()) {
-                // Each member keeps a cursor into its contribution list; the
-                // warp walks the tile list and a lane is active on the steps
-                // where its pixel's next contribution matches.
-                let mut cursors = vec![0usize; members.len()];
-                for &pi in list.iter() {
-                    let pg = &projected[pi as usize];
-                    part.warp_steps += 1;
-                    let mut active = 0u64;
-                    for (mi, &(_, out_idx)) in members.iter().enumerate() {
-                        let contribs = &forward_result.contributions[out_idx];
-                        if cursors[mi] >= contribs.len() {
-                            continue;
+            let mut occupied = 0u32;
+            for &(p, out_idx) in group {
+                occupied |= 1 << warp_of(p, x0, y0);
+                let mut next = 0;
+                for c in &forward_result.contributions[out_idx] {
+                    match list_pos.get(c.gaussian as usize) {
+                        Some(&pos) if pos != u32::MAX && pos as usize >= next => {
+                            next = pos as usize + 1;
+                            part.warp_active += 1;
                         }
-                        // α re-check for this pair (exp on the SFU).
-                        part.alpha_checks += 1;
-                        part.exp_evals += 1;
-                        if contribs[cursors[mi]].gaussian == pg.id {
-                            active += 1;
-                            cursors[mi] += 1;
+                        _ => {
+                            next = list.len();
+                            break;
                         }
                     }
-                    part.warp_active += active;
                 }
+                part.alpha_checks += next as u64;
+                part.exp_evals += next as u64;
+            }
+            part.warp_steps += occupied.count_ones() as u64 * list.len() as u64;
+            for &pi in list {
+                list_pos[projected[pi as usize].id as usize] = u32::MAX;
             }
             // The gradient math itself (schedule-independent).
             for &(p, out_idx) in group {
@@ -399,7 +439,7 @@ pub fn backward(
             }
         }
         part.entries = acc.touched().iter().map(|&id| (id, acc.get(id))).collect();
-        acc_pool.lock().unwrap().push(acc);
+        scratch_pool.lock().unwrap().push((acc, list_pos));
         part
     });
 

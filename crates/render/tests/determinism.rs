@@ -7,13 +7,15 @@
 //! on a seeded random scene for both pipelines.
 
 use splatonic_math::{Image, Rng64, Vec3};
+use splatonic_render::grad::{pixel_backward, CamGradAccumulator};
 use splatonic_render::kernel::{alpha_at, project_scene};
 use splatonic_render::loss::LossGrad;
 use splatonic_render::pixelset::{PixelCoord, PixelSet};
 use splatonic_render::sampling::MappingStrategy;
+use splatonic_render::tile::{TILE, WARP};
 use splatonic_render::{
     render_backward, render_forward, Contribution, ForwardResult, KernelMode, MappingSampler,
-    Pipeline, RenderConfig, RenderTrace,
+    Pipeline, ProjectedGaussian, RenderConfig, RenderTrace,
 };
 use splatonic_scene::{Camera, Frame, Gaussian, GaussianScene, Intrinsics};
 
@@ -624,4 +626,357 @@ fn merged_traces_are_thread_count_invariant() {
     for threads in THREAD_COUNTS {
         assert_eq!(base, run(threads), "merged trace, {threads} workers");
     }
+}
+
+/// Per-tile depth-sorted lists (depth, then id) of every projected Gaussian
+/// whose clamped bbox tile range covers the tile, built here independently
+/// of `tilesort`'s grouped, cached build.
+fn oracle_tile_lists(
+    projected: &[ProjectedGaussian],
+    tiles_x: usize,
+    tiles_y: usize,
+) -> Vec<Vec<u32>> {
+    let tile = |v: f64, n: usize| ((v as isize) / TILE as isize).clamp(0, n as isize - 1) as usize;
+    let mut lists: Vec<Vec<u32>> = vec![Vec::new(); tiles_x * tiles_y];
+    for (pi, pg) in projected.iter().enumerate() {
+        let (lo, hi) = pg.bbox();
+        for ty in tile(lo.y.floor(), tiles_y)..=tile(hi.y.ceil(), tiles_y) {
+            for tx in tile(lo.x.floor(), tiles_x)..=tile(hi.x.ceil(), tiles_x) {
+                lists[ty * tiles_x + tx].push(pi as u32);
+            }
+        }
+    }
+    for list in &mut lists {
+        list.sort_by(|&a, &b| {
+            let (pa, pb) = (&projected[a as usize], &projected[b as usize]);
+            pa.depth.total_cmp(&pb.depth).then(pa.id.cmp(&pb.id))
+        });
+    }
+    lists
+}
+
+/// The tile raster's inputs for the oracles: the projection, the tile
+/// lists, and per tile its requested pixels (with output indices) bucketed
+/// into warps of 32 row-major lanes.
+struct OracleTiles {
+    projected: Vec<ProjectedGaussian>,
+    culled: u64,
+    lists: Vec<Vec<u32>>,
+    warps: Vec<Vec<Vec<(PixelCoord, usize)>>>,
+}
+
+fn oracle_tiles(
+    scene: &GaussianScene,
+    cam: &Camera,
+    pixels: &PixelSet,
+    config: &RenderConfig,
+) -> OracleTiles {
+    let (projected, culled) = project_scene(scene, cam, config);
+    let tiles_x = pixels.width().div_ceil(TILE);
+    let tiles_y = pixels.height().div_ceil(TILE);
+    let lists = oracle_tile_lists(&projected, tiles_x, tiles_y);
+    let mut warps = vec![vec![Vec::new(); TILE * TILE / WARP]; tiles_x * tiles_y];
+    for (out_idx, p) in pixels.iter_all().enumerate() {
+        let (tx, ty) = (p.x as usize / TILE, p.y as usize / TILE);
+        let lane = (p.y as usize % TILE) * TILE + p.x as usize % TILE;
+        warps[ty * tiles_x + tx][lane / WARP].push((p, out_idx));
+    }
+    OracleTiles {
+        projected,
+        culled,
+        lists,
+        warps,
+    }
+}
+
+/// The tile pipeline's forward pass as the per-lane loop it models: every
+/// warp steps through its tile's list until all its lanes have terminated,
+/// and α-checks each lane with `T ≥ T_min` with a real `exp` — no bbox
+/// shortcut, per lane or per warp. The sort-schedule counters are left zero
+/// (`grouped_sort_matches_per_tile_oracle` covers them).
+fn oracle_tile_forward(
+    scene: &GaussianScene,
+    cam: &Camera,
+    pixels: &PixelSet,
+    config: &RenderConfig,
+) -> ForwardResult {
+    use splatonic_render::trace::bytes;
+    let tiles = oracle_tiles(scene, cam, pixels, config);
+    let n = pixels.len();
+    let mut out = ForwardResult {
+        color: vec![config.background; n],
+        depth: vec![0.0; n],
+        final_transmittance: vec![1.0; n],
+        contributions: vec![Vec::new(); n],
+        trace: RenderTrace::new(),
+    };
+    let f = &mut out.trace.forward;
+    let tile_pairs: u64 = tiles.lists.iter().map(|l| l.len() as u64).sum();
+    f.gaussians_input = scene.len() as u64;
+    f.gaussians_culled = tiles.culled;
+    f.gaussians_projected = tiles.projected.len() as u64;
+    f.tile_pairs = tile_pairs;
+    f.bytes_read = scene.len() as u64 * bytes::GAUSSIAN + tile_pairs * bytes::PAIR_ENTRY;
+    f.bytes_written =
+        (tiles.projected.len() as u64) * bytes::PROJECTED + tile_pairs * bytes::PAIR_ENTRY;
+    f.pixels_shaded = n as u64;
+    for (list, warps) in tiles.lists.iter().zip(&tiles.warps) {
+        if list.is_empty() || warps.iter().all(Vec::is_empty) {
+            continue;
+        }
+        f.bytes_read += list.len() as u64 * bytes::PROJECTED;
+        for members in warps.iter().filter(|m| !m.is_empty()) {
+            let mut state = vec![(Vec3::ZERO, 0.0, 1.0); members.len()];
+            let mut live = members.len();
+            for &pi in list {
+                if live == 0 {
+                    break;
+                }
+                f.warp_steps += 1;
+                let pg = &tiles.projected[pi as usize];
+                for (mi, &(p, out_idx)) in members.iter().enumerate() {
+                    let (c, d, t) = state[mi];
+                    if t < config.transmittance_min {
+                        continue;
+                    }
+                    f.raster_alpha_checks += 1;
+                    f.exp_evals += 1;
+                    let (alpha, _) = alpha_at(pg, p.center(), config);
+                    if alpha < config.alpha_threshold {
+                        continue;
+                    }
+                    f.warp_active += 1;
+                    f.pairs_integrated += 1;
+                    out.contributions[out_idx].push(Contribution {
+                        gaussian: pg.id,
+                        alpha,
+                        transmittance: t,
+                    });
+                    let nt = t * (1.0 - alpha);
+                    state[mi] = (c + pg.color * (t * alpha), d + pg.depth * (t * alpha), nt);
+                    if nt < config.transmittance_min {
+                        live -= 1;
+                    }
+                }
+            }
+            for (&(_, out_idx), &(c, d, t)) in members.iter().zip(&state) {
+                out.color[out_idx] = c + config.background * t;
+                out.depth[out_idx] = d;
+                out.final_transmittance[out_idx] = t;
+                f.bytes_written += bytes::PIXEL_OUT;
+            }
+        }
+    }
+    for contribs in &out.contributions {
+        f.pixel_list_len.push(contribs.len() as f64);
+        out.trace.pixel_lists.push(contribs.len() as u32);
+    }
+    out
+}
+
+/// The tile pipeline's backward trace as the per-lane cursor walk it
+/// models: every warp steps through its tile's whole list, each lane whose
+/// cursor has not reached the end of its contribution list is α-checked, and
+/// the cursor advances where the Gaussian matches. Gradients go through the
+/// scalar `pixel_backward` into one accumulator. Also returns how many lanes
+/// stalled (a contribution the walk never reaches).
+fn oracle_tile_backward(
+    scene: &GaussianScene,
+    cam: &Camera,
+    pixels: &PixelSet,
+    fwd: &ForwardResult,
+    lg: &[LossGrad],
+    config: &RenderConfig,
+) -> (RenderTrace, u64) {
+    use splatonic_render::trace::bytes;
+    let tiles = oracle_tiles(scene, cam, pixels, config);
+    let mut proj_of_id = vec![usize::MAX; scene.len()];
+    for (pi, pg) in tiles.projected.iter().enumerate() {
+        proj_of_id[pg.id as usize] = pi;
+    }
+    let lookup = |id: u32| tiles.projected[proj_of_id[id as usize]];
+    let mut acc = CamGradAccumulator::new(scene.len());
+    let mut trace = RenderTrace::new();
+    let b = &mut trace.backward;
+    let tile_pairs: u64 = tiles.lists.iter().map(|l| l.len() as u64).sum();
+    b.bytes_read = tile_pairs * bytes::PAIR_ENTRY + tiles.projected.len() as u64 * bytes::PROJECTED;
+    let mut stalls = 0;
+    for (list, warps) in tiles.lists.iter().zip(&tiles.warps) {
+        if list.is_empty() {
+            continue;
+        }
+        for members in warps.iter().filter(|m| !m.is_empty()) {
+            let mut cursors = vec![0usize; members.len()];
+            for &pi in list {
+                b.warp_steps += 1;
+                for (cursor, &(_, out_idx)) in cursors.iter_mut().zip(members) {
+                    let contribs = &fwd.contributions[out_idx];
+                    if *cursor >= contribs.len() {
+                        continue;
+                    }
+                    b.alpha_checks += 1;
+                    b.exp_evals += 1;
+                    if contribs[*cursor].gaussian == tiles.projected[pi as usize].id {
+                        b.warp_active += 1;
+                        *cursor += 1;
+                    }
+                }
+            }
+            for (&cursor, &(_, out_idx)) in cursors.iter().zip(members) {
+                stalls += u64::from(cursor < fwd.contributions[out_idx].len());
+            }
+        }
+        let mut group: Vec<(PixelCoord, usize)> = warps.concat();
+        group.sort_by_key(|&(_, out_idx)| out_idx);
+        for (p, out_idx) in group {
+            let counts = pixel_backward(
+                p.center(),
+                &fwd.contributions[out_idx],
+                &lookup,
+                lg[out_idx].d_color,
+                lg[out_idx].d_depth,
+                config,
+                config.background,
+                &mut acc,
+            );
+            b.pairs_grad += counts.pairs;
+            b.atomic_adds += counts.atomic_adds;
+            b.bytes_written += counts.pairs * bytes::GRADIENT;
+        }
+    }
+    for &id in acc.touched() {
+        b.gaussian_touches.push(acc.get(id).count as f64);
+    }
+    b.gaussians_touched = acc.touched().len() as u64;
+    b.reprojections = b.gaussians_touched;
+    b.bytes_read += b.gaussians_touched * bytes::GRADIENT;
+    b.bytes_written += b.gaussians_touched * bytes::GRADIENT;
+    (trace, stalls)
+}
+
+/// Asserts the tile pipeline's forward output and full `RenderTrace`, and
+/// its backward trace, equal [`oracle_tile_forward`] and
+/// [`oracle_tile_backward`] at every equality width in both kernel modes.
+/// The backward pass is handed the oracle's forward result at `fwd_cam`
+/// (the render pose when `None`). Returns the oracle's forward result at
+/// the render pose and its stalled-lane count, for row-specific checks.
+fn assert_tile_trace_matches_oracle(
+    pixels: &PixelSet,
+    base: RenderConfig,
+    fwd_cam: Option<&Camera>,
+) -> (ForwardResult, u64) {
+    let scene = random_scene(77, 400);
+    let cam = camera();
+    let want = oracle_tile_forward(&scene, &cam, pixels, &base);
+    let other;
+    let fwd = match fwd_cam {
+        Some(c) => {
+            other = oracle_tile_forward(&scene, c, pixels, &base);
+            &other
+        }
+        None => &want,
+    };
+    let lg = loss_grads(pixels.len());
+    let (want_bwd, stalls) = oracle_tile_backward(&scene, &cam, pixels, fwd, &lg, &base);
+    assert!(want.trace.forward.warp_steps > 0 && want_bwd.backward.warp_steps > 0);
+    for kernels in [KernelMode::Scalar, KernelMode::Simd] {
+        for threads in EQUALITY_WIDTHS {
+            let config = RenderConfig {
+                threads,
+                kernels,
+                ..base
+            };
+            let at = format!("{kernels:?}, {threads} workers");
+            let got = render_forward(&scene, &cam, pixels, Pipeline::TileBased, &config);
+            assert_eq!(got.color, want.color, "color, {at}");
+            assert_eq!(got.depth, want.depth, "depth, {at}");
+            assert_eq!(
+                got.final_transmittance, want.final_transmittance,
+                "Γ_final, {at}"
+            );
+            assert_eq!(got.contributions, want.contributions, "contribs, {at}");
+            let mut got_trace = got.trace.clone();
+            zero_sort_counters(&mut got_trace);
+            assert_eq!(got_trace, want.trace, "forward trace, {at}");
+            let (_, _, bwd) =
+                render_backward(&scene, &cam, pixels, fwd, &lg, Pipeline::TileBased, &config);
+            assert_eq!(bwd, want_bwd, "backward trace, {at}");
+        }
+    }
+    (want, stalls)
+}
+
+#[test]
+fn tile_trace_matches_oracle_dense() {
+    let config = cfg(0);
+    assert!(config.bbox_prereject());
+    assert_tile_trace_matches_oracle(&PixelSet::dense(96, 72), config, None);
+}
+
+#[test]
+fn tile_trace_matches_oracle_sparse16() {
+    let set = PixelSet::from_tile_chooser(96, 72, 16, |_, _, x0, y0, tw, th| {
+        Some(PixelCoord::new((x0 + tw / 2) as u16, (y0 + th / 2) as u16))
+    });
+    assert_tile_trace_matches_oracle(&set, cfg(0), None);
+}
+
+#[test]
+fn tile_trace_matches_oracle_one_pixel() {
+    let set = PixelSet::from_pixels(96, 72, vec![PixelCoord::new(50, 37)]);
+    let (want, _) = assert_tile_trace_matches_oracle(&set, cfg(0), None);
+    assert!(!want.contributions[0].is_empty());
+}
+
+#[test]
+fn tile_trace_matches_oracle_without_prereject() {
+    // At 3σ the bbox bound does not hold, so neither the per-lane nor the
+    // per-warp shortcut may fire.
+    let config = RenderConfig {
+        bbox_sigma: 3.0,
+        ..cfg(0)
+    };
+    assert!(!config.bbox_prereject());
+    assert_tile_trace_matches_oracle(&PixelSet::dense(96, 72), config, None);
+}
+
+#[test]
+fn tile_trace_matches_oracle_early_termination() {
+    // Lanes drop out of their warps mid-list, so a warp-level reject must
+    // count only the lanes still checked.
+    let config = RenderConfig {
+        transmittance_min: 0.5,
+        ..cfg(0)
+    };
+    let (want, _) = assert_tile_trace_matches_oracle(&PixelSet::dense(96, 72), config, None);
+    assert!(want.final_transmittance.iter().any(|&t| t < 0.5));
+    assert!(want.final_transmittance.iter().any(|&t| t >= 0.5));
+}
+
+#[test]
+fn tile_trace_matches_oracle_idle_lanes() {
+    // `T_min > 1` idles every lane from the start: warps step through their
+    // whole lists but no lane is ever α-checked.
+    let config = RenderConfig {
+        transmittance_min: 2.0,
+        ..cfg(0)
+    };
+    let (want, _) = assert_tile_trace_matches_oracle(&PixelSet::dense(96, 72), config, None);
+    assert_eq!(want.trace.forward.raster_alpha_checks, 0);
+}
+
+#[test]
+fn tile_backward_trace_matches_oracle_across_poses() {
+    // Contributions from a forward pass at another pose are absent from,
+    // or out of order in, this pose's tile lists: those lanes' cursors
+    // stall and check on every remaining step.
+    let moved = Camera::look_at(
+        Intrinsics::with_fov(96, 72, 1.2),
+        Vec3::new(0.35, -0.2, -0.5),
+        Vec3::new(0.0, 0.0, 2.0),
+        Vec3::Y,
+    );
+    let (_, stalls) =
+        assert_tile_trace_matches_oracle(&PixelSet::dense(96, 72), cfg(0), Some(&moved));
+    assert!(stalls > 0);
 }

@@ -178,9 +178,11 @@ pub fn map_scene(
 }
 
 /// [`map_scene`] with span instrumentation: the once-per-invocation dense Γ
-/// pass is timed as `gamma_dense`, each optimization iteration's render
-/// passes as `forward` / `backward`, and densify/prune counts are exported
-/// as counters. A disabled handle adds no overhead.
+/// pass is timed as `gamma_dense` and densification as `densify`; each
+/// optimization iteration's pixel-set build as `sample`, its render passes
+/// as `forward` / `backward` and its optimizer update as `adam`; the final
+/// cull as `prune`. Densify/prune counts are exported as counters. A
+/// disabled handle adds no overhead.
 #[allow(clippy::too_many_arguments)]
 pub fn map_scene_with_telemetry(
     scene: &mut GaussianScene,
@@ -238,15 +240,18 @@ pub fn map_scene_with_state(
     }
 
     // 2. Densification from unseen pixels, bounded per invocation.
-    let (densified, densified_capped) = densify_unseen(
-        scene,
-        &newest.frame,
-        intrinsics,
-        newest.pose,
-        &transmittance,
-        2,
-        algo.densify_max_per_frame,
-    );
+    let (densified, densified_capped) = {
+        let _span = telemetry.span("densify");
+        densify_unseen(
+            scene,
+            &newest.frame,
+            intrinsics,
+            newest.pose,
+            &transmittance,
+            2,
+            algo.densify_max_per_frame,
+        )
+    };
 
     // 3. Optimization over the window.
     adam.reset_to(scene.len() * PARAMS_PER_GAUSSIAN);
@@ -260,13 +265,16 @@ pub fn map_scene_with_state(
         // dense; the rest use the sparse sampler. The Γ map belongs to the
         // newest keyframe; older keyframes use the weighted sampler only
         // (their unseen regions were handled when they were newest).
-        let pixels = if it == 0 {
-            PixelSet::dense(intrinsics.width, intrinsics.height)
-        } else if std::ptr::eq(kf, newest) {
-            sampler.build(&kf.frame, &transmittance, seed ^ (it as u64))
-        } else {
-            let flat = Image::filled(intrinsics.width, intrinsics.height, 0.0);
-            sampler.build(&kf.frame, &flat, seed ^ (it as u64))
+        let pixels = {
+            let _span = telemetry.span("sample");
+            if it == 0 {
+                PixelSet::dense(intrinsics.width, intrinsics.height)
+            } else if std::ptr::eq(kf, newest) {
+                sampler.build(&kf.frame, &transmittance, seed ^ (it as u64))
+            } else {
+                let flat = Image::filled(intrinsics.width, intrinsics.height, 0.0);
+                sampler.build(&kf.frame, &flat, seed ^ (it as u64))
+            }
         };
         if pixels.is_empty() {
             continue;
@@ -284,6 +292,7 @@ pub fn map_scene_with_state(
         trace.merge(&out.trace);
         trace.merge(&bwd_trace);
         // Adam update over the touched Gaussians.
+        let _span = telemetry.span("adam");
         adam.grow(scene.len() * PARAMS_PER_GAUSSIAN);
         let mut sparse: Vec<(usize, f64)> =
             Vec::with_capacity(scene_grads.len() * PARAMS_PER_GAUSSIAN);
@@ -337,9 +346,12 @@ pub fn map_scene_with_state(
     }
 
     // 4. Prune Gaussians that optimization drove transparent or degenerate.
-    let before = scene.len();
-    scene.retain(|g| g.opacity() > 0.02 && g.is_finite());
-    let pruned = before - scene.len();
+    let pruned = {
+        let _span = telemetry.span("prune");
+        let before = scene.len();
+        scene.retain(|g| g.opacity() > 0.02 && g.is_finite());
+        before - scene.len()
+    };
     telemetry.counter_add("mapping/gaussians_densified", densified as u64);
     telemetry.counter_add("mapping/gaussians_pruned", pruned as u64);
     telemetry.counter_add("mapping/densify_capped", densified_capped as u64);

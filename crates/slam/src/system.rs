@@ -963,8 +963,12 @@ mod tests {
             "tracking/backward",
             "mapping",
             "mapping/gamma_dense",
+            "mapping/densify",
+            "mapping/sample",
             "mapping/forward",
             "mapping/backward",
+            "mapping/adam",
+            "mapping/prune",
         ] {
             assert!(span(path).is_some(), "missing span {path}");
         }
