@@ -258,9 +258,9 @@ fn main() {
                 fleet.counter_add(&format!("{pfx}/{}", key.rsplit('/').next().unwrap()), *v);
             }
         }
-        for (name, hist) in &o.report.latency {
+        for (name, q) in o.report.latency() {
             let short = name.rsplit('/').next().unwrap_or(name);
-            fleet.gauge_set(&format!("{pfx}/{short}_p95"), hist.p95_ms());
+            fleet.gauge_set(&format!("{pfx}/{short}_p95"), q.p95_ms);
         }
     }
     let report = fleet.finish(
@@ -299,21 +299,15 @@ fn main() {
         dataset_config.frames
     );
     for o in &outcomes {
-        let p95 = |key: &str| {
-            o.report
-                .latency
-                .iter()
-                .find(|(n, _)| n == key)
-                .map_or(0.0, |(_, h)| h.p95_ms())
-        };
+        let [(_, track), (_, map)] = o.report.latency();
         println!(
             "  {:>10}: ate {:7.3} cm  psnr {:6.2} dB  track p95 {:7.2} ms  map p95 {:7.2} ms  \
              evictions {}  resumes {}",
             o.name,
             o.result.ate_cm,
             o.result.psnr_db,
-            p95("frame/track_ms"),
-            p95("frame/map_ms"),
+            track.p95_ms,
+            map.p95_ms,
             o.evictions,
             o.resumes
         );

@@ -9,7 +9,8 @@
 //! and span counts exact, accuracy and per-frame floats within a small
 //! absolute tolerance, wall-clock (span totals, latency percentiles) bounded
 //! by a generous multiplier of the baseline, machine-dependent metrics
-//! (`pool/`, `render/simd_lanes`) skipped.
+//! (`pool/`, `render/simd_lanes`) skipped. Each latency percentile is an
+//! exact nearest-rank sample of that report's own `frames[]` times.
 //!
 //! `record` takes a `kernels --scalar` and a `kernels --simd` report and
 //! appends one entry each to the kernel and sort trajectories

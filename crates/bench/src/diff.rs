@@ -14,8 +14,10 @@
 //!   the baseline is regenerated);
 //! * span invocation *counts*: exact; span *wall time*: upper bound only
 //!   ([`TIMING_MULT`]× baseline, floored at [`TIMING_FLOOR_MS`]);
-//! * latency histograms: sample counts exact, percentiles bounded like span
-//!   time (they are wall-clock, quantized to log2 bucket upper edges);
+//! * latency series: sample counts exact; p50/p95/p99 bounded like span
+//!   time. Each is an exact nearest-rank sample of the report's own
+//!   `frames[]` times, so it differs from the baseline only by wall-clock
+//!   noise;
 //! * anything under a [`SKIP_PREFIXES`] prefix: machine-dependent, skipped.
 //!
 //! Every violation is collected (not just the first) and rendered one per
@@ -266,8 +268,8 @@ fn diff_latency(errors: &mut Vec<String>, report: &Json, baseline: &Json) {
                 b.get("count")
             ));
         }
-        // Percentiles are wall-clock, quantized to log2 bucket upper edges;
-        // bound them like span time.
+        // Percentiles are exact frame times, but wall-clock: bound them like
+        // span time.
         for p in ["p50_ms", "p95_ms", "p99_ms"] {
             let (Some(rp), Some(bp)) = (f64_field(r, p), f64_field(b, p)) else {
                 errors.push(format!("latency.{name}.{p}: missing"));
@@ -382,7 +384,7 @@ mod tests {
 
         // (class, mutation of a report copy, substrings of one violation).
         type Class = (&'static str, fn(&mut Json), &'static [&'static str]);
-        let classes: [Class; 15] = [
+        let classes: [Class; 16] = [
             (
                 "counter value changes",
                 |r| bump(at(r, &["counters", "tracking/forward/pixels_shaded"])),
@@ -443,9 +445,18 @@ mod tests {
                 &["latency.frame/map_ms.count"],
             ),
             (
-                "latency histogram missing",
+                "latency series missing",
                 |r| remove(r, &["latency"], "frame/track_ms"),
                 &["latency.frame/track_ms: missing from report"],
+            ),
+            (
+                "latency percentile exceeds the timing bound",
+                |r| {
+                    let p95 = at(r, &["latency", "frame/track_ms", "p95_ms"]);
+                    let limit = (p95.as_f64().unwrap() * TIMING_MULT).max(TIMING_FLOOR_MS);
+                    *p95 = Json::Num(limit + 1.0);
+                },
+                &["latency.frame/track_ms.p95_ms", "exceeds"],
             ),
             (
                 "gauge moves beyond tolerance",

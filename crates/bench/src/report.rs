@@ -238,16 +238,30 @@ mod tests {
             .unwrap()
             .as_f64()
             .is_some());
-        // Latency histograms with deterministic-width buckets.
+        // Latency quantiles are the nearest-rank order statistics of the
+        // report's own frame times: rank ⌈p/100 · n⌉ of the sorted series.
         let latency = doc.get("latency").expect("latency section");
-        for name in ["frame/track_ms", "frame/map_ms"] {
-            let h = latency
+        let num = |v: &json::Json, key: &str| v.get(key).and_then(|x| x.as_f64()).unwrap();
+        let tracked = report.frames.iter().filter(|f| f.track_iters > 0);
+        let mapped = report.frames.iter().filter(|f| f.map_invoked);
+        for (name, mut samples) in [
+            (
+                "frame/track_ms",
+                tracked.map(|f| f.track_ms).collect::<Vec<_>>(),
+            ),
+            ("frame/map_ms", mapped.map(|f| f.map_ms).collect()),
+        ] {
+            samples.sort_by(f64::total_cmp);
+            let series = latency
                 .get(name)
                 .unwrap_or_else(|| panic!("missing {name}"));
-            assert!(h.get("count").unwrap().as_f64().unwrap() > 0.0);
-            for key in ["p50_ms", "p95_ms", "p99_ms"] {
-                assert!(h.get(key).is_some(), "{name} missing {key}");
+            assert!(!samples.is_empty());
+            assert_eq!(num(series, "count"), samples.len() as f64);
+            for (key, p) in [("p50_ms", 50.0), ("p95_ms", 95.0), ("p99_ms", 99.0)] {
+                let rank = (p / 100.0 * samples.len() as f64).ceil() as usize;
+                assert_eq!(num(series, key), samples[rank - 1], "{name}.{key}");
             }
+            assert!(series.get("buckets").is_none());
         }
     }
 

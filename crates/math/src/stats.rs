@@ -1,8 +1,10 @@
-//! Tiny statistics helpers shared by the hardware models.
+//! Tiny statistics helpers shared by the hardware models and telemetry.
 //!
 //! The GPU and accelerator models reason about *distributions* recorded from
 //! real workloads (per-pixel Gaussian-list lengths, atomic-collision counts);
-//! [`Summary`] and [`Histogram`] are the carriers of those distributions.
+//! [`Summary`] is the carrier of those distributions and of span timings.
+//! [`percentile`] is the one quantile rule: nearest rank over the samples
+//! themselves, so a quoted quantile is always one of the recorded values.
 
 /// Summary statistics of a sample.
 ///
@@ -168,100 +170,32 @@ impl FromIterator<f64> for Summary {
     }
 }
 
-/// A fixed-bin histogram over `[0, max)` with one overflow bin.
+/// Percentile of a sample (nearest-rank), `p ∈ [0, 100]`: the sample of
+/// rank `⌈p/100 · n⌉` in ascending order, with the rank clamped to
+/// `[1, n]` (so `p = 0` gives the minimum and `p = 100` the maximum).
 ///
-/// # Examples
-///
-/// ```
-/// use splatonic_math::stats::Histogram;
-/// let mut h = Histogram::new(4, 8.0);
-/// h.record(1.0);
-/// h.record(9.0); // overflow
-/// assert_eq!(h.total(), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    bins: Vec<u64>,
-    overflow: u64,
-    max: f64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[0, max)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `max <= 0`.
-    pub fn new(bins: usize, max: f64) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(max > 0.0, "histogram max must be positive");
-        Histogram {
-            bins: vec![0; bins],
-            overflow: 0,
-            max,
-        }
-    }
-
-    /// Records a sample.
-    pub fn record(&mut self, v: f64) {
-        if v < 0.0 {
-            return;
-        }
-        let idx = (v / self.max * self.bins.len() as f64) as usize;
-        if idx < self.bins.len() {
-            self.bins[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Bin counts (excluding overflow).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Overflow count.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total recorded samples.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.overflow
-    }
-
-    /// Fraction of samples at or above `threshold`.
-    pub fn fraction_at_least(&self, threshold: f64) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let start = ((threshold / self.max) * self.bins.len() as f64).ceil() as usize;
-        let tail: u64 = self.bins[start.min(self.bins.len())..].iter().sum::<u64>() + self.overflow;
-        tail as f64 / total as f64
-    }
-}
-
-/// Percentile of a sample (nearest-rank), `p ∈ [0, 100]`.
-///
-/// Returns 0 for an empty slice. Values are ranked by [`f64::total_cmp`],
-/// so a NaN sample ranks above +∞ (or below −∞ when its sign bit is set)
-/// instead of leaving the order undefined.
+/// The result is always one of the samples — an exact order statistic,
+/// never an interpolation. Returns 0 for an empty slice. Values are ranked
+/// by [`f64::total_cmp`], so a NaN sample ranks above +∞ (or below −∞ when
+/// its sign bit is set) instead of leaving the order undefined. Sorts
+/// `values` in place.
 ///
 /// # Examples
 ///
 /// ```
 /// use splatonic_math::stats::percentile;
-/// let mut v = vec![5.0, 1.0, 3.0];
-/// assert_eq!(percentile(&mut v, 50.0), 3.0);
+/// let mut v = vec![4.0, 1.0, 3.0, 2.0];
+/// assert_eq!(percentile(&mut v, 50.0), 2.0);
+/// assert_eq!(percentile(&mut v, 95.0), 4.0);
 /// ```
 pub fn percentile(values: &mut [f64], p: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
     values.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * (values.len() as f64 - 1.0)).round() as usize;
-    values[rank.min(values.len() - 1)]
+    let n = values.len();
+    let rank = (((p / 100.0) * n as f64).ceil() as usize).clamp(1, n);
+    values[rank - 1]
 }
 
 #[cfg(test)]
@@ -318,39 +252,26 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::new(4, 8.0);
-        for v in [0.5, 2.5, 4.5, 6.5, 10.0] {
-            h.record(v);
-        }
-        assert_eq!(h.bins(), &[1, 1, 1, 1]);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    fn histogram_fraction_at_least() {
-        let mut h = Histogram::new(8, 8.0);
-        for v in 0..8 {
-            h.record(v as f64 + 0.5);
-        }
-        assert!((h.fraction_at_least(4.0) - 0.5).abs() < 1e-12);
-        assert_eq!(h.fraction_at_least(0.0), 1.0);
-    }
-
-    #[test]
-    fn histogram_ignores_negatives() {
-        let mut h = Histogram::new(2, 1.0);
-        h.record(-1.0);
-        assert_eq!(h.total(), 0);
-    }
-
-    #[test]
     fn percentile_nearest_rank() {
         let mut v = vec![10.0, 20.0, 30.0, 40.0, 50.0];
         assert_eq!(percentile(&mut v, 0.0), 10.0);
         assert_eq!(percentile(&mut v, 100.0), 50.0);
         assert_eq!(percentile(&mut v, 50.0), 30.0);
+        assert_eq!(percentile(&mut v, 95.0), 50.0);
         assert_eq!(percentile(&mut [], 50.0), 0.0);
+
+        // n = 4: rank ⌈0.5 · 4⌉ = 2, the lower middle sample.
+        let mut v = vec![4.0, 3.0, 2.0, 1.0];
+        assert_eq!(percentile(&mut v, 50.0), 2.0);
+        assert_eq!(percentile(&mut v, 0.0), 1.0);
+        assert_eq!(percentile(&mut v, 100.0), 4.0);
+        assert_eq!(percentile(&mut v, 75.0), 3.0);
+        assert_eq!(percentile(&mut v, 75.1), 4.0);
+
+        // A NaN sample is ranked by `total_cmp`: above every finite value.
+        let mut v = vec![2.0, f64::NAN, 1.0];
+        assert_eq!(percentile(&mut v, 50.0), 2.0);
+        assert!(percentile(&mut v, 100.0).is_nan());
+        assert_eq!(percentile(&mut v, 0.0), 1.0);
     }
 }

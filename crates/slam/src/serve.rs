@@ -159,8 +159,8 @@ pub struct SessionOutcome {
     /// The SLAM result — bit-identical to a sequential
     /// [`SlamSystem::run`] over the same frames.
     pub result: SlamResult,
-    /// The session's own telemetry report (per-frame records, latency
-    /// histograms, `render/cache_*` counters, `pool/worker*` spans).
+    /// The session's own telemetry report (per-frame records and their
+    /// latency quantiles, `render/cache_*` counters, `pool/worker*` spans).
     pub report: RunReport,
     /// The session's hierarchical span events (run-id tagged), for merged
     /// fleet trace export.

@@ -4,7 +4,7 @@
 //! ([`splatonic_math::timebase::monotonic_ns`]) so merged traces line up
 //! across subsystems. Tests instead inject a [`TestClock`] — a manually
 //! advanced nanosecond counter — so span durations, nesting windows, and
-//! histogram buckets are exact and assertable.
+//! span totals are exact and assertable.
 
 use splatonic_math::timebase;
 use std::cell::Cell;

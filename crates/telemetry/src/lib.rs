@@ -4,9 +4,8 @@
 //!
 //! * **Spans** — RAII wall-clock timers ([`Telemetry::span`]) that nest; a
 //!   guard created while another is live records under the `/`-joined path
-//!   (`tracking/forward`). Each path keeps count/total/min/max/p50/p95/p99
-//!   ([`SpanStats`]) plus a fixed-bucket log2 latency histogram
-//!   ([`LogHistogram`]). Every completed guard additionally emits one
+//!   (`tracking/forward`). Each path keeps count/total/mean/min/max
+//!   ([`Summary`]) in O(1) memory. Every completed guard additionally emits one
 //!   hierarchical [`SpanEvent`] carrying its parent span id, trace lane,
 //!   and window on the shared monotonic timebase
 //!   ([`splatonic_math::timebase`]).
@@ -16,8 +15,9 @@
 //!   [`RenderTrace`] as counters (exhaustively destructured, so a new trace
 //!   field is a compile error here until it is exported).
 //! * **Frames** — per-frame SLAM records ([`FrameRecord`]) forming the
-//!   accuracy/workload trajectory of a run; `finish` folds their track/map
-//!   latencies into the report's histogram section.
+//!   accuracy/workload trajectory of a run; the report derives its exact
+//!   nearest-rank track/map latency quantiles from them
+//!   ([`RunReport::latency`]).
 //! * **Reports** — [`Telemetry::finish`] snapshots everything into a
 //!   [`RunReport`] that serializes to JSON ([`json::Json`]) or renders as
 //!   aligned text.
@@ -45,23 +45,20 @@
 pub mod clock;
 pub mod event;
 pub mod frame;
-pub mod hist;
 pub mod json;
 pub mod report;
-pub mod span;
 pub mod trace;
 
 pub use clock::TestClock;
 pub use event::SpanEvent;
 pub use frame::FrameRecord;
-pub use hist::LogHistogram;
 pub use json::Json;
-pub use report::{utc_date, AccuracySummary, RunReport};
-pub use span::SpanStats;
+pub use report::{utc_date, AccuracySummary, LatencyQuantiles, RunReport};
 pub use trace::TraceSession;
 
 use clock::Clock;
 use event::EventSink;
+use splatonic_math::stats::Summary;
 use splatonic_math::{pool, timebase};
 use splatonic_render::trace::{BackwardStats, ForwardStats, RenderTrace};
 use std::cell::RefCell;
@@ -78,7 +75,7 @@ struct Inner {
     /// Ids of all open spans (including flat ones), innermost last —
     /// the parent-attribution stack for hierarchical events.
     event_stack: Vec<u32>,
-    spans: BTreeMap<String, SpanStats>,
+    spans: BTreeMap<String, Summary>,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     frames: Vec<FrameRecord>,
@@ -111,7 +108,7 @@ impl Telemetry {
 
     /// An enabled sink stamping spans on an injected [`TestClock`] instead
     /// of the process monotonic clock — nesting windows, durations, and
-    /// histogram buckets become exact and assertable in tests.
+    /// span totals become exact and assertable in tests.
     pub fn with_clock(clock: TestClock) -> Self {
         Telemetry {
             inner: Some(RefCell::new(Inner {
@@ -232,7 +229,7 @@ impl Telemetry {
                 .spans
                 .entry(path.to_string())
                 .or_default()
-                .record(ms);
+                .push(ms);
         }
     }
 
@@ -403,10 +400,9 @@ impl Telemetry {
         );
     }
 
-    /// Snapshots everything recorded so far into a [`RunReport`],
-    /// including the per-frame track/map latency histograms
-    /// (`frame/track_ms` counts every non-anchor frame, `frame/map_ms`
-    /// only frames where mapping ran).
+    /// Snapshots everything recorded so far into a [`RunReport`]; its
+    /// per-frame latency quantiles come from the copied frame records
+    /// ([`RunReport::latency`]).
     ///
     /// The handle stays usable afterwards (the report is a copy), so a
     /// caller can emit intermediate reports from a long run. If a JSONL
@@ -425,38 +421,18 @@ impl Telemetry {
             spans: Vec::new(),
             counters: Vec::new(),
             gauges: Vec::new(),
-            latency: Vec::new(),
             accuracy,
         };
         if let Some(cell) = &self.inner {
             let mut inner = cell.borrow_mut();
             report.frames = inner.frames.clone();
-            report.spans = inner
-                .spans
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
+            report.spans = inner.spans.iter().map(|(k, v)| (k.clone(), *v)).collect();
             report.counters = inner
                 .counters
                 .iter()
                 .map(|(k, v)| (k.clone(), *v))
                 .collect();
             report.gauges = inner.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect();
-
-            let mut track = LogHistogram::new();
-            let mut map = LogHistogram::new();
-            for f in &report.frames {
-                if f.track_iters > 0 {
-                    track.record_ms(f.track_ms);
-                }
-                if f.map_invoked {
-                    map.record_ms(f.map_ms);
-                }
-            }
-            report.latency = vec![
-                ("frame/track_ms".to_string(), track),
-                ("frame/map_ms".to_string(), map),
-            ];
 
             let counters: Vec<(String, u64)> = report.counters.clone();
             let gauges: Vec<(String, f64)> = report.gauges.clone();
@@ -486,7 +462,7 @@ impl Telemetry {
                 .spans
                 .entry(live.path.clone())
                 .or_default()
-                .record(dur_ns as f64 / 1e6);
+                .push(dur_ns as f64 / 1e6);
             let event = SpanEvent {
                 id: live.id,
                 parent: live.parent,
@@ -681,7 +657,7 @@ mod tests {
             .find(|(p, _)| p == "pool/worker0")
             .expect("imported span present");
         assert_eq!(stats.count(), 2);
-        assert!((stats.total_ms() - 8.0).abs() < 1e-12);
+        assert!((stats.sum() - 8.0).abs() < 1e-12);
     }
 
     #[test]
@@ -847,12 +823,11 @@ mod tests {
     }
 
     #[test]
-    fn frame_latency_histograms_land_in_the_report() {
-        let clock = TestClock::new();
-        let t = Telemetry::with_clock(clock);
+    fn frame_latency_quantiles_are_exact_samples() {
+        let t = Telemetry::enabled();
         let frame = |idx: usize, track_ms: f64, map: Option<f64>| FrameRecord {
             frame_idx: idx,
-            track_iters: 10,
+            track_iters: if idx == 0 { 0 } else { 10 },
             map_invoked: map.is_some(),
             sampled_pixels: 1,
             map_sampled_pixels: 0,
@@ -864,28 +839,32 @@ mod tests {
             track_ms,
             map_ms: map.unwrap_or(0.0),
         };
-        t.record_frame(frame(1, 1.0, None));
-        t.record_frame(frame(2, 1.0, Some(8.0)));
-        t.record_frame(frame(3, 30.0, None));
-        let report = t.finish("r", AccuracySummary::default());
-        let track = &report
-            .latency
-            .iter()
-            .find(|(n, _)| n == "frame/track_ms")
-            .unwrap()
-            .1;
-        let map = &report
-            .latency
-            .iter()
-            .find(|(n, _)| n == "frame/map_ms")
-            .unwrap()
-            .1;
-        assert_eq!(track.count(), 3);
-        assert_eq!(map.count(), 1, "map histogram only counts mapping frames");
-        // 1 ms = 1000 µs → bucket 10 (upper edge 1.024 ms).
-        assert_eq!(track.p50_ms(), LogHistogram::bucket_upper_ms(10));
-        // 30 ms = 30000 µs → bucket 15 (upper edge 32.768 ms).
-        assert_eq!(track.p99_ms(), LogHistogram::bucket_upper_ms(15));
+        // The anchor frame maps but does not track.
+        t.record_frame(frame(0, 0.0, Some(150.0)));
+        // No sample sits on a log2 µs bucket edge, so a bucketed quantile
+        // would read 2.048 ms (p50) and 32.768 ms (p95/p99) here.
+        t.record_frame(frame(1, 20.0, None));
+        t.record_frame(frame(2, 1.5, Some(140.0)));
+        t.record_frame(frame(3, 1.0, None));
+        t.record_frame(frame(4, 3.0, None));
+        let doc = json::parse(&t.finish("r", AccuracySummary::default()).to_json_string())
+            .expect("valid JSON");
+        let series = |name: &str, key: &str| {
+            doc.get("latency")
+                .and_then(|l| l.get(name))
+                .and_then(|s| s.get(key))
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("latency.{name}.{key} missing"))
+        };
+        // Track samples sorted: [1.0, 1.5, 3.0, 20.0]; rank ⌈p/100 · 4⌉.
+        assert_eq!(series("frame/track_ms", "count"), 4.0);
+        assert_eq!(series("frame/track_ms", "p50_ms"), 1.5);
+        assert_eq!(series("frame/track_ms", "p95_ms"), 20.0);
+        assert_eq!(series("frame/track_ms", "p99_ms"), 20.0);
+        // Map samples sorted: [140.0, 150.0]; the anchor frame counts.
+        assert_eq!(series("frame/map_ms", "count"), 2.0);
+        assert_eq!(series("frame/map_ms", "p50_ms"), 140.0);
+        assert_eq!(series("frame/map_ms", "p99_ms"), 150.0);
     }
 
     #[test]

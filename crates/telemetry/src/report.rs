@@ -3,13 +3,14 @@
 //! A [`RunReport`] is the terminal artifact of an instrumented run: span
 //! timing stats, workload counters, hardware gauges, the per-frame SLAM
 //! trajectory, and final accuracy, serialized as JSON
-//! (`{name, date, frames, spans, counters, accuracy}` — the `BENCH_*.json`
-//! perf-trajectory schema) or rendered as aligned-column text.
+//! (`{name, date, frames, spans, counters, gauges, latency, accuracy}` —
+//! the `BENCH_*.json` perf-trajectory schema) or rendered as aligned-column
+//! text. The `latency` section is not stored: it is derived from `frames`
+//! on every render ([`RunReport::latency`]).
 
 use crate::frame::FrameRecord;
-use crate::hist::LogHistogram;
 use crate::json::Json;
-use crate::span::SpanStats;
+use splatonic_math::stats::{percentile, Summary};
 
 /// Final accuracy of a run (the `accuracy` report section).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -36,6 +37,51 @@ impl AccuracySummary {
     }
 }
 
+/// Exact quantiles of one per-frame latency series (one entry of the
+/// report's `latency` section).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LatencyQuantiles {
+    /// Samples in the series.
+    pub count: usize,
+    /// Nearest-rank median (ms).
+    pub p50_ms: f64,
+    /// Nearest-rank 95th percentile (ms).
+    pub p95_ms: f64,
+    /// Nearest-rank 99th percentile (ms).
+    pub p99_ms: f64,
+}
+
+impl LatencyQuantiles {
+    fn of(mut samples: Vec<f64>) -> Self {
+        LatencyQuantiles {
+            count: samples.len(),
+            p50_ms: percentile(&mut samples, 50.0),
+            p95_ms: percentile(&mut samples, 95.0),
+            p99_ms: percentile(&mut samples, 99.0),
+        }
+    }
+
+    fn to_json(self) -> Json {
+        let mut o = Json::obj();
+        o.set("count", self.count)
+            .set("p50_ms", self.p50_ms)
+            .set("p95_ms", self.p95_ms)
+            .set("p99_ms", self.p99_ms);
+        o
+    }
+}
+
+/// JSON object for one span path's timing summary.
+fn span_json(s: &Summary) -> Json {
+    let mut o = Json::obj();
+    o.set("count", s.count())
+        .set("total_ms", s.sum())
+        .set("mean_ms", s.mean())
+        .set("min_ms", s.min())
+        .set("max_ms", s.max());
+    o
+}
+
 /// A complete instrumented-run report.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
@@ -47,25 +93,42 @@ pub struct RunReport {
     pub unix_time: u64,
     /// Per-frame SLAM trajectory.
     pub frames: Vec<FrameRecord>,
-    /// Span timing stats by `/`-separated path, sorted.
-    pub spans: Vec<(String, SpanStats)>,
+    /// Span timing stats (milliseconds) by `/`-separated path, sorted.
+    pub spans: Vec<(String, Summary)>,
     /// Monotonic workload counters by name, sorted.
     pub counters: Vec<(String, u64)>,
     /// Point-in-time gauges (hardware model outputs etc.) by name, sorted.
     pub gauges: Vec<(String, f64)>,
-    /// Log2 latency histograms by name (`frame/track_ms`, `frame/map_ms`),
-    /// with deterministic-width buckets and p50/p95/p99.
-    pub latency: Vec<(String, LogHistogram)>,
     /// Final accuracy.
     pub accuracy: AccuracySummary,
 }
 
 impl RunReport {
+    /// Per-frame latency quantiles, computed from [`RunReport::frames`]:
+    /// `frame/track_ms` over the frames that tracked (`track_iters > 0`),
+    /// `frame/map_ms` over the frames where mapping ran. Every quantile is
+    /// the nearest-rank sample ([`percentile`]), so it is exact: zero error
+    /// against the recorded frame times.
+    pub fn latency(&self) -> [(&'static str, LatencyQuantiles); 2] {
+        let track = self.frames.iter().filter(|f| f.track_iters > 0);
+        let map = self.frames.iter().filter(|f| f.map_invoked);
+        [
+            (
+                "frame/track_ms",
+                LatencyQuantiles::of(track.map(|f| f.track_ms).collect()),
+            ),
+            (
+                "frame/map_ms",
+                LatencyQuantiles::of(map.map(|f| f.map_ms).collect()),
+            ),
+        ]
+    }
+
     /// The full JSON document.
     pub fn to_json(&self) -> Json {
         let mut spans = Json::obj();
         for (path, stats) in &self.spans {
-            spans.set(path, stats.to_json());
+            spans.set(path, span_json(stats));
         }
         let mut counters = Json::obj();
         for (name, value) in &self.counters {
@@ -76,8 +139,8 @@ impl RunReport {
             gauges.set(name, *value);
         }
         let mut latency = Json::obj();
-        for (name, hist) in &self.latency {
-            latency.set(name, hist.to_json());
+        for (name, q) in self.latency() {
+            latency.set(name, q.to_json());
         }
         let mut o = Json::obj();
         o.set("name", self.name.as_str())
@@ -118,7 +181,7 @@ impl RunReport {
         ));
 
         if !self.spans.is_empty() {
-            let rows: Vec<[String; 7]> = self
+            let rows: Vec<[String; 5]> = self
                 .spans
                 .iter()
                 .map(|(path, s)| {
@@ -127,15 +190,13 @@ impl RunReport {
                     [
                         format!("{}{}", "  ".repeat(depth), leaf),
                         s.count().to_string(),
-                        format!("{:.2}", s.total_ms()),
-                        format!("{:.3}", s.mean_ms()),
-                        format!("{:.3}", s.p50_ms()),
-                        format!("{:.3}", s.p95_ms()),
-                        format!("{:.3}", s.max_ms()),
+                        format!("{:.2}", s.sum()),
+                        format!("{:.3}", s.mean()),
+                        format!("{:.3}", s.max()),
                     ]
                 })
                 .collect();
-            let header = ["span", "count", "total ms", "mean", "p50", "p95", "max"];
+            let header = ["span", "count", "total ms", "mean", "max"];
             let mut w: Vec<usize> = header.iter().map(|h| h.len()).collect();
             for row in &rows {
                 for (i, cell) in row.iter().enumerate() {
@@ -165,22 +226,22 @@ impl RunReport {
             }
         }
 
-        let shown_latency: Vec<&(String, LogHistogram)> =
-            self.latency.iter().filter(|(_, h)| h.count() > 0).collect();
+        let shown_latency: Vec<_> = self
+            .latency()
+            .into_iter()
+            .filter(|(_, q)| q.count > 0)
+            .collect();
         if !shown_latency.is_empty() {
-            out.push_str("-- latency (log2 histogram upper edges) --\n");
+            out.push_str("-- latency (nearest rank, exact) --\n");
             let w = shown_latency
                 .iter()
                 .map(|(n, _)| n.chars().count())
                 .max()
                 .unwrap_or(0);
-            for (name, h) in &shown_latency {
+            for (name, q) in &shown_latency {
                 out.push_str(&format!(
                     "{name:<w$}  n={:<5} p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms\n",
-                    h.count(),
-                    h.p50_ms(),
-                    h.p95_ms(),
-                    h.p99_ms()
+                    q.count, q.p50_ms, q.p95_ms, q.p99_ms
                 ));
             }
         }
@@ -242,11 +303,6 @@ mod tests {
     use crate::json::parse;
 
     fn sample_report() -> RunReport {
-        let mut tracking = SpanStats::default();
-        tracking.record(5.0);
-        tracking.record(7.0);
-        let mut forward = SpanStats::default();
-        forward.record(1.0);
         RunReport {
             name: "smoke".into(),
             date: "2026-08-06".into(),
@@ -266,16 +322,11 @@ mod tests {
                 map_ms: 0.0,
             }],
             spans: vec![
-                ("tracking".into(), tracking),
-                ("tracking/forward".into(), forward),
+                ("tracking".into(), Summary::from_iter([5.0, 7.0])),
+                ("tracking/forward".into(), Summary::from_iter([1.0])),
             ],
             counters: vec![("tracking/forward/pixels_shaded".into(), 480)],
             gauges: vec![("hw/splatonic/total_s".into(), 1.25e-4)],
-            latency: vec![("frame/track_ms".into(), {
-                let mut h = LogHistogram::new();
-                h.record_ms(5.0);
-                h
-            })],
             accuracy: AccuracySummary {
                 ate_cm: 0.4,
                 psnr_db: 20.0,
@@ -299,6 +350,11 @@ mod tests {
         let t = spans.get("tracking").unwrap();
         assert_eq!(t.get("count").unwrap().as_f64(), Some(2.0));
         assert_eq!(t.get("total_ms").unwrap().as_f64(), Some(12.0));
+        let keys: Vec<&str> = match t {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("span is not an object: {other:?}"),
+        };
+        assert_eq!(keys, ["count", "total_ms", "mean_ms", "min_ms", "max_ms"]);
         assert_eq!(
             doc.get("accuracy").unwrap().get("ate_cm").unwrap().as_f64(),
             Some(0.4)
@@ -318,14 +374,18 @@ mod tests {
     }
 
     #[test]
-    fn latency_section_serializes_histograms() {
+    fn latency_section_is_derived_from_frames() {
         let doc = parse(&sample_report().to_json_string()).unwrap();
         let lat = doc.get("latency").expect("latency section");
-        let track = lat.get("frame/track_ms").expect("track histogram");
+        let track = lat.get("frame/track_ms").expect("track series");
         assert_eq!(track.get("count").unwrap().as_f64(), Some(1.0));
-        for key in ["p50_ms", "p95_ms", "p99_ms", "buckets"] {
-            assert!(track.get(key).is_some(), "missing {key}");
+        for key in ["p50_ms", "p95_ms", "p99_ms"] {
+            assert_eq!(track.get(key).unwrap().as_f64(), Some(5.0), "{key}");
         }
+        assert!(track.get("buckets").is_none());
+        // No frame mapped: the series is present but empty.
+        let map = lat.get("frame/map_ms").expect("map series");
+        assert_eq!(map.get("count").unwrap().as_f64(), Some(0.0));
     }
 
     #[test]
