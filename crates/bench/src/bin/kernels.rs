@@ -238,6 +238,7 @@ fn main() {
                     &grads,
                     Pipeline::TileBased,
                     &cfg,
+                    GradRequest::Pose,
                 ));
             }
         }
@@ -258,14 +259,27 @@ fn main() {
         );
     }
 
-    // Backward kernels: the sparse pixel-based schedule and the dense tile
-    // schedule, each on the output of one forward pass at the same pose.
+    // Backward kernels, each on the output of one forward pass at the same
+    // pose and asking for the gradient half its caller uses: the sparse
+    // pixel-based and dense tile tracking shapes (pose), and the dense
+    // pixel-based mapping iteration 0 (scene).
     {
-        let backward_cases: [(&str, Pipeline, &PixelSet); 2] = [
-            ("pixel_sparse16", Pipeline::PixelBased, &sparse),
-            ("tile_dense", Pipeline::TileBased, &dense),
+        let backward_cases: [(&str, Pipeline, &PixelSet, GradRequest); 3] = [
+            (
+                "pixel_sparse16",
+                Pipeline::PixelBased,
+                &sparse,
+                GradRequest::Pose,
+            ),
+            ("tile_dense", Pipeline::TileBased, &dense, GradRequest::Pose),
+            (
+                "pixel_dense",
+                Pipeline::PixelBased,
+                &dense,
+                GradRequest::Scene,
+            ),
         ];
-        for (name, pipeline, pixels) in backward_cases {
+        for (name, pipeline, pixels, want) in backward_cases {
             let out = render_forward(&scene, &cam, pixels, pipeline, &cfg);
             let grads = vec![
                 loss::LossGrad {
@@ -278,7 +292,7 @@ fn main() {
             for _ in 0..iters {
                 let _span = t.span(name);
                 std::hint::black_box(render_backward(
-                    &scene, &cam, pixels, &out, &grads, pipeline, &cfg,
+                    &scene, &cam, pixels, &out, &grads, pipeline, &cfg, want,
                 ));
             }
         }

@@ -31,6 +31,7 @@ const KERNEL_SPANS: &[&str] = &[
     "forward/tile_sparse16",
     "backward/pixel_sparse16",
     "backward/tile_dense",
+    "backward/pixel_dense",
 ];
 
 /// Gauges recorded per sort entry (stored without the `sort/` prefix).

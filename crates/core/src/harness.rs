@@ -12,8 +12,8 @@ use splatonic_accel::FrameWorkload;
 use splatonic_math::Pose;
 use splatonic_render::sampling::{tracking_plan, MappingStrategy, SamplingPlan};
 use splatonic_render::{
-    loss, render_backward, render_forward, MappingSampler, Pipeline, PixelSet, RenderConfig,
-    RenderTrace, SamplingStrategy,
+    loss, render_backward, render_forward, GradRequest, MappingSampler, Pipeline, PixelSet,
+    RenderConfig, RenderTrace, SamplingStrategy,
 };
 use splatonic_scene::{Camera, Frame, GaussianScene, Intrinsics};
 use splatonic_slam::algorithm::AlgorithmConfig;
@@ -250,7 +250,17 @@ fn measure_iteration(
         pixels,
         &splatonic_render::LossConfig::default(),
     );
-    let (_, _, bwd) = render_backward(scene, cam, pixels, &out, &l.grads, pipeline, cfg);
+    // Only the trace is used, and it is the same for every request.
+    let (_, _, bwd) = render_backward(
+        scene,
+        cam,
+        pixels,
+        &out,
+        &l.grads,
+        pipeline,
+        cfg,
+        GradRequest::Pose,
+    );
     let workload = FrameWorkload::from_render(&out, &bwd, pipeline);
     let mut trace = out.trace.clone();
     trace.merge(&bwd);

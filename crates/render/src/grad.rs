@@ -10,8 +10,9 @@
 //!    accumulators (the `atomicAdd` stage on GPUs); implemented by
 //!    [`CamGradAccumulator`].
 //! 3. **Re-projection** — transform the accumulated camera-space gradients
-//!    into world-space parameter gradients (and, for tracking, into the
-//!    camera-pose tangent); implemented by [`reproject`].
+//!    into world-space parameter gradients (mapping) or into the
+//!    camera-pose tangent (tracking), whichever the caller requests
+//!    ([`GradRequest`]); implemented by [`reproject`].
 //!
 //! Tracking pose gradients flow through the projected means and depths
 //! (`∂p_cam/∂ξ = [I | −[p_cam]×]` for a left-multiplicative update); the
@@ -20,7 +21,7 @@
 
 use crate::kernel::{projection_jacobian, ProjectedGaussian, RenderConfig};
 use crate::Contribution;
-use splatonic_math::{Mat2, Mat3, Se3, Vec2, Vec3};
+use splatonic_math::{pool, Mat2, Mat3, Se3, Vec2, Vec3};
 use splatonic_scene::{Camera, Gaussian, GaussianScene};
 
 /// Gradient of the loss w.r.t. one Gaussian's trainable parameters.
@@ -86,32 +87,43 @@ pub struct CamGrad {
     pub count: u32,
 }
 
-/// Dense accumulator over Gaussian ids with an epoch-based lazy reset, so
+/// Accumulator over Gaussian ids with an epoch-based lazy reset, so
 /// repeated backward passes reuse the allocation.
+///
+/// The per-id state is only an epoch stamp (zero-initialised) and a slot
+/// index into a gradient column filled in first-touch order, so a pass that
+/// touches a small subset of a large scene reads and writes little more
+/// than that subset: the gradients themselves live in a `Vec` as long as
+/// the touched list, not in a scene-sized array.
 #[derive(Debug, Clone, Default)]
 pub struct CamGradAccumulator {
-    slots: Vec<CamGrad>,
+    /// Per id: the epoch of its last touch (0 = never).
     epoch: Vec<u32>,
+    /// Per id: its index into `grads`, valid when `epoch[id] == current`.
+    slot: Vec<u32>,
     current: u32,
     touched: Vec<u32>,
+    /// Gradients of the touched ids, parallel to `touched`.
+    grads: Vec<CamGrad>,
 }
 
 impl CamGradAccumulator {
     /// Creates an accumulator sized for `n` Gaussians.
     pub fn new(n: usize) -> Self {
         CamGradAccumulator {
-            slots: vec![CamGrad::default(); n],
             epoch: vec![0; n],
+            slot: vec![0; n],
             current: 1,
             touched: Vec::new(),
+            grads: Vec::new(),
         }
     }
 
     /// Clears all accumulated gradients (O(1) amortized).
     pub fn reset(&mut self, n: usize) {
-        if self.slots.len() < n {
-            self.slots.resize(n, CamGrad::default());
+        if self.epoch.len() < n {
             self.epoch.resize(n, 0);
+            self.slot.resize(n, 0);
         }
         self.current = self.current.wrapping_add(1);
         if self.current == 0 {
@@ -120,6 +132,7 @@ impl CamGradAccumulator {
             self.current = 1;
         }
         self.touched.clear();
+        self.grads.clear();
     }
 
     /// Mutable access to Gaussian `id`'s accumulator, zeroing it on first
@@ -128,10 +141,11 @@ impl CamGradAccumulator {
         let i = id as usize;
         if self.epoch[i] != self.current {
             self.epoch[i] = self.current;
-            self.slots[i] = CamGrad::default();
+            self.slot[i] = self.grads.len() as u32;
+            self.grads.push(CamGrad::default());
             self.touched.push(id);
         }
-        &mut self.slots[i]
+        &mut self.grads[self.slot[i] as usize]
     }
 
     /// Ids touched this epoch, in first-touch order.
@@ -142,8 +156,8 @@ impl CamGradAccumulator {
     /// Read-only access (zero if untouched this epoch).
     pub fn get(&self, id: u32) -> CamGrad {
         let i = id as usize;
-        if i < self.slots.len() && self.epoch[i] == self.current {
-            self.slots[i]
+        if i < self.epoch.len() && self.epoch[i] == self.current {
+            self.grads[self.slot[i] as usize]
         } else {
             CamGrad::default()
         }
@@ -265,123 +279,222 @@ pub fn pixel_backward(
     counts
 }
 
-/// Re-projection (paper Fig. 3): transforms the aggregated camera-space
-/// gradients into world-space parameter gradients and accumulates the
-/// camera-pose gradient.
+/// Which half of the gradients a backward pass computes at re-projection.
 ///
-/// `track_pose` enables the pose-gradient path (tracking); when false the
-/// pose gradient is returned as zero (mapping fixes poses).
+/// Tracking optimizes only the camera pose and mapping only the Gaussians
+/// (paper Sec. II-A), so each process asks for the half it uses and pays
+/// for nothing else. The stages before re-projection, and with them every
+/// [`RenderTrace`](crate::RenderTrace) counter, are the same for every
+/// request; so are the bits of each half that is computed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum GradRequest {
+    /// Per-Gaussian scene gradients only; the pose gradient is zero
+    /// (mapping: poses are fixed).
+    Scene,
+    /// The camera-pose gradient only; the scene gradients are empty
+    /// (tracking: the scene is fixed).
+    Pose,
+    /// Both halves.
+    Both,
+}
+
+impl GradRequest {
+    fn scene(self) -> bool {
+        matches!(self, GradRequest::Scene | GradRequest::Both)
+    }
+
+    fn pose(self) -> bool {
+        matches!(self, GradRequest::Pose | GradRequest::Both)
+    }
+}
+
+/// Touched Gaussians per re-projection chunk (fixed fan-out granularity;
+/// independent of the worker count, see `splatonic_math::pool`).
+pub const REPROJECT_CHUNK: usize = 128;
+
+/// The camera-space chain shared by both halves of [`reproject`] for one
+/// touched Gaussian.
+struct CamChain {
+    p_cam: Vec3,
+    /// The non-zero rows of the projection Jacobian `J`.
+    j: [Vec3; 2],
+    /// ∂L/∂Σ' as a symmetric 2×2 matrix.
+    dl_dcov: Mat2,
+    /// ∂L/∂p_cam through the projected mean, the depth and `J`.
+    dl_dpcam: Vec3,
+}
+
+/// Chains `cg` to camera space for the Gaussian at world `mean` with world
+/// covariance `covariance`; `None` when it lies behind the camera.
+fn cam_chain(
+    camera: &Camera,
+    wt: Mat3,
+    mean: Vec3,
+    covariance: Mat3,
+    cg: &CamGrad,
+) -> Option<CamChain> {
+    let w = camera.pose.rotation;
+    let intr = &camera.intrinsics;
+    let p_cam = camera.to_camera(mean);
+    if p_cam.z <= 0.0 {
+        return None;
+    }
+    let j = projection_jacobian(intr.fx, intr.fy, p_cam);
+    // ∂L/∂p_cam through the projected mean and depth.
+    let mut dl_dpcam = j[0] * cg.mean2d.x + j[1] * cg.mean2d.y + Vec3::Z * cg.depth;
+    // ∂L/∂p_cam through the covariance's dependence on J.
+    // Σ' = J Σc Jᵀ ⇒ ∂L/∂J = 2·(∂L/∂Σ')·(J Σc)  (∂L/∂Σ' symmetric), and
+    // row r of J Σc is Σc jᵣ (Σc symmetric).
+    let sigma_cam = w * covariance * wt;
+    let dl_dcov = Mat2::new(cg.cov2d[0], cg.cov2d[1], cg.cov2d[1], cg.cov2d[2]);
+    let js = [sigma_cam * j[0], sigma_cam * j[1]];
+    let dl_dj0 = js[0] * (2.0 * dl_dcov.m[0]) + js[1] * (2.0 * dl_dcov.m[1]);
+    let dl_dj1 = js[0] * (2.0 * dl_dcov.m[2]) + js[1] * (2.0 * dl_dcov.m[3]);
+    // Non-zero J entries: J00=fx/z, J02=−fx·x/z², J11=fy/z, J12=−fy·y/z².
+    let (x, y, z) = (p_cam.x, p_cam.y, p_cam.z);
+    let inv_z2 = 1.0 / (z * z);
+    let inv_z3 = inv_z2 / z;
+    dl_dpcam.x += dl_dj0.z * (-intr.fx * inv_z2);
+    dl_dpcam.y += dl_dj1.z * (-intr.fy * inv_z2);
+    dl_dpcam.z += dl_dj0.x * (-intr.fx * inv_z2)
+        + dl_dj0.z * (2.0 * intr.fx * x * inv_z3)
+        + dl_dj1.y * (-intr.fy * inv_z2)
+        + dl_dj1.z * (2.0 * intr.fy * y * inv_z3);
+    Some(CamChain {
+        p_cam,
+        j,
+        dl_dcov,
+        dl_dpcam,
+    })
+}
+
+/// The world-space parameter gradient of Gaussian `g` from its camera-space
+/// chain `c` and aggregated gradient `cg`.
+fn param_grad(
+    g: &Gaussian,
+    opacity: f64,
+    wt: Mat3,
+    c: &CamChain,
+    cg: &CamGrad,
+) -> GaussianParamGrad {
+    let (j, dl_dcov) = (c.j, c.dl_dcov);
+    // World-space mean gradient.
+    let dmean = wt * c.dl_dpcam;
+    // World-space covariance gradient: ∂L/∂Σw = Tᵀ (∂L/∂Σ') T, T = J W.
+    let t0 = wt * j[0];
+    let t1 = wt * j[1];
+    let dl_dsigma_w = Mat3::outer(t0, t0).scale(dl_dcov.m[0])
+        + (Mat3::outer(t0, t1) + Mat3::outer(t1, t0)).scale(dl_dcov.m[1])
+        + Mat3::outer(t1, t1).scale(dl_dcov.m[3]);
+    // Σw = M Mᵀ with M = R S ⇒ ∂L/∂M = 2 (∂L/∂Σw) M.
+    let r = g.rotation.to_rotation_matrix();
+    let s = g.scale();
+    let m = r * Mat3::diag(s.x, s.y, s.z);
+    let dl_dm = dl_dsigma_w.scale(2.0) * m;
+    // ∂L/∂s_j = Σ_i (∂L/∂M)_ij R_ij; chain to log-scale (×s_j).
+    let mut dlog_scale = Vec3::ZERO;
+    for jcol in 0..3 {
+        let mut acc = 0.0;
+        for irow in 0..3 {
+            acc += dl_dm.at(irow, jcol) * r.at(irow, jcol);
+        }
+        dlog_scale[jcol] = acc * s[jcol];
+    }
+    // ∂L/∂R_ij = (∂L/∂M)_ij s_j → quaternion gradient.
+    let mut dl_dr = Mat3::zero();
+    for irow in 0..3 {
+        for jcol in 0..3 {
+            *dl_dr.at_mut(irow, jcol) = dl_dm.at(irow, jcol) * s[jcol];
+        }
+    }
+    let jac = g.rotation.rotation_jacobian();
+    let mut dq_unit = [0.0; 4];
+    for (k, dj) in jac.iter().enumerate() {
+        let mut acc = 0.0;
+        for i in 0..9 {
+            acc += dl_dr.m[i] * dj.m[i];
+        }
+        dq_unit[k] = acc;
+    }
+    let drot = g.rotation.backprop_normalization(dq_unit);
+    // Opacity: chain natural → logit.
+    let dopacity_logit = cg.opacity * opacity * (1.0 - opacity);
+    // Color: straight-through except where the render-time clamp binds.
+    let mut dcolor = cg.color;
+    if g.color.x <= 0.0 || g.color.x >= 1.0 {
+        dcolor.x = 0.0;
+    }
+    if g.color.y <= 0.0 || g.color.y >= 1.0 {
+        dcolor.y = 0.0;
+    }
+    if g.color.z <= 0.0 || g.color.z >= 1.0 {
+        dcolor.z = 0.0;
+    }
+    GaussianParamGrad {
+        mean: dmean,
+        log_scale: dlog_scale,
+        rotation: drot,
+        opacity_logit: dopacity_logit,
+        color: dcolor,
+    }
+}
+
+/// Re-projection (paper Fig. 3): transforms the aggregated camera-space
+/// gradients into the half `want` asks for — world-space parameter
+/// gradients, the camera-pose gradient, or both.
+///
+/// Covariance and opacity come from the scene's
+/// [`projection_terms`](GaussianScene::projection_terms) column, which the
+/// forward pass at this scene revision has already built, so no covariance
+/// is recomputed here. The scene half fans out over fixed
+/// [`REPROJECT_CHUNK`]-sized chunks of the touched ids on `threads` pool
+/// workers; each entry is independent and chunks are concatenated in
+/// order, so the entries are in first-touch order at every width. The pose
+/// half folds its per-id terms on the calling thread in first-touch order.
+/// Ids outside the scene or behind the camera are skipped by both halves.
 pub fn reproject(
     scene: &GaussianScene,
     camera: &Camera,
     accum: &CamGradAccumulator,
-    track_pose: bool,
+    want: GradRequest,
+    threads: usize,
 ) -> (SceneGrads, PoseGrad) {
-    let w = camera.pose.rotation;
-    let wt = w.transpose();
-    let intr = &camera.intrinsics;
-    let mut grads = SceneGrads::default();
-    grads.entries.reserve(accum.touched().len());
-    let mut pose = Se3::ZERO;
-    for &id in accum.touched() {
+    let terms = scene.projection_terms(threads);
+    let wt = camera.pose.rotation.transpose();
+    let chain = |id: u32| -> Option<(CamChain, CamGrad)> {
+        let i = id as usize;
+        if i >= scene.len() {
+            return None;
+        }
         let cg = accum.get(id);
-        let g: Gaussian = match scene.get(id as usize) {
-            Some(g) => g,
-            None => continue,
-        };
-        let p_cam = camera.to_camera(g.mean);
-        if p_cam.z <= 0.0 {
-            continue;
-        }
-        let j = projection_jacobian(intr.fx, intr.fy, p_cam);
-        // ∂L/∂p_cam through the projected mean and depth.
-        let mut dl_dpcam = j[0] * cg.mean2d.x + j[1] * cg.mean2d.y + Vec3::Z * cg.depth;
-        // ∂L/∂p_cam through the covariance's dependence on J.
-        // Σ' = J Σc Jᵀ ⇒ ∂L/∂J = 2·(∂L/∂Σ')·(J Σc)  (∂L/∂Σ' symmetric).
-        let sigma_cam = w * g.covariance() * wt;
-        let dl_dcov = Mat2::new(cg.cov2d[0], cg.cov2d[1], cg.cov2d[1], cg.cov2d[2]);
-        let js = [sigma_cam * j[0], sigma_cam * j[1]]; // rows of (J Σc)ᵀ? see below
-                                                       // (J Σc) row r = Σc jᵣ (Σc symmetric), a 3-vector.
-        let dl_dj0 = (js[0] * (2.0 * dl_dcov.m[0]) + js[1] * (2.0 * dl_dcov.m[1])) * 1.0;
-        let dl_dj1 = (js[0] * (2.0 * dl_dcov.m[2]) + js[1] * (2.0 * dl_dcov.m[3])) * 1.0;
-        // Non-zero J entries: J00=fx/z, J02=−fx·x/z², J11=fy/z, J12=−fy·y/z².
-        let (x, y, z) = (p_cam.x, p_cam.y, p_cam.z);
-        let inv_z2 = 1.0 / (z * z);
-        let inv_z3 = inv_z2 / z;
-        dl_dpcam.x += dl_dj0.z * (-intr.fx * inv_z2);
-        dl_dpcam.y += dl_dj1.z * (-intr.fy * inv_z2);
-        dl_dpcam.z += dl_dj0.x * (-intr.fx * inv_z2)
-            + dl_dj0.z * (2.0 * intr.fx * x * inv_z3)
-            + dl_dj1.y * (-intr.fy * inv_z2)
-            + dl_dj1.z * (2.0 * intr.fy * y * inv_z3);
-        if track_pose {
-            // Left-perturbation: δp_cam = δρ + δφ × p_cam.
-            pose.rho += dl_dpcam;
-            pose.phi += p_cam.cross(dl_dpcam);
-        }
-        // World-space mean gradient.
-        let dmean = wt * dl_dpcam;
-        // World-space covariance gradient: ∂L/∂Σw = Tᵀ (∂L/∂Σ') T, T = J W.
-        let t0 = wt * j[0];
-        let t1 = wt * j[1];
-        let dl_dsigma_w = Mat3::outer(t0, t0).scale(dl_dcov.m[0])
-            + (Mat3::outer(t0, t1) + Mat3::outer(t1, t0)).scale(dl_dcov.m[1])
-            + Mat3::outer(t1, t1).scale(dl_dcov.m[3]);
-        // Σw = M Mᵀ with M = R S ⇒ ∂L/∂M = 2 (∂L/∂Σw) M.
-        let r = g.rotation.to_rotation_matrix();
-        let s = g.scale();
-        let m = r * Mat3::diag(s.x, s.y, s.z);
-        let dl_dm = dl_dsigma_w.scale(2.0) * m;
-        // ∂L/∂s_j = Σ_i (∂L/∂M)_ij R_ij; chain to log-scale (×s_j).
-        let mut dlog_scale = Vec3::ZERO;
-        for jcol in 0..3 {
-            let mut acc = 0.0;
-            for irow in 0..3 {
-                acc += dl_dm.at(irow, jcol) * r.at(irow, jcol);
-            }
-            dlog_scale[jcol] = acc * s[jcol];
-        }
-        // ∂L/∂R_ij = (∂L/∂M)_ij s_j → quaternion gradient.
-        let mut dl_dr = Mat3::zero();
-        for irow in 0..3 {
-            for jcol in 0..3 {
-                *dl_dr.at_mut(irow, jcol) = dl_dm.at(irow, jcol) * s[jcol];
+        cam_chain(camera, wt, scene.means()[i], terms[i].covariance, &cg).map(|c| (c, cg))
+    };
+    let mut grads = SceneGrads::default();
+    if want.scene() {
+        let chunks =
+            pool::par_chunks_indexed(threads, accum.touched(), REPROJECT_CHUNK, |_, _, ids| {
+                ids.iter()
+                    .filter_map(|&id| {
+                        let (c, cg) = chain(id)?;
+                        let i = id as usize;
+                        Some((
+                            id,
+                            param_grad(&scene.gaussian(i), terms[i].opacity, wt, &c, &cg),
+                        ))
+                    })
+                    .collect::<Vec<_>>()
+            });
+        grads.entries = chunks.concat();
+    }
+    let mut pose = Se3::ZERO;
+    if want.pose() {
+        for &id in accum.touched() {
+            if let Some((c, _)) = chain(id) {
+                // Left-perturbation: δp_cam = δρ + δφ × p_cam.
+                pose.rho += c.dl_dpcam;
+                pose.phi += c.p_cam.cross(c.dl_dpcam);
             }
         }
-        let jac = g.rotation.rotation_jacobian();
-        let mut dq_unit = [0.0; 4];
-        for (k, dj) in jac.iter().enumerate() {
-            let mut acc = 0.0;
-            for i in 0..9 {
-                acc += dl_dr.m[i] * dj.m[i];
-            }
-            dq_unit[k] = acc;
-        }
-        let drot = g.rotation.backprop_normalization(dq_unit);
-        // Opacity: chain natural → logit.
-        let o = g.opacity();
-        let dopacity_logit = cg.opacity * o * (1.0 - o);
-        // Color: straight-through except where the render-time clamp binds.
-        let mut dcolor = cg.color;
-        if g.color.x <= 0.0 || g.color.x >= 1.0 {
-            dcolor.x = 0.0;
-        }
-        if g.color.y <= 0.0 || g.color.y >= 1.0 {
-            dcolor.y = 0.0;
-        }
-        if g.color.z <= 0.0 || g.color.z >= 1.0 {
-            dcolor.z = 0.0;
-        }
-        grads.entries.push((
-            id,
-            GaussianParamGrad {
-                mean: dmean,
-                log_scale: dlog_scale,
-                rotation: drot,
-                opacity_logit: dopacity_logit,
-                color: dcolor,
-            },
-        ));
     }
     (grads, PoseGrad { xi: pose })
 }
@@ -412,6 +525,82 @@ mod tests {
         assert_eq!(acc.get(9).depth, 2.0);
     }
 
+    /// Adds every field of `d` into `g` (the oracle's `merge_entry`).
+    fn add_into(g: &mut CamGrad, d: &CamGrad) {
+        g.mean2d += d.mean2d;
+        g.cov2d[0] += d.cov2d[0];
+        g.cov2d[1] += d.cov2d[1];
+        g.cov2d[2] += d.cov2d[2];
+        g.depth += d.depth;
+        g.color += d.color;
+        g.opacity += d.opacity;
+        g.count += d.count;
+    }
+
+    fn random_grad(rng: &mut splatonic_math::Rng64) -> CamGrad {
+        let mut v = || rng.gen_range(-1.0..1.0);
+        CamGrad {
+            mean2d: Vec2::new(v(), v()),
+            cov2d: [v(), v(), v()],
+            depth: v(),
+            color: Vec3::new(v(), v(), v()),
+            opacity: v(),
+            count: 1,
+        }
+    }
+
+    #[test]
+    fn accumulator_matches_dense_oracle() {
+        // The plain dense model: one gradient per id, zeroed on every
+        // reset, plus the first-touch list.
+        let mut rng = splatonic_math::Rng64::seed_from_u64(0x05ee_dacc);
+        let mut n = 16usize;
+        let mut acc = CamGradAccumulator::new(n);
+        let mut oracle_grads = vec![CamGrad::default(); n];
+        let mut oracle_touched: Vec<u32> = Vec::new();
+        for epoch in 0..24 {
+            // Two epoch wraps, so ids stamped in the epoch after the first
+            // wrap would alias the epoch after the second one without the
+            // real clear.
+            if epoch == 6 || epoch == 15 {
+                acc.current = u32::MAX - 1;
+            }
+            if epoch % 4 == 3 {
+                n += rng.gen_range(0usize..40);
+            }
+            acc.reset(n);
+            if epoch == 7 || epoch == 16 {
+                assert_eq!(acc.current, 1, "epoch {epoch}: wrapped");
+            }
+            oracle_grads = vec![CamGrad::default(); n];
+            oracle_touched.clear();
+            for _ in 0..rng.gen_range(0usize..120) {
+                let id = rng.gen_range(0..n as u32);
+                let d = random_grad(&mut rng);
+                let i = id as usize;
+                if !oracle_touched.contains(&id) {
+                    oracle_touched.push(id);
+                }
+                add_into(&mut oracle_grads[i], &d);
+                match rng.gen_range(0u32..3) {
+                    0 => add_into(acc.entry(id), &d),
+                    1 => acc.merge_entry(id, &d),
+                    _ => {
+                        add_into(acc.entry(id), &d);
+                        let probe = rng.gen_range(0..n as u32);
+                        assert_eq!(acc.get(probe), oracle_grads[probe as usize]);
+                    }
+                }
+            }
+            assert_eq!(acc.touched(), oracle_touched.as_slice(), "epoch {epoch}");
+            for (id, want) in oracle_grads.iter().enumerate() {
+                assert_eq!(acc.get(id as u32), *want, "epoch {epoch}, id {id}");
+            }
+            // Ids beyond the sized range read as zero.
+            assert_eq!(acc.get(n as u32 + 5), CamGrad::default());
+        }
+    }
+
     #[test]
     fn pixel_backward_empty_contribs() {
         let mut acc = CamGradAccumulator::new(1);
@@ -436,7 +625,7 @@ mod tests {
         let mut acc = CamGradAccumulator::new(4);
         acc.reset(4);
         acc.entry(3).color = Vec3::splat(1.0);
-        let (grads, pose) = reproject(&scene, &cam, &acc, true);
+        let (grads, pose) = reproject(&scene, &cam, &acc, GradRequest::Both, 1);
         assert!(grads.is_empty());
         assert_eq!(pose.xi, Se3::ZERO);
     }

@@ -64,7 +64,7 @@ pub mod tile;
 pub mod tilesort;
 pub mod trace;
 
-pub use grad::{PoseGrad, SceneGrads};
+pub use grad::{GradRequest, PoseGrad, SceneGrads};
 pub use kernel::{ProjectedGaussian, RenderConfig};
 pub use loss::{LossConfig, LossGrad};
 pub use pixelset::PixelSet;
@@ -142,7 +142,11 @@ pub fn render_forward(
 ///
 /// `loss_grads` supplies `∂L/∂color` and `∂L/∂depth` per sampled pixel (in
 /// pixel-set order). Returns per-Gaussian gradients, the camera-pose
-/// gradient, and the backward-stage trace.
+/// gradient, and the backward-stage trace. `want` selects which of the two
+/// gradients is computed (tracking: [`GradRequest::Pose`], mapping:
+/// [`GradRequest::Scene`]); the other comes back empty or zero. The trace
+/// and the bits of every computed gradient do not depend on `want`.
+#[allow(clippy::too_many_arguments)]
 pub fn render_backward(
     scene: &GaussianScene,
     camera: &Camera,
@@ -151,15 +155,21 @@ pub fn render_backward(
     loss_grads: &[LossGrad],
     pipeline: Pipeline,
     config: &RenderConfig,
+    want: GradRequest,
 ) -> (SceneGrads, PoseGrad, RenderTrace) {
     match pipeline {
-        Pipeline::TileBased => tile::backward(scene, camera, pixels, forward, loss_grads, config),
-        Pipeline::PixelBased => pixel::backward(scene, camera, pixels, forward, loss_grads, config),
+        Pipeline::TileBased => {
+            tile::backward(scene, camera, pixels, forward, loss_grads, config, want)
+        }
+        Pipeline::PixelBased => {
+            pixel::backward(scene, camera, pixels, forward, loss_grads, config, want)
+        }
     }
 }
 
 /// Convenience prelude re-exporting the common entry points.
 pub mod prelude {
+    pub use crate::grad::GradRequest;
     pub use crate::kernel::RenderConfig;
     pub use crate::pixelset::PixelSet;
     pub use crate::sampling::SamplingStrategy;

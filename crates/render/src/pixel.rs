@@ -15,7 +15,9 @@
 //! reduction recovers `Γ_i`, per-pair gradients are computed in parallel,
 //! and a second reduction aggregates them per Gaussian.
 
-use crate::grad::{pixel_backward, reproject, CamGradAccumulator, PoseGrad, SceneGrads};
+use crate::grad::{
+    pixel_backward, reproject, CamGradAccumulator, GradRequest, PoseGrad, SceneGrads,
+};
 use crate::kernel::{alpha_at, ProjectedGaussian, RenderConfig};
 use crate::loss::LossGrad;
 use crate::pixelset::{PixelCoord, PixelSet};
@@ -63,7 +65,6 @@ pub fn forward(
     f.gaussians_projected = projected.len() as u64;
 
     let n_out = pixels.len();
-    let mut lists: Vec<Vec<PixelEntry>> = vec![Vec::new(); n_out];
     let threads = pool::resolve_threads(config.threads);
     // SoA view for the vector kernels, gathered once per pass. The SIMD
     // paths below are bit-identical to the scalar ones (see `simd`), so the
@@ -179,15 +180,40 @@ pub fn forward(
             }
             part
         });
+    // Counting sort of the chunks' pairs into one flat array of per-pixel
+    // lists: count per pixel, prefix-sum into offsets, then scatter each
+    // chunk in chunk order, so every pixel's list is the sequential push
+    // order; pixel `i`'s list is `flat[offsets[i]..offsets[i + 1]]`. Each
+    // partial is freed once it has been scattered.
+    let mut offsets = vec![0usize; n_out + 1];
+    for part in &proj_partials {
+        for &(out_idx, _) in &part.entries {
+            offsets[out_idx + 1] += 1;
+        }
+    }
+    for i in 0..n_out {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut cursor = offsets[..n_out].to_vec();
+    let mut flat = vec![
+        PixelEntry {
+            proj: 0,
+            alpha: 0.0,
+            depth: 0.0,
+        };
+        offsets[n_out]
+    ];
     for part in proj_partials {
         f.proj_alpha_checks += part.alpha_checks;
         f.exp_evals += part.alpha_checks;
         f.proj_pairs_kept += part.pairs_kept;
         for (out_idx, e) in part.entries {
-            lists[out_idx].push(e);
+            flat[cursor[out_idx]] = e;
+            cursor[out_idx] += 1;
         }
         trace.proj_candidates.extend(part.candidates);
     }
+    let lists: Vec<&[PixelEntry]> = offsets.windows(2).map(|w| &flat[w[0]..w[1]]).collect();
     f.bytes_written += f.proj_pairs_kept * bytes::PAIR_ENTRY;
     f.bytes_read += f.proj_pairs_kept * bytes::PAIR_ENTRY;
 
@@ -333,7 +359,8 @@ pub fn forward(
 /// Re-uses the per-pixel sorted lists from the forward pass. The first
 /// cross-thread reduction (recovering `Γ_i` per Gaussian) is charged to the
 /// trace; the partial-gradient computation is lane-parallel; the second
-/// reduction is the aggregation stage.
+/// reduction is the aggregation stage. Re-projection computes only the
+/// gradient half `want` asks for.
 pub fn backward(
     scene: &GaussianScene,
     camera: &Camera,
@@ -341,6 +368,7 @@ pub fn backward(
     forward_result: &ForwardResult,
     loss_grads: &[LossGrad],
     config: &RenderConfig,
+    want: GradRequest,
 ) -> (SceneGrads, PoseGrad, RenderTrace) {
     assert_eq!(
         loss_grads.len(),
@@ -480,7 +508,7 @@ pub fn backward(
     drop(_accum);
     let (grads, pose) = {
         let _p = crate::phase::begin("render/reproject");
-        reproject(scene, camera, &accum, true)
+        reproject(scene, camera, &accum, want, threads)
     };
     (grads, pose, trace)
 }
@@ -655,8 +683,8 @@ mod tests {
                 d_depth: 0.05 * ((i % 3) as f64 - 1.0),
             })
             .collect();
-        let (ga, pa, _) = tile::backward(&scene, &cam, &pixels, &fa, &lg, &cfg);
-        let (gb, pb, _) = backward(&scene, &cam, &pixels, &fb, &lg, &cfg);
+        let (ga, pa, _) = tile::backward(&scene, &cam, &pixels, &fa, &lg, &cfg, GradRequest::Both);
+        let (gb, pb, _) = backward(&scene, &cam, &pixels, &fb, &lg, &cfg, GradRequest::Both);
         assert_eq!(ga.len(), gb.len());
         // Pose gradients must agree across schedules.
         let d = (pa.xi.rho - pb.xi.rho).norm() + (pa.xi.phi - pb.xi.phi).norm();
@@ -682,7 +710,7 @@ mod tests {
             };
             pixels.len()
         ];
-        let (_, _, trace) = backward(&scene, &cam, &pixels, &f, &lg, &cfg);
+        let (_, _, trace) = backward(&scene, &cam, &pixels, &f, &lg, &cfg, GradRequest::Both);
         assert!(trace.backward.reduction_ops > 0);
         assert!(
             trace.backward.alpha_checks == 0,

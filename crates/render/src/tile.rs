@@ -15,7 +15,9 @@
 //! `atomicAdd` stage) and re-projects them to world space. The walk computes
 //! no gradient, so the host counts it in closed form.
 
-use crate::grad::{pixel_backward, reproject, CamGradAccumulator, PoseGrad, SceneGrads};
+use crate::grad::{
+    pixel_backward, reproject, CamGradAccumulator, GradRequest, PoseGrad, SceneGrads,
+};
 use crate::kernel::{alpha_at, ProjectedGaussian, RenderConfig};
 use crate::loss::LossGrad;
 use crate::pixelset::{PixelCoord, PixelSet};
@@ -283,6 +285,7 @@ pub fn forward(
 ///
 /// Re-uses the cached tile–Gaussian sorted lists (modelled by re-projecting,
 /// which is deterministic) and the per-pixel contributions from `forward`.
+/// Re-projection computes only the gradient half `want` asks for.
 pub fn backward(
     scene: &GaussianScene,
     camera: &Camera,
@@ -290,6 +293,7 @@ pub fn backward(
     forward_result: &ForwardResult,
     loss_grads: &[LossGrad],
     config: &RenderConfig,
+    want: GradRequest,
 ) -> (SceneGrads, PoseGrad, RenderTrace) {
     assert_eq!(
         loss_grads.len(),
@@ -473,7 +477,7 @@ pub fn backward(
         b.bytes_written += b.gaussians_touched * bytes::GRADIENT;
     }
 
-    let (grads, pose) = reproject(scene, camera, &accum, true);
+    let (grads, pose) = reproject(scene, camera, &accum, want, threads);
     (grads, pose, trace)
 }
 
@@ -596,7 +600,8 @@ mod tests {
                 d_depth: 0.1,
             })
             .collect();
-        let (sg, pg, trace) = backward(&scene, &cam, &pixels, &out, &grads, &cfg);
+        let (sg, pg, trace) =
+            backward(&scene, &cam, &pixels, &out, &grads, &cfg, GradRequest::Both);
         assert!(!sg.is_empty());
         assert!(pg.xi.norm() > 0.0);
         assert!(trace.backward.pairs_grad > 0);
@@ -611,7 +616,7 @@ mod tests {
         let cfg = RenderConfig::default();
         let out = forward(&scene, &cam, &pixels, &cfg);
         let grads = vec![LossGrad::default(); pixels.len()];
-        let (sg, pg, _) = backward(&scene, &cam, &pixels, &out, &grads, &cfg);
+        let (sg, pg, _) = backward(&scene, &cam, &pixels, &out, &grads, &cfg, GradRequest::Both);
         for (_, g) in &sg.entries {
             assert!(g.mean.norm() < 1e-12);
             assert!(g.color.norm() < 1e-12);

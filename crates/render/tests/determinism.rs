@@ -7,15 +7,15 @@
 //! on a seeded random scene for both pipelines.
 
 use splatonic_math::{Image, Rng64, Vec3};
-use splatonic_render::grad::{pixel_backward, CamGradAccumulator};
+use splatonic_render::grad::{pixel_backward, CamGradAccumulator, REPROJECT_CHUNK};
 use splatonic_render::kernel::{alpha_at, project_scene};
 use splatonic_render::loss::LossGrad;
 use splatonic_render::pixelset::{PixelCoord, PixelSet};
 use splatonic_render::sampling::MappingStrategy;
 use splatonic_render::tile::{TILE, WARP};
 use splatonic_render::{
-    render_backward, render_forward, Contribution, ForwardResult, KernelMode, MappingSampler,
-    Pipeline, ProjectedGaussian, RenderConfig, RenderTrace,
+    render_backward, render_forward, Contribution, ForwardResult, GradRequest, KernelMode,
+    MappingSampler, Pipeline, PoseGrad, ProjectedGaussian, RenderConfig, RenderTrace,
 };
 use splatonic_scene::{Camera, Frame, Gaussian, GaussianScene, Intrinsics};
 
@@ -115,13 +115,126 @@ fn assert_backward_bit_identical(pipeline: Pipeline, pixels: &PixelSet) {
     let cam = camera();
     let lg = loss_grads(pixels.len());
     let fwd = render_forward(&scene, &cam, pixels, pipeline, &cfg(1));
-    let (g1, p1, t1) = render_backward(&scene, &cam, pixels, &fwd, &lg, pipeline, &cfg(1));
+    let (g1, p1, t1) = render_backward(
+        &scene,
+        &cam,
+        pixels,
+        &fwd,
+        &lg,
+        pipeline,
+        &cfg(1),
+        GradRequest::Both,
+    );
     for threads in THREAD_COUNTS {
-        let (g, p, t) = render_backward(&scene, &cam, pixels, &fwd, &lg, pipeline, &cfg(threads));
+        let (g, p, t) = render_backward(
+            &scene,
+            &cam,
+            pixels,
+            &fwd,
+            &lg,
+            pipeline,
+            &cfg(threads),
+            GradRequest::Both,
+        );
         assert_eq!(g1, g, "{pipeline:?} scene grads, {threads} workers");
         assert_eq!(p1, p, "{pipeline:?} pose grad, {threads} workers");
         assert_eq!(t1, t, "{pipeline:?} backward trace, {threads} workers");
     }
+}
+
+/// Asserts that each gradient half a caller asks for is bit-identical to
+/// that half of a [`GradRequest::Both`] backward — scene grads for
+/// [`GradRequest::Scene`], the pose gradient for [`GradRequest::Pose`], the
+/// other half empty or zero and the trace unchanged — and that all of them
+/// equal the scalar width-1 result, at every equality width in both kernel
+/// modes. Returns the number of Gaussians the backward touched.
+fn assert_split_reproject_matches_both(
+    pipeline: Pipeline,
+    pixels: &PixelSet,
+    scene: &GaussianScene,
+) -> u64 {
+    let cam = camera();
+    let lg = loss_grads(pixels.len());
+    let oracle = RenderConfig {
+        kernels: KernelMode::Scalar,
+        ..cfg(1)
+    };
+    let fwd = render_forward(scene, &cam, pixels, pipeline, &oracle);
+    let (want_g, want_p, want_t) = render_backward(
+        scene,
+        &cam,
+        pixels,
+        &fwd,
+        &lg,
+        pipeline,
+        &oracle,
+        GradRequest::Both,
+    );
+    assert!(!want_g.is_empty() && want_p != PoseGrad::default());
+    for kernels in [KernelMode::Scalar, KernelMode::Simd] {
+        for threads in EQUALITY_WIDTHS {
+            let config = RenderConfig {
+                threads,
+                kernels,
+                ..RenderConfig::default()
+            };
+            let at = format!("{pipeline:?}, {kernels:?}, {threads} workers");
+            let fwd = render_forward(scene, &cam, pixels, pipeline, &config);
+            let backward =
+                |want| render_backward(scene, &cam, pixels, &fwd, &lg, pipeline, &config, want);
+            let (both_g, both_p, both_t) = backward(GradRequest::Both);
+            let (scene_g, scene_p, scene_t) = backward(GradRequest::Scene);
+            let (pose_g, pose_p, pose_t) = backward(GradRequest::Pose);
+            assert_eq!(both_g, want_g, "Both scene grads vs width 1, {at}");
+            assert_eq!(both_p, want_p, "Both pose grad vs width 1, {at}");
+            assert_eq!(scene_g, both_g, "Scene grads vs Both, {at}");
+            assert_eq!(scene_p, PoseGrad::default(), "Scene pose grad, {at}");
+            assert_eq!(pose_p, both_p, "Pose pose grad vs Both, {at}");
+            assert!(pose_g.is_empty(), "Pose scene grads, {at}");
+            for t in [&both_t, &scene_t, &pose_t] {
+                assert_eq!(t, &want_t, "backward trace, {at}");
+            }
+        }
+    }
+    want_t.backward.gaussians_touched
+}
+
+#[test]
+fn pixel_split_reproject_matches_both_sparse() {
+    assert_split_reproject_matches_both(
+        Pipeline::PixelBased,
+        &sparse_set(),
+        &random_scene(57, 400),
+    );
+}
+
+#[test]
+fn pixel_split_reproject_matches_both_across_chunks() {
+    // A dense render of a larger scene touches enough Gaussians that the
+    // scene half fans out over several re-projection chunks.
+    let touched = assert_split_reproject_matches_both(
+        Pipeline::PixelBased,
+        &PixelSet::dense(96, 72),
+        &random_scene(59, 1200),
+    );
+    assert!(
+        touched > 3 * REPROJECT_CHUNK as u64,
+        "{touched} touched Gaussians"
+    );
+}
+
+#[test]
+fn tile_split_reproject_matches_both_sparse() {
+    assert_split_reproject_matches_both(Pipeline::TileBased, &sparse_set(), &random_scene(57, 400));
+}
+
+#[test]
+fn tile_split_reproject_matches_both_dense() {
+    assert_split_reproject_matches_both(
+        Pipeline::TileBased,
+        &PixelSet::dense(96, 72),
+        &random_scene(59, 1200),
+    );
 }
 
 #[test]
@@ -415,7 +528,16 @@ fn cached_render_sequence_matches_uncached() {
                 fresh();
                 let f = render_forward(&scene, &cam_a, &pixels, pipeline, c);
                 fresh();
-                let bwd = render_backward(&scene, &cam_a, &pixels, &f, &lg, pipeline, c);
+                let bwd = render_backward(
+                    &scene,
+                    &cam_a,
+                    &pixels,
+                    &f,
+                    &lg,
+                    pipeline,
+                    c,
+                    GradRequest::Both,
+                );
                 fresh();
                 let f2 = render_forward(&scene, &cam_b, &pixels, pipeline, c);
                 (f, bwd, f2)
@@ -486,7 +608,16 @@ fn tile_round(
 ) {
     clear_caches();
     let f = render_forward(scene, cam, pixels, Pipeline::TileBased, c);
-    let b = render_backward(scene, cam, pixels, &f, lg, Pipeline::TileBased, c);
+    let b = render_backward(
+        scene,
+        cam,
+        pixels,
+        &f,
+        lg,
+        Pipeline::TileBased,
+        c,
+        GradRequest::Both,
+    );
     (f, b)
 }
 
@@ -573,7 +704,16 @@ fn cached_sort_matches_cold_sort() {
                 if cold {
                     clear_caches();
                 }
-                let b = render_backward(&scene, cam, &pixels, &f, &lg, Pipeline::TileBased, c);
+                let b = render_backward(
+                    &scene,
+                    cam,
+                    &pixels,
+                    &f,
+                    &lg,
+                    Pipeline::TileBased,
+                    c,
+                    GradRequest::Both,
+                );
                 if cold {
                     clear_caches();
                 }
@@ -898,8 +1038,16 @@ fn assert_tile_trace_matches_oracle(
             let mut got_trace = got.trace.clone();
             zero_sort_counters(&mut got_trace);
             assert_eq!(got_trace, want.trace, "forward trace, {at}");
-            let (_, _, bwd) =
-                render_backward(&scene, &cam, pixels, fwd, &lg, Pipeline::TileBased, &config);
+            let (_, _, bwd) = render_backward(
+                &scene,
+                &cam,
+                pixels,
+                fwd,
+                &lg,
+                Pipeline::TileBased,
+                &config,
+                GradRequest::Both,
+            );
             assert_eq!(bwd, want_bwd, "backward trace, {at}");
         }
     }

@@ -157,6 +157,7 @@ fn empty_scene_backward_is_empty() {
         &grads,
         Pipeline::PixelBased,
         &cfg,
+        GradRequest::Both,
     );
     assert!(sg.is_empty());
     assert_eq!(pg.xi.norm(), 0.0);

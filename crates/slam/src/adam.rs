@@ -59,11 +59,58 @@ impl AdamScalar {
     ///
     /// `t` is the 1-based step count for bias correction.
     pub fn step(&mut self, grad: f64, t: u64, p: &AdamParams) -> f64 {
+        self.update(grad, &BiasCorrection::at(t, p), p)
+    }
+
+    /// The Adam update itself, given the step's bias corrections.
+    #[inline]
+    fn update(&mut self, grad: f64, bc: &BiasCorrection, p: &AdamParams) -> f64 {
         self.m = p.beta1 * self.m + (1.0 - p.beta1) * grad;
         self.v = p.beta2 * self.v + (1.0 - p.beta2) * grad * grad;
-        let m_hat = self.m / (1.0 - p.beta1.powi(t as i32));
-        let v_hat = self.v / (1.0 - p.beta2.powi(t as i32));
+        let m_hat = self.m / bc.first;
+        let v_hat = self.v / bc.second;
         -p.lr * m_hat / (v_hat.sqrt() + p.eps)
+    }
+}
+
+/// The bias corrections `1 − β₁ᵗ` and `1 − β₂ᵗ` of step `t`, shared by
+/// every parameter of that step.
+#[derive(Debug, Clone, Copy)]
+struct BiasCorrection {
+    first: f64,
+    second: f64,
+}
+
+impl BiasCorrection {
+    fn at(t: u64, p: &AdamParams) -> Self {
+        BiasCorrection {
+            first: 1.0 - p.beta1.powi(t as i32),
+            second: 1.0 - p.beta2.powi(t as i32),
+        }
+    }
+}
+
+/// One step of an [`AdamVector`], from [`AdamVector::begin_step`]: the
+/// step count is already advanced and the bias corrections computed, so
+/// each [`AdamStep::delta`] call costs one parameter's update.
+#[derive(Debug)]
+pub struct AdamStep<'a> {
+    state: &'a mut [AdamScalar],
+    bc: BiasCorrection,
+    params: AdamParams,
+}
+
+impl AdamStep<'_> {
+    /// Updates parameter `idx` with gradient `grad` and returns its delta
+    /// (add it to the parameter).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not below the tracked parameter count.
+    #[inline]
+    pub fn delta(&mut self, idx: usize, grad: f64) -> f64 {
+        assert!(idx < self.state.len(), "parameter index out of range");
+        self.state[idx].update(grad, &self.bc, &self.params)
     }
 }
 
@@ -100,22 +147,15 @@ impl AdamVector {
         }
     }
 
-    /// Applies one step over `grads`, writing deltas through `apply`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads.len()` exceeds the tracked parameter count.
-    pub fn step(
-        &mut self,
-        grads: &[(usize, f64)],
-        p: &AdamParams,
-        mut apply: impl FnMut(usize, f64),
-    ) {
+    /// Starts one optimizer step: advances the step count and computes
+    /// its bias corrections once. Parameters not passed to
+    /// [`AdamStep::delta`] keep their moments, as with a sparse gradient.
+    pub fn begin_step(&mut self, p: &AdamParams) -> AdamStep<'_> {
         self.t += 1;
-        for &(idx, g) in grads {
-            assert!(idx < self.state.len(), "parameter index out of range");
-            let delta = self.state[idx].step(g, self.t, p);
-            apply(idx, delta);
+        AdamStep {
+            state: &mut self.state,
+            bc: BiasCorrection::at(self.t, p),
+            params: *p,
         }
     }
 
@@ -136,7 +176,7 @@ impl AdamVector {
         self.t = 0;
     }
 
-    /// The 1-based step count (number of [`AdamVector::step`] calls).
+    /// The 1-based step count (number of [`AdamVector::begin_step`] calls).
     pub fn step_count(&self) -> u64 {
         self.t
     }
@@ -186,17 +226,16 @@ mod tests {
         let mut v = AdamVector::new(2);
         v.grow(4);
         assert_eq!(v.len(), 4);
-        let mut deltas = [0.0; 4];
-        v.step(&[(3, 1.0)], &AdamParams::default(), |i, d| deltas[i] = d);
-        assert!(deltas[3] < 0.0);
-        assert_eq!(deltas[0], 0.0);
+        let d = v.begin_step(&AdamParams::default()).delta(3, 1.0);
+        assert!(d < 0.0);
+        assert_eq!(v.scalars()[0], AdamScalar::default());
     }
 
     #[test]
     fn reset_clears_momentum() {
         let mut v = AdamVector::new(1);
         let p = AdamParams::default();
-        v.step(&[(0, 1.0)], &p, |_, _| {});
+        v.begin_step(&p).delta(0, 1.0);
         let before = v.clone();
         v.reset();
         assert_ne!(before, v);
@@ -207,15 +246,17 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_index_panics() {
         let mut v = AdamVector::new(1);
-        v.step(&[(5, 1.0)], &AdamParams::default(), |_, _| {});
+        v.begin_step(&AdamParams::default()).delta(5, 1.0);
     }
 
     #[test]
     fn from_parts_round_trips_bitwise() {
         let mut v = AdamVector::new(3);
         let p = AdamParams::default();
-        v.step(&[(0, 1.0), (2, -0.5)], &p, |_, _| {});
-        v.step(&[(1, 0.25)], &p, |_, _| {});
+        let mut step = v.begin_step(&p);
+        step.delta(0, 1.0);
+        step.delta(2, -0.5);
+        v.begin_step(&p).delta(1, 0.25);
         let rebuilt = AdamVector::from_parts(
             v.step_count(),
             v.scalars()
@@ -233,7 +274,7 @@ mod tests {
     #[test]
     fn reset_to_matches_new() {
         let mut v = AdamVector::new(2);
-        v.step(&[(0, 1.0)], &AdamParams::default(), |_, _| {});
+        v.begin_step(&AdamParams::default()).delta(0, 1.0);
         v.grow(10);
         v.reset_to(5);
         assert_eq!(v, AdamVector::new(5));

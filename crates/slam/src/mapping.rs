@@ -23,8 +23,8 @@ use crate::adam::{AdamParams, AdamVector};
 use crate::algorithm::AlgorithmConfig;
 use splatonic_math::{Image, Pose, Vec3};
 use splatonic_render::{
-    loss, render_backward, render_forward, MappingSampler, Pipeline, PixelSet, RenderConfig,
-    RenderTrace,
+    loss, render_backward, render_forward, GradRequest, MappingSampler, Pipeline, PixelSet,
+    RenderConfig, RenderTrace, SceneGrads,
 };
 use splatonic_scene::{Camera, Frame, Gaussian, GaussianScene, Intrinsics};
 use splatonic_telemetry::Telemetry;
@@ -61,6 +61,53 @@ pub struct MappingOutput {
     /// Total pixels rendered across all optimization iterations (the
     /// per-frame `map_sampled_pixels` of the run report).
     pub sampled_pixels: usize,
+}
+
+/// One Adam step over the touched Gaussians of `grads`, applied straight to
+/// the scene's columns. Parameter `14·id + k` of the optimizer is
+/// component `k` of Gaussian `id` in the order mean, log-scale, rotation
+/// `[w, x, y, z]`, opacity logit, color; each delta is scaled by its
+/// group's learning rate relative to `lr.lr`. Always takes the scene's
+/// fields mutably, so the scene gets a new revision even for an empty
+/// `grads`.
+fn adam_step(
+    adam: &mut AdamVector,
+    lr: &AdamParams,
+    algo: &AlgorithmConfig,
+    grads: &SceneGrads,
+    scene: &mut GaussianScene,
+) {
+    adam.grow(scene.len() * PARAMS_PER_GAUSSIAN);
+    let mean_lr = algo.mean_lr / lr.lr;
+    let scale_lr = algo.scale_lr / lr.lr;
+    let rot_lr = algo.rot_lr / lr.lr;
+    let opacity_lr = algo.opacity_lr / lr.lr;
+    let color_lr = algo.color_lr / lr.lr;
+    let mut step = adam.begin_step(lr);
+    let f = scene.fields_mut();
+    for (id, g) in &grads.entries {
+        let i = *id as usize;
+        let base = i * PARAMS_PER_GAUSSIAN;
+        let mut delta = |k: usize, grad: f64, scale: f64| step.delta(base + k, grad) * scale;
+        let mean = &mut f.means[i];
+        mean.x += delta(0, g.mean.x, mean_lr);
+        mean.y += delta(1, g.mean.y, mean_lr);
+        mean.z += delta(2, g.mean.z, mean_lr);
+        let log_scale = &mut f.log_scales[i];
+        log_scale.x += delta(3, g.log_scale.x, scale_lr);
+        log_scale.y += delta(4, g.log_scale.y, scale_lr);
+        log_scale.z += delta(5, g.log_scale.z, scale_lr);
+        let rotation = &mut f.rotations[i];
+        rotation.w += delta(6, g.rotation[0], rot_lr);
+        rotation.x += delta(7, g.rotation[1], rot_lr);
+        rotation.y += delta(8, g.rotation[2], rot_lr);
+        rotation.z += delta(9, g.rotation[3], rot_lr);
+        f.opacity_logits[i] += delta(10, g.opacity_logit, opacity_lr);
+        let color = &mut f.colors[i];
+        color.x += delta(11, g.color.x, color_lr);
+        color.y += delta(12, g.color.y, color_lr);
+        color.z += delta(13, g.color.z, color_lr);
+    }
 }
 
 /// Seeds an initial scene by back-projecting every `stride`-th valid-depth
@@ -257,6 +304,8 @@ pub fn map_scene_with_state(
     adam.reset_to(scene.len() * PARAMS_PER_GAUSSIAN);
     let lr = AdamParams::default();
     let mut pixels_total = 0usize;
+    // Older keyframes sample with a flat weight map (read-only).
+    let flat = Image::filled(intrinsics.width, intrinsics.height, 0.0);
     for it in 0..algo.mapping_iters {
         let kf = &keyframes[it % keyframes.len()];
         let cam = Camera::new(intrinsics, kf.pose);
@@ -272,7 +321,6 @@ pub fn map_scene_with_state(
             } else if std::ptr::eq(kf, newest) {
                 sampler.build(&kf.frame, &transmittance, seed ^ (it as u64))
             } else {
-                let flat = Image::filled(intrinsics.width, intrinsics.height, 0.0);
                 sampler.build(&kf.frame, &flat, seed ^ (it as u64))
             }
         };
@@ -287,62 +335,22 @@ pub fn map_scene_with_state(
         let l = loss::evaluate_loss(&out, &kf.frame, &pixels, &algo.loss);
         let (scene_grads, _, bwd_trace) = {
             let _span = telemetry.span("backward");
-            render_backward(scene, &cam, &pixels, &out, &l.grads, pipeline, render_cfg)
+            render_backward(
+                scene,
+                &cam,
+                &pixels,
+                &out,
+                &l.grads,
+                pipeline,
+                render_cfg,
+                GradRequest::Scene,
+            )
         };
         trace.merge(&out.trace);
         trace.merge(&bwd_trace);
         // Adam update over the touched Gaussians.
         let _span = telemetry.span("adam");
-        adam.grow(scene.len() * PARAMS_PER_GAUSSIAN);
-        let mut sparse: Vec<(usize, f64)> =
-            Vec::with_capacity(scene_grads.len() * PARAMS_PER_GAUSSIAN);
-        for (id, g) in &scene_grads.entries {
-            let base = *id as usize * PARAMS_PER_GAUSSIAN;
-            sparse.push((base, g.mean.x));
-            sparse.push((base + 1, g.mean.y));
-            sparse.push((base + 2, g.mean.z));
-            sparse.push((base + 3, g.log_scale.x));
-            sparse.push((base + 4, g.log_scale.y));
-            sparse.push((base + 5, g.log_scale.z));
-            sparse.push((base + 6, g.rotation[0]));
-            sparse.push((base + 7, g.rotation[1]));
-            sparse.push((base + 8, g.rotation[2]));
-            sparse.push((base + 9, g.rotation[3]));
-            sparse.push((base + 10, g.opacity_logit));
-            sparse.push((base + 11, g.color.x));
-            sparse.push((base + 12, g.color.y));
-            sparse.push((base + 13, g.color.z));
-        }
-        let fields = scene.fields_mut();
-        adam.step(&sparse, &lr, |idx, mut delta| {
-            let gid = idx / PARAMS_PER_GAUSSIAN;
-            let k = idx % PARAMS_PER_GAUSSIAN;
-            // Per-group learning-rate scaling relative to the base Adam lr.
-            let scale = match k {
-                0..=2 => algo.mean_lr,
-                3..=5 => algo.scale_lr,
-                6..=9 => algo.rot_lr,
-                10 => algo.opacity_lr,
-                _ => algo.color_lr,
-            } / lr.lr;
-            delta *= scale;
-            match k {
-                0 => fields.means[gid].x += delta,
-                1 => fields.means[gid].y += delta,
-                2 => fields.means[gid].z += delta,
-                3 => fields.log_scales[gid].x += delta,
-                4 => fields.log_scales[gid].y += delta,
-                5 => fields.log_scales[gid].z += delta,
-                6 => fields.rotations[gid].w += delta,
-                7 => fields.rotations[gid].x += delta,
-                8 => fields.rotations[gid].y += delta,
-                9 => fields.rotations[gid].z += delta,
-                10 => fields.opacity_logits[gid] += delta,
-                11 => fields.colors[gid].x += delta,
-                12 => fields.colors[gid].y += delta,
-                _ => fields.colors[gid].z += delta,
-            }
-        });
+        adam_step(adam, &lr, algo, &scene_grads, scene);
     }
 
     // 4. Prune Gaussians that optimization drove transparent or degenerate.
@@ -370,6 +378,7 @@ pub fn map_scene_with_state(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adam::AdamScalar;
     use crate::dataset::{Dataset, DatasetConfig};
     use crate::metrics::psnr_db;
     use splatonic_render::sampling::MappingStrategy;
@@ -607,6 +616,165 @@ mod tests {
         assert!(out.trace.forward.pixels_shaded > 0);
         assert!(out.trace.backward.pairs_grad > 0);
         assert_eq!(out.iters, 3);
+    }
+
+    /// The mapping update as it was before it went per column: a
+    /// `(parameter, gradient)` list per step, one scalar Adam step per
+    /// entry, and a 14-way `match` per parameter for its lr group and
+    /// column.
+    fn adam_step_oracle(
+        state: &mut Vec<AdamScalar>,
+        t: &mut u64,
+        lr: &AdamParams,
+        algo: &AlgorithmConfig,
+        grads: &SceneGrads,
+        scene: &mut GaussianScene,
+    ) {
+        let n = scene.len() * PARAMS_PER_GAUSSIAN;
+        if n > state.len() {
+            state.resize(n, AdamScalar::default());
+        }
+        *t += 1;
+        let mut sparse: Vec<(usize, f64)> = Vec::new();
+        for (id, g) in &grads.entries {
+            let base = *id as usize * PARAMS_PER_GAUSSIAN;
+            let values = [
+                g.mean.x,
+                g.mean.y,
+                g.mean.z,
+                g.log_scale.x,
+                g.log_scale.y,
+                g.log_scale.z,
+                g.rotation[0],
+                g.rotation[1],
+                g.rotation[2],
+                g.rotation[3],
+                g.opacity_logit,
+                g.color.x,
+                g.color.y,
+                g.color.z,
+            ];
+            sparse.extend(values.iter().enumerate().map(|(k, &v)| (base + k, v)));
+        }
+        let fields = scene.fields_mut();
+        for (idx, grad) in sparse {
+            let mut delta = state[idx].step(grad, *t, lr);
+            let gid = idx / PARAMS_PER_GAUSSIAN;
+            let k = idx % PARAMS_PER_GAUSSIAN;
+            let scale = match k {
+                0..=2 => algo.mean_lr,
+                3..=5 => algo.scale_lr,
+                6..=9 => algo.rot_lr,
+                10 => algo.opacity_lr,
+                _ => algo.color_lr,
+            } / lr.lr;
+            delta *= scale;
+            match k {
+                0 => fields.means[gid].x += delta,
+                1 => fields.means[gid].y += delta,
+                2 => fields.means[gid].z += delta,
+                3 => fields.log_scales[gid].x += delta,
+                4 => fields.log_scales[gid].y += delta,
+                5 => fields.log_scales[gid].z += delta,
+                6 => fields.rotations[gid].w += delta,
+                7 => fields.rotations[gid].x += delta,
+                8 => fields.rotations[gid].y += delta,
+                9 => fields.rotations[gid].z += delta,
+                10 => fields.opacity_logits[gid] += delta,
+                11 => fields.colors[gid].x += delta,
+                12 => fields.colors[gid].y += delta,
+                _ => fields.colors[gid].z += delta,
+            }
+        }
+    }
+
+    /// Every parameter bit of `scene`, in id order.
+    fn scene_bits(scene: &GaussianScene) -> Vec<u64> {
+        scene
+            .to_vec()
+            .iter()
+            .flat_map(|g| {
+                let r = g.rotation;
+                [
+                    g.mean.x,
+                    g.mean.y,
+                    g.mean.z,
+                    g.log_scale.x,
+                    g.log_scale.y,
+                    g.log_scale.z,
+                    r.w,
+                    r.x,
+                    r.y,
+                    r.z,
+                    g.opacity_logit,
+                    g.color.x,
+                    g.color.y,
+                    g.color.z,
+                ]
+            })
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn per_column_adam_matches_list_and_match_path() {
+        let mut rng = splatonic_math::Rng64::seed_from_u64(0xada);
+        let v = |rng: &mut splatonic_math::Rng64| rng.gen_range(-2.0..2.0);
+        let gaussian = |rng: &mut splatonic_math::Rng64| {
+            Gaussian::new(
+                Vec3::new(rng.gen_range(-1.0..1.0), 0.5, rng.gen_range(1.0..3.0)),
+                Vec3::splat(rng.gen_range(0.05..0.3)),
+                splatonic_math::Quat::IDENTITY,
+                rng.gen_range(0.2..0.9),
+                Vec3::new(0.2, 0.5, 0.8),
+            )
+        };
+        let mut scene = GaussianScene::new();
+        for _ in 0..5 {
+            scene.push(gaussian(&mut rng));
+        }
+        let mut oracle_scene = scene.clone();
+        let algo = AlgorithmConfig::default();
+        let lr = AdamParams::default();
+        let mut adam = AdamVector::new(scene.len() * PARAMS_PER_GAUSSIAN);
+        let (mut state, mut t) = (adam.scalars().to_vec(), 0u64);
+        for step in 0..4 {
+            if step == 2 {
+                // Densification between steps: the optimizer grows cold.
+                let g = gaussian(&mut rng);
+                scene.push(g);
+                oracle_scene.push(g);
+            }
+            // A touched subset in scrambled order, with non-zero moments
+            // carried over from earlier steps on the repeated ids.
+            let ids: &[u32] = match step {
+                0 => &[3, 0, 1],
+                1 => &[1, 4, 3],
+                2 => &[5, 3, 2],
+                _ => &[0, 1, 2, 3, 4, 5],
+            };
+            let grads = SceneGrads {
+                entries: ids
+                    .iter()
+                    .map(|&id| {
+                        let g = splatonic_render::grad::GaussianParamGrad {
+                            mean: Vec3::new(v(&mut rng), v(&mut rng), v(&mut rng)),
+                            log_scale: Vec3::new(v(&mut rng), v(&mut rng), v(&mut rng)),
+                            rotation: [v(&mut rng), v(&mut rng), v(&mut rng), v(&mut rng)],
+                            opacity_logit: v(&mut rng),
+                            color: Vec3::new(v(&mut rng), v(&mut rng), v(&mut rng)),
+                        };
+                        (id, g)
+                    })
+                    .collect(),
+            };
+            adam_step(&mut adam, &lr, &algo, &grads, &mut scene);
+            adam_step_oracle(&mut state, &mut t, &lr, &algo, &grads, &mut oracle_scene);
+            assert_eq!(scene_bits(&scene), scene_bits(&oracle_scene), "step {step}");
+            assert_eq!(adam.scalars(), state.as_slice(), "step {step}");
+            assert_eq!(adam.step_count(), t);
+        }
+        assert!(adam.scalars().iter().all(|s| s.moments().0 != 0.0));
     }
 
     #[test]

@@ -18,8 +18,8 @@ use crate::algorithm::AlgorithmConfig;
 use splatonic_math::{Image, Pose, Se3, Vec3};
 use splatonic_render::sampling::{tracking_plan, SamplingPlan};
 use splatonic_render::{
-    loss, render_backward, render_forward, Pipeline, PixelSet, RenderConfig, RenderTrace,
-    SamplingStrategy,
+    loss, render_backward, render_forward, GradRequest, Pipeline, PixelSet, RenderConfig,
+    RenderTrace, SamplingStrategy,
 };
 use splatonic_scene::{Camera, Frame, GaussianScene, Intrinsics};
 use splatonic_telemetry::Telemetry;
@@ -169,7 +169,16 @@ pub fn track_frame_with_telemetry(
         }
         let (_, pose_grad, bwd_trace) = {
             let _span = telemetry.span("backward");
-            render_backward(scene, &cam, &pixels, &out, &l.grads, pipeline, render_cfg)
+            render_backward(
+                scene,
+                &cam,
+                &pixels,
+                &out,
+                &l.grads,
+                pipeline,
+                render_cfg,
+                GradRequest::Pose,
+            )
         };
         trace.merge(&out.trace);
         trace.merge(&bwd_trace);
@@ -181,15 +190,8 @@ pub fn track_frame_with_telemetry(
         }
         // Adam step on the 6 tangent coordinates.
         let g = pose_grad.xi.to_array();
-        let mut delta = [0.0; 6];
-        adam.step(
-            &g.iter()
-                .enumerate()
-                .map(|(i, &v)| (i, v))
-                .collect::<Vec<_>>(),
-            &adam_params,
-            |i, d| delta[i] = d,
-        );
+        let mut step = adam.begin_step(&adam_params);
+        let delta: [f64; 6] = std::array::from_fn(|i| step.delta(i, g[i]));
         pose = pose.retract(Se3::from_array(delta));
     }
     // Evaluate the final pose on the same pixel set so the best-of

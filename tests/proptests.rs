@@ -365,7 +365,16 @@ fn grouped_sort_matches_per_tile_oracle() {
                 ..RenderConfig::default()
             };
             let f = render_forward(&scene, &cam, &pixels, Pipeline::TileBased, &cfg);
-            let b = render_backward(&scene, &cam, &pixels, &f, &lg, Pipeline::TileBased, &cfg);
+            let b = render_backward(
+                &scene,
+                &cam,
+                &pixels,
+                &f,
+                &lg,
+                Pipeline::TileBased,
+                &cfg,
+                GradRequest::Both,
+            );
             (f, b)
         };
         let (fg, bg) = run(true);
@@ -437,7 +446,16 @@ fn sort_cache_is_transparent() {
                 fresh();
                 let f = render_forward(scene, &cam, &pixels, Pipeline::TileBased, &cfg);
                 fresh();
-                let b = render_backward(scene, &cam, &pixels, &f, &lg, Pipeline::TileBased, &cfg);
+                let b = render_backward(
+                    scene,
+                    &cam,
+                    &pixels,
+                    &f,
+                    &lg,
+                    Pipeline::TileBased,
+                    &cfg,
+                    GradRequest::Both,
+                );
                 outs.push((f, b));
             };
             for cam_pose in &poses {

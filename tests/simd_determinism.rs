@@ -201,7 +201,16 @@ fn backward_scalar_simd_bitwise_at_all_widths() {
                     let cfg = config(mode, threads);
                     let out = render_forward(&scene, &cam, &pixels, pipeline, &cfg);
                     let l = loss::evaluate_loss(&out, &reference, &pixels, &loss_cfg);
-                    render_backward(&scene, &cam, &pixels, &out, &l.grads, pipeline, &cfg)
+                    render_backward(
+                        &scene,
+                        &cam,
+                        &pixels,
+                        &out,
+                        &l.grads,
+                        pipeline,
+                        &cfg,
+                        GradRequest::Both,
+                    )
                 };
                 let (sg_a, pg_a, tr_a) = run(KernelMode::Scalar);
                 let (sg_b, pg_b, tr_b) = run(KernelMode::Simd);
