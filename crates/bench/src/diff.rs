@@ -47,15 +47,14 @@ pub const REQUIRED_COUNTERS: &[&str] = &[
     "render/sort_cold_elems",
     "assets/ply_gaussians_written",
     "assets/ply_gaussians_read",
-    "lod/pruned",
     "mapping/densify_capped",
 ];
 /// The [`REQUIRED_COUNTERS`] subset that must additionally be nonzero: any
 /// instrumented run checkpoints, performs at least one cold tile-sort
 /// build (the per-frame PSNR evaluation renders the tile schedule), and
 /// roundtrips the scene through the `.ply` codec. Exact hits depend
-/// on the run shape — and `lod/pruned` / `mapping/densify_capped` are zero
-/// whenever their knobs are off — so those are presence-only.
+/// on the run shape — and `mapping/densify_capped` is zero whenever its
+/// knob is off — so those are presence-only.
 pub const REQUIRED_NONZERO: &[&str] = &[
     "slam/checkpoints_written",
     "render/sort_misses",

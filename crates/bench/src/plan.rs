@@ -781,6 +781,51 @@ mod tests {
     }
 
     #[test]
+    fn decimate_step_emits_pruned_counter() {
+        // The plan's `decimate` op is the only producer of `lod/pruned`.
+        let mut scene = GaussianScene::new();
+        for i in 0..10 {
+            scene.push(splatonic_scene::Gaussian::new(
+                splatonic_math::Vec3::new(0.1 * i as f64, 0.0, 2.0),
+                splatonic_math::Vec3::splat(0.02 + 0.01 * i as f64),
+                splatonic_math::Quat::IDENTITY,
+                0.5,
+                splatonic_math::Vec3::splat(0.5),
+            ));
+        }
+        let mut ctx = PlanContext {
+            dataset: None,
+            result: None,
+            scene: Some(scene),
+            render_cfg: splatonic_render::RenderConfig::default(),
+            last_snapshot: None,
+            reference_psnr: None,
+            last_eval_psnr: None,
+        };
+        let plan = parse_one(r#"{"op": "decimate", "budget": 4}"#).unwrap();
+        let telemetry = Telemetry::enabled();
+        let line = execute_step(
+            &plan.steps[0].0,
+            0,
+            &plan,
+            Path::new("."),
+            &Settings::quick(),
+            &telemetry,
+            &mut ctx,
+        )
+        .unwrap();
+        assert_eq!(line, "decimate: kept 4 / pruned 6");
+        assert_eq!(ctx.scene.as_ref().map(GaussianScene::len), Some(4));
+        let report = telemetry.finish("decimate", Default::default());
+        let pruned = report
+            .counters
+            .iter()
+            .find(|(name, _)| name == "lod/pruned")
+            .map(|(_, v)| *v);
+        assert_eq!(pruned, Some(6));
+    }
+
+    #[test]
     fn psnr_floor_violation_fails_the_plan() {
         let dir = std::env::temp_dir().join(format!("splatonic-plan-floor-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

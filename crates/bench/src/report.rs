@@ -205,7 +205,6 @@ mod tests {
             "slam/checkpoints_written",
             "assets/ply_gaussians_written",
             "assets/ply_gaussians_read",
-            "lod/pruned",
         ] {
             assert!(counters.get(name).is_some(), "missing counter {name}");
         }

@@ -10,15 +10,18 @@
 
 use splatonic_accel::FrameWorkload;
 use splatonic_math::Pose;
-use splatonic_render::sampling::{tracking_plan, MappingStrategy, SamplingPlan};
+use splatonic_render::sampling::{tracking_plan, MappingStrategy};
 use splatonic_render::{
     loss, render_backward, render_forward, GradRequest, MappingSampler, Pipeline, PixelSet,
     RenderConfig, RenderTrace, SamplingStrategy,
 };
 use splatonic_scene::{Camera, Frame, GaussianScene, Intrinsics};
+use splatonic_slam::adam::AdamVector;
 use splatonic_slam::algorithm::AlgorithmConfig;
 use splatonic_slam::mapping::{map_scene, seed_scene_from_frame, Keyframe};
+use splatonic_slam::tracking::resolve_plan;
 use splatonic_slam::Dataset;
+use splatonic_telemetry::Telemetry;
 
 /// A frozen mid-sequence SLAM state used as the measurement workload.
 #[derive(Debug, Clone)]
@@ -50,8 +53,8 @@ impl TrackingScenario {
             dataset.gt_poses[0],
             1,
         );
-        let keyframes = vec![Keyframe {
-            frame: dataset.frames[0].clone(),
+        let keyframes = [Keyframe {
+            frame: &dataset.frames[0],
             pose: dataset.gt_poses[0],
         }];
         let sampler = MappingSampler::new(4, MappingStrategy::Combined);
@@ -64,6 +67,8 @@ impl TrackingScenario {
             Pipeline::PixelBased,
             &RenderConfig::default(),
             1,
+            &mut AdamVector::new(0),
+            &Telemetry::disabled(),
         );
         TrackingScenario {
             scene,
@@ -98,9 +103,9 @@ pub struct IterationMeasurement {
 /// conventional per-tile sort schedule regardless of the runtime default —
 /// the `sort_*` trace counters (and the hardware gauges priced from them)
 /// stay comparable across releases, and ablation experiments switch
-/// schedules explicitly via the `_with_config` variants. The sorted-list
-/// cache needs no pin: a hit replays exactly the counters a cold build
-/// records, so it never reaches the trace.
+/// schedules explicitly via [`measure_dense_iteration_with_config`]. The
+/// sorted-list cache needs no pin: a hit replays exactly the counters a
+/// cold build records, so it never reaches the trace.
 pub fn reference_render_config() -> RenderConfig {
     RenderConfig {
         tile_grouping: false,
@@ -109,86 +114,41 @@ pub fn reference_render_config() -> RenderConfig {
 }
 
 /// Renders one tracking iteration under the given schedule and sampling,
-/// with a real loss/backward pass, and returns its measurement.
-///
-/// Uses [`reference_render_config`]; pass an explicit configuration via
-/// [`measure_tracking_iteration_with_config`] for schedule ablations.
+/// with a real loss/backward pass, and returns its measurement. Uses
+/// [`reference_render_config`].
 pub fn measure_tracking_iteration(
     scenario: &TrackingScenario,
     pipeline: Pipeline,
     sampling: SamplingStrategy,
     seed: u64,
 ) -> IterationMeasurement {
-    measure_tracking_iteration_with_config(
-        scenario,
+    let plan = tracking_plan(sampling, &scenario.frame, seed, None);
+    let (intrinsics, pixels, frame) = resolve_plan(plan, scenario.intrinsics, &scenario.frame);
+    measure_iteration(
+        &scenario.scene,
+        &Camera::new(intrinsics, scenario.pose),
+        &frame,
+        &pixels,
         pipeline,
-        sampling,
-        seed,
         &reference_render_config(),
     )
 }
 
-/// [`measure_tracking_iteration`] with an explicit render configuration
-/// (e.g. tile grouping on/off for the sort ablation).
-pub fn measure_tracking_iteration_with_config(
-    scenario: &TrackingScenario,
-    pipeline: Pipeline,
-    sampling: SamplingStrategy,
-    seed: u64,
-    config: &RenderConfig,
-) -> IterationMeasurement {
-    let plan = tracking_plan(sampling, &scenario.frame, seed, None);
-    let (cam, pixels, frame_owned);
-    let frame: &Frame = match plan {
-        SamplingPlan::Pixels(p) => {
-            cam = Camera::new(scenario.intrinsics, scenario.pose);
-            pixels = p;
-            &scenario.frame
-        }
-        SamplingPlan::LowRes { factor } => {
-            let small = scenario.intrinsics.downscaled(factor);
-            cam = Camera::new(small, scenario.pose);
-            pixels = PixelSet::dense(small.width, small.height);
-            frame_owned = splatonic_slam::tracking::downsample_frame(&scenario.frame, factor);
-            &frame_owned
-        }
-    };
-    measure_iteration(&scenario.scene, &cam, frame, &pixels, pipeline, config)
-}
-
 /// Renders one mapping iteration (the paper's `w_m`-tile combined sampler,
 /// plus the unseen set from a dense Γ pass) and returns its measurement.
-///
-/// Uses [`reference_render_config`]; pass an explicit configuration via
-/// [`measure_mapping_iteration_with_config`] for schedule ablations.
+/// Uses [`reference_render_config`].
 pub fn measure_mapping_iteration(
     scenario: &TrackingScenario,
     pipeline: Pipeline,
     mapping_tile: usize,
     seed: u64,
 ) -> IterationMeasurement {
-    measure_mapping_iteration_with_config(
-        scenario,
-        pipeline,
-        mapping_tile,
-        seed,
-        &reference_render_config(),
-    )
-}
-
-/// [`measure_mapping_iteration`] with an explicit render configuration.
-pub fn measure_mapping_iteration_with_config(
-    scenario: &TrackingScenario,
-    pipeline: Pipeline,
-    mapping_tile: usize,
-    seed: u64,
-    config: &RenderConfig,
-) -> IterationMeasurement {
+    let config = reference_render_config();
     let cam = Camera::new(scenario.intrinsics, scenario.pose);
     // Dense Γ pass feeds the unseen classification (priced separately by
     // callers if desired; here it only shapes the pixel set).
     let dense = PixelSet::dense(scenario.intrinsics.width, scenario.intrinsics.height);
-    let dense_out = render_forward(&scenario.scene, &cam, &dense, pipeline, config);
+    let dense_out = render_forward(&scenario.scene, &cam, &dense, pipeline, &config);
     let mut transmittance =
         splatonic_math::Image::filled(scenario.intrinsics.width, scenario.intrinsics.height, 1.0);
     for (i, p) in dense.iter_all().enumerate() {
@@ -202,7 +162,7 @@ pub fn measure_mapping_iteration_with_config(
         &scenario.frame,
         &pixels,
         pipeline,
-        config,
+        &config,
     )
 }
 

@@ -10,9 +10,8 @@
 //! priority order is fully deterministic: the same scene and budget always
 //! keep exactly the same Gaussians, in their original order.
 //!
-//! Used as an optional post-mapping pass from `SlamSystem::finalize` (the
-//! `lod_budget` knob) and standalone via the bench plan runner's
-//! `decimate` step.
+//! Used by the bench plan runner's `decimate` step, after a run has
+//! finished.
 
 use crate::gaussian::{sigmoid, GaussianScene};
 

@@ -1,7 +1,8 @@
 //! Scene mapping: densification and Gaussian-parameter optimization
 //! (paper Sec. II-A).
 //!
-//! Mapping fixes the recent camera poses and fine-tunes the Gaussian scene:
+//! [`map_scene`] fixes the recent camera poses and fine-tunes the Gaussian
+//! scene, with the optimizer state owned by the caller:
 //!
 //! 1. One **dense forward pass** over the newest keyframe yields the final
 //!    transmittance map `Γ_final` (performed "only once per mapping",
@@ -33,11 +34,12 @@ use splatonic_telemetry::Telemetry;
 /// (mean 3 + log-scale 3 + quaternion 4 + opacity 1 + color 3).
 const PARAMS_PER_GAUSSIAN: usize = 14;
 
-/// A keyframe: reference frame plus its (estimated, fixed) pose.
-#[derive(Debug, Clone)]
-pub struct Keyframe {
+/// A keyframe: reference frame (borrowed from the dataset) plus its
+/// (estimated, fixed) pose.
+#[derive(Debug, Clone, Copy)]
+pub struct Keyframe<'a> {
     /// The reference RGB-D frame.
-    pub frame: Frame,
+    pub frame: &'a Frame,
     /// World-to-camera pose estimated by tracking.
     pub pose: Pose,
 }
@@ -56,8 +58,6 @@ pub struct MappingOutput {
     pub pruned: usize,
     /// Iterations executed.
     pub iters: usize,
-    /// Mean pixels rendered per optimization iteration.
-    pub pixels_per_iter: f64,
     /// Total pixels rendered across all optimization iterations (the
     /// per-frame `map_sampled_pixels` of the run report).
     pub sampled_pixels: usize,
@@ -200,64 +200,19 @@ pub fn densify_unseen(
 
 /// The mapping process: densify from the newest keyframe, then optimize the
 /// scene over the keyframe window.
-#[allow(clippy::too_many_arguments)]
-pub fn map_scene(
-    scene: &mut GaussianScene,
-    keyframes: &[Keyframe],
-    intrinsics: Intrinsics,
-    sampler: &MappingSampler,
-    algo: &AlgorithmConfig,
-    pipeline: Pipeline,
-    render_cfg: &RenderConfig,
-    seed: u64,
-) -> MappingOutput {
-    map_scene_with_telemetry(
-        scene,
-        keyframes,
-        intrinsics,
-        sampler,
-        algo,
-        pipeline,
-        render_cfg,
-        seed,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`map_scene`] with span instrumentation: the once-per-invocation dense Γ
-/// pass is timed as `gamma_dense` and densification as `densify`; each
-/// optimization iteration's pixel-set build as `sample`, its render passes
-/// as `forward` / `backward` and its optimizer update as `adam`; the final
-/// cull as `prune`. Densify/prune counts are exported as counters. A
-/// disabled handle adds no overhead.
-#[allow(clippy::too_many_arguments)]
-pub fn map_scene_with_telemetry(
-    scene: &mut GaussianScene,
-    keyframes: &[Keyframe],
-    intrinsics: Intrinsics,
-    sampler: &MappingSampler,
-    algo: &AlgorithmConfig,
-    pipeline: Pipeline,
-    render_cfg: &RenderConfig,
-    seed: u64,
-    telemetry: &Telemetry,
-) -> MappingOutput {
-    let mut adam = AdamVector::new(0);
-    map_scene_with_state(
-        scene, keyframes, intrinsics, sampler, algo, pipeline, render_cfg, seed, &mut adam,
-        telemetry,
-    )
-}
-
-/// [`map_scene_with_telemetry`] with caller-owned optimizer state.
 ///
 /// `adam` is reset to exactly `AdamVector::new(scene.len() * 14)` at the
-/// start of the invocation — numerically identical to the transient vector
-/// the convenience wrappers create, but the moments and step count live in
-/// the caller between iterations, so a checkpoint taken mid-run genuinely
+/// start of the invocation, but the moments and step count live in the
+/// caller between iterations, so a checkpoint taken mid-run genuinely
 /// captures them ([`crate::snapshot`]).
+///
+/// The once-per-invocation dense Γ pass is timed as `gamma_dense` and
+/// densification as `densify`; each optimization iteration's pixel-set
+/// build as `sample`, its render passes as `forward` / `backward` and its
+/// optimizer update as `adam`; the final cull as `prune`. Densify/prune
+/// counts are exported as counters. A disabled handle adds no overhead.
 #[allow(clippy::too_many_arguments)]
-pub fn map_scene_with_state(
+pub fn map_scene(
     scene: &mut GaussianScene,
     keyframes: &[Keyframe],
     intrinsics: Intrinsics,
@@ -291,7 +246,7 @@ pub fn map_scene_with_state(
         let _span = telemetry.span("densify");
         densify_unseen(
             scene,
-            &newest.frame,
+            newest.frame,
             intrinsics,
             newest.pose,
             &transmittance,
@@ -319,9 +274,9 @@ pub fn map_scene_with_state(
             if it == 0 {
                 PixelSet::dense(intrinsics.width, intrinsics.height)
             } else if std::ptr::eq(kf, newest) {
-                sampler.build(&kf.frame, &transmittance, seed ^ (it as u64))
+                sampler.build(kf.frame, &transmittance, seed ^ (it as u64))
             } else {
-                sampler.build(&kf.frame, &flat, seed ^ (it as u64))
+                sampler.build(kf.frame, &flat, seed ^ (it as u64))
             }
         };
         if pixels.is_empty() {
@@ -332,7 +287,7 @@ pub fn map_scene_with_state(
             let _span = telemetry.span("forward");
             render_forward(scene, &cam, &pixels, pipeline, render_cfg)
         };
-        let l = loss::evaluate_loss(&out, &kf.frame, &pixels, &algo.loss);
+        let l = loss::evaluate_loss(&out, kf.frame, &pixels, &algo.loss);
         let (scene_grads, _, bwd_trace) = {
             let _span = telemetry.span("backward");
             render_backward(
@@ -370,7 +325,6 @@ pub fn map_scene_with_state(
         densified_capped,
         pruned,
         iters: algo.mapping_iters,
-        pixels_per_iter: pixels_total as f64 / algo.mapping_iters.max(1) as f64,
         sampled_pixels: pixels_total,
     }
 }
@@ -442,7 +396,7 @@ mod tests {
             &d.frames[0].color,
         );
         let kf = Keyframe {
-            frame: d.frames[0].clone(),
+            frame: &d.frames[0],
             pose: d.gt_poses[0],
         };
         let algo = AlgorithmConfig {
@@ -459,6 +413,8 @@ mod tests {
             Pipeline::PixelBased,
             &RenderConfig::default(),
             9,
+            &mut AdamVector::new(0),
+            &Telemetry::disabled(),
         );
         let after = psnr_db(
             &render_at(&scene, d.intrinsics, d.gt_poses[0]),
@@ -490,7 +446,7 @@ mod tests {
         let mut scene = seed_scene_from_frame(&d.frames[0], d.intrinsics, d.gt_poses[0], 2);
         let n0 = scene.len();
         let kf = Keyframe {
-            frame: d.frames[59].clone(),
+            frame: &d.frames[59],
             pose: d.gt_poses[59],
         };
         let algo = AlgorithmConfig {
@@ -507,6 +463,8 @@ mod tests {
             Pipeline::PixelBased,
             &RenderConfig::default(),
             4,
+            &mut AdamVector::new(0),
+            &Telemetry::disabled(),
         );
         assert!(out.densified > 0, "no densification happened");
         assert!(scene.len() > n0 - out.pruned);
@@ -567,7 +525,7 @@ mod tests {
         );
         let mut scene = seed_scene_from_frame(&d.frames[0], d.intrinsics, d.gt_poses[0], 2);
         let kf = Keyframe {
-            frame: d.frames[59].clone(),
+            frame: &d.frames[59],
             pose: d.gt_poses[59],
         };
         let algo = AlgorithmConfig {
@@ -585,6 +543,8 @@ mod tests {
             Pipeline::PixelBased,
             &RenderConfig::default(),
             4,
+            &mut AdamVector::new(0),
+            &Telemetry::disabled(),
         );
         assert_eq!(out.densified, 5, "cap must bound densification");
         assert!(out.densified_capped > 0, "overflow must be reported");
@@ -595,7 +555,7 @@ mod tests {
         let d = tiny_dataset();
         let mut scene = seed_scene_from_frame(&d.frames[0], d.intrinsics, d.gt_poses[0], 3);
         let kf = Keyframe {
-            frame: d.frames[0].clone(),
+            frame: &d.frames[0],
             pose: d.gt_poses[0],
         };
         let algo = AlgorithmConfig {
@@ -612,6 +572,8 @@ mod tests {
             Pipeline::PixelBased,
             &RenderConfig::default(),
             4,
+            &mut AdamVector::new(0),
+            &Telemetry::disabled(),
         );
         assert!(out.trace.forward.pixels_shaded > 0);
         assert!(out.trace.backward.pairs_grad > 0);
@@ -792,6 +754,8 @@ mod tests {
             Pipeline::PixelBased,
             &RenderConfig::default(),
             0,
+            &mut AdamVector::new(0),
+            &Telemetry::disabled(),
         );
     }
 }

@@ -14,17 +14,19 @@
 
 use crate::adam::AdamVector;
 use crate::algorithm::AlgorithmConfig;
-use crate::mapping::{map_scene_with_state, seed_scene_from_frame, Keyframe};
+use crate::mapping::{map_scene, seed_scene_from_frame, Keyframe};
 use crate::metrics::ate_rmse_cm;
 use crate::snapshot::{fnv1a, Snapshot, SnapshotError};
-use crate::tracking::{constant_velocity_init, track_frame_with_telemetry};
+use crate::tracking::{constant_velocity_init, track_frame};
 use crate::Dataset;
 use splatonic_math::pool::WorkerStats;
 use splatonic_math::Pose;
 use splatonic_render::projcache;
 use splatonic_render::sampling::MappingStrategy;
 use splatonic_render::tilesort;
-use splatonic_render::{MappingSampler, Pipeline, RenderConfig, RenderTrace, SamplingStrategy};
+use splatonic_render::{
+    LossConfig, MappingSampler, Pipeline, RenderConfig, RenderTrace, SamplingStrategy,
+};
 use splatonic_scene::{Frame, GaussianScene, Intrinsics};
 use splatonic_telemetry::{FrameRecord, Telemetry};
 use std::time::Instant;
@@ -58,15 +60,6 @@ pub struct SlamConfig {
     /// [`SlamSystem::run_with_checkpoints`] (`0` disables checkpointing).
     /// Frame 0 (the anchor + initial mapping) always falls on the cadence.
     pub checkpoint_every: usize,
-    /// Post-mapping LOD budget: when nonzero, [`SlamSystem::finalize`]
-    /// decimates the scene to at most this many Gaussians
-    /// ([`splatonic_scene::lod::decimate`]) *after* the accuracy
-    /// evaluation — the reported PSNR measures the full map; the decimated
-    /// scene is what callers export or keep serving. `0` (default)
-    /// disables the pass. Runs strictly after the last frame, so it is
-    /// not result-affecting for tracking/mapping and stays outside the
-    /// config fingerprint.
-    pub lod_budget: usize,
 }
 
 impl Default for SlamConfig {
@@ -81,7 +74,6 @@ impl Default for SlamConfig {
             seed: 0,
             seed_stride: 1,
             checkpoint_every: 0,
-            lod_budget: 0,
         }
     }
 }
@@ -121,62 +113,109 @@ impl SlamConfig {
     /// [`Snapshot`] so resuming under a different algorithm or sampling
     /// setup is rejected as stale ([`SnapshotError::ConfigMismatch`]).
     ///
-    /// Execution knobs that are bitwise-transparent by contract are
-    /// deliberately excluded — the three render execution knobs
-    /// `render.threads`, `render.tile_grouping` and `render.kernels`
-    /// (scalar and SIMD kernels are bit-identical, DESIGN.md §13),
-    /// `checkpoint_every` itself, and `lod_budget` (a post-run pass that
-    /// never shapes per-frame results) — so a snapshot taken at one thread
-    /// width or kernel mode resumes at any other.
+    /// Every config struct is destructured with no `..`, so a new field
+    /// fails to compile until it is either hashed or bound to `_` as a
+    /// bitwise-transparent execution knob. The excluded knobs are the three
+    /// render execution knobs `render.threads`, `render.tile_grouping` and
+    /// `render.kernels` (scalar and SIMD kernels are bit-identical,
+    /// DESIGN.md §13) and `checkpoint_every` itself, so a snapshot taken at
+    /// one thread width or kernel mode resumes at any other.
     pub fn fingerprint(&self) -> u64 {
+        let SlamConfig {
+            algorithm,
+            pipeline,
+            tracking_sampling,
+            mapping_tile,
+            mapping_strategy,
+            render,
+            seed,
+            seed_stride,
+            // Cutting a checkpoint never changes the run it snapshots.
+            checkpoint_every: _,
+        } = self;
+        let AlgorithmConfig {
+            preset,
+            tracking_iters,
+            mapping_iters,
+            mapping_every,
+            keyframe_window,
+            pose_lr,
+            mean_lr,
+            scale_lr,
+            rot_lr,
+            opacity_lr,
+            color_lr,
+            loss,
+            densify_max_per_frame,
+        } = algorithm;
+        let LossConfig {
+            color_weight,
+            depth_weight,
+            huber_delta,
+            huber_delta_depth,
+        } = loss;
+        let RenderConfig {
+            alpha_threshold,
+            alpha_max,
+            transmittance_min,
+            screen_blur,
+            bbox_sigma,
+            near,
+            background,
+            // Pool width: the renderer is bit-identical at every width.
+            threads: _,
+            // Tile grouping changes only how sort work is shared.
+            tile_grouping: _,
+            // Scalar and SIMD kernels are bit-identical.
+            kernels: _,
+        } = render;
+
         let mut buf: Vec<u8> = Vec::with_capacity(256);
-        let u = |buf: &mut Vec<u8>, v: u64| buf.extend_from_slice(&v.to_le_bytes());
+        let u = |buf: &mut Vec<u8>, v: usize| buf.extend_from_slice(&(v as u64).to_le_bytes());
         let f = |buf: &mut Vec<u8>, v: f64| buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        let a = &self.algorithm;
-        buf.extend_from_slice(format!("{:?}", a.preset).as_bytes());
-        u(&mut buf, a.tracking_iters as u64);
-        u(&mut buf, a.mapping_iters as u64);
-        u(&mut buf, a.mapping_every as u64);
-        u(&mut buf, a.keyframe_window as u64);
-        u(&mut buf, a.densify_max_per_frame as u64);
-        for lr in [
-            a.pose_lr,
-            a.mean_lr,
-            a.scale_lr,
-            a.rot_lr,
-            a.opacity_lr,
-            a.color_lr,
-        ] {
-            f(&mut buf, lr);
-        }
-        for w in [
-            a.loss.color_weight,
-            a.loss.depth_weight,
-            a.loss.huber_delta,
-            a.loss.huber_delta_depth,
-        ] {
-            f(&mut buf, w);
-        }
-        buf.extend_from_slice(format!("{:?}", self.pipeline).as_bytes());
-        buf.extend_from_slice(format!("{:?}", self.tracking_sampling).as_bytes());
-        u(&mut buf, self.mapping_tile as u64);
-        buf.extend_from_slice(format!("{:?}", self.mapping_strategy).as_bytes());
-        let r = &self.render;
+        buf.extend_from_slice(format!("{preset:?}").as_bytes());
         for v in [
-            r.alpha_threshold,
-            r.alpha_max,
-            r.transmittance_min,
-            r.screen_blur,
-            r.bbox_sigma,
-            r.near,
-            r.background.x,
-            r.background.y,
-            r.background.z,
+            tracking_iters,
+            mapping_iters,
+            mapping_every,
+            keyframe_window,
+            densify_max_per_frame,
         ] {
-            f(&mut buf, v);
+            u(&mut buf, *v);
         }
-        u(&mut buf, self.seed);
-        u(&mut buf, self.seed_stride as u64);
+        for v in [
+            pose_lr,
+            mean_lr,
+            scale_lr,
+            rot_lr,
+            opacity_lr,
+            color_lr,
+            color_weight,
+            depth_weight,
+            huber_delta,
+            huber_delta_depth,
+        ] {
+            f(&mut buf, *v);
+        }
+        buf.extend_from_slice(format!("{pipeline:?}").as_bytes());
+        buf.extend_from_slice(format!("{tracking_sampling:?}").as_bytes());
+        u(&mut buf, *mapping_tile);
+        buf.extend_from_slice(format!("{mapping_strategy:?}").as_bytes());
+        for v in [
+            alpha_threshold,
+            alpha_max,
+            transmittance_min,
+            screen_blur,
+            bbox_sigma,
+            near,
+            &background.x,
+            &background.y,
+            &background.z,
+        ] {
+            f(&mut buf, *v);
+        }
+        buf.extend_from_slice(&seed.to_le_bytes());
+        u(&mut buf, *seed_stride);
         fnv1a(&buf)
     }
 }
@@ -205,8 +244,7 @@ pub struct SlamResult {
     pub frames: usize,
     /// Number of mapping invocations.
     pub mapping_invocations: usize,
-    /// Final scene size (Gaussians), after the optional
-    /// [`SlamConfig::lod_budget`] decimation pass.
+    /// Final scene size (Gaussians).
     pub scene_size: usize,
 }
 
@@ -214,17 +252,16 @@ pub struct SlamResult {
 /// cycle, plus per-process telemetry bracketing that deliberately does not
 /// (pool/cache baselines restart at resume — they are side-band stats,
 /// outside the bitwise contract).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct RunState {
     /// Index of the first unprocessed frame.
     next_frame: usize,
     /// Estimated poses for frames `0..next_frame`.
     est_poses: Vec<Pose>,
-    /// The keyframe window (owned frames, for mapping).
-    keyframes: Vec<Keyframe>,
-    /// Dataset frame index of each keyframe (for serialization — snapshots
-    /// store indices, not images).
-    keyframe_indices: Vec<usize>,
+    /// The keyframe window as (dataset frame index, estimated pose), the
+    /// form [`Snapshot::keyframes`] stores; mapping borrows the frames
+    /// from the dataset.
+    keyframes: Vec<(usize, Pose)>,
     /// Mapping optimizer state (moments + step count).
     map_adam: AdamVector,
     /// Aggregated tracking trace so far.
@@ -418,11 +455,7 @@ impl SlamSystem {
     /// Panics if the dataset is empty.
     pub fn step_frame(&mut self, dataset: &Dataset, telemetry: &Telemetry) -> Option<usize> {
         assert!(!dataset.is_empty(), "dataset must contain frames");
-        if self.run.is_none() {
-            self.init_run(dataset, telemetry);
-            return Some(0);
-        }
-        let t = self.run.as_ref().expect("active run").next_frame;
+        let t = self.run.as_ref().map_or(0, |r| r.next_frame);
         if t >= dataset.len() {
             return None;
         }
@@ -464,21 +497,6 @@ impl SlamSystem {
         telemetry.counter_add("slam/tracking_iters", state.tracking_iters as u64);
         telemetry.counter_add("slam/mapping_iters", state.mapping_iters as u64);
         telemetry.counter_add("slam/mapping_invocations", state.mapping_invocations as u64);
-
-        // Optional post-mapping LOD pass (after the PSNR evaluation, so the
-        // reported accuracy measures the full map). The counter is emitted
-        // even when the pass is off — `lod/pruned == 0` distinguishes
-        // "nothing pruned" from "telemetry missing" in the report gates.
-        let lod = if self.config.lod_budget > 0 {
-            let _span = telemetry.span_flat("lod_decimate");
-            splatonic_scene::lod::decimate(&mut self.scene, self.config.lod_budget)
-        } else {
-            splatonic_scene::LodStats {
-                kept: self.scene.len(),
-                pruned: 0,
-            }
-        };
-        telemetry.counter_add("lod/pruned", lod.pruned as u64);
         telemetry.gauge_set("slam/scene_size", self.scene.len() as f64);
 
         SlamResult {
@@ -516,43 +534,23 @@ impl SlamSystem {
     /// the snapshot carries `next_frame == 0` and the current scene;
     /// resuming it starts a fresh run.
     pub fn checkpoint(&self) -> Snapshot {
-        let cfg = &self.config;
-        let base = Snapshot {
-            seed: cfg.seed,
-            config_fingerprint: cfg.fingerprint(),
-            next_frame: 0,
+        let idle = RunState::default();
+        let r = self.run.as_ref().unwrap_or(&idle);
+        Snapshot {
+            seed: self.config.seed,
+            config_fingerprint: self.config.fingerprint(),
+            next_frame: r.next_frame,
             scene_revision: self.scene.revision(),
             gaussians: self.scene.to_vec(),
-            est_poses: Vec::new(),
-            keyframes: Vec::new(),
-            adam_t: 0,
-            adam_moments: Vec::new(),
-            tracking_iters: 0,
-            mapping_iters: 0,
-            mapping_invocations: 0,
-            tracking_trace: RenderTrace::new(),
-            mapping_trace: RenderTrace::new(),
-        };
-        match &self.run {
-            None => base,
-            Some(r) => Snapshot {
-                next_frame: r.next_frame,
-                est_poses: r.est_poses.clone(),
-                keyframes: r
-                    .keyframe_indices
-                    .iter()
-                    .zip(r.keyframes.iter())
-                    .map(|(&idx, kf)| (idx, kf.pose))
-                    .collect(),
-                adam_t: r.map_adam.step_count(),
-                adam_moments: r.map_adam.scalars().iter().map(|s| s.moments()).collect(),
-                tracking_iters: r.tracking_iters,
-                mapping_iters: r.mapping_iters,
-                mapping_invocations: r.mapping_invocations,
-                tracking_trace: r.tracking_trace.clone(),
-                mapping_trace: r.mapping_trace.clone(),
-                ..base
-            },
+            est_poses: r.est_poses.clone(),
+            keyframes: r.keyframes.clone(),
+            adam_t: r.map_adam.step_count(),
+            adam_moments: r.map_adam.scalars().iter().map(|s| s.moments()).collect(),
+            tracking_iters: r.tracking_iters,
+            mapping_iters: r.mapping_iters,
+            mapping_invocations: r.mapping_invocations,
+            tracking_trace: r.tracking_trace.clone(),
+            mapping_trace: r.mapping_trace.clone(),
         }
     }
 
@@ -626,32 +624,18 @@ impl SlamSystem {
             }
         }
         let scene = snapshot.restore_scene();
-        let run = if snapshot.next_frame == 0 {
-            None
-        } else {
-            let mut keyframes = Vec::with_capacity(snapshot.keyframes.len());
-            let mut keyframe_indices = Vec::with_capacity(snapshot.keyframes.len());
-            for &(idx, pose) in &snapshot.keyframes {
-                keyframes.push(Keyframe {
-                    frame: dataset.frames[idx].clone(),
-                    pose,
-                });
-                keyframe_indices.push(idx);
-            }
-            Some(RunState {
-                next_frame: snapshot.next_frame,
-                est_poses: snapshot.est_poses.clone(),
-                keyframes,
-                keyframe_indices,
-                map_adam: snapshot.restore_adam(),
-                tracking_trace: snapshot.tracking_trace.clone(),
-                mapping_trace: snapshot.mapping_trace.clone(),
-                tracking_iters: snapshot.tracking_iters,
-                mapping_iters: snapshot.mapping_iters,
-                mapping_invocations: snapshot.mapping_invocations,
-                side_band: SideBand::default(),
-            })
-        };
+        let run = (snapshot.next_frame > 0).then(|| RunState {
+            next_frame: snapshot.next_frame,
+            est_poses: snapshot.est_poses.clone(),
+            keyframes: snapshot.keyframes.clone(),
+            map_adam: snapshot.restore_adam(),
+            tracking_trace: snapshot.tracking_trace.clone(),
+            mapping_trace: snapshot.mapping_trace.clone(),
+            tracking_iters: snapshot.tracking_iters,
+            mapping_iters: snapshot.mapping_iters,
+            mapping_invocations: snapshot.mapping_invocations,
+            side_band: SideBand::default(),
+        });
         Ok(SlamSystem {
             config,
             intrinsics,
@@ -660,10 +644,13 @@ impl SlamSystem {
         })
     }
 
-    /// Anchor-frame processing: pose given, scene seeded from the first
-    /// frame's depth, initial mapping to refine the seed. Leaves
-    /// `next_frame == 1`.
-    fn init_run(&mut self, dataset: &Dataset, telemetry: &Telemetry) {
+    /// One loop iteration over frame `t`: estimate its pose, push a
+    /// keyframe and map on the `mapping_every` cadence, record the frame.
+    ///
+    /// Frame 0 is the anchor of a fresh run (standard SLAM convention): its
+    /// pose is given, the scene is seeded from its depth instead of
+    /// tracked against, and its mapping seed is `cfg.seed` itself.
+    fn process_frame(&mut self, dataset: &Dataset, t: usize, telemetry: &Telemetry) {
         // Flat span: aggregates under the verbatim name "frame" (one record
         // per processed frame, anchor included) without nesting the
         // tracking/mapping paths beneath it.
@@ -674,139 +661,79 @@ impl SlamSystem {
         let window = Bracket::open(telemetry);
         let cfg = self.config;
         let algo = cfg.algorithm;
+        let mut state = self.run.take().unwrap_or_default();
+        let frame = &dataset.frames[t];
 
-        // Anchor: the first pose is given (standard convention) and the
-        // scene is seeded from the first frame.
-        self.scene = seed_scene_from_frame(
-            &dataset.frames[0],
-            self.intrinsics,
-            dataset.gt_poses[0],
-            cfg.seed_stride,
-        );
-        let mut state = RunState {
-            next_frame: 1,
-            est_poses: vec![dataset.gt_poses[0]],
-            keyframes: vec![Keyframe {
-                frame: dataset.frames[0].clone(),
-                pose: dataset.gt_poses[0],
-            }],
-            keyframe_indices: vec![0],
-            map_adam: AdamVector::new(0),
-            tracking_trace: RenderTrace::new(),
-            mapping_trace: RenderTrace::new(),
-            tracking_iters: 0,
-            mapping_iters: 0,
-            mapping_invocations: 0,
-            side_band: SideBand::default(),
-        };
-        let sampler = MappingSampler::new(cfg.mapping_tile, cfg.mapping_strategy);
-
-        // Initial mapping refines the seeded scene.
-        let map0_start = Instant::now();
-        let m0 = {
-            let _span = telemetry.span("mapping");
-            map_scene_with_state(
-                &mut self.scene,
-                &state.keyframes,
-                self.intrinsics,
-                &sampler,
-                &algo,
-                cfg.pipeline,
-                &cfg.render,
-                cfg.seed,
-                &mut state.map_adam,
-                telemetry,
-            )
-        };
-        state.mapping_trace.merge(&m0.trace);
-        state.mapping_iters += m0.iters;
-        state.mapping_invocations += 1;
-        if telemetry.is_enabled() {
-            let cache_frame = window.cache_so_far();
-            telemetry.record_frame(FrameRecord {
-                frame_idx: 0,
-                track_iters: 0,
-                map_invoked: true,
-                sampled_pixels: 0, // tracking never runs on the anchor frame
-                map_sampled_pixels: m0.sampled_pixels,
-                gaussian_count: self.scene.len(),
-                cache_hits: cache_frame.hits,
-                cache_invalidations: cache_frame.invalidations,
-                psnr_db: self.frame_psnr(&dataset.frames[0], state.est_poses[0]),
-                ate_so_far_cm: 0.0, // the anchor pose is given
-                track_ms: 0.0,
-                map_ms: map0_start.elapsed().as_secs_f64() * 1e3,
-            });
-        }
-        state.side_band.close(window);
-        self.run = Some(state);
-    }
-
-    /// One loop iteration: track frame `t`, push a keyframe and map on the
-    /// `mapping_every` cadence, record the frame.
-    fn process_frame(&mut self, dataset: &Dataset, t: usize, telemetry: &Telemetry) {
-        let _frame = telemetry.span_flat("frame");
-        // Frame-wide attribution window (see `init_run`).
-        let window = Bracket::open(telemetry);
-        let cfg = self.config;
-        let algo = cfg.algorithm;
-        let mut state = self.run.take().expect("active run");
-        let sampler = MappingSampler::new(cfg.mapping_tile, cfg.mapping_strategy);
-
-        let prev = state.est_poses[t - 1];
-        let prev_prev = if t >= 2 {
-            Some(state.est_poses[t - 2])
+        let mut track_iters = 0;
+        let mut sampled_pixels = 0;
+        let mut track_ms = 0.0;
+        let pose = if t == 0 {
+            self.scene =
+                seed_scene_from_frame(frame, self.intrinsics, dataset.gt_poses[0], cfg.seed_stride);
+            dataset.gt_poses[0]
         } else {
-            None
+            let prev_prev = t.checked_sub(2).map(|i| state.est_poses[i]);
+            let init = constant_velocity_init(state.est_poses[t - 1], prev_prev);
+            let track_start = Instant::now();
+            let out = {
+                let _span = telemetry.span("tracking");
+                track_frame(
+                    &self.scene,
+                    self.intrinsics,
+                    init,
+                    frame,
+                    cfg.tracking_sampling,
+                    cfg.pipeline,
+                    &algo,
+                    &cfg.render,
+                    cfg.seed ^ (t as u64).wrapping_mul(0xA5A5_5A5A),
+                    telemetry,
+                )
+            };
+            track_ms = track_start.elapsed().as_secs_f64() * 1e3;
+            state.tracking_trace.merge(&out.trace);
+            state.tracking_iters += out.iters;
+            track_iters = out.iters;
+            sampled_pixels = out.sampled_pixels;
+            out.pose
         };
-        let init = constant_velocity_init(prev, prev_prev);
-        let track_start = Instant::now();
-        let out = {
-            let _span = telemetry.span("tracking");
-            track_frame_with_telemetry(
-                &self.scene,
-                self.intrinsics,
-                init,
-                &dataset.frames[t],
-                cfg.tracking_sampling,
-                cfg.pipeline,
-                &algo,
-                &cfg.render,
-                cfg.seed ^ (t as u64).wrapping_mul(0xA5A5_5A5A),
-                telemetry,
-            )
-        };
-        let track_ms = track_start.elapsed().as_secs_f64() * 1e3;
-        state.tracking_trace.merge(&out.trace);
-        state.tracking_iters += out.iters;
-        state.est_poses.push(out.pose);
+        state.est_poses.push(pose);
 
         let mut map_invoked = false;
         let mut map_ms = 0.0;
         let mut map_sampled_pixels = 0usize;
         if t.is_multiple_of(algo.mapping_every) {
-            state.keyframes.push(Keyframe {
-                frame: dataset.frames[t].clone(),
-                pose: out.pose,
-            });
-            state.keyframe_indices.push(t);
+            state.keyframes.push((t, pose));
             if state.keyframes.len() > algo.keyframe_window {
                 let cut = state.keyframes.len() - algo.keyframe_window;
                 state.keyframes.drain(..cut);
-                state.keyframe_indices.drain(..cut);
             }
+            let keyframes: Vec<Keyframe> = state
+                .keyframes
+                .iter()
+                .map(|&(i, pose)| Keyframe {
+                    frame: &dataset.frames[i],
+                    pose,
+                })
+                .collect();
+            let seed = if t == 0 {
+                cfg.seed
+            } else {
+                cfg.seed ^ (t as u64).wrapping_mul(0x5A5A_A5A5) ^ 0xF0F0
+            };
+            let sampler = MappingSampler::new(cfg.mapping_tile, cfg.mapping_strategy);
             let map_start = Instant::now();
             let m = {
                 let _span = telemetry.span("mapping");
-                map_scene_with_state(
+                map_scene(
                     &mut self.scene,
-                    &state.keyframes,
+                    &keyframes,
                     self.intrinsics,
                     &sampler,
                     &algo,
                     cfg.pipeline,
                     &cfg.render,
-                    cfg.seed ^ (t as u64).wrapping_mul(0x5A5A_A5A5) ^ 0xF0F0,
+                    seed,
                     &mut state.map_adam,
                     telemetry,
                 )
@@ -823,15 +750,19 @@ impl SlamSystem {
             let cache_frame = window.cache_so_far();
             telemetry.record_frame(FrameRecord {
                 frame_idx: t,
-                track_iters: out.iters,
+                track_iters,
                 map_invoked,
-                sampled_pixels: out.sampled_pixels,
+                sampled_pixels,
                 map_sampled_pixels,
                 gaussian_count: self.scene.len(),
                 cache_hits: cache_frame.hits,
                 cache_invalidations: cache_frame.invalidations,
-                psnr_db: self.frame_psnr(&dataset.frames[t], out.pose),
-                ate_so_far_cm: ate_rmse_cm(&state.est_poses, &dataset.gt_poses[..=t]),
+                psnr_db: self.frame_psnr(frame, pose),
+                ate_so_far_cm: if t == 0 {
+                    0.0 // the anchor pose is given
+                } else {
+                    ate_rmse_cm(&state.est_poses, &dataset.gt_poses[..=t])
+                },
                 track_ms,
                 map_ms,
             });
@@ -938,6 +869,14 @@ mod tests {
         );
         // One record per frame, running metrics populated.
         assert_eq!(report.frames.len(), r.frames);
+        // The anchor frame: pose given (no tracking), initial mapping.
+        let anchor = &report.frames[0];
+        assert_eq!(anchor.frame_idx, 0);
+        assert_eq!(anchor.track_iters, 0);
+        assert_eq!(anchor.sampled_pixels, 0);
+        assert!(anchor.map_invoked);
+        assert_eq!(anchor.ate_so_far_cm, 0.0);
+        assert_eq!(anchor.track_ms, 0.0);
         assert!(report.frames[1..].iter().all(|f| f.track_iters > 0));
         assert!(report.frames.iter().any(|f| f.map_invoked));
         // Every mapping invocation renders pixels, and that count must reach
@@ -1173,7 +1112,7 @@ mod tests {
         let d = tiny();
         let mut uninterrupted = SlamSystem::new(SlamConfig::default(), d.intrinsics);
         let full = uninterrupted.run(&d);
-        for kill_after in [1, 4, 8] {
+        for kill_after in [0, 1, 4, 8] {
             let mut sys = SlamSystem::new(SlamConfig::default(), d.intrinsics);
             for _ in 0..=kill_after {
                 sys.step_frame(&d, &Telemetry::disabled());
@@ -1226,7 +1165,6 @@ mod tests {
         b2.render.tile_grouping = false;
         b2.render.kernels = splatonic_render::KernelMode::Scalar;
         b2.checkpoint_every = 5;
-        b2.lod_budget = 1000;
         assert_eq!(b.fingerprint(), b2.fingerprint());
         // The densify cap IS result-affecting, so it must separate.
         let mut b3 = b;
@@ -1235,35 +1173,19 @@ mod tests {
     }
 
     #[test]
-    fn lod_budget_decimates_after_evaluation() {
-        let d = tiny();
-        // Baseline run: full scene size and PSNR.
-        let mut full_sys = SlamSystem::new(SlamConfig::default(), d.intrinsics);
-        let full = full_sys.run(&d);
-        assert!(full.scene_size > 50);
-        let budget = full.scene_size / 2;
-        let telemetry = splatonic_telemetry::Telemetry::enabled();
-        let mut sys = SlamSystem::new(
-            SlamConfig {
-                lod_budget: budget,
-                ..SlamConfig::default()
-            },
-            d.intrinsics,
+    fn fingerprint_byte_stream_is_pinned() {
+        // Snapshots on disk carry these values: a change to what is hashed,
+        // or in which order, makes every stored snapshot stale.
+        let splatam = crate::AlgorithmPreset::SplaTam.config();
+        assert_eq!(SlamConfig::default().fingerprint(), 0x3615_cb23_ed70_da99);
+        assert_eq!(
+            SlamConfig::splatonic(splatam).fingerprint(),
+            0x3615_cb23_ed70_da99
         );
-        let r = sys.run_with_telemetry(&d, &telemetry);
-        // Same run bitwise (LOD is post-run): poses and PSNR unchanged.
-        assert_eq!(r.est_poses, full.est_poses);
-        assert_eq!(r.psnr_db.to_bits(), full.psnr_db.to_bits());
-        // Scene decimated to the budget, and the counter reports it.
-        assert_eq!(r.scene_size, budget);
-        assert_eq!(sys.scene().len(), budget);
-        let report = telemetry.finish("lod-test", Default::default());
-        let pruned = report
-            .counters
-            .iter()
-            .find(|(n, _)| n == "lod/pruned")
-            .map(|(_, v)| *v);
-        assert_eq!(pruned, Some((full.scene_size - budget) as u64));
+        assert_eq!(
+            SlamConfig::dense_baseline(splatam).fingerprint(),
+            0x1c3b_b1bc_9126_4560
+        );
     }
 
     #[test]

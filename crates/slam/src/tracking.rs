@@ -1,10 +1,12 @@
 //! Per-frame camera-pose tracking (paper Sec. II-A).
 //!
-//! Tracking fixes the Gaussian scene and optimizes a single camera pose by
-//! `S_t` iterations of render → loss → backward → Adam-on-se(3). Pixels are
-//! chosen by the configured [`SamplingStrategy`] each iteration (re-sampled
-//! per iteration, which is what gives random sampling its global coverage
-//! over the optimization).
+//! [`track_frame`] fixes the Gaussian scene and optimizes a single camera
+//! pose by `S_t` iterations of render → loss → backward → Adam-on-se(3).
+//! Pixels are chosen once per frame by the configured [`SamplingStrategy`]
+//! ([`resolve_plan`] turns the plan into intrinsics, pixel set and
+//! reference frame), so losses stay comparable across iterations and the
+//! best-of pose selection is meaningful; only the loss-guided baseline
+//! re-samples each iteration.
 //!
 //! The projection cache (`splatonic_render::projcache`) interacts with this
 //! loop as follows: within one iteration the forward pass projects the scene
@@ -23,6 +25,7 @@ use splatonic_render::{
 };
 use splatonic_scene::{Camera, Frame, GaussianScene, Intrinsics};
 use splatonic_telemetry::Telemetry;
+use std::borrow::Cow;
 
 /// Output of tracking one frame.
 #[derive(Debug, Clone)]
@@ -31,16 +34,15 @@ pub struct TrackerOutput {
     pub pose: Pose,
     /// Aggregated workload trace over all iterations.
     pub trace: RenderTrace,
-    /// Iterations executed.
+    /// Iterations executed: fewer than `tracking_iters` when a zero pose
+    /// gradient stopped the loop early.
     pub iters: usize,
     /// Loss at the returned pose.
     pub final_loss: f64,
-    /// Pixels rendered per iteration (mean).
-    pub pixels_per_iter: f64,
     /// Exact total pixels rendered across all optimization iterations
     /// (excludes the final best-of evaluation render, matching what the
-    /// trace accounts). Unlike `pixels_per_iter × iters`, this stays exact
-    /// when per-iteration pixel counts vary (e.g. loss-guided resampling).
+    /// trace accounts). It stays exact when per-iteration pixel counts
+    /// vary (e.g. loss-guided resampling).
     pub sampled_pixels: usize,
 }
 
@@ -62,39 +64,30 @@ pub fn downsample_frame(frame: &Frame, factor: usize) -> Frame {
     Frame::new(color, depth, frame.index)
 }
 
-/// Tracks one frame: optimizes the camera pose against `frame` with the
-/// scene fixed.
-#[allow(clippy::too_many_arguments)]
-pub fn track_frame(
-    scene: &GaussianScene,
+/// Resolves a tracking sampling plan to what one iteration renders: the
+/// camera intrinsics, the pixel set and the reference frame. The Low-Res.
+/// baseline renders a dense image of the frame downscaled by its factor.
+pub fn resolve_plan(
+    plan: SamplingPlan,
     intrinsics: Intrinsics,
-    init_pose: Pose,
     frame: &Frame,
-    strategy: SamplingStrategy,
-    pipeline: Pipeline,
-    algo: &AlgorithmConfig,
-    render_cfg: &RenderConfig,
-    seed: u64,
-) -> TrackerOutput {
-    track_frame_with_telemetry(
-        scene,
-        intrinsics,
-        init_pose,
-        frame,
-        strategy,
-        pipeline,
-        algo,
-        render_cfg,
-        seed,
-        &Telemetry::disabled(),
-    )
+) -> (Intrinsics, PixelSet, Cow<'_, Frame>) {
+    match plan {
+        SamplingPlan::Pixels(pixels) => (intrinsics, pixels, Cow::Borrowed(frame)),
+        SamplingPlan::LowRes { factor } => {
+            let small = intrinsics.downscaled(factor);
+            let pixels = PixelSet::dense(small.width, small.height);
+            (small, pixels, Cow::Owned(downsample_frame(frame, factor)))
+        }
+    }
 }
 
-/// [`track_frame`] with span instrumentation: each iteration's render passes
-/// are timed under `forward` / `backward` (nested under whatever span the
-/// caller holds, e.g. `tracking`). A disabled handle adds no overhead.
+/// Tracks one frame: optimizes the camera pose against `frame` with the
+/// scene fixed. Each iteration's render passes are timed under `forward` /
+/// `backward` (nested under whatever span the caller holds, e.g.
+/// `tracking`); a disabled handle adds no overhead.
 #[allow(clippy::too_many_arguments)]
-pub fn track_frame_with_telemetry(
+pub fn track_frame(
     scene: &GaussianScene,
     intrinsics: Intrinsics,
     init_pose: Pose,
@@ -113,48 +106,36 @@ pub fn track_frame_with_telemetry(
     let adam_params = AdamParams::with_lr(algo.pose_lr);
     let mut trace = RenderTrace::new();
     let mut pixels_total = 0usize;
+    let mut iters = algo.tracking_iters;
     // Loss-guided sampling state: per-16×16-tile loss from the previous
     // iteration's rendered tiles.
     let mut tile_loss: Option<Vec<f64>> = None;
-    // The pixel set is drawn once per frame, so losses are comparable
-    // across iterations and the best-pose selection is meaningful. Only the
-    // loss-guided baseline re-samples per iteration (it reacts to the
-    // previous iteration's loss by construction).
+    // The loss-guided baseline reacts to the previous iteration's loss by
+    // construction, so it alone re-samples per iteration.
     let resample_per_iter = matches!(strategy, SamplingStrategy::LossGuidedTiles { .. });
-    let mut current_plan = tracking_plan(strategy, frame, seed, tile_loss.as_deref());
-    // The Low-Res. baseline renders a downscaled dense image.
-    let lowres: Option<(Intrinsics, Frame)> = match current_plan {
-        SamplingPlan::LowRes { factor } => {
-            let small = intrinsics.downscaled(factor);
-            Some((small, downsample_frame(frame, factor)))
-        }
-        _ => None,
-    };
+    let (mut cam_intrinsics, mut pixels, mut reference) = resolve_plan(
+        tracking_plan(strategy, frame, seed, None),
+        intrinsics,
+        frame,
+    );
 
     for it in 0..algo.tracking_iters {
         if resample_per_iter && it > 0 {
-            current_plan = tracking_plan(
+            let plan = tracking_plan(
                 strategy,
                 frame,
                 seed ^ (it as u64).wrapping_mul(0x9E37),
                 tile_loss.as_deref(),
             );
+            (cam_intrinsics, pixels, reference) = resolve_plan(plan, intrinsics, frame);
         }
-        let (cam, pixels, reference): (Camera, PixelSet, &Frame) = match (&current_plan, &lowres) {
-            (SamplingPlan::Pixels(p), _) => (Camera::new(intrinsics, pose), p.clone(), frame),
-            (SamplingPlan::LowRes { .. }, Some((small, small_frame))) => (
-                Camera::new(*small, pose),
-                PixelSet::dense(small.width, small.height),
-                small_frame,
-            ),
-            (SamplingPlan::LowRes { .. }, None) => unreachable!("lowres prepared above"),
-        };
+        let cam = Camera::new(cam_intrinsics, pose);
         pixels_total += pixels.len();
         let out = {
             let _span = telemetry.span("forward");
             render_forward(scene, &cam, &pixels, pipeline, render_cfg)
         };
-        let l = loss::evaluate_loss(&out, reference, &pixels, &algo.loss);
+        let l = loss::evaluate_loss(&out, &reference, &pixels, &algo.loss);
         if l.value < best_loss {
             best_loss = l.value;
             best_pose = pose;
@@ -163,7 +144,7 @@ pub fn track_frame_with_telemetry(
             tile_loss = Some(update_tile_losses(
                 tile_loss.take(),
                 &out,
-                reference,
+                &reference,
                 &pixels,
             ));
         }
@@ -186,6 +167,7 @@ pub fn track_frame_with_telemetry(
         // the reconstructed region); stepping on stale momentum would only
         // coast further away, so stop and fall back to the best pose.
         if pose_grad.xi.norm() == 0.0 {
+            iters = it + 1;
             break;
         }
         // Adam step on the 6 tangent coordinates.
@@ -196,29 +178,18 @@ pub fn track_frame_with_telemetry(
     }
     // Evaluate the final pose on the same pixel set so the best-of
     // selection includes it.
-    {
-        let (cam, pixels, reference): (Camera, PixelSet, &Frame) = match (&current_plan, &lowres) {
-            (SamplingPlan::Pixels(p), _) => (Camera::new(intrinsics, pose), p.clone(), frame),
-            (SamplingPlan::LowRes { .. }, Some((small, small_frame))) => (
-                Camera::new(*small, pose),
-                PixelSet::dense(small.width, small.height),
-                small_frame,
-            ),
-            (SamplingPlan::LowRes { .. }, None) => unreachable!("lowres prepared above"),
-        };
-        let out = render_forward(scene, &cam, &pixels, pipeline, render_cfg);
-        let l = loss::evaluate_loss(&out, reference, &pixels, &algo.loss);
-        if l.value < best_loss {
-            best_loss = l.value;
-            best_pose = pose;
-        }
+    let cam = Camera::new(cam_intrinsics, pose);
+    let out = render_forward(scene, &cam, &pixels, pipeline, render_cfg);
+    let l = loss::evaluate_loss(&out, &reference, &pixels, &algo.loss);
+    if l.value < best_loss {
+        best_loss = l.value;
+        best_pose = pose;
     }
     TrackerOutput {
         pose: best_pose,
         trace,
-        iters: algo.tracking_iters,
+        iters,
         final_loss: best_loss,
-        pixels_per_iter: pixels_total as f64 / algo.tracking_iters.max(1) as f64,
         sampled_pixels: pixels_total,
     }
 }
@@ -315,7 +286,7 @@ mod tests {
             ..AlgorithmConfig::default()
         };
         let kf = crate::mapping::Keyframe {
-            frame: d.frames[1].clone(),
+            frame: &d.frames[1],
             pose: d.gt_poses[1],
         };
         let sampler = splatonic_render::MappingSampler::new(
@@ -331,6 +302,8 @@ mod tests {
             Pipeline::PixelBased,
             &RenderConfig::default(),
             3,
+            &mut AdamVector::new(0),
+            &Telemetry::disabled(),
         );
         let gt = d.gt_poses[1];
         let init = gt.retract(Se3::new(
@@ -351,6 +324,7 @@ mod tests {
             &algo,
             &RenderConfig::default(),
             7,
+            &Telemetry::disabled(),
         );
         let err_before = init.translation_distance_to(&gt);
         let err_after = out.pose.translation_distance_to(&gt);
@@ -378,6 +352,7 @@ mod tests {
             &algo,
             &RenderConfig::default(),
             3,
+            &Telemetry::disabled(),
         );
         assert!(
             out.pose.translation_distance_to(&gt) < 5e-3,
@@ -410,14 +385,42 @@ mod tests {
             &algo,
             &RenderConfig::default(),
             3,
+            &Telemetry::disabled(),
         );
         assert_eq!(out.iters, 4);
         assert!(out.trace.forward.pixels_shaded >= 4 * 12); // 64x48/16² = 12 tiles
         assert!(out.trace.backward.pairs_grad > 0);
-        assert!(out.pixels_per_iter > 0.0);
         // The exact total matches what the trace accounted: the final
         // best-of evaluation render is excluded from both.
         assert_eq!(out.sampled_pixels as u64, out.trace.forward.pixels_shaded);
+    }
+
+    #[test]
+    fn zero_gradient_stop_reports_iterations_run() {
+        // An empty scene renders only background: the first pose gradient
+        // is exactly zero, so the loop stops after one iteration and must
+        // say so rather than report the whole budget.
+        let d = tiny_dataset();
+        let algo = AlgorithmConfig {
+            tracking_iters: 6,
+            ..AlgorithmConfig::default()
+        };
+        let init = d.gt_poses[1];
+        let out = track_frame(
+            &GaussianScene::new(),
+            d.intrinsics,
+            init,
+            &d.frames[1],
+            SamplingStrategy::RandomPerTile { tile: 16 },
+            Pipeline::PixelBased,
+            &algo,
+            &RenderConfig::default(),
+            3,
+            &Telemetry::disabled(),
+        );
+        assert_eq!(out.iters, 1);
+        assert_eq!(out.pose, init);
+        assert_eq!(out.sampled_pixels, 12); // one iteration over 12 tiles
     }
 
     #[test]
@@ -437,10 +440,11 @@ mod tests {
             &algo,
             &RenderConfig::default(),
             3,
+            &Telemetry::disabled(),
         );
         assert!(out.final_loss.is_finite());
         // Low-res renders (64/4)×(48/4) = 192 pixels per iteration.
-        assert!((out.pixels_per_iter - 192.0).abs() < 1.0);
+        assert_eq!(out.sampled_pixels, 192 * out.iters);
     }
 
     #[test]
@@ -460,6 +464,7 @@ mod tests {
             &algo,
             &RenderConfig::default(),
             3,
+            &Telemetry::disabled(),
         );
         assert!(out.final_loss.is_finite());
     }

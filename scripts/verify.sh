@@ -31,6 +31,12 @@ echo "== cargo test --release --manifest-path slam_bench/Cargo.toml =="
 # pipeline runs.
 cargo test --release --manifest-path slam_bench/Cargo.toml
 
+echo "== examples: quickstart + accelerator_sweep =="
+# The two fast examples run end to end on the public slam/harness API;
+# replica_room and tum_fast_motion (10-20 s each) stay compile-only.
+cargo run --release --example quickstart
+cargo run --release --example accelerator_sweep
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
