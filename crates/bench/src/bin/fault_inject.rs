@@ -10,14 +10,16 @@
 //! trace-event JSON; in `run` mode it is written just before the simulated
 //! crash) and `--events-out <path>` (JSONL event stream, flushed per line —
 //! so the stream written up to the kill point survives the crash, which is
-//! the whole point of a live-tailing format).
+//! the whole point of a live-tailing format). Both go through the bench
+//! crate's one export path (`cli::Exports`). A flag whose value is missing
+//! or malformed exits 2.
 //!
 //! `run` executes SLAM frame by frame, writing a snapshot to `--dir` on the
 //! checkpoint cadence, then simulates a crash by exiting with code 21
 //! immediately after frame `K` — no finalize, no cleanup. `resume` loads the
 //! newest snapshot from `--dir`, continues to completion, replays an
-//! uninterrupted run in-process, and fails (exit 1) unless the estimated
-//! poses, ATE, PSNR, and both workload traces are **bitwise** identical.
+//! uninterrupted run in-process, and fails (exit 1) unless every result
+//! field is **bitwise** identical (`SlamResult::bitwise_mismatches`).
 //! `corrupt` mutates the newest snapshot four ways (payload flip, truncation,
 //! magic, version) and checks each is rejected with the right typed error.
 //!
@@ -25,60 +27,40 @@
 //! in `resume` is self-contained; thread width comes from the standard
 //! `SPLATONIC_THREADS` resolution and must not affect any compared value.
 
+use splatonic_bench::cli::{arg_usize, arg_value, Exports};
 use splatonic_bench::Settings;
-use splatonic_math::Pose;
 use splatonic_slam::prelude::*;
 use splatonic_slam::snapshot::HEADER_LEN;
-use splatonic_telemetry::{Telemetry, TraceSession};
+use splatonic_telemetry::Telemetry;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-/// Trace/event export options shared by the `run` and `resume` modes.
-#[derive(Default)]
-struct TraceFlags {
-    trace_out: Option<PathBuf>,
-    events_out: Option<PathBuf>,
+/// Telemetry for the `run` and `resume` modes: enabled, with the
+/// `--trace-out`/`--events-out` exports attached, only when an export was
+/// requested; disabled otherwise.
+fn telemetry(args: &[String]) -> (Telemetry, Exports) {
+    let trace_out = arg_value(args, "--trace-out").map(PathBuf::from);
+    let events_out = arg_value(args, "--events-out").map(PathBuf::from);
+    let telemetry = if trace_out.is_some() || events_out.is_some() {
+        Telemetry::enabled()
+    } else {
+        Telemetry::disabled()
+    };
+    let exports = Exports::begin(&telemetry, trace_out, events_out).unwrap_or_else(|e| fail(&e));
+    (telemetry, exports)
 }
 
-impl TraceFlags {
-    fn parse(args: &[String]) -> TraceFlags {
-        TraceFlags {
-            trace_out: arg_value(args, "--trace-out").map(PathBuf::from),
-            events_out: arg_value(args, "--events-out").map(PathBuf::from),
-        }
+fn write_trace(telemetry: &Telemetry, exports: &Exports) {
+    match exports.write_trace(telemetry, &[]) {
+        Ok(Some(path)) => eprintln!("[fault_inject] trace written to {}", path.display()),
+        Ok(None) => {}
+        Err(e) => fail(&e),
     }
+}
 
-    fn any(&self) -> bool {
-        self.trace_out.is_some() || self.events_out.is_some()
-    }
-
-    /// Enabled telemetry (with the event stream attached) plus a trace
-    /// session when exports were requested; disabled telemetry otherwise.
-    fn telemetry(&self) -> (Telemetry, Option<TraceSession>) {
-        if !self.any() {
-            return (Telemetry::disabled(), None);
-        }
-        let telemetry = Telemetry::enabled();
-        if let Some(path) = &self.events_out {
-            let file = std::fs::File::create(path).unwrap_or_else(|e| {
-                eprintln!("[fault_inject] failed to create {}: {e}", path.display());
-                exit(1);
-            });
-            telemetry.stream_events_to(Box::new(std::io::BufWriter::new(file)));
-        }
-        let session = self.trace_out.as_ref().map(|_| TraceSession::begin());
-        (telemetry, session)
-    }
-
-    fn write_trace(&self, telemetry: &Telemetry, session: &Option<TraceSession>) {
-        if let (Some(path), Some(session)) = (&self.trace_out, session) {
-            if let Err(e) = telemetry.write_chrome_trace(session, path) {
-                eprintln!("[fault_inject] failed to write {}: {e}", path.display());
-                exit(1);
-            }
-            eprintln!("[fault_inject] trace written to {}", path.display());
-        }
-    }
+fn fail(message: &str) -> ! {
+    eprintln!("[fault_inject] {message}");
+    exit(1);
 }
 
 /// Exit code the `run` mode uses for the simulated crash; the shell harness
@@ -111,17 +93,7 @@ fn latest_snapshot(dir: &Path) -> Option<PathBuf> {
     paths.pop()
 }
 
-fn pose_bits(p: &Pose) -> Vec<u64> {
-    let mut v: Vec<u64> = p.rotation.m.iter().map(|x| x.to_bits()).collect();
-    v.extend([
-        p.translation.x.to_bits(),
-        p.translation.y.to_bits(),
-        p.translation.z.to_bits(),
-    ]);
-    v
-}
-
-fn run_mode(dir: &Path, kill_at: usize, checkpoint_every: usize, flags: &TraceFlags) {
+fn run_mode(dir: &Path, kill_at: usize, checkpoint_every: usize, args: &[String]) {
     std::fs::create_dir_all(dir).expect("create snapshot dir");
     let d = dataset();
     assert!(
@@ -130,7 +102,7 @@ fn run_mode(dir: &Path, kill_at: usize, checkpoint_every: usize, flags: &TraceFl
         d.len()
     );
     let mut sys = SlamSystem::new(config(checkpoint_every), d.intrinsics);
-    let (telemetry, trace_session) = flags.telemetry();
+    let (telemetry, exports) = telemetry(args);
     while let Some(t) = sys.step_frame(&d, &telemetry) {
         if t.is_multiple_of(checkpoint_every) {
             let snap = sys.checkpoint();
@@ -146,18 +118,16 @@ fn run_mode(dir: &Path, kill_at: usize, checkpoint_every: usize, flags: &TraceFl
             // The trace must be serialized before the kill — a crash runs no
             // destructors. The JSONL stream needs nothing: it is flushed per
             // line, so everything up to this frame is already on disk.
-            flags.write_trace(&telemetry, &trace_session);
+            write_trace(&telemetry, &exports);
             exit(KILL_EXIT_CODE as i32);
         }
     }
     unreachable!("kill-at frame must be reached before the dataset ends");
 }
 
-fn resume_mode(dir: &Path, flags: &TraceFlags) {
-    let path = latest_snapshot(dir).unwrap_or_else(|| {
-        eprintln!("[fault_inject] no snapshot found in {}", dir.display());
-        exit(1);
-    });
+fn resume_mode(dir: &Path, args: &[String]) {
+    let path = latest_snapshot(dir)
+        .unwrap_or_else(|| fail(&format!("no snapshot found in {}", dir.display())));
     let snap = Snapshot::read_file(&path).expect("snapshot must decode");
     let d = dataset();
     eprintln!(
@@ -167,48 +137,18 @@ fn resume_mode(dir: &Path, flags: &TraceFlags) {
     );
     let mut resumed = SlamSystem::resume(config(0), d.intrinsics, &d, &snap)
         .expect("snapshot must resume under the original config");
-    let (telemetry, trace_session) = flags.telemetry();
+    let (telemetry, exports) = telemetry(args);
     let r = resumed.run_with_telemetry(&d, &telemetry);
 
     let mut uninterrupted = SlamSystem::new(config(0), d.intrinsics);
     let full = uninterrupted.run(&d);
 
-    let mut failures = 0u32;
-    let mut check = |what: &str, ok: bool| {
-        if ok {
-            eprintln!("[fault_inject] OK  {what}");
-        } else {
-            eprintln!("[fault_inject] FAIL {what}");
-            failures += 1;
-        }
-    };
-    let poses_match = full.est_poses.len() == r.est_poses.len()
-        && full
-            .est_poses
-            .iter()
-            .zip(r.est_poses.iter())
-            .all(|(a, b)| pose_bits(a) == pose_bits(b));
-    check("est_poses bitwise", poses_match);
-    check(
-        "ate_cm bitwise",
-        full.ate_cm.to_bits() == r.ate_cm.to_bits(),
-    );
-    check(
-        "psnr_db bitwise",
-        full.psnr_db.to_bits() == r.psnr_db.to_bits(),
-    );
-    check("tracking_trace", full.tracking_trace == r.tracking_trace);
-    check("mapping_trace", full.mapping_trace == r.mapping_trace);
-    check("scene_size", full.scene_size == r.scene_size);
-    check(
-        "iteration counts",
-        full.tracking_iters == r.tracking_iters && full.mapping_iters == r.mapping_iters,
-    );
-    if failures > 0 {
-        eprintln!("[fault_inject] resumed run diverged ({failures} mismatches)");
-        exit(1);
+    let mismatches = r.bitwise_mismatches(&full);
+    if !mismatches.is_empty() {
+        fail(&format!("resumed run diverged: {mismatches:?} differ"));
     }
-    flags.write_trace(&telemetry, &trace_session);
+    eprintln!("[fault_inject] OK  every result field bitwise identical");
+    write_trace(&telemetry, &exports);
     println!(
         "fault_inject resume: bitwise identical (ate {:.4} cm, psnr {:.2} dB, {} frames)",
         r.ate_cm, r.psnr_db, r.frames
@@ -216,10 +156,8 @@ fn resume_mode(dir: &Path, flags: &TraceFlags) {
 }
 
 fn corrupt_mode(dir: &Path) {
-    let path = latest_snapshot(dir).unwrap_or_else(|| {
-        eprintln!("[fault_inject] no snapshot found in {}", dir.display());
-        exit(1);
-    });
+    let path = latest_snapshot(dir)
+        .unwrap_or_else(|| fail(&format!("no snapshot found in {}", dir.display())));
     let bytes = std::fs::read(&path).expect("read snapshot");
     Snapshot::from_bytes(&bytes).expect("pristine snapshot must decode");
 
@@ -273,15 +211,6 @@ fn corrupt_mode(dir: &Path) {
     println!("fault_inject corrupt: all 4 corruptions rejected with typed errors");
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("{flag} requires an argument");
-            exit(2);
-        })
-    })
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mode = args.first().map(String::as_str).unwrap_or("");
@@ -293,21 +222,18 @@ fn main() {
         });
     match mode {
         "run" => {
-            let kill_at: usize = arg_value(&args, "--kill-at")
-                .unwrap_or_else(|| {
-                    eprintln!("run mode requires --kill-at");
-                    exit(2);
-                })
-                .parse()
-                .expect("--kill-at must be an integer");
-            let every: usize = arg_value(&args, "--checkpoint-every")
-                .unwrap_or_else(|| "2".to_string())
-                .parse()
-                .expect("--checkpoint-every must be an integer");
-            assert!(every > 0, "--checkpoint-every must be positive");
-            run_mode(&dir, kill_at, every, &TraceFlags::parse(&args));
+            let kill_at = arg_usize(&args, "--kill-at").unwrap_or_else(|| {
+                eprintln!("run mode requires --kill-at");
+                exit(2);
+            });
+            let every = arg_usize(&args, "--checkpoint-every").unwrap_or(2);
+            if every == 0 {
+                eprintln!("--checkpoint-every must be positive");
+                exit(2);
+            }
+            run_mode(&dir, kill_at, every, &args);
         }
-        "resume" => resume_mode(&dir, &TraceFlags::parse(&args)),
+        "resume" => resume_mode(&dir, &args),
         "corrupt" => corrupt_mode(&dir),
         other => {
             eprintln!("unknown mode {other:?}; expected run | resume | corrupt");

@@ -13,15 +13,19 @@
 //! counters, per-frame accuracy trajectory) to `<path>`. Experiment ids may
 //! be combined with it; with `--report` alone, only the report is produced.
 //!
-//! `--checkpoint-every N` overrides the report run's checkpoint cadence and
-//! `--checkpoint-dir D` additionally writes each snapshot to `D` (one
-//! `ckpt_<frame>.snap` per cut) instead of keeping them in memory.
+//! `--checkpoint-every N` overrides the report run's checkpoint cadence
+//! (default 4; `0` cuts none, and the report then fails the `report_diff`
+//! gate) and `--checkpoint-dir D` additionally writes each snapshot to `D`
+//! (one `ckpt_<frame>.snap` per cut) instead of keeping them in memory.
 //!
 //! `--trace-out <path>` writes a Chrome trace-event JSON of the
 //! instrumented pass (open in Perfetto or `chrome://tracing`) and
 //! `--events-out <path>` streams a JSONL event log (one record per span,
-//! frame, counter — flushed per line, so `tail -f` follows the run live).
+//! frame, counter — flushed per line, so `tail -f` follows the run live);
+//! both go through the bench crate's one export path (`cli::Exports`).
 //! Either flag triggers the instrumented pass even without `--report`.
+//!
+//! A flag whose value is missing or malformed exits 2.
 //!
 //! `--plan <file>` executes a headless multi-step plan (run → checkpoint →
 //! export `.ply` → decimate → re-import → re-evaluate PSNR; see
@@ -30,7 +34,9 @@
 //! (default: a per-process temp directory). Any failed plan assertion
 //! exits nonzero.
 
+use splatonic_bench::cli::{arg_usize, arg_value};
 use splatonic_bench::{plan, report, run_experiment, Settings, EXPERIMENTS};
+use std::path::PathBuf;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,29 +52,20 @@ fn main() {
     } else {
         Settings::full()
     };
-    let flag_value = |flag: &str| {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{flag} requires an argument");
-                std::process::exit(2);
-            })
-        })
+    let report_path = arg_value(&args, "--report");
+    let mut options = report::InstrumentOptions {
+        checkpoint_dir: arg_value(&args, "--checkpoint-dir").map(PathBuf::from),
+        trace_out: arg_value(&args, "--trace-out").map(PathBuf::from),
+        events_out: arg_value(&args, "--events-out").map(PathBuf::from),
+        ..Default::default()
     };
-    let report_path = flag_value("--report");
-    let checkpoint_every: usize = flag_value("--checkpoint-every")
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--checkpoint-every requires an integer");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(4);
-    let checkpoint_dir = flag_value("--checkpoint-dir").map(std::path::PathBuf::from);
-    let trace_out = flag_value("--trace-out").map(std::path::PathBuf::from);
-    let events_out = flag_value("--events-out").map(std::path::PathBuf::from);
-    let plan_path = flag_value("--plan").map(std::path::PathBuf::from);
-    let plan_dir = flag_value("--plan-dir").map(std::path::PathBuf::from);
-    let instrument = report_path.is_some() || trace_out.is_some() || events_out.is_some();
+    if let Some(every) = arg_usize(&args, "--checkpoint-every") {
+        options.checkpoint_every = every;
+    }
+    let plan_path = arg_value(&args, "--plan").map(PathBuf::from);
+    let plan_dir = arg_value(&args, "--plan-dir").map(PathBuf::from);
+    let instrument =
+        report_path.is_some() || options.trace_out.is_some() || options.events_out.is_some();
     let mut ids: Vec<&str> = {
         let mut skip_next = false;
         args.iter()
@@ -119,16 +116,7 @@ fn main() {
             .and_then(|s| s.to_str())
             .unwrap_or("bench")
             .to_string();
-        let run = report::instrumented_run_with_options(
-            &name,
-            &settings,
-            &report::InstrumentOptions {
-                checkpoint_every,
-                checkpoint_dir,
-                trace_out: trace_out.clone(),
-                events_out: events_out.clone(),
-            },
-        );
+        let run = report::instrumented_run(&name, &settings, &options);
         print!("{}", run.to_text());
         if let Some(path) = &report_path {
             if let Err(e) = run.write_json_file(std::path::Path::new(path)) {
@@ -137,10 +125,10 @@ fn main() {
             }
             eprintln!("[figures] report written to {path}");
         }
-        if let Some(path) = &trace_out {
+        if let Some(path) = &options.trace_out {
             eprintln!("[figures] trace written to {}", path.display());
         }
-        if let Some(path) = &events_out {
+        if let Some(path) = &options.events_out {
             eprintln!("[figures] events written to {}", path.display());
         }
         eprintln!(

@@ -13,8 +13,8 @@
 //! run always exercises at least one snapshot eviction/resume cycle.
 //!
 //! Unless `--no-verify` is given, every served session is then replayed as
-//! a plain sequential [`SlamSystem::run`] and compared **bitwise**
-//! (poses, ATE, PSNR, iteration traces, scene size); any divergence exits 1.
+//! a plain sequential [`SlamSystem::run`] and compared **bitwise** on every
+//! result field ([`SlamResult::bitwise_mismatches`]); any divergence exits 1.
 //! This is the serving layer's core promise: interleaving K sessions over
 //! the shared worker pool, with eviction in the middle, is invisible in
 //! the results.
@@ -24,88 +24,18 @@
 //! frames/sec, and each session's p95 track/map latency (from its own
 //! telemetry — per-session accounting stays exact under concurrency).
 //! `--trace-out` writes one merged Chrome trace with a process group per
-//! session (`scripts/check_trace.py` validates it).
+//! session (`scripts/check_trace.py` validates it) through the bench
+//! crate's one export path (`cli::Exports`). A flag whose value is missing
+//! or malformed exits 2.
 
+use splatonic_bench::cli::{arg_usize, arg_value, Exports};
 use splatonic_bench::Settings;
-use splatonic_math::Pose;
 use splatonic_slam::prelude::*;
 use splatonic_slam::serve::{ServeConfig, ServeError, SessionManager, SessionOutcome};
-use splatonic_telemetry::{AccuracySummary, Telemetry, TraceSession};
+use splatonic_telemetry::{AccuracySummary, Telemetry};
 use std::path::PathBuf;
 use std::process::exit;
 use std::time::Instant;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("{flag} requires an argument");
-            exit(2);
-        })
-    })
-}
-
-fn arg_usize(args: &[String], flag: &str) -> Option<usize> {
-    arg_value(args, flag).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("{flag} expects an unsigned integer, got {v}");
-            exit(2);
-        })
-    })
-}
-
-fn pose_bits(p: &Pose) -> Vec<u64> {
-    let mut v: Vec<u64> = p.rotation.m.iter().map(|x| x.to_bits()).collect();
-    v.extend([
-        p.translation.x.to_bits(),
-        p.translation.y.to_bits(),
-        p.translation.z.to_bits(),
-    ]);
-    v
-}
-
-/// Bitwise comparison of a served session against its sequential replay;
-/// returns the number of mismatched facets (0 = identical).
-fn compare(name: &str, served: &SlamResult, sequential: &SlamResult) -> u32 {
-    let mut failures = 0;
-    let mut check = |what: &str, ok: bool| {
-        if ok {
-            eprintln!("[fleet] OK  {name}: {what}");
-        } else {
-            eprintln!("[fleet] FAIL {name}: {what}");
-            failures += 1;
-        }
-    };
-    let poses_match = sequential.est_poses.len() == served.est_poses.len()
-        && sequential
-            .est_poses
-            .iter()
-            .zip(served.est_poses.iter())
-            .all(|(a, b)| pose_bits(a) == pose_bits(b));
-    check("est_poses bitwise", poses_match);
-    check(
-        "ate_cm bitwise",
-        sequential.ate_cm.to_bits() == served.ate_cm.to_bits(),
-    );
-    check(
-        "psnr_db bitwise",
-        sequential.psnr_db.to_bits() == served.psnr_db.to_bits(),
-    );
-    check(
-        "tracking_trace",
-        sequential.tracking_trace == served.tracking_trace,
-    );
-    check(
-        "mapping_trace",
-        sequential.mapping_trace == served.mapping_trace,
-    );
-    check("scene_size", sequential.scene_size == served.scene_size);
-    check(
-        "iteration counts",
-        sequential.tracking_iters == served.tracking_iters
-            && sequential.mapping_iters == served.mapping_iters,
-    );
-    failures
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -121,7 +51,6 @@ fn main() {
         Settings::full()
     };
     let report_out = arg_value(&args, "--report").map(PathBuf::from);
-    let trace_out = arg_value(&args, "--trace-out").map(PathBuf::from);
     assert!(sessions > 0, "--sessions must be >= 1");
 
     let mut dataset_config = settings.dataset_config();
@@ -138,7 +67,15 @@ fn main() {
         .collect();
 
     let evict_dir = std::env::temp_dir().join(format!("splatonic-fleet-{}", std::process::id()));
-    let trace_session = trace_out.as_ref().map(|_| TraceSession::begin());
+    // The fleet-level handle carries the aggregate report; the trace merges
+    // every session's spans into it at the end.
+    let fleet = Telemetry::enabled();
+    let exports = Exports::begin(
+        &fleet,
+        arg_value(&args, "--trace-out").map(PathBuf::from),
+        None,
+    )
+    .unwrap_or_else(|e| fail(&e));
     let mut manager = SessionManager::new(ServeConfig {
         queue_capacity: queue_cap,
         max_resident,
@@ -174,23 +111,18 @@ fn main() {
                         backpressure += 1;
                         break;
                     }
-                    Err(e) => {
-                        eprintln!("[fleet] ingest failed: {e}");
-                        exit(1);
-                    }
+                    Err(e) => fail(&format!("ingest failed: {e}")),
                 }
             }
         }
         for _ in 0..sessions {
             if let Err(e) = manager.step() {
-                eprintln!("[fleet] step failed: {e}");
-                exit(1);
+                fail(&format!("step failed: {e}"));
             }
         }
     }
     if let Err(e) = manager.run_until_blocked() {
-        eprintln!("[fleet] drain failed: {e}");
-        exit(1);
+        fail(&format!("drain failed: {e}"));
     }
     let evictions = manager.evictions();
     let resumes = manager.resumes();
@@ -200,10 +132,9 @@ fn main() {
         .iter()
         .map(|&id| {
             manager.close(id).expect("session exists");
-            manager.finish(id).unwrap_or_else(|e| {
-                eprintln!("[fleet] finish failed: {e}");
-                exit(1);
-            })
+            manager
+                .finish(id)
+                .unwrap_or_else(|e| fail(&format!("finish failed: {e}")))
         })
         .collect();
     let elapsed = started.elapsed().as_secs_f64();
@@ -211,29 +142,34 @@ fn main() {
     let _ = std::fs::remove_dir_all(&evict_dir);
 
     if max_resident > 0 && sessions > 1 && (evictions == 0 || resumes == 0) {
-        eprintln!(
-            "[fleet] FAIL: expected at least one eviction/resume cycle \
+        fail(&format!(
+            "FAIL: expected at least one eviction/resume cycle \
              (evictions {evictions}, resumes {resumes})"
-        );
-        exit(1);
+        ));
     }
 
     if verify {
         let mut failures = 0;
         for (outcome, dataset) in outcomes.iter().zip(&datasets) {
             let sequential = SlamSystem::new(config, dataset.intrinsics).run(dataset);
-            failures += compare(&outcome.name, &outcome.result, &sequential);
+            let mismatches = outcome.result.bitwise_mismatches(&sequential);
+            if mismatches.is_empty() {
+                eprintln!("[fleet] OK  {}: bitwise identical", outcome.name);
+            } else {
+                eprintln!("[fleet] FAIL {}: {mismatches:?} differ", outcome.name);
+                failures += mismatches.len();
+            }
         }
         if failures > 0 {
-            eprintln!("[fleet] served sessions diverged from sequential ({failures} mismatches)");
-            exit(1);
+            fail(&format!(
+                "served sessions diverged from sequential ({failures} mismatches)"
+            ));
         }
         eprintln!("[fleet] all {sessions} sessions bitwise-identical to sequential runs");
     }
 
     // Fleet-level report: aggregate serve counters + per-session accounting
     // pulled from each session's own telemetry.
-    let fleet = Telemetry::enabled();
     fleet.counter_add("serve/sessions", sessions as u64);
     fleet.counter_add("serve/frames_total", frames_total);
     fleet.counter_add("serve/evictions", evictions);
@@ -273,24 +209,21 @@ fn main() {
         },
     );
     if let Some(path) = &report_out {
-        report.write_json_file(path).unwrap_or_else(|e| {
-            eprintln!("[fleet] failed to write {}: {e}", path.display());
-            exit(1);
-        });
+        report
+            .write_json_file(path)
+            .unwrap_or_else(|e| fail(&format!("failed to write {}: {e}", path.display())));
         eprintln!("[fleet] report written to {}", path.display());
     }
-    if let (Some(path), Some(session)) = (&trace_out, &trace_session) {
-        // One merged trace: every session's spans land in its own process
-        // group (run id == session id).
-        let all_spans: Vec<_> = outcomes
-            .iter()
-            .flat_map(|o| o.span_events.iter().cloned())
-            .collect();
-        if let Err(e) = fleet.write_chrome_trace_merged(session, &all_spans, path) {
-            eprintln!("[fleet] failed to write {}: {e}", path.display());
-            exit(1);
-        }
-        eprintln!("[fleet] trace written to {}", path.display());
+    // One merged trace: every session's spans land in its own process
+    // group (run id == session id).
+    let all_spans: Vec<_> = outcomes
+        .iter()
+        .flat_map(|o| o.span_events.iter().cloned())
+        .collect();
+    match exports.write_trace(&fleet, &all_spans) {
+        Ok(Some(path)) => eprintln!("[fleet] trace written to {}", path.display()),
+        Ok(None) => {}
+        Err(e) => fail(&e),
     }
 
     println!(
@@ -312,4 +245,9 @@ fn main() {
             o.resumes
         );
     }
+}
+
+fn fail(message: &str) -> ! {
+    eprintln!("[fleet] {message}");
+    exit(1);
 }

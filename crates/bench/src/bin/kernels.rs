@@ -14,7 +14,9 @@
 //!
 //! `--trace-out` writes a Chrome trace-event JSON (Perfetto-loadable) of
 //! the whole run; `--events-out` streams the span/counter records as JSONL
-//! (one object per line, flushed per line).
+//! (one object per line, flushed per line). Both go through the bench
+//! crate's one export path (`cli::Exports`). A flag whose value is missing
+//! or malformed exits 2.
 //!
 //! `--threads` sets the render worker-pool width (0 = auto: the
 //! `SPLATONIC_THREADS` environment variable, then host parallelism).
@@ -42,13 +44,15 @@
 //! without a vector unit). `scripts/bench_record.sh` runs both modes and
 //! appends the pair to `BENCH_kernels.json`.
 
-use splatonic::telemetry::{AccuracySummary, Telemetry, TraceSession};
+use splatonic::telemetry::{AccuracySummary, Telemetry};
 use splatonic_accel::{AggregationConfig, DramModel, FrameWorkload, SplatonicAccel};
+use splatonic_bench::cli::{arg_usize, arg_value, Exports};
 use splatonic_render::prelude::*;
 use splatonic_render::sampling::{tracking_plan, MappingStrategy};
 use splatonic_render::{loss, LossConfig, MappingSampler};
 use splatonic_scene::{Camera, Intrinsics, WorldBuilder};
 use splatonic_slam::dataset::{Dataset, DatasetConfig};
+use std::path::PathBuf;
 
 const W: usize = 96;
 const H: usize = 72;
@@ -94,48 +98,22 @@ fn bench_dataset(name: &str, frames: usize) -> Dataset {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let iters: usize = args
-        .iter()
-        .position(|a| a == "--iters")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
-    let report_path = args
-        .iter()
-        .position(|a| a == "--report")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let threads: usize = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    let iters = arg_usize(&args, "--iters").unwrap_or(20);
+    let report_path = arg_value(&args, "--report");
+    let threads = arg_usize(&args, "--threads").unwrap_or(0);
     let tile_grouping = !args.iter().any(|a| a == "--no-tile-grouping");
     let mode = if args.iter().any(|a| a == "--scalar") {
         splatonic_render::KernelMode::Scalar
     } else {
         splatonic_render::KernelMode::Simd
     };
-    let trace_out = args
-        .iter()
-        .position(|a| a == "--trace-out")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
-    let events_out = args
-        .iter()
-        .position(|a| a == "--events-out")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
     let t = Telemetry::enabled();
-    if let Some(path) = &events_out {
-        let file = std::fs::File::create(path).unwrap_or_else(|e| {
-            eprintln!("[kernels] failed to create {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        t.stream_events_to(Box::new(std::io::BufWriter::new(file)));
-    }
-    let trace_session = trace_out.as_ref().map(|_| TraceSession::begin());
+    let exports = Exports::begin(
+        &t,
+        arg_value(&args, "--trace-out").map(PathBuf::from),
+        arg_value(&args, "--events-out").map(PathBuf::from),
+    )
+    .unwrap_or_else(|e| fail(&e));
     let pool_stats_before = splatonic::pool::worker_stats_snapshot();
 
     // Forward kernels: schedule × density.
@@ -559,16 +537,18 @@ fn main() {
     print!("{}", report.to_text());
     if let Some(path) = report_path {
         if let Err(e) = report.write_json_file(std::path::Path::new(&path)) {
-            eprintln!("[kernels] failed to write {path}: {e}");
-            std::process::exit(1);
+            fail(&format!("failed to write {path}: {e}"));
         }
         eprintln!("[kernels] report written to {path}");
     }
-    if let (Some(path), Some(session)) = (&trace_out, &trace_session) {
-        if let Err(e) = t.write_chrome_trace(session, path) {
-            eprintln!("[kernels] failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("[kernels] trace written to {}", path.display());
+    match exports.write_trace(&t, &[]) {
+        Ok(Some(path)) => eprintln!("[kernels] trace written to {}", path.display()),
+        Ok(None) => {}
+        Err(e) => fail(&e),
     }
+}
+
+fn fail(message: &str) -> ! {
+    eprintln!("[kernels] {message}");
+    std::process::exit(1);
 }

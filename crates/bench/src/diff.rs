@@ -514,7 +514,6 @@ mod tests {
             at(&mut report, &["accuracy", "ate_cm"]),
             0.5 * FLOAT_ABS_TOL,
         );
-        *at(&mut report, &["gauges", "pool/workers"]) = Json::Num(64.0);
         *at(&mut report, &["gauges", "render/simd_lanes"]) = Json::Num(1.0);
         *at(&mut report, &["spans", "pool/worker0", "total_ms"]) = Json::Num(1e9);
         assert_eq!(diff_reports(&report, &base), Vec::<String>::new());

@@ -7,6 +7,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod diff;
 pub mod experiments;
 pub mod plan;

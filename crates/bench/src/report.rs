@@ -8,19 +8,21 @@
 //! [`RunReport`] serializes as `{name, date, frames, spans, counters,
 //! accuracy}`.
 
+use crate::cli::Exports;
 use crate::Settings;
 use splatonic::harness::{measure_tracking_iteration, TrackingScenario};
 use splatonic::prelude::*;
-use splatonic::telemetry::{AccuracySummary, RunReport, Telemetry, TraceSession};
+use splatonic::telemetry::{AccuracySummary, RunReport, Telemetry};
 use splatonic_slam::dataset::Dataset;
 use std::path::PathBuf;
 
-/// Output options for an instrumented pass (`figures --report/--trace-out/
-/// --events-out`). `Default` keeps the historical behavior: checkpoint
-/// cadence 4, everything in memory, no trace or event exports.
-#[derive(Debug, Clone, Default)]
+/// Options for an instrumented pass (`figures --report/--checkpoint-every/
+/// --checkpoint-dir/--trace-out/--events-out`). `Default` cuts a checkpoint
+/// every 4 frames, keeps everything in memory and exports nothing.
+#[derive(Debug, Clone)]
 pub struct InstrumentOptions {
-    /// Checkpoint cadence in frames; `0` falls back to the default of 4.
+    /// Checkpoint cadence in frames (`0` disables checkpointing, as in
+    /// [`SlamConfig::checkpoint_every`]).
     pub checkpoint_every: usize,
     /// When set, every snapshot is also written here as `ckpt_<frame>.snap`.
     pub checkpoint_dir: Option<PathBuf>,
@@ -30,6 +32,17 @@ pub struct InstrumentOptions {
     /// When set, a JSONL event stream (run/span/frame/counter records,
     /// flushed per line for live tailing) is written here (`--events-out`).
     pub events_out: Option<PathBuf>,
+}
+
+impl Default for InstrumentOptions {
+    fn default() -> Self {
+        InstrumentOptions {
+            checkpoint_every: 4,
+            checkpoint_dir: None,
+            trace_out: None,
+            events_out: None,
+        }
+    }
 }
 
 /// Telemetry gauge prefix for a hardware target: `hw/` + a lowercase slug
@@ -46,68 +59,32 @@ fn target_slug(target: HardwareTarget) -> String {
 }
 
 /// Runs one fully-instrumented SLAM pass plus hardware pricing and returns
-/// the run report.
+/// the run report; see [`InstrumentOptions`] for the outputs.
 ///
-/// Checkpointing runs on a fixed default cadence (in-memory sink) so the
-/// report carries the checkpoint span, `slam/checkpoints_written`, and
-/// `slam/snapshot_bytes` — the `report_diff` gate requires them.
-pub fn instrumented_run(name: &str, settings: &Settings) -> RunReport {
-    instrumented_run_with_checkpoints(name, settings, 4, None)
-}
-
-/// [`instrumented_run`] with an explicit checkpoint cadence; when `dir` is
-/// given every snapshot is also written there as `ckpt_<frame>.snap`
-/// (`figures --checkpoint-every N --checkpoint-dir D`).
-pub fn instrumented_run_with_checkpoints(
-    name: &str,
-    settings: &Settings,
-    checkpoint_every: usize,
-    dir: Option<&std::path::Path>,
-) -> RunReport {
-    instrumented_run_with_options(
-        name,
-        settings,
-        &InstrumentOptions {
-            checkpoint_every,
-            checkpoint_dir: dir.map(PathBuf::from),
-            ..InstrumentOptions::default()
-        },
-    )
-}
-
-/// [`instrumented_run`] with full output control; see [`InstrumentOptions`].
+/// The default checkpoint cadence makes the report carry the checkpoint
+/// span, `slam/checkpoints_written` and `slam/snapshot_bytes`, which the
+/// `report_diff` gate requires.
 ///
 /// # Panics
 ///
 /// Panics if the checkpoint directory or an export file cannot be created.
-pub fn instrumented_run_with_options(
-    name: &str,
-    settings: &Settings,
-    options: &InstrumentOptions,
-) -> RunReport {
-    let checkpoint_every = if options.checkpoint_every == 0 {
-        4
-    } else {
-        options.checkpoint_every
-    };
+pub fn instrumented_run(name: &str, settings: &Settings, options: &InstrumentOptions) -> RunReport {
     let dir = options.checkpoint_dir.as_deref();
     let dataset = Dataset::replica_like("report-room", 7, settings.dataset_config());
     let telemetry = Telemetry::enabled();
-    if let Some(path) = &options.events_out {
-        let file = std::fs::File::create(path)
-            .unwrap_or_else(|e| panic!("create events file {}: {e}", path.display()));
-        telemetry.stream_events_to(Box::new(std::io::BufWriter::new(file)));
-    }
-    // Begin the trace session *before* any render so the pool/phase capture
-    // gates are on for the whole pass.
-    let trace_session = options.trace_out.as_deref().map(|_| TraceSession::begin());
+    let exports = Exports::begin(
+        &telemetry,
+        options.trace_out.clone(),
+        options.events_out.clone(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     // Host vector width in use (DESIGN.md §13). report_diff requires the
     // gauge to be present but skips its value (machine-dependent).
     telemetry.gauge_set("render/simd_lanes", splatonic_render::simd::lanes() as f64);
 
     // End-to-end SLAM with spans and per-frame records.
     let mut slam_cfg = SlamConfig::splatonic(AlgorithmConfig::default());
-    slam_cfg.checkpoint_every = checkpoint_every;
+    slam_cfg.checkpoint_every = options.checkpoint_every;
     let mut system = SlamSystem::new(slam_cfg, dataset.intrinsics);
     if let Some(d) = dir {
         std::fs::create_dir_all(d).expect("create checkpoint dir");
@@ -162,11 +139,9 @@ pub fn instrumented_run_with_options(
             scene_size: result.scene_size,
         },
     );
-    if let (Some(path), Some(session)) = (options.trace_out.as_deref(), &trace_session) {
-        telemetry
-            .write_chrome_trace(session, path)
-            .unwrap_or_else(|e| panic!("write trace {}: {e}", path.display()));
-    }
+    exports
+        .write_trace(&telemetry, &[])
+        .unwrap_or_else(|e| panic!("{e}"));
     report
 }
 
@@ -183,7 +158,11 @@ mod tests {
 
     #[test]
     fn instrumented_run_meets_report_contract() {
-        let report = instrumented_run("bench-unit", &Settings::quick());
+        let report = instrumented_run(
+            "bench-unit",
+            &Settings::quick(),
+            &InstrumentOptions::default(),
+        );
         let doc = json::parse(&report.to_json_string()).expect("report must be valid JSON");
 
         // Per-span timing for tracking and mapping.
@@ -270,7 +249,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let trace_path = dir.join("trace.json");
         let events_path = dir.join("events.jsonl");
-        let report = instrumented_run_with_options(
+        let report = instrumented_run(
             "bench-options",
             &Settings::quick(),
             &InstrumentOptions {

@@ -260,15 +260,6 @@ impl GpuReport {
         (self.forward.rasterization + self.backward.reverse_raster + self.backward.aggregation) / t
     }
 
-    /// Fraction of forward time in projection (paper Fig. 14a).
-    pub fn projection_fraction(&self) -> f64 {
-        let t = self.forward.total();
-        if t == 0.0 {
-            return 0.0;
-        }
-        self.forward.projection / t
-    }
-
     /// Fraction of backward time in aggregation (paper Fig. 8).
     pub fn aggregation_fraction(&self) -> f64 {
         let t = self.backward.total();

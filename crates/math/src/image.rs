@@ -107,26 +107,10 @@ impl<T> Image<T> {
         }
     }
 
-    /// Bounds-checked mutable pixel access.
-    #[inline]
-    pub fn get_mut(&mut self, x: usize, y: usize) -> Option<&mut T> {
-        if x < self.width && y < self.height {
-            Some(&mut self.data[y * self.width + x])
-        } else {
-            None
-        }
-    }
-
     /// Raw row-major slice.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
         &self.data
-    }
-
-    /// Raw row-major mutable slice.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
     }
 
     /// Consumes the image, returning the raw data.

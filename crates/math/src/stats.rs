@@ -124,11 +124,6 @@ impl Summary {
         (self.sum_sq / self.count as f64 - m * m).max(0.0)
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum sample (0 for an empty summary).
     pub fn min(&self) -> f64 {
         if self.count == 0 {

@@ -12,7 +12,7 @@
 //! `α_i = min(α_max, o_i · exp(-½ dᵀ Σ'⁻¹ d))` with `d = p − μ'` — exactly
 //! the quantity the paper's α-checking thresholds against `α*`.
 
-use splatonic_math::{pool, Mat2, Mat3, Vec2, Vec3};
+use splatonic_math::{pool, Mat2, Vec2, Vec3};
 use splatonic_scene::{Camera, Gaussian, ProjectionTerms};
 
 /// Numeric configuration shared by both pipelines.
@@ -375,11 +375,6 @@ pub fn composite(
 /// (projection culls those, so on its output this equals IEEE order).
 pub fn sort_by_depth(list: &mut [ProjectedGaussian]) {
     list.sort_by(|a, b| a.depth.total_cmp(&b.depth).then(a.id.cmp(&b.id)));
-}
-
-/// Camera-frame covariance `W Σ Wᵀ` (exposed for the backward pass).
-pub fn covariance_cam(g: &Gaussian, rotation: Mat3) -> Mat3 {
-    rotation * g.covariance() * rotation.transpose()
 }
 
 #[cfg(test)]

@@ -151,15 +151,6 @@ impl CacheStats {
             invalidations: self.invalidations - earlier.invalidations,
         }
     }
-
-    /// Counter-wise accumulation `self += delta` — the inverse of
-    /// [`CacheStats::since`], used by session accounting that sums many
-    /// bracketed windows into one per-session total.
-    pub fn add(&mut self, delta: &CacheStats) {
-        self.hits += delta.hits;
-        self.misses += delta.misses;
-        self.invalidations += delta.invalidations;
-    }
 }
 
 /// Entries retained per thread. Sized for a small fleet of interleaved
@@ -397,9 +388,5 @@ mod tests {
         assert_eq!(d.hits, 8);
         assert_eq!(d.misses, 4);
         assert_eq!(d.invalidations, 1);
-        // add() inverts since(): early + d == late.
-        let mut roundtrip = early;
-        roundtrip.add(&d);
-        assert_eq!(roundtrip, late);
     }
 }

@@ -114,17 +114,6 @@ impl SortStats {
             merged_elems: self.merged_elems - earlier.merged_elems,
         }
     }
-
-    /// Counter-wise accumulation `self += delta` — the inverse of
-    /// [`SortStats::since`], used by per-frame bracket-and-accumulate
-    /// session accounting.
-    pub fn add(&mut self, delta: &SortStats) {
-        self.hits += delta.hits;
-        self.misses += delta.misses;
-        self.merges += delta.merges;
-        self.cold_elems += delta.cold_elems;
-        self.merged_elems += delta.merged_elems;
-    }
 }
 
 /// Everything the sorted lists depend on: the projection key (scene
@@ -548,7 +537,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_since_add_roundtrip() {
+    fn stats_since_subtracts_counterwise() {
         let early = SortStats {
             hits: 2,
             misses: 3,
@@ -563,9 +552,15 @@ mod tests {
             cold_elems: 130,
             merged_elems: 90,
         };
-        let d = late.since(&early);
-        let mut roundtrip = early;
-        roundtrip.add(&d);
-        assert_eq!(roundtrip, late);
+        assert_eq!(
+            late.since(&early),
+            SortStats {
+                hits: 5,
+                misses: 1,
+                merges: 2,
+                cold_elems: 30,
+                merged_elems: 50,
+            }
+        );
     }
 }

@@ -7,7 +7,7 @@
 //! pool trace collectors were process-global, so interleaved sessions
 //! silently thrashed and cross-attributed each other's state. With those
 //! globals session-scoped (keyed LRU projection cache, run-id-tagged trace
-//! events, per-frame counter bracketing), this module adds the missing
+//! events, per-frame counter windows), this module adds the missing
 //! piece: a [`SessionManager`] that owns K independent sessions and drives
 //! them over the shared deterministic worker pool.
 //!
@@ -33,9 +33,11 @@
 //! bit-identical to one that never left memory (`tests/serve.rs`).
 //!
 //! Per-session accounting stays meaningful under concurrency because every
-//! session owns its own [`Telemetry`] handle: `render/cache_*` counters,
-//! `pool/worker*` spans, and per-frame records accumulate only what that
-//! session's own frames did (see `system.rs` frame bracketing).
+//! session owns its own [`Telemetry`] handle: each frame window writes its
+//! `render/cache_*`/`render/sort_*` counters, `pool/worker*` spans and
+//! per-frame record straight into that handle (see `system.rs`
+//! `FrameWindow`), so it holds only what the session's own frames did, and
+//! an eviction has nothing left to flush.
 //!
 //! [`ingest`]: SessionManager::ingest
 //! [`step`]: SessionManager::step
@@ -462,19 +464,11 @@ impl SessionManager {
             .ok_or(ServeError::NoEvictDir)?
             .clone();
         let session = &mut self.sessions[idx];
-        if matches!(session.residency, Residency::Evicted(_)) {
+        let Residency::Resident(system) = &session.residency else {
             return Ok(());
-        }
+        };
         std::fs::create_dir_all(&dir).map_err(|e| SnapshotError::Io(e.to_string()))?;
         let path = dir.join(format!("session_{}.snap", session.id));
-        let Residency::Resident(system) = &mut session.residency else {
-            unreachable!("checked resident above");
-        };
-        // Snapshots exclude execution telemetry, so flush the session's
-        // accumulated cache/pool counters into its own handle before the
-        // in-memory state is dropped — finalize then exports only what
-        // accumulated after the last resume, and the totals stay whole.
-        system.flush_counters(&session.telemetry);
         system.checkpoint().write_file(&path)?;
         session.residency = Residency::Evicted(path);
         session.evictions += 1;
@@ -589,11 +583,6 @@ impl SessionManager {
             evictions: session.evictions,
             resumes: session.resumes,
         })
-    }
-
-    /// Ids of all live (not yet finished) sessions, in creation order.
-    pub fn session_ids(&self) -> Vec<u32> {
-        self.sessions.iter().map(|s| s.id).collect()
     }
 
     /// Total frames processed across all sessions since creation.

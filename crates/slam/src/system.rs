@@ -248,10 +248,80 @@ pub struct SlamResult {
     pub scene_size: usize,
 }
 
+impl SlamResult {
+    /// The names of the fields in which `self` and `other` differ: floats
+    /// and poses compare by `to_bits`, traces and counts by `==`. Empty
+    /// means bitwise identical.
+    ///
+    /// This is the one statement of the bitwise contract (any thread width,
+    /// kill/resume, served or sequential). Both results are destructured
+    /// with no `..`, so a new field fails to compile here until it is
+    /// compared.
+    pub fn bitwise_mismatches(&self, other: &SlamResult) -> Vec<&'static str> {
+        let SlamResult {
+            est_poses,
+            ate_cm,
+            psnr_db,
+            tracking_trace,
+            mapping_trace,
+            tracking_iters,
+            mapping_iters,
+            frames,
+            mapping_invocations,
+            scene_size,
+        } = self;
+        let SlamResult {
+            est_poses: o_est_poses,
+            ate_cm: o_ate_cm,
+            psnr_db: o_psnr_db,
+            tracking_trace: o_tracking_trace,
+            mapping_trace: o_mapping_trace,
+            tracking_iters: o_tracking_iters,
+            mapping_iters: o_mapping_iters,
+            frames: o_frames,
+            mapping_invocations: o_mapping_invocations,
+            scene_size: o_scene_size,
+        } = other;
+        let bits = |p: &Pose| {
+            let t = p.translation;
+            p.rotation
+                .m
+                .iter()
+                .chain([&t.x, &t.y, &t.z])
+                .map(|v| v.to_bits())
+                .collect::<Vec<u64>>()
+        };
+        let same_poses = est_poses.len() == o_est_poses.len()
+            && est_poses
+                .iter()
+                .zip(o_est_poses)
+                .all(|(a, b)| bits(a) == bits(b));
+        [
+            ("est_poses", same_poses),
+            ("ate_cm", ate_cm.to_bits() == o_ate_cm.to_bits()),
+            ("psnr_db", psnr_db.to_bits() == o_psnr_db.to_bits()),
+            ("tracking_trace", tracking_trace == o_tracking_trace),
+            ("mapping_trace", mapping_trace == o_mapping_trace),
+            ("tracking_iters", tracking_iters == o_tracking_iters),
+            ("mapping_iters", mapping_iters == o_mapping_iters),
+            ("frames", frames == o_frames),
+            (
+                "mapping_invocations",
+                mapping_invocations == o_mapping_invocations,
+            ),
+            ("scene_size", scene_size == o_scene_size),
+        ]
+        .into_iter()
+        .filter(|&(_, same)| !same)
+        .map(|(name, _)| name)
+        .collect()
+    }
+}
+
 /// In-flight run state: everything that must survive a checkpoint/resume
-/// cycle, plus per-process telemetry bracketing that deliberately does not
-/// (pool/cache baselines restart at resume — they are side-band stats,
-/// outside the bitwise contract).
+/// cycle. Execution telemetry (pool and cache activity) is not part of it:
+/// each [`FrameWindow`] writes its share straight into the run's
+/// [`Telemetry`] handle.
 #[derive(Debug, Clone, Default)]
 struct RunState {
     /// Index of the first unprocessed frame.
@@ -271,89 +341,50 @@ struct RunState {
     tracking_iters: usize,
     mapping_iters: usize,
     mapping_invocations: usize,
-    /// Pool and cache activity attributed to this run (telemetry only).
-    side_band: SideBand,
 }
 
-/// Side-band render activity attributed to one run: per-worker pool time
-/// and projection-/sorted-list-cache statistics, outside the bitwise
+/// The pool, projection-cache and sorted-list-cache activity of one window
+/// of a run (a frame, or the final evaluation), outside the bitwise
 /// contract. The pool registry is process-global and the caches are
 /// thread-local, so a run-start/run-end subtraction would absorb every
-/// other session's activity when runs interleave; instead each window is
-/// bracketed ([`Bracket::open`] → [`SideBand::close`]) and the deltas
-/// accumulate here.
-#[derive(Debug, Clone, Default)]
-struct SideBand {
+/// other session's activity when runs interleave on one thread; each
+/// window brackets only this run's own work instead, and its deltas go
+/// straight into the run's telemetry. Counters are additive, so nothing is
+/// lost when a serving layer evicts the run between windows.
+struct FrameWindow {
     pool: Vec<WorkerStats>,
     cache: projcache::CacheStats,
     sort: tilesort::SortStats,
 }
 
-/// The side-band sources as they stood when a window opened.
-struct Bracket {
-    /// Pool snapshot; taken only when telemetry is on.
-    pool: Option<Vec<WorkerStats>>,
-    cache: projcache::CacheStats,
-    sort: tilesort::SortStats,
-}
-
-impl Bracket {
-    fn open(telemetry: &Telemetry) -> Bracket {
-        Bracket {
-            pool: telemetry
-                .is_enabled()
-                .then(splatonic_math::pool::worker_stats_snapshot),
+impl FrameWindow {
+    /// Opens a window, or `None` when `telemetry` records nothing.
+    fn open(telemetry: &Telemetry) -> Option<FrameWindow> {
+        telemetry.is_enabled().then(|| FrameWindow {
+            pool: splatonic_math::pool::worker_stats_snapshot(),
             cache: projcache::stats(),
             sort: tilesort::stats(),
-        }
+        })
     }
 
     /// Projection-cache activity since the window opened.
     fn cache_so_far(&self) -> projcache::CacheStats {
         projcache::stats().since(&self.cache)
     }
-}
 
-impl SideBand {
-    /// Closes `window`, adding the activity since it opened; pool deltas
-    /// merge by worker slot.
-    fn close(&mut self, window: Bracket) {
-        self.cache.add(&window.cache_so_far());
-        self.sort.add(&tilesort::stats().since(&window.sort));
-        let Some(before) = window.pool else {
-            return;
-        };
-        for w in &splatonic_math::pool::worker_stats_snapshot() {
-            let prev = before.iter().find(|b| b.worker == w.worker);
-            let delta_ms = w.busy_ms - prev.map_or(0.0, |b| b.busy_ms);
-            let delta_chunks = w.chunks.saturating_sub(prev.map_or(0, |b| b.chunks));
-            if delta_ms <= 0.0 && delta_chunks == 0 {
-                continue;
-            }
-            if let Some(slot) = self.pool.iter_mut().find(|a| a.worker == w.worker) {
-                slot.busy_ms += delta_ms;
-                slot.chunks += delta_chunks;
-            } else {
-                self.pool.push(WorkerStats {
-                    worker: w.worker,
-                    busy_ms: delta_ms,
-                    chunks: delta_chunks,
-                });
-            }
-        }
-    }
-
-    /// Exports the accumulated activity as `render/cache_*`,
-    /// `render/sort_*` counters and `pool/worker<i>` spans, and resets it.
-    fn export(&mut self, telemetry: &Telemetry) {
-        let SideBand { pool, cache, sort } = std::mem::take(self);
+    /// Adds the window's cache and sort activity to the `render/cache_*`
+    /// and `render/sort_*` counters and its pool activity to the
+    /// `pool/worker<i>` spans.
+    fn close(self, telemetry: &Telemetry) {
+        let cache = self.cache_so_far();
+        let sort = tilesort::stats().since(&self.sort);
         telemetry.counter_add("render/cache_hits", cache.hits);
         telemetry.counter_add("render/cache_misses", cache.misses);
         telemetry.counter_add("render/cache_invalidations", cache.invalidations);
         telemetry.counter_add("render/sort_hits", sort.hits);
         telemetry.counter_add("render/sort_misses", sort.misses);
         telemetry.counter_add("render/sort_cold_elems", sort.cold_elems);
-        telemetry.record_pool_worker_deltas(&pool);
+        telemetry.record_pool_workers(&self.pool);
     }
 }
 
@@ -473,27 +504,28 @@ impl SlamSystem {
     /// finalize called twice).
     pub fn finalize(&mut self, dataset: &Dataset, telemetry: &Telemetry) -> SlamResult {
         let _finalize = telemetry.span_flat("finalize");
-        let mut state = self.run.take().expect("finalize requires an active run");
+        let state = self.run.take().expect("finalize requires an active run");
         let n = state.next_frame;
         assert_eq!(n, dataset.len(), "finalize requires a completed run");
         let ate_cm = ate_rmse_cm(&state.est_poses, &dataset.gt_poses[..n]);
         let psnr = {
             let _span = telemetry.span_flat("psnr_eval");
             // The evaluation renders go through the same pool and cache;
-            // bracket them so they attribute to this run too.
-            let window = Bracket::open(telemetry);
+            // window them so they attribute to this run too.
+            let window = FrameWindow::open(telemetry);
             let v = self.evaluate_psnr(
                 dataset,
                 &state.est_poses,
                 self.config.algorithm.mapping_every,
             );
-            state.side_band.close(window);
+            if let Some(window) = window {
+                window.close(telemetry);
+            }
             v
         };
 
         telemetry.record_trace("tracking", &state.tracking_trace);
         telemetry.record_trace("mapping", &state.mapping_trace);
-        state.side_band.export(telemetry);
         telemetry.counter_add("slam/tracking_iters", state.tracking_iters as u64);
         telemetry.counter_add("slam/mapping_iters", state.mapping_iters as u64);
         telemetry.counter_add("slam/mapping_invocations", state.mapping_invocations as u64);
@@ -510,21 +542,6 @@ impl SlamSystem {
             frames: n,
             mapping_invocations: state.mapping_invocations,
             scene_size: self.scene.len(),
-        }
-    }
-
-    /// Flushes the session-scoped cache/pool telemetry accumulators into
-    /// `telemetry` and resets them.
-    ///
-    /// Snapshots deliberately exclude execution telemetry (DESIGN.md §12),
-    /// so the accumulators would be lost when a serving layer evicts this
-    /// system to disk and later resumes it. Evicting callers flush first;
-    /// counters are additive, so the flushed amounts plus whatever
-    /// [`Self::finalize`] exports after the last resume still cover the
-    /// session's whole life. A no-op between runs.
-    pub fn flush_counters(&mut self, telemetry: &Telemetry) {
-        if let Some(state) = self.run.as_mut() {
-            state.side_band.export(telemetry);
         }
     }
 
@@ -634,7 +651,6 @@ impl SlamSystem {
             tracking_iters: snapshot.tracking_iters,
             mapping_iters: snapshot.mapping_iters,
             mapping_invocations: snapshot.mapping_invocations,
-            side_band: SideBand::default(),
         });
         Ok(SlamSystem {
             config,
@@ -655,10 +671,10 @@ impl SlamSystem {
         // per processed frame, anchor included) without nesting the
         // tracking/mapping paths beneath it.
         let _frame = telemetry.span_flat("frame");
-        // Bracket this frame's window so pool and cache activity attribute
-        // to *this* run even when a session manager interleaves several
-        // runs on one thread.
-        let window = Bracket::open(telemetry);
+        // Window this frame so pool and cache activity attribute to *this*
+        // run even when a session manager interleaves several runs on one
+        // thread.
+        let window = FrameWindow::open(telemetry);
         let cfg = self.config;
         let algo = cfg.algorithm;
         let mut state = self.run.take().unwrap_or_default();
@@ -746,7 +762,9 @@ impl SlamSystem {
             state.mapping_invocations += 1;
         }
 
-        if telemetry.is_enabled() {
+        if let Some(window) = window {
+            // The frame's cache delta is read before the telemetry-only
+            // PSNR render below, whose lookups the window still counts.
             let cache_frame = window.cache_so_far();
             telemetry.record_frame(FrameRecord {
                 frame_idx: t,
@@ -766,8 +784,8 @@ impl SlamSystem {
                 track_ms,
                 map_ms,
             });
+            window.close(telemetry);
         }
-        state.side_band.close(window);
         state.next_frame = t + 1;
         self.run = Some(state);
     }
@@ -965,9 +983,7 @@ mod tests {
         let ra = a.run(&d);
         let mut b = SlamSystem::new(SlamConfig::default(), d.intrinsics);
         let rb = b.run_with_telemetry(&d, &Telemetry::enabled());
-        assert_eq!(ra.est_poses, rb.est_poses);
-        assert_eq!(ra.ate_cm, rb.ate_cm);
-        assert_eq!(ra.tracking_trace, rb.tracking_trace);
+        assert_eq!(ra.bitwise_mismatches(&rb), Vec::<&str>::new());
     }
 
     #[test]
@@ -983,17 +999,8 @@ mod tests {
         };
         let r1 = run(1);
         for threads in [2, 8] {
-            let r = run(threads);
-            assert_eq!(r1.est_poses, r.est_poses, "{threads} workers");
-            assert_eq!(r1.ate_cm.to_bits(), r.ate_cm.to_bits(), "{threads} workers");
-            assert_eq!(
-                r1.psnr_db.to_bits(),
-                r.psnr_db.to_bits(),
-                "{threads} workers"
-            );
-            assert_eq!(r1.tracking_trace, r.tracking_trace, "{threads} workers");
-            assert_eq!(r1.mapping_trace, r.mapping_trace, "{threads} workers");
-            assert_eq!(r1.scene_size, r.scene_size, "{threads} workers");
+            let mismatches = run(threads).bitwise_mismatches(&r1);
+            assert!(mismatches.is_empty(), "{threads} workers: {mismatches:?}");
         }
     }
 
@@ -1049,11 +1056,7 @@ mod tests {
         let rb = chk
             .run_with_checkpoints(&d, &Telemetry::disabled(), &mut |_, _| Ok(()))
             .unwrap();
-        assert_eq!(ra.est_poses, rb.est_poses);
-        assert_eq!(ra.ate_cm.to_bits(), rb.ate_cm.to_bits());
-        assert_eq!(ra.psnr_db.to_bits(), rb.psnr_db.to_bits());
-        assert_eq!(ra.tracking_trace, rb.tracking_trace);
-        assert_eq!(ra.mapping_trace, rb.mapping_trace);
+        assert_eq!(ra.bitwise_mismatches(&rb), Vec::<&str>::new());
     }
 
     #[test]
@@ -1122,13 +1125,11 @@ mod tests {
             let snap = Snapshot::from_bytes(&bytes).expect("snapshot decodes");
             let mut resumed =
                 SlamSystem::resume(SlamConfig::default(), d.intrinsics, &d, &snap).unwrap();
-            let r = resumed.run(&d);
-            assert_eq!(full.est_poses, r.est_poses, "kill after {kill_after}");
-            assert_eq!(full.ate_cm.to_bits(), r.ate_cm.to_bits());
-            assert_eq!(full.psnr_db.to_bits(), r.psnr_db.to_bits());
-            assert_eq!(full.tracking_trace, r.tracking_trace);
-            assert_eq!(full.mapping_trace, r.mapping_trace);
-            assert_eq!(full.scene_size, r.scene_size);
+            let mismatches = resumed.run(&d).bitwise_mismatches(&full);
+            assert!(
+                mismatches.is_empty(),
+                "kill after {kill_after}: {mismatches:?}"
+            );
         }
     }
 
@@ -1140,8 +1141,7 @@ mod tests {
         let mut sys = SlamSystem::new(SlamConfig::default(), d.intrinsics);
         let a = sys.run(&d);
         let b = sys.run(&d);
-        assert_eq!(a.est_poses, b.est_poses);
-        assert_eq!(a.ate_cm.to_bits(), b.ate_cm.to_bits());
+        assert_eq!(a.bitwise_mismatches(&b), Vec::<&str>::new());
     }
 
     #[test]

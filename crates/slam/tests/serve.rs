@@ -84,49 +84,6 @@ fn serve_interleaved(
     (manager, outcomes)
 }
 
-fn assert_bitwise(name: &str, served: &SlamResult, sequential: &SlamResult) {
-    assert_eq!(
-        served.est_poses.len(),
-        sequential.est_poses.len(),
-        "{name}: pose count"
-    );
-    for (i, (a, b)) in served
-        .est_poses
-        .iter()
-        .zip(sequential.est_poses.iter())
-        .enumerate()
-    {
-        assert_eq!(a, b, "{name}: pose {i} not bitwise identical");
-    }
-    assert_eq!(
-        served.ate_cm.to_bits(),
-        sequential.ate_cm.to_bits(),
-        "{name}: ate_cm"
-    );
-    assert_eq!(
-        served.psnr_db.to_bits(),
-        sequential.psnr_db.to_bits(),
-        "{name}: psnr_db"
-    );
-    assert_eq!(
-        served.tracking_trace, sequential.tracking_trace,
-        "{name}: tracking trace"
-    );
-    assert_eq!(
-        served.mapping_trace, sequential.mapping_trace,
-        "{name}: mapping trace"
-    );
-    assert_eq!(
-        served.scene_size, sequential.scene_size,
-        "{name}: scene size"
-    );
-    assert_eq!(
-        (served.tracking_iters, served.mapping_iters),
-        (sequential.tracking_iters, sequential.mapping_iters),
-        "{name}: iteration counts"
-    );
-}
-
 #[test]
 fn interleaved_sessions_are_bit_identical_to_sequential_at_any_width() {
     let data = datasets(2, 6);
@@ -147,10 +104,11 @@ fn interleaved_sessions_are_bit_identical_to_sequential_at_any_width() {
         );
         for (outcome, d) in outcomes.iter().zip(&data) {
             let sequential = SlamSystem::new(cfg, d.intrinsics).run(d);
-            assert_bitwise(
-                &format!("{} @ threads={threads}", d.name),
-                &outcome.result,
-                &sequential,
+            let mismatches = outcome.result.bitwise_mismatches(&sequential);
+            assert!(
+                mismatches.is_empty(),
+                "{} @ threads={threads}: {mismatches:?} differ",
+                d.name
             );
         }
     }
@@ -186,10 +144,11 @@ fn eviction_mid_sequence_resumes_bitwise() {
         assert!(outcome.evictions > 0, "{}: never evicted", d.name);
         assert!(outcome.resumes > 0, "{}: never resumed", d.name);
         let sequential = SlamSystem::new(cfg, d.intrinsics).run(d);
-        assert_bitwise(
-            &format!("{} via eviction", d.name),
-            &outcome.result,
-            &sequential,
+        let mismatches = outcome.result.bitwise_mismatches(&sequential);
+        assert!(
+            mismatches.is_empty(),
+            "{} via eviction: {mismatches:?} differ",
+            d.name
         );
     }
 }
@@ -405,6 +364,54 @@ fn served_session_counters_match_a_solo_instrumented_run() {
 }
 
 #[test]
+fn evicted_sessions_count_every_cache_lookup_once() {
+    // Snapshots carry no execution telemetry, so whatever a session's
+    // cache and sort lookups recorded before an eviction must already be in
+    // its own handle. Exact hits may differ from a solo run (a resumed
+    // scene gets a fresh revision, so one would-be hit misses), but every
+    // lookup is counted exactly once: hits + misses match the solo oracle.
+    let data = datasets(2, 5);
+    let cfg = config(1);
+    let (manager, outcomes) = serve_interleaved(
+        ServeConfig {
+            queue_capacity: 2,
+            max_resident: 1,
+            evict_dir: Some(evict_dir("lookups")),
+            telemetry: true,
+        },
+        cfg,
+        &data,
+    );
+    assert!(manager.evictions() > 0, "no eviction happened");
+    let counter = |report: &splatonic_telemetry::RunReport, name: &str| {
+        report
+            .counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v)
+    };
+    for (outcome, d) in outcomes.iter().zip(&data) {
+        assert!(outcome.evictions > 0, "{}: never evicted", d.name);
+        let solo_tel = Telemetry::enabled();
+        SlamSystem::new(cfg, d.intrinsics).run_with_telemetry(d, &solo_tel);
+        let solo = solo_tel.finish(&d.name, Default::default());
+        for kind in ["cache", "sort"] {
+            let lookups = |r: &splatonic_telemetry::RunReport| {
+                counter(r, &format!("render/{kind}_hits"))
+                    + counter(r, &format!("render/{kind}_misses"))
+            };
+            assert!(lookups(&solo) > 0, "{}: no {kind} lookups", d.name);
+            assert_eq!(
+                lookups(&outcome.report),
+                lookups(&solo),
+                "{}: served {kind} lookups diverged from the solo run",
+                d.name
+            );
+        }
+    }
+}
+
+#[test]
 fn ingest_rejects_mismatched_frame_dimensions() {
     let d = &datasets(1, 3)[0];
     let other = Dataset::replica_like(
@@ -466,5 +473,9 @@ fn explicit_evict_is_transparent_and_idempotent() {
     manager.close(id).unwrap();
     let outcome = manager.finish(id).unwrap();
     let sequential = SlamSystem::new(cfg, d.intrinsics).run(d);
-    assert_bitwise("explicit evict", &outcome.result, &sequential);
+    let mismatches = outcome.result.bitwise_mismatches(&sequential);
+    assert!(
+        mismatches.is_empty(),
+        "explicit evict: {mismatches:?} differ"
+    );
 }

@@ -234,58 +234,24 @@ impl Telemetry {
     }
 
     /// Imports the render worker pool's per-worker activity since `before`
-    /// (a [`pool::worker_stats_snapshot`] taken earlier) as `pool/worker<i>`
-    /// spans, plus a `pool/workers` gauge with the number of active workers.
+    /// (a [`pool::worker_stats_snapshot`] taken earlier) as one
+    /// `pool/worker<i>` span sample per worker that was busy.
     ///
     /// The pool registry is process-global and monotonic, so callers bracket
-    /// the phase of interest with a snapshot and this call.
+    /// the window of interest with a snapshot and this call. A run made of
+    /// several windows (one per SLAM frame) records one sample per busy
+    /// window, so each worker's span `total_ms` is its time in this run
+    /// even when other runs interleave between the windows.
     pub fn record_pool_workers(&self, before: &[pool::WorkerStats]) {
         if self.inner.is_none() {
             return;
         }
-        let after = pool::worker_stats_snapshot();
-        let deltas: Vec<pool::WorkerStats> = after
-            .iter()
-            .map(|w| {
-                let prev_ms = before
-                    .iter()
-                    .find(|b| b.worker == w.worker)
-                    .map_or(0.0, |b| b.busy_ms);
-                let prev_chunks = before
-                    .iter()
-                    .find(|b| b.worker == w.worker)
-                    .map_or(0, |b| b.chunks);
-                pool::WorkerStats {
-                    worker: w.worker,
-                    busy_ms: w.busy_ms - prev_ms,
-                    chunks: w.chunks.saturating_sub(prev_chunks),
-                }
-            })
-            .collect();
-        self.record_pool_worker_deltas(&deltas);
-    }
-
-    /// Imports pre-computed per-worker activity deltas as `pool/worker<i>`
-    /// spans plus the `pool/workers` gauge.
-    ///
-    /// Used when the caller cannot bracket one contiguous window — e.g. a
-    /// multi-session manager interleaving sessions must accumulate each
-    /// session's own before/after deltas across its scheduling slices and
-    /// import the sum here, so one session's report never absorbs another
-    /// session's pool activity.
-    pub fn record_pool_worker_deltas(&self, deltas: &[pool::WorkerStats]) {
-        if self.inner.is_none() {
-            return;
-        }
-        let mut active = 0u64;
-        for w in deltas {
-            if w.busy_ms > 0.0 {
-                active += 1;
-                self.record_span_ms(&format!("pool/worker{}", w.worker), w.busy_ms);
+        for w in pool::worker_stats_snapshot() {
+            let prev = before.iter().find(|b| b.worker == w.worker);
+            let busy_ms = w.busy_ms - prev.map_or(0.0, |b| b.busy_ms);
+            if busy_ms > 0.0 {
+                self.record_span_ms(&format!("pool/worker{}", w.worker), busy_ms);
             }
-        }
-        if active > 0 {
-            self.gauge_set("pool/workers", active as f64);
         }
     }
 
@@ -508,26 +474,17 @@ impl Telemetry {
     }
 
     /// Writes a Chrome trace-event JSON file merging this handle's span
-    /// events with the pool and render-phase activity captured since
-    /// `session` began (see [`TraceSession`]). Loadable in Perfetto /
-    /// `chrome://tracing`; validated by `scripts/check_trace.py`.
-    pub fn write_chrome_trace(
-        &self,
-        session: &TraceSession,
-        path: &std::path::Path,
-    ) -> std::io::Result<()> {
-        self.write_chrome_trace_merged(session, &[], path)
-    }
-
-    /// Like [`Telemetry::write_chrome_trace`], but additionally merges
-    /// `extra_spans` — span events collected on *other* telemetry handles —
-    /// into the same timeline.
+    /// events and `extra_spans` with the pool and render-phase activity
+    /// captured since `session` began (see [`TraceSession`]). Loadable in
+    /// Perfetto / `chrome://tracing`; validated by `scripts/check_trace.py`.
     ///
-    /// A multi-session driver owns one telemetry handle per session (the
-    /// handle is `!Sync`); this export lets it emit one fleet-wide trace
+    /// `extra_spans` are span events collected on *other* handles: a
+    /// multi-session server owns one handle per session (the handle is
+    /// `!Sync`) and passes their events here to emit one fleet-wide trace,
     /// where each session's spans land in that session's process group
-    /// (sessions are distinguished by [`SpanEvent::run`]).
-    pub fn write_chrome_trace_merged(
+    /// (sessions are distinguished by [`SpanEvent::run`]). Single-run
+    /// callers pass `&[]`.
+    pub fn write_chrome_trace(
         &self,
         session: &TraceSession,
         extra_spans: &[SpanEvent],
@@ -679,6 +636,8 @@ mod tests {
             "expected pool worker spans, got {:?}",
             report.spans.iter().map(|(p, _)| p).collect::<Vec<_>>()
         );
+        // The worker count is the number of span keys; no gauge repeats it.
+        assert!(report.gauges.is_empty(), "{:?}", report.gauges);
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //! (`splatonic_math::timebase::run_id`; 0 outside any session scope). The
 //! export maps run `r` to Chrome trace process id `r + 1` — a single-run
 //! trace therefore stays on pid 1 exactly as before, while a fleet trace
-//! shows one process group per SLAM session. [`TraceSession::begin_for_run`]
-//! additionally *filters* the export to one run, so concurrent sessions
-//! sharing the process-global buffers each export only their own events.
+//! (the sessions' span events passed as
+//! [`crate::Telemetry::write_chrome_trace`]'s `extra_spans`) shows one
+//! process group per SLAM session.
 
 use crate::event::SpanEvent;
 use crate::json::Json;
@@ -39,8 +39,6 @@ use splatonic_render::phase;
 pub struct TraceSession {
     pool_cursor: usize,
     phase_cursor: usize,
-    /// When set, the export keeps only events stamped with this run id.
-    run_filter: Option<u32>,
 }
 
 impl TraceSession {
@@ -54,18 +52,7 @@ impl TraceSession {
         TraceSession {
             pool_cursor: pool::trace_cursor(),
             phase_cursor: phase::cursor(),
-            run_filter: None,
         }
-    }
-
-    /// Like [`TraceSession::begin`], but the eventual export keeps only
-    /// events attributed to `run` — the scoped-drain form concurrent
-    /// sessions need so one session's export cannot absorb another's
-    /// events from the shared process-global buffers.
-    pub fn begin_for_run(run: u32) -> Self {
-        let mut s = TraceSession::begin();
-        s.run_filter = Some(run);
-        s
     }
 }
 
@@ -89,12 +76,8 @@ fn run_to_pid(run: u32) -> u64 {
 /// Builds the full Chrome trace document for the given telemetry span
 /// events plus everything the session's side-band buffers captured.
 pub(crate) fn chrome_trace_json(spans: &[SpanEvent], session: &TraceSession) -> Json {
-    let keep = |run: u32| session.run_filter.is_none_or(|want| run == want);
     let mut rows: Vec<Row> = Vec::new();
     for e in spans {
-        if !keep(e.run) {
-            continue;
-        }
         rows.push(Row {
             name: e.path.clone(),
             cat: "span",
@@ -105,9 +88,6 @@ pub(crate) fn chrome_trace_json(spans: &[SpanEvent], session: &TraceSession) -> 
         });
     }
     for e in phase::events_since(session.phase_cursor) {
-        if !keep(e.run) {
-            continue;
-        }
         rows.push(Row {
             name: e.name.to_string(),
             cat: "render",
@@ -118,9 +98,6 @@ pub(crate) fn chrome_trace_json(spans: &[SpanEvent], session: &TraceSession) -> 
         });
     }
     for e in pool::trace_events_since(session.pool_cursor) {
-        if !keep(e.run) {
-            continue;
-        }
         rows.push(Row {
             name: format!("pool/worker{}", e.worker),
             cat: "pool",
@@ -263,14 +240,14 @@ mod tests {
     }
 
     #[test]
-    fn runs_map_to_process_groups_and_filters_scope_the_export() {
+    fn runs_map_to_process_groups() {
         let spans = vec![
             span(1, None, "frame", 0, 1_000),
             span(2, None, "frame", 3, 2_000),
             span(3, None, "frame", 4, 3_000),
         ];
 
-        // Unfiltered: one process group per run, run r on pid r+1.
+        // One process group per run, run r on pid r+1.
         let session = TraceSession::begin();
         let doc = chrome_trace_json(&spans, &session);
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
@@ -293,16 +270,5 @@ mod tests {
         assert!(session_names.contains(&"splatonic".to_string()));
         assert!(session_names.contains(&"session-3".to_string()));
         assert!(session_names.contains(&"session-4".to_string()));
-
-        // Filtered: only run 3's events survive.
-        let scoped = TraceSession::begin_for_run(3);
-        let doc = chrome_trace_json(&spans, &scoped);
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        let xs: Vec<_> = events
-            .iter()
-            .filter(|e| e.get("ph").unwrap() == &Json::Str("X".into()))
-            .collect();
-        assert_eq!(xs.len(), 1);
-        assert_eq!(xs[0].get("pid").unwrap().as_f64(), Some(4.0));
     }
 }

@@ -5,8 +5,8 @@
 #   1. runs SLAM, cutting snapshots on a cadence, and kills the process
 #      after a configurable frame (exit code 21 marks the planned crash);
 #   2. resumes from the newest snapshot in a fresh process and asserts the
-#      completed run is BITWISE identical (poses, ATE, PSNR, both workload
-#      traces) to an uninterrupted in-process run;
+#      completed run is BITWISE identical in every result field
+#      (SlamResult::bitwise_mismatches) to an uninterrupted in-process run;
 #   3. corrupts the snapshot four ways (payload flip, truncation, bad magic,
 #      future version) and asserts each is rejected with its typed error.
 #

@@ -84,6 +84,32 @@ SPLATONIC_THREADS=4 cargo run --release -p splatonic-bench --bin fleet -- --quic
   --trace-out "$VERIFY_TMP/fleet_trace.json"
 python3 scripts/check_trace.py "$VERIFY_TMP/fleet_trace.json" --min-threads 2
 
+echo "== kernels + fault_inject trace/event exports (DESIGN.md §14) =="
+# The other two bench binaries export through the same helper as figures
+# and fleet (crates/bench/src/cli.rs); their traces pass the same gate.
+# The fault_inject run writes its trace just before the simulated crash,
+# so it must still exit 21.
+SPLATONIC_THREADS=4 cargo run --release -q -p splatonic-bench --bin kernels -- --iters 1 \
+  --trace-out "$VERIFY_TMP/kernels_trace.json" \
+  --events-out "$VERIFY_TMP/kernels_events.jsonl" > /dev/null
+status=0
+SPLATONIC_THREADS=4 cargo run --release -q -p splatonic-bench --bin fault_inject -- run \
+  --dir "$VERIFY_TMP/fault" --kill-at 3 \
+  --trace-out "$VERIFY_TMP/fault_run_trace.json" \
+  --events-out "$VERIFY_TMP/fault_run_events.jsonl" || status=$?
+if [ "$status" -ne 21 ]; then
+  echo "fault_inject run: expected the simulated crash to exit 21, got $status" >&2
+  exit 1
+fi
+SPLATONIC_THREADS=4 cargo run --release -q -p splatonic-bench --bin fault_inject -- resume \
+  --dir "$VERIFY_TMP/fault" \
+  --trace-out "$VERIFY_TMP/fault_resume_trace.json" \
+  --events-out "$VERIFY_TMP/fault_resume_events.jsonl"
+for name in kernels fault_run fault_resume; do
+  python3 scripts/check_trace.py "$VERIFY_TMP/${name}_trace.json" --min-threads 2
+  test -s "$VERIFY_TMP/${name}_events.jsonl"
+done
+
 echo "== scripts/fault_inject.sh (kill/resume bitwise + corruption gate) =="
 # Cross-process checkpoint/resume: kill mid-run, resume from the snapshot,
 # assert bitwise-identical results at widths 1, 4, and auto (DESIGN.md §12).
