@@ -220,7 +220,7 @@ mod tests {
         FrameWorkload {
             gaussians: 4000,
             projected: 3000,
-            proj_candidates: Vec::new(),
+            proj_alpha_checks: 0,
             pairs_kept: 0,
             tile_pairs: 40_000,
             pixel_lists: vec![(pairs / pixels.max(1)) as u32; pixels as usize],

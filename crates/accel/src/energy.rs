@@ -53,7 +53,7 @@ impl AccelEnergyModel {
 
     /// Prices one workload's energy given its timing report.
     pub fn price(&self, w: &FrameWorkload, report: &AccelReport) -> AccelEnergyReport {
-        let checks: f64 = w.proj_candidates.iter().map(|&n| n as f64).sum();
+        let checks = w.proj_alpha_checks as f64;
         let pairs = w.total_pairs() as f64;
         let grads = w.total_grad_entries() as f64;
         let touched = w.distinct_grad_gaussians() as f64;
@@ -143,7 +143,7 @@ mod tests {
         FrameWorkload {
             gaussians: 1000,
             projected: 800,
-            proj_candidates: vec![4; 800],
+            proj_alpha_checks: 4 * 800,
             pairs_kept: 500,
             pixel_lists: vec![10; 50],
             grad_stream: (0..50u32)

@@ -148,8 +148,7 @@ impl SplatonicAccel {
         // Projection: each Gaussian is transformed once; its candidate
         // pixels are α-checked by the unit's α-filter LUTs.
         let transform = w.gaussians as f64 * c.projection_cycles / c.projection_units as f64;
-        let checks: f64 = w.proj_candidates.iter().map(|&n| n as f64).sum();
-        let alpha = checks / c.alpha_check_rate();
+        let alpha = w.proj_alpha_checks as f64 / c.alpha_check_rate();
         let projection_cycles = transform + alpha;
 
         // Sorting on the hierarchical sorters. Pixel workloads (the
@@ -254,7 +253,7 @@ mod tests {
         FrameWorkload {
             gaussians: 4000,
             projected: 3000,
-            proj_candidates: vec![4; 3000],
+            proj_alpha_checks: 4 * 3000,
             pairs_kept: 960,
             tile_pairs: 0,
             pixel_lists,
@@ -314,7 +313,7 @@ mod tests {
     #[test]
     fn more_projection_units_speed_up_projection_bound() {
         let mut w = sparse_workload();
-        w.proj_candidates = vec![64; 3000]; // heavy preemptive checking
+        w.proj_alpha_checks = 64 * 3000; // heavy preemptive checking
         let base = SplatonicAccel::paper().price(&w);
         let big = SplatonicAccel {
             config: SplatonicConfig::paper().with_units(16, 4),

@@ -1,11 +1,12 @@
 //! Frame workloads: what the accelerator simulators consume.
 //!
 //! A [`FrameWorkload`] captures one training iteration's real work shape —
-//! per-Gaussian candidate counts from projection, per-pixel contributing
-//! lists, and the backward gradient stream (pixel-grouped Gaussian ids) —
-//! extracted from a rendered [`ForwardResult`] plus its trace. Hardware
-//! behavior that depends on *distribution* (sorter load balance,
-//! aggregation locality) therefore comes from measured data.
+//! the render's [`RenderTrace`] counters plus per-pixel contributing-list
+//! lengths and the backward gradient stream (pixel-grouped Gaussian ids),
+//! both rebuilt from that render's [`ForwardResult::contributions`] (no
+//! trace carries per-element data). Hardware behavior that depends on
+//! *distribution* (sorter load balance, aggregation locality) therefore
+//! comes from measured data.
 
 use splatonic_render::{ForwardResult, Pipeline, RenderTrace};
 
@@ -16,9 +17,9 @@ pub struct FrameWorkload {
     pub gaussians: u64,
     /// Gaussians surviving projection.
     pub projected: u64,
-    /// Per-Gaussian candidate-pixel counts at projection (pixel pipeline)
-    /// — drives the α-filter units.
-    pub proj_candidates: Vec<u32>,
+    /// Candidate pixel–Gaussian pairs α-checked at projection (pixel
+    /// pipeline; zero for tile workloads) — drives the α-filter units.
+    pub proj_alpha_checks: u64,
     /// Pairs kept after preemptive α-checking.
     pub pairs_kept: u64,
     /// Tile–Gaussian pairs (tile pipeline) — drives tile-based baselines.
@@ -56,8 +57,8 @@ impl FrameWorkload {
     /// Extracts a workload from a forward result and its backward trace.
     ///
     /// `forward.trace` supplies the forward counts; `backward` (from
-    /// `render_backward`) supplies the backward counts. The gradient stream
-    /// is rebuilt from the stored per-pixel contribution lists.
+    /// `render_backward`) supplies the backward counts. List lengths and
+    /// the gradient stream come from the per-pixel contribution lists.
     pub fn from_render(
         forward: &ForwardResult,
         backward: &RenderTrace,
@@ -72,10 +73,14 @@ impl FrameWorkload {
         FrameWorkload {
             gaussians: f.gaussians_input,
             projected: f.gaussians_projected,
-            proj_candidates: forward.trace.proj_candidates.clone(),
+            proj_alpha_checks: f.proj_alpha_checks,
             pairs_kept: f.proj_pairs_kept,
             tile_pairs: f.tile_pairs,
-            pixel_lists: forward.trace.pixel_lists.clone(),
+            pixel_lists: forward
+                .contributions
+                .iter()
+                .map(|l| l.len() as u32)
+                .collect(),
             grad_stream,
             sort_elems: f.sort_elems,
             sort_lists: f.sort_lists,
@@ -119,8 +124,7 @@ mod tests {
         trace.forward.gaussians_input = 10;
         trace.forward.gaussians_projected = 8;
         trace.forward.pixels_shaded = 2;
-        trace.pixel_lists = vec![2, 1];
-        trace.proj_candidates = vec![3, 1];
+        trace.forward.proj_alpha_checks = 4;
         ForwardResult {
             color: vec![Vec3::ZERO; 2],
             depth: vec![0.0; 2],
@@ -158,7 +162,9 @@ mod tests {
         assert_eq!(w.grad_stream[1], vec![4]);
         assert_eq!(w.total_grad_entries(), 3);
         assert_eq!(w.distinct_grad_gaussians(), 2);
+        assert_eq!(w.pixel_lists, vec![2, 1]);
         assert_eq!(w.total_pairs(), 3);
+        assert_eq!(w.proj_alpha_checks, 4);
         assert_eq!(w.gaussians, 10);
     }
 }

@@ -499,7 +499,7 @@ fn main() {
         let workload = FrameWorkload {
             gaussians: 4000,
             projected: 3000,
-            proj_candidates: vec![4; 3000],
+            proj_alpha_checks: 4 * 3000,
             pairs_kept: 960,
             pixel_lists: vec![20; 48],
             grad_stream: (0..48u32)

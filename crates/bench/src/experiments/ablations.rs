@@ -79,7 +79,7 @@ pub fn preemptive_alpha(settings: &Settings) -> Vec<Table> {
     let with = accel.price(w);
     // Without preemption: every candidate flows into rasterization, where
     // it is α-checked (1 extra unit-cycle each) and mostly discarded.
-    let candidates: f64 = w.proj_candidates.iter().map(|&c| c as f64).sum();
+    let candidates = w.proj_alpha_checks as f64;
     let without_raster = candidates * 2.0 / accel.config.blend_rate() + w.pixels as f64;
     let mut t = Table::new(
         "Ablation — preemptive alpha-checking (forward rasterization cycles)",

@@ -44,7 +44,7 @@
 //!   of the plan (the reference). A bare `eval_psnr` just records.
 //! * `decode_snapshot {path}` — decodes a snapshot file (any supported
 //!   format version), failing the plan on a decode error. This is how CI
-//!   keeps the committed v1 fixture decodable forever.
+//!   keeps the committed v1 and v2 fixtures decodable forever.
 //!
 //! # Path resolution
 //!

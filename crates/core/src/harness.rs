@@ -271,6 +271,72 @@ mod tests {
     }
 
     #[test]
+    fn derived_workload_matches_the_render_exactly() {
+        let s = scenario();
+        let sampling = SamplingStrategy::RandomPerTile { tile: 16 };
+        for pipeline in [Pipeline::TileBased, Pipeline::PixelBased] {
+            let plan = tracking_plan(sampling, &s.frame, 3, None);
+            let (intrinsics, pixels, _) = resolve_plan(plan, s.intrinsics, &s.frame);
+            let cam = Camera::new(intrinsics, s.pose);
+            let cfg = reference_render_config();
+            let out = render_forward(&s.scene, &cam, &pixels, pipeline, &cfg);
+            let w = FrameWorkload::from_render(&out, &RenderTrace::new(), pipeline);
+            let lens: Vec<usize> = out.contributions.iter().map(Vec::len).collect();
+            let derived: Vec<usize> = w.pixel_lists.iter().map(|&l| l as usize).collect();
+            assert_eq!(derived, lens, "{pipeline:?}");
+            assert_eq!(w.proj_alpha_checks, out.trace.forward.proj_alpha_checks);
+        }
+    }
+
+    #[test]
+    fn iteration_prices_are_pinned() {
+        // Bit patterns of each target's (seconds, joules) on this scenario:
+        // a change to how workloads are derived from a render must not
+        // move a single bit of any price.
+        use crate::targets::HardwareTarget;
+        let pins = [
+            (
+                HardwareTarget::GpuTile,
+                0x3f16_7510_d75a_0140,
+                0x3f36_a530_e2df_8d7e,
+            ),
+            (
+                HardwareTarget::GsArch,
+                0x3ef7_2390_b171_2f4a,
+                0x3f04_be1c_f75f_8cd3,
+            ),
+            (
+                HardwareTarget::GauSpu,
+                0x3f09_dd3a_9cf8_b87c,
+                0x3f28_b15d_c29e_847e,
+            ),
+            (
+                HardwareTarget::GpuPixel,
+                0x3f07_ba40_9537_202c,
+                0x3f25_24a3_8cbf_4457,
+            ),
+            (
+                HardwareTarget::SplatonicHw,
+                0x3ee1_5012_19bb_9b80,
+                0x3eee_7c25_f07b_ef88,
+            ),
+        ];
+        let s = scenario();
+        let sampling = SamplingStrategy::RandomPerTile { tile: 16 };
+        let tile = measure_tracking_iteration(&s, Pipeline::TileBased, sampling, 3);
+        let pixel = measure_tracking_iteration(&s, Pipeline::PixelBased, sampling, 3);
+        for (target, seconds, joules) in pins {
+            let m = match target.expected_pipeline() {
+                Pipeline::TileBased => &tile,
+                Pipeline::PixelBased => &pixel,
+            };
+            let cost = target.price(m);
+            assert_eq!(cost.seconds.to_bits(), seconds, "{target:?} seconds");
+            assert_eq!(cost.joules.to_bits(), joules, "{target:?} joules");
+        }
+    }
+
+    #[test]
     fn dense_measurement_covers_image() {
         let s = scenario();
         let m = measure_dense_iteration(&s, Pipeline::TileBased);

@@ -94,7 +94,6 @@ pub fn forward(
     let prereject = config.bbox_prereject();
     struct ProjCheckPartial {
         entries: Vec<(usize, PixelEntry)>,
-        candidates: Vec<u32>,
         alpha_checks: u64,
         pairs_kept: u64,
     }
@@ -102,7 +101,6 @@ pub fn forward(
         pool::par_chunks_indexed(threads, projected, PROJ_CHECK_CHUNK, |_, offset, chunk| {
             let mut part = ProjCheckPartial {
                 entries: Vec::new(),
-                candidates: Vec::with_capacity(chunk.len()),
                 alpha_checks: 0,
                 pairs_kept: 0,
             };
@@ -115,13 +113,11 @@ pub fn forward(
             for (k, pg) in chunk.iter().enumerate() {
                 let pi = offset + k;
                 let (lo, hi) = pg.bbox();
-                let mut candidates = 0u32;
                 if simd {
                     idx_scratch.clear();
                     px_scratch.clear();
                     py_scratch.clear();
                     let collect = |out_idx: usize, p: PixelCoord| {
-                        candidates += 1;
                         part.alpha_checks += 1;
                         let c = p.center();
                         if prereject && !pg.bbox_contains(c) {
@@ -155,7 +151,6 @@ pub fn forward(
                     }
                 } else {
                     let check = |out_idx: usize, p: PixelCoord| {
-                        candidates += 1;
                         part.alpha_checks += 1;
                         let c = p.center();
                         if prereject && !pg.bbox_contains(c) {
@@ -176,7 +171,6 @@ pub fn forward(
                     };
                     pixels.samples_in_bbox(lo, hi, check);
                 }
-                part.candidates.push(candidates);
             }
             part
         });
@@ -211,7 +205,6 @@ pub fn forward(
             flat[cursor[out_idx]] = e;
             cursor[out_idx] += 1;
         }
-        trace.proj_candidates.extend(part.candidates);
     }
     let lists: Vec<&[PixelEntry]> = offsets.windows(2).map(|w| &flat[w[0]..w[1]]).collect();
     f.bytes_written += f.proj_pairs_kept * bytes::PAIR_ENTRY;
@@ -337,7 +330,6 @@ pub fn forward(
         f.bytes_written += part.bytes_written;
         for contribs in &part.contribs {
             f.pixel_list_len.push(contribs.len() as f64);
-            trace.pixel_lists.push(contribs.len() as u32);
         }
         color.extend(part.color);
         depth.extend(part.depth);

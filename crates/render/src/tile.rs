@@ -269,7 +269,6 @@ pub fn forward(
 
     for contribs in &contributions {
         f.pixel_list_len.push(contribs.len() as f64);
-        trace.pixel_lists.push(contribs.len() as u32);
     }
 
     ForwardResult {

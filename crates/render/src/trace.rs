@@ -26,7 +26,7 @@ pub struct ForwardStats {
     /// Always zero: it counted the visits of a screen-space bin walk that
     /// no longer exists (every pixel set is direct-indexed, DESIGN.md §11).
     /// Kept because the benchmark driver and the snapshot format read it;
-    /// it goes with the next change to the benchmark (ROADMAP item 4).
+    /// it goes with the next change to the benchmark (ROADMAP item 6).
     pub bin_candidates: u64,
     /// Pixel-based: candidate pairs that passed preemptive α-checking.
     pub proj_pairs_kept: u64,
@@ -125,16 +125,17 @@ impl BackwardStats {
 }
 
 /// Complete workload trace of one forward(+backward) render.
+///
+/// Fixed-size counters only, so a trace merged over a whole run (and
+/// stored in checkpoints) costs the same however many renders it covers.
+/// Per-element shapes the accelerator models need (per-pixel list lengths)
+/// come from the render's own [`crate::ForwardResult::contributions`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RenderTrace {
     /// Forward-pass counters.
     pub forward: ForwardStats,
     /// Backward-pass counters (default-empty until a backward pass runs).
     pub backward: BackwardStats,
-    /// Per-pixel contributing-list lengths (for the cycle-level simulators).
-    pub pixel_lists: Vec<u32>,
-    /// Per-Gaussian candidate-pixel counts at projection (pixel-based).
-    pub proj_candidates: Vec<u32>,
 }
 
 impl RenderTrace {
@@ -150,12 +151,7 @@ impl RenderTrace {
     /// fails compilation here until the merge handles it, so a new counter
     /// can never be silently dropped when traces are aggregated.
     pub fn merge(&mut self, other: &RenderTrace) {
-        let RenderTrace {
-            forward,
-            backward,
-            pixel_lists,
-            proj_candidates,
-        } = other;
+        let RenderTrace { forward, backward } = other;
         let f = &mut self.forward;
         let ForwardStats {
             gaussians_input,
@@ -224,8 +220,6 @@ impl RenderTrace {
         b.reprojections += reprojections;
         b.bytes_read += bytes_read;
         b.bytes_written += bytes_written;
-        self.pixel_lists.extend_from_slice(pixel_lists);
-        self.proj_candidates.extend_from_slice(proj_candidates);
     }
 }
 
@@ -276,14 +270,11 @@ mod tests {
         let mut a = RenderTrace::new();
         a.forward.pairs_integrated = 10;
         a.backward.atomic_adds = 5;
-        a.pixel_lists.push(3);
         let mut b = RenderTrace::new();
         b.forward.pairs_integrated = 7;
         b.backward.atomic_adds = 2;
-        b.pixel_lists.push(4);
         a.merge(&b);
         assert_eq!(a.forward.pairs_integrated, 17);
         assert_eq!(a.backward.atomic_adds, 7);
-        assert_eq!(a.pixel_lists, vec![3, 4]);
     }
 }

@@ -305,6 +305,7 @@ fn oracle_forward(
         clamp(lo.floor())..=clamp(hi.ceil())
     };
     let untiled_from = if tiled { pixels.sample_count() } else { 0 };
+    let mut alpha_checks = 0u64;
     for (pi, pg) in projected.iter().enumerate() {
         let (lo, hi) = pg.bbox();
         let mut candidates = Vec::new();
@@ -324,7 +325,7 @@ fn oracle_forward(
                 candidates.push((i, p));
             }
         }
-        trace.proj_candidates.push(candidates.len() as u32);
+        alpha_checks += candidates.len() as u64;
         for (out_idx, p) in candidates {
             let (alpha, _) = alpha_at(pg, p.center(), config);
             if alpha >= config.alpha_threshold {
@@ -336,7 +337,7 @@ fn oracle_forward(
     f.gaussians_input = scene.len() as u64;
     f.gaussians_culled = culled;
     f.gaussians_projected = projected.len() as u64;
-    f.proj_alpha_checks = trace.proj_candidates.iter().map(|&c| c as u64).sum();
+    f.proj_alpha_checks = alpha_checks;
     f.exp_evals = f.proj_alpha_checks;
     f.proj_pairs_kept = lists.iter().map(|l| l.len() as u64).sum();
     f.bytes_read = scene.len() as u64 * bytes::GAUSSIAN + f.proj_pairs_kept * bytes::PAIR_ENTRY;
@@ -379,7 +380,6 @@ fn oracle_forward(
         f.bytes_read += used * bytes::PROJECTED;
         f.bytes_written += bytes::PIXEL_OUT;
         f.pixel_list_len.push(used as f64);
-        trace.pixel_lists.push(used as u32);
         out.color.push(c + config.background * t);
         out.depth.push(d);
         out.final_transmittance.push(t);
@@ -909,7 +909,6 @@ fn oracle_tile_forward(
     }
     for contribs in &out.contributions {
         f.pixel_list_len.push(contribs.len() as f64);
-        out.trace.pixel_lists.push(contribs.len() as u32);
     }
     out
 }

@@ -477,7 +477,9 @@ impl SessionManager {
         Ok(())
     }
 
-    /// Resumes the session from its snapshot if it was evicted.
+    /// Resumes the session from its snapshot if it was evicted, then
+    /// deletes the snapshot file: it exists only while its session is
+    /// evicted, so finished sessions leave nothing behind.
     fn make_resident(&mut self, idx: usize) -> Result<(), ServeError> {
         let session = &mut self.sessions[idx];
         let Residency::Evicted(path) = &session.residency else {
@@ -490,6 +492,7 @@ impl SessionManager {
             &session.dataset,
             &snapshot,
         )?;
+        std::fs::remove_file(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
         session.residency = Residency::Resident(Box::new(system));
         session.resumes += 1;
         self.resumes += 1;
@@ -529,14 +532,16 @@ impl SessionManager {
 
     /// Finalizes a closed, fully drained session: evaluates the trajectory,
     /// snapshots its telemetry into a [`RunReport`], and removes it from
-    /// the manager.
+    /// the manager. An evicted session is resumed first, which deletes its
+    /// eviction file.
     ///
     /// # Errors
     ///
     /// [`ServeError::NotClosed`] before [`Self::close`];
     /// [`ServeError::NotDrained`] with frames still pending;
     /// [`ServeError::Empty`] if it never processed a frame;
-    /// [`ServeError::Snapshot`] if resuming an evicted session fails;
+    /// [`ServeError::Snapshot`] if resuming an evicted session (reading,
+    /// decoding or deleting its file) fails;
     /// [`ServeError::UnknownSession`] if no such session exists.
     pub fn finish(&mut self, id: u32) -> Result<SessionOutcome, ServeError> {
         let idx = self.index_of(id)?;

@@ -5,7 +5,7 @@
 //! uninterrupted run (DESIGN.md §12): the Gaussian scene, the estimated
 //! trajectory, the keyframe window (as frame indices + poses — the RGB-D
 //! images are rebuilt from the dataset at resume time), the mapping
-//! optimizer's Adam moments and step count, the aggregated workload traces,
+//! optimizer's Adam moments and step count, the aggregated trace counters,
 //! and the per-frame seed derivation point (`seed`, `next_frame` — per-frame
 //! seeds are pure functions of these, so no RNG state exists to save).
 //!
@@ -36,7 +36,9 @@ pub const MAGIC: [u8; 8] = *b"SPLTSNAP";
 
 /// Current snapshot format version. Bump on any wire-format change; old
 /// readers reject newer versions with [`SnapshotError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 2;
+/// Version 2 added the `sort_group_reuse` trace counter; version 3 dropped
+/// the two `u32` lists that versions 1 and 2 carried after each trace.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Fixed header size: magic (8) + version (4) + payload length (8) +
 /// checksum (8).
@@ -178,11 +180,11 @@ impl Snapshot {
     }
 
     /// Serializes at a specific still-supported format version
-    /// (`1..=FORMAT_VERSION`). Version 1 predates the PR 9
-    /// `sort_group_reuse` trace counter and simply omits it. Production
-    /// code always writes the current version; this exists so the
-    /// compatibility tests and the committed v1 fixture can be generated
-    /// from real encoder code instead of hand-patched bytes.
+    /// (`1..=FORMAT_VERSION`); see [`FORMAT_VERSION`] for what each omits
+    /// or adds (versions 1 and 2 get their trace lists written empty).
+    /// Production code always writes the current version; this exists so
+    /// the compatibility tests exercise real encoder code instead of
+    /// hand-patched bytes.
     ///
     /// # Panics
     ///
@@ -192,8 +194,23 @@ impl Snapshot {
             (1..=FORMAT_VERSION).contains(&version),
             "cannot encode snapshot version {version}"
         );
-        let mut payload = Vec::with_capacity(256 + self.gaussians.len() * 14 * 8);
-        let w = &mut payload;
+        // One exactly sized buffer: the small traces are encoded first so
+        // the size is known (12 `u64` scalars, the records, the traces);
+        // the header's length and checksum are patched in last.
+        let mut traces = Vec::new();
+        put_trace(&mut traces, &self.tracking_trace, version);
+        put_trace(&mut traces, &self.mapping_trace, version);
+        let payload_len = 12 * 8
+            + self.gaussians.len() * 14 * 8
+            + self.est_poses.len() * 12 * 8
+            + self.keyframes.len() * 13 * 8
+            + self.adam_moments.len() * 16
+            + traces.len();
+        let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&[0; 16]);
+        let w = &mut out;
         put_u64(w, self.seed);
         put_u64(w, self.config_fingerprint);
         put_u64(w, self.next_frame as u64);
@@ -220,15 +237,13 @@ impl Snapshot {
         put_u64(w, self.tracking_iters as u64);
         put_u64(w, self.mapping_iters as u64);
         put_u64(w, self.mapping_invocations as u64);
-        put_trace(w, &self.tracking_trace, version);
-        put_trace(w, &self.mapping_trace, version);
+        w.extend_from_slice(&traces);
+        debug_assert_eq!(out.len(), HEADER_LEN + payload_len);
 
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let len = (out.len() - HEADER_LEN) as u64;
+        let checksum = fnv1a(&out[HEADER_LEN..]);
+        out[12..20].copy_from_slice(&len.to_le_bytes());
+        out[20..28].copy_from_slice(&checksum.to_le_bytes());
         out
     }
 
@@ -403,25 +418,14 @@ fn put_summary(w: &mut Vec<u8>, s: &Summary) {
     put_f64(w, s.raw_max());
 }
 
-fn put_u32_list(w: &mut Vec<u8>, v: &[u32]) {
-    put_u64(w, v.len() as u64);
-    for &x in v {
-        w.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
 /// Serializes a trace. The destructuring is deliberately exhaustive (no
 /// `..`), mirroring [`RenderTrace::merge`]: adding a counter to the trace
 /// structs fails compilation here until the snapshot format handles it (and
 /// [`FORMAT_VERSION`] is bumped). `version` selects which fields are on the
-/// wire: `sort_group_reuse` joined in version 2.
+/// wire: `sort_group_reuse` joined in version 2, and versions before 3 end
+/// with two `u32` lists, written here as empty (length-0) lists.
 fn put_trace(w: &mut Vec<u8>, t: &RenderTrace, version: u32) {
-    let RenderTrace {
-        forward,
-        backward,
-        pixel_lists,
-        proj_candidates,
-    } = t;
+    let RenderTrace { forward, backward } = t;
     let ForwardStats {
         gaussians_input,
         gaussians_culled,
@@ -502,8 +506,10 @@ fn put_trace(w: &mut Vec<u8>, t: &RenderTrace, version: u32) {
         put_u64(w, *v);
     }
     put_summary(w, gaussian_touches);
-    put_u32_list(w, pixel_lists);
-    put_u32_list(w, proj_candidates);
+    if version < 3 {
+        put_u64(w, 0);
+        put_u64(w, 0);
+    }
 }
 
 /// Bounds-checked payload reader.
@@ -535,10 +541,6 @@ impl<'a> Cursor<'a> {
 
     fn u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4B")))
     }
 
     fn f64(&mut self) -> Result<f64, SnapshotError> {
@@ -604,18 +606,16 @@ impl<'a> Cursor<'a> {
         Ok(Summary::from_parts(count, sum, sum_sq, min, max))
     }
 
-    fn u32_list(&mut self) -> Result<Vec<u32>, SnapshotError> {
+    /// Skips a length-prefixed `u32` list, bounds-checked like any field.
+    fn skip_u32_list(&mut self) -> Result<(), SnapshotError> {
         let n = self.len_field("u32 list", 4)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.u32()?);
-        }
-        Ok(v)
+        self.take(n * 4).map(|_| ())
     }
 
     /// Decodes a trace written at `version`: snapshots older than version 2
     /// predate `sort_group_reuse`, so the field defaults to zero (the value
-    /// a pre-PR-9 build would have observed).
+    /// the build that wrote them observed), and the two per-render `u32`
+    /// lists that versions before 3 carry are skipped.
     fn trace(&mut self, version: u32) -> Result<RenderTrace, SnapshotError> {
         let mut t = RenderTrace::new();
         {
@@ -655,8 +655,10 @@ impl<'a> Cursor<'a> {
             b.bytes_written = self.u64()?;
             b.gaussian_touches = self.summary()?;
         }
-        t.pixel_lists = self.u32_list()?;
-        t.proj_candidates = self.u32_list()?;
+        if version < 3 {
+            self.skip_u32_list()?;
+            self.skip_u32_list()?;
+        }
         Ok(t)
     }
 }
@@ -671,8 +673,6 @@ mod tests {
         tracking_trace.forward.pixel_list_len.push(3.0);
         tracking_trace.forward.pixel_list_len.push(7.5);
         tracking_trace.backward.atomic_adds = 9;
-        tracking_trace.pixel_lists = vec![1, 2, 3];
-        tracking_trace.proj_candidates = vec![4, 5];
         let g = Gaussian::new(
             Vec3::new(0.5, -1.25, 2.0),
             Vec3::splat(0.1),
@@ -736,10 +736,13 @@ mod tests {
         );
     }
 
-    /// The snapshot the committed v1 fixture is generated from. Fully
-    /// deterministic so `regen_v1_fixture` always reproduces the same
-    /// bytes. `sort_group_reuse` is deliberately nonzero: version 1 cannot
-    /// carry it, so decoding must zero it.
+    /// The state the committed v1 and v2 fixtures hold (minus the two
+    /// per-trace `u32` lists those files also carry, `[1, 2, 3]` and
+    /// `[4, 5]` on the tracking trace, which decoding skips). The fixtures
+    /// were written by builds that still kept those lists, so they are
+    /// frozen: no current encoder reproduces their bytes.
+    /// `sort_group_reuse` is deliberately nonzero: version 1 cannot carry
+    /// it, so decoding must zero it.
     fn v1_fixture_snapshot() -> Snapshot {
         let mut s = sample_snapshot();
         s.tracking_trace.forward.sort_group_reuse = 777;
@@ -748,7 +751,7 @@ mod tests {
     }
 
     /// What a v1 decode of [`v1_fixture_snapshot`] must produce: identical
-    /// state with the post-v1 counters at their pre-PR-9 value of zero.
+    /// state with the post-v1 counters at zero.
     fn v1_expected_snapshot() -> Snapshot {
         let mut s = v1_fixture_snapshot();
         s.tracking_trace.forward.sort_group_reuse = 0;
@@ -756,9 +759,9 @@ mod tests {
         s
     }
 
-    fn v1_fixture_path() -> std::path::PathBuf {
+    fn fixture_path(version: u32) -> std::path::PathBuf {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../plans/fixtures/snapshot_v1.snap")
+            .join(format!("../../plans/fixtures/snapshot_v{version}.snap"))
     }
 
     #[test]
@@ -766,8 +769,9 @@ mod tests {
         let s = v1_fixture_snapshot();
         let bytes = s.to_bytes_versioned(1);
         assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 1);
-        // v1 payloads are 16 bytes shorter: one u64 per trace.
-        assert_eq!(bytes.len() + 16, s.to_bytes().len());
+        // Per trace, v1 lacks one u64 counter but carries two (empty) list
+        // length prefixes: 16 bytes more over the two traces.
+        assert_eq!(bytes.len(), s.to_bytes().len() + 16);
         let decoded = Snapshot::from_bytes(&bytes).expect("v1 must decode");
         assert_eq!(decoded, v1_expected_snapshot());
     }
@@ -789,25 +793,34 @@ mod tests {
 
     #[test]
     fn committed_v1_fixture_decodes() {
-        // Regression gate for the compatibility promise: a snapshot file
-        // written by a pre-PR-9 build (committed at
-        // plans/fixtures/snapshot_v1.snap, regenerated by
-        // `regen_v1_fixture`) keeps decoding on every future build.
-        let bytes = std::fs::read(v1_fixture_path())
+        // Regression gate for the compatibility promise: a v1 snapshot
+        // file (committed at plans/fixtures/snapshot_v1.snap, with
+        // non-empty trace lists) keeps decoding on every future build.
+        let bytes = std::fs::read(fixture_path(1))
             .expect("committed fixture plans/fixtures/snapshot_v1.snap must exist");
         let decoded = Snapshot::from_bytes(&bytes).expect("committed v1 fixture must decode");
         assert_eq!(decoded, v1_expected_snapshot());
     }
 
-    /// Regenerates the committed v1 fixture. Run explicitly after a
-    /// deliberate change to the fixture contents:
-    /// `cargo test -p splatonic-slam regen_v1_fixture -- --ignored`
     #[test]
-    #[ignore = "writes the committed fixture; run on purpose only"]
-    fn regen_v1_fixture() {
-        let path = v1_fixture_path();
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, v1_fixture_snapshot().to_bytes_versioned(1)).unwrap();
+    fn committed_v2_fixture_decodes() {
+        // Every eviction file and checkpoint written before version 3 is
+        // v2; plans/fixtures/snapshot_v2.snap (non-empty trace lists
+        // included) must keep decoding, its counters intact.
+        let bytes = std::fs::read(fixture_path(2))
+            .expect("committed fixture plans/fixtures/snapshot_v2.snap must exist");
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 2);
+        let decoded = Snapshot::from_bytes(&bytes).expect("committed v2 fixture must decode");
+        assert_eq!(decoded, v1_fixture_snapshot());
+    }
+
+    #[test]
+    fn encoding_fills_one_exactly_sized_buffer() {
+        let s = v1_fixture_snapshot();
+        for version in 1..=FORMAT_VERSION {
+            let bytes = s.to_bytes_versioned(version);
+            assert_eq!(bytes.len(), bytes.capacity(), "version {version}");
+        }
     }
 
     #[test]

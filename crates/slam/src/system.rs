@@ -1134,6 +1134,27 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_size_does_not_grow_with_renders() {
+        // Run-level traces hold fixed-size counters only: merging each
+        // trace into itself ten times (1024× the renders) leaves the
+        // checkpoint's wire size unchanged.
+        let d = tiny();
+        let mut sys = SlamSystem::new(SlamConfig::default(), d.intrinsics);
+        for _ in 0..3 {
+            sys.step_frame(&d, &Telemetry::disabled());
+        }
+        let mut snap = sys.checkpoint();
+        let before = snap.to_bytes().len();
+        for _ in 0..10 {
+            let tracking = snap.tracking_trace.clone();
+            snap.tracking_trace.merge(&tracking);
+            let mapping = snap.mapping_trace.clone();
+            snap.mapping_trace.merge(&mapping);
+        }
+        assert_eq!(snap.to_bytes().len(), before);
+    }
+
+    #[test]
     fn run_twice_restarts_from_scratch() {
         // finalize() clears the run state, so a second run() re-anchors and
         // reproduces the first bit-for-bit (the pre-refactor behavior).

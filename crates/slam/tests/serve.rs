@@ -154,6 +154,32 @@ fn eviction_mid_sequence_resumes_bitwise() {
 }
 
 #[test]
+fn finished_sessions_leave_no_eviction_files() {
+    let data = datasets(2, 3);
+    let dir = evict_dir("cleanup");
+    let (manager, outcomes) = serve_interleaved(
+        ServeConfig {
+            queue_capacity: 2,
+            max_resident: 1,
+            evict_dir: Some(dir.clone()),
+            telemetry: false,
+        },
+        config(1),
+        &data,
+    );
+    assert!(manager.evictions() > 0 && outcomes.iter().all(|o| o.evictions > 0));
+    let left: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("evict_dir exists once a session was evicted")
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "snap"))
+        .collect();
+    assert!(
+        left.is_empty(),
+        "eviction files outlive their sessions: {left:?}"
+    );
+}
+
+#[test]
 fn backpressure_bounds_the_ingest_queue() {
     let d = &datasets(1, 4)[0];
     let mut manager = SessionManager::new(ServeConfig {

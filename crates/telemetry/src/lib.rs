@@ -266,12 +266,7 @@ impl Telemetry {
         if self.inner.is_none() {
             return;
         }
-        let RenderTrace {
-            forward,
-            backward,
-            pixel_lists: _,     // raw distributions; summarized via Summary fields
-            proj_candidates: _, // below, not exported element-wise
-        } = trace;
+        let RenderTrace { forward, backward } = trace;
 
         let ForwardStats {
             gaussians_input,

@@ -518,12 +518,9 @@ fn snapshot_round_trip_is_byte_identity() {
         tracking_trace.forward.pixel_list_len =
             Summary::from_parts(rng.gen_range(0usize..99), f(rng), f(rng), f(rng), f(rng));
         tracking_trace.backward.atomic_adds = rng.gen_range(0u64..1 << 40);
-        tracking_trace.pixel_lists = (0..rng.gen_range(0usize..20))
-            .map(|_| rng.gen_range(0u64..1 << 32) as u32)
-            .collect();
-        tracking_trace.proj_candidates = (0..rng.gen_range(0usize..20))
-            .map(|_| rng.gen_range(0u64..1 << 32) as u32)
-            .collect();
+        tracking_trace.forward.proj_alpha_checks = rng.gen_range(0u64..u64::MAX);
+        tracking_trace.backward.gaussian_touches =
+            Summary::from_parts(rng.gen_range(0usize..99), f(rng), f(rng), f(rng), f(rng));
         let snapshot = Snapshot {
             seed: rng.gen_range(0u64..u64::MAX),
             config_fingerprint: rng.gen_range(0u64..u64::MAX),
