@@ -51,12 +51,14 @@ impl AccelEnergyModel {
         }
     }
 
-    /// Prices one workload's energy given its timing report.
+    /// Prices one workload's energy given its timing report (which carries
+    /// the workload's distinct-gradient count, so the stream is not
+    /// re-sorted here).
     pub fn price(&self, w: &FrameWorkload, report: &AccelReport) -> AccelEnergyReport {
         let checks = w.proj_alpha_checks as f64;
         let pairs = w.total_pairs() as f64;
         let grads = w.total_grad_entries() as f64;
-        let touched = w.distinct_grad_gaussians() as f64;
+        let touched = report.touched_gaussians as f64;
         let pj = |v: f64| v * 1e-12;
         let compute_j = pj(w.gaussians as f64 * self.pj_per_projection
             + checks * self.pj_per_alpha_check
@@ -71,10 +73,8 @@ impl AccelEnergyModel {
         let sram_j = pj(sram_bytes * self.pj_per_sram_byte);
         // Same fp16 two-phase, pairs-stay-on-chip traffic accounting as
         // the timing model.
-        let hw_bytes = w.gaussians * 32
-            + w.projected * 16
-            + w.pixels * 20
-            + w.distinct_grad_gaussians() as u64 * 48;
+        let hw_bytes =
+            w.gaussians * 32 + w.projected * 16 + w.pixels * 20 + report.touched_gaussians * 48;
         let dram_bytes = (hw_bytes + report.aggregation.dram_bytes) as f64;
         let dram_j = pj(dram_bytes * self.pj_per_dram_byte);
         let static_j = self.static_watts * report.total_seconds();

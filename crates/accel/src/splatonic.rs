@@ -41,6 +41,9 @@ pub struct AccelReport {
     pub fill_cycles: f64,
     /// Clock in Hz (for time conversion).
     pub clock_hz: f64,
+    /// Distinct Gaussians in the gradient stream (the re-projected set),
+    /// counted once per pricing so the energy model reuses it.
+    pub touched_gaussians: u64,
     /// Aggregation simulation detail.
     pub aggregation: AggregationResult,
 }
@@ -75,7 +78,8 @@ impl AccelReport {
     /// as telemetry gauges under `prefix` (e.g. `hw/splatonic`).
     ///
     /// Destructuring is exhaustive: a new report field fails compilation
-    /// here until it is exported.
+    /// here until it is exported. `touched_gaussians` is a workload count,
+    /// not a stage; its cost is exported as `reprojection_cycles`.
     pub fn export_telemetry(&self, telemetry: &splatonic_telemetry::Telemetry, prefix: &str) {
         let AccelReport {
             projection_cycles,
@@ -88,6 +92,7 @@ impl AccelReport {
             bwd_dram_cycles,
             fill_cycles,
             clock_hz,
+            touched_gaussians: _,
             aggregation,
         } = self;
         let stages = [
@@ -213,13 +218,14 @@ impl SplatonicAccel {
         let aggregation = simulate(&w.grad_stream, &agg_cfg, &self.dram, clock);
 
         // Re-projection of the touched Gaussians on the projection units.
-        let touched = w.distinct_grad_gaussians() as f64;
-        let reprojection_cycles = touched * c.reprojection_cycles / c.projection_units as f64;
+        let touched_gaussians = w.distinct_grad_gaussians() as u64;
+        let reprojection_cycles =
+            touched_gaussians as f64 * c.reprojection_cycles / c.projection_units as f64;
 
         // Backward traffic: only the per-Gaussian accumulated gradients
         // (handled by the aggregation unit's cache) plus the final
         // re-projected parameter updates; pair lists stay on-chip.
-        let hw_bwd_bytes = touched as u64 * 48;
+        let hw_bwd_bytes = touched_gaussians * 48;
         let bwd_dram_cycles = self
             .dram
             .transfer_cycles(hw_bwd_bytes + aggregation.dram_bytes, clock);
@@ -235,6 +241,7 @@ impl SplatonicAccel {
             bwd_dram_cycles,
             fill_cycles: c.pipeline_fill_cycles,
             clock_hz: clock,
+            touched_gaussians,
             aggregation,
         }
     }
@@ -278,6 +285,14 @@ mod tests {
         assert!(r.total_seconds() < 1e-3, "took {}", r.total_seconds());
         assert!(r.forward_cycles() > 0.0);
         assert!(r.backward_cycles() > 0.0);
+    }
+
+    #[test]
+    fn report_carries_the_distinct_gradient_count() {
+        let w = sparse_workload();
+        let r = SplatonicAccel::paper().price(&w);
+        assert!(r.touched_gaussians > 0);
+        assert_eq!(r.touched_gaussians, w.distinct_grad_gaussians() as u64);
     }
 
     #[test]

@@ -36,12 +36,13 @@
 //! selected schedule against the per-tile uncached baseline measured in the
 //! same run, so a single default run quantifies the sort-work reduction.
 //!
-//! `--scalar` / `--simd` select the kernel mode (DESIGN.md §13). The SIMD
-//! kernels are bit-identical to the scalar oracles, so this is a pure A/B
-//! timing switch: the `kernel/*` micro-spans and the end-to-end
-//! forward/backward spans move, nothing else. The active lane width is
-//! reported as the `render/simd_lanes` gauge (1 in scalar mode or on hosts
-//! without a vector unit). `scripts/bench_record.sh` runs both modes and
+//! `--scalar` / `--simd` select the kernel mode (DESIGN.md §13). The two
+//! SIMD kernels, projection and per-pixel gradient accumulation, are
+//! bit-identical to their scalar oracles, so this is a pure A/B timing
+//! switch: the `kernel/project` and `kernel/gradient` micro-spans and the
+//! end-to-end forward/backward spans move, nothing else. The active lane
+//! width is reported as the `render/simd_lanes` gauge (1 in scalar mode or
+//! on hosts without a vector unit). `scripts/bench_record.sh` runs both modes and
 //! appends the pair to `BENCH_kernels.json`.
 
 use splatonic::telemetry::{AccuracySummary, Telemetry};
@@ -277,95 +278,27 @@ fn main() {
     }
 
     // Per-kernel microbenches in the selected kernel mode. Each span times
-    // ONE hot kernel in isolation so `BENCH_kernels.json` records where the
-    // scalar-vs-SIMD speedup comes from, not just the end-to-end delta.
-    // Both modes run identical workloads (the SIMD kernels are bit-exact
-    // replicas of the scalar oracles), so the span ratio IS the speedup.
+    // ONE of the two vector kernels in isolation so `BENCH_kernels.json`
+    // records where the scalar-vs-SIMD speedup comes from, not just the
+    // end-to-end delta. Both modes run identical workloads (the SIMD kernels
+    // are bit-exact replicas of the scalar oracles), so the span ratio IS
+    // the speedup.
     {
         use splatonic_math::{Vec2, Vec3};
         use splatonic_render::grad::{pixel_backward, CamGradAccumulator};
-        use splatonic_render::kernel::{alpha_at, project_scene, sort_by_depth};
+        use splatonic_render::kernel::{project_scene, sort_by_depth};
         use splatonic_render::simd::{self, ProjectedSoA};
-        use splatonic_render::Contribution;
 
         let simd_on = cfg.kernels.simd_active();
         let (mut projected, _) = project_scene(&scene, &cam, &cfg);
         sort_by_depth(&mut projected);
         let soa = ProjectedSoA::build(&projected);
-        let centers: Vec<Vec2> = dense.iter_all().map(|p| p.center()).collect();
-        let px: Vec<f64> = centers.iter().map(|c| c.x).collect();
-        let py: Vec<f64> = centers.iter().map(|c| c.y).collect();
         let _outer = t.span("kernel");
 
         // Projection: full scene → screen space.
         for _ in 0..iters {
             let _span = t.span("project");
             std::hint::black_box(project_scene(&scene, &cam, &cfg));
-        }
-
-        // α-check: one Gaussian against every dense pixel center (the
-        // exhaustive-discovery shape of the pixel pipeline).
-        let mut alphas: Vec<f64> = Vec::with_capacity(px.len());
-        for _ in 0..iters {
-            let _span = t.span("alpha_check");
-            for pg in projected.iter().take(64) {
-                alphas.clear();
-                if simd_on {
-                    simd::alpha_batch_gaussian(pg, &px, &py, &cfg, &mut alphas);
-                } else {
-                    for c in &centers {
-                        alphas.push(alpha_at(pg, *c, &cfg).0);
-                    }
-                }
-                std::hint::black_box(alphas.as_slice());
-            }
-        }
-
-        // Compositing: one long depth-sorted list (all projected splats
-        // α-evaluated at the image center), front-to-back.
-        let mid = Vec2::new(W as f64 / 2.0, H as f64 / 2.0);
-        let cands: Vec<u32> = (0..projected.len() as u32).collect();
-        let cand_alphas: Vec<f64> = projected
-            .iter()
-            .map(|pg| alpha_at(pg, mid, &cfg).0)
-            .collect();
-        let mut contribs: Vec<Contribution> = Vec::new();
-        for _ in 0..iters {
-            let _span = t.span("composite");
-            contribs.clear();
-            let out = if simd_on {
-                let (acc, tr, used) = simd::composite_pixel(
-                    &cands,
-                    &cand_alphas,
-                    &soa,
-                    cfg.transmittance_min,
-                    &mut contribs,
-                );
-                (Vec3::new(acc[0], acc[1], acc[2]), acc[3], tr, used)
-            } else {
-                let mut tr = 1.0;
-                let mut c = Vec3::ZERO;
-                let mut d = 0.0;
-                let mut used = 0usize;
-                for (&pi, &alpha) in cands.iter().zip(&cand_alphas) {
-                    if tr < cfg.transmittance_min {
-                        break;
-                    }
-                    let pg = &projected[pi as usize];
-                    let w = tr * alpha;
-                    c += pg.color * w;
-                    d += pg.depth * w;
-                    contribs.push(Contribution {
-                        gaussian: pg.id,
-                        alpha,
-                        transmittance: tr,
-                    });
-                    tr *= 1.0 - alpha;
-                    used += 1;
-                }
-                (c, d, tr, used)
-            };
-            std::hint::black_box(out);
         }
 
         // Gradient: reverse color integration over every sparse pixel's

@@ -22,8 +22,6 @@ use std::path::Path;
 /// from and what it buys overall.
 const KERNEL_SPANS: &[&str] = &[
     "kernel/project",
-    "kernel/alpha_check",
-    "kernel/composite",
     "kernel/gradient",
     "forward/pixel_dense",
     "forward/pixel_sparse16",
@@ -287,6 +285,28 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         let entries = doc.get("entries").and_then(Json::as_arr);
         assert_eq!(entries, Some(&[sort.clone(), sort][..]));
+    }
+
+    /// The committed trajectory's latest entry records exactly the spans
+    /// `record` reads now, so a kernel added to or dropped from
+    /// [`KERNEL_SPANS`] must come with a fresh entry. Older entries keep
+    /// their historical keys.
+    #[test]
+    fn latest_committed_kernel_entry_has_the_kernel_spans() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kernels.json");
+        let doc = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let latest = doc
+            .get("entries")
+            .and_then(Json::as_arr)
+            .and_then(<[Json]>::last)
+            .expect("BENCH_kernels.json has entries");
+        for key in ["scalar_ms", "simd_ms", "speedup"] {
+            let Some(Json::Obj(fields)) = latest.get(key) else {
+                panic!("latest entry has no {key} object");
+            };
+            let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+            assert_eq!(names, KERNEL_SPANS, "{key}");
+        }
     }
 
     #[test]

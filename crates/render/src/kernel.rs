@@ -72,13 +72,14 @@ pub struct RenderConfig {
     pub tile_grouping: bool,
     /// Kernel implementation selector (default [`crate::simd::KernelMode::Simd`]).
     ///
-    /// `Simd` uses the runtime-detected vector paths in [`crate::simd`] and
-    /// falls back to scalar automatically when no vector unit is detected.
-    /// Every shipped SIMD lane replicates the scalar operation order exactly,
-    /// so outputs are bit-identical across modes (enforced by the
-    /// determinism suite); the flag exists as the A/B harness for future
-    /// lanes that relax that contract. Excluded from the `SlamConfig`
-    /// fingerprint, like the other output-transparent execution knobs.
+    /// `Simd` uses the runtime-detected vector paths in [`crate::simd`]
+    /// (projection and the per-pixel backward) and falls back to scalar
+    /// automatically when no vector unit is detected. Every shipped SIMD
+    /// lane replicates the scalar operation order exactly, so outputs are
+    /// bit-identical across modes (enforced by the determinism suite); the
+    /// flag is the A/B switch that shows each vector kernel still pays.
+    /// Excluded from the `SlamConfig` fingerprint, like the other
+    /// output-transparent execution knobs.
     pub kernels: crate::simd::KernelMode,
 }
 

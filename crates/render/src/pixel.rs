@@ -66,17 +66,6 @@ pub fn forward(
 
     let n_out = pixels.len();
     let threads = pool::resolve_threads(config.threads);
-    // SoA view for the vector kernels, gathered once per pass. The SIMD
-    // paths below are bit-identical to the scalar ones (see `simd`), so the
-    // dispatch never changes output — only the instruction mix.
-    let soa = (config.kernels.simd_active()
-        && crate::simd::soa_pays_off(pixels.len(), projected.len()))
-    .then(|| {
-        let _p = crate::phase::begin("render/soa_build");
-        ProjectedSoA::build(projected)
-    });
-    let soa = soa.as_ref();
-    let simd = soa.is_some();
 
     // Gaussian-major discovery, the only walk: pixel-level projection +
     // preemptive α-checking, fanned out over fixed chunks of projected
@@ -104,73 +93,29 @@ pub fn forward(
                 alpha_checks: 0,
                 pairs_kept: 0,
             };
-            // SIMD scratch: candidate pixel indices and centers per
-            // Gaussian, α-checked in lane batches after collection.
-            let mut idx_scratch: Vec<usize> = Vec::new();
-            let mut px_scratch: Vec<f64> = Vec::new();
-            let mut py_scratch: Vec<f64> = Vec::new();
-            let mut alpha_scratch: Vec<f64> = Vec::new();
             for (k, pg) in chunk.iter().enumerate() {
                 let pi = offset + k;
                 let (lo, hi) = pg.bbox();
-                if simd {
-                    idx_scratch.clear();
-                    px_scratch.clear();
-                    py_scratch.clear();
-                    let collect = |out_idx: usize, p: PixelCoord| {
-                        part.alpha_checks += 1;
-                        let c = p.center();
-                        if prereject && !pg.bbox_contains(c) {
-                            return;
-                        }
-                        idx_scratch.push(out_idx);
-                        px_scratch.push(c.x);
-                        py_scratch.push(c.y);
-                    };
-                    pixels.samples_in_bbox(lo, hi, collect);
-                    alpha_scratch.clear();
-                    simd::alpha_batch_gaussian(
-                        pg,
-                        &px_scratch,
-                        &py_scratch,
-                        config,
-                        &mut alpha_scratch,
-                    );
-                    for (j, &alpha) in alpha_scratch.iter().enumerate() {
-                        if alpha >= config.alpha_threshold {
-                            part.pairs_kept += 1;
-                            part.entries.push((
-                                idx_scratch[j],
-                                PixelEntry {
-                                    proj: pi as u32,
-                                    alpha,
-                                    depth: pg.depth,
-                                },
-                            ));
-                        }
+                let check = |out_idx: usize, p: PixelCoord| {
+                    part.alpha_checks += 1;
+                    let c = p.center();
+                    if prereject && !pg.bbox_contains(c) {
+                        return;
                     }
-                } else {
-                    let check = |out_idx: usize, p: PixelCoord| {
-                        part.alpha_checks += 1;
-                        let c = p.center();
-                        if prereject && !pg.bbox_contains(c) {
-                            return;
-                        }
-                        let (alpha, _) = alpha_at(pg, c, config);
-                        if alpha >= config.alpha_threshold {
-                            part.pairs_kept += 1;
-                            part.entries.push((
-                                out_idx,
-                                PixelEntry {
-                                    proj: pi as u32,
-                                    alpha,
-                                    depth: pg.depth,
-                                },
-                            ));
-                        }
-                    };
-                    pixels.samples_in_bbox(lo, hi, check);
-                }
+                    let (alpha, _) = alpha_at(pg, c, config);
+                    if alpha >= config.alpha_threshold {
+                        part.pairs_kept += 1;
+                        part.entries.push((
+                            out_idx,
+                            PixelEntry {
+                                proj: pi as u32,
+                                alpha,
+                                depth: pg.depth,
+                            },
+                        ));
+                    }
+                };
+                pixels.samples_in_bbox(lo, hi, check);
             }
             part
         });
@@ -244,10 +189,6 @@ pub fn forward(
             bytes_written: 0,
         };
         let mut sorted: Vec<PixelEntry> = Vec::new();
-        // SoA scratch for the vector composite: the sorted entry list split
-        // into parallel projection-index / α arrays.
-        let mut proj_scratch: Vec<u32> = Vec::new();
-        let mut alpha_scratch: Vec<f64> = Vec::new();
         for list in chunk {
             sorted.clear();
             sorted.extend_from_slice(list);
@@ -259,44 +200,26 @@ pub fn forward(
                 sorted.sort_by(|a, b| a.depth.total_cmp(&b.depth).then(a.proj.cmp(&b.proj)));
             }
             let mut contribs = Vec::new();
-            let (c, d, t, used) = if let Some(soa) = soa {
-                proj_scratch.clear();
-                alpha_scratch.clear();
-                for e in &sorted {
-                    proj_scratch.push(e.proj);
-                    alpha_scratch.push(e.alpha);
+            let mut t = 1.0;
+            let mut c = Vec3::ZERO;
+            let mut d = 0.0;
+            let mut used = 0usize;
+            for e in &sorted {
+                if t < config.transmittance_min {
+                    break;
                 }
-                let (acc, t, used) = simd::composite_pixel(
-                    &proj_scratch,
-                    &alpha_scratch,
-                    soa,
-                    config.transmittance_min,
-                    &mut contribs,
-                );
-                (Vec3::new(acc[0], acc[1], acc[2]), acc[3], t, used)
-            } else {
-                let mut t = 1.0;
-                let mut c = Vec3::ZERO;
-                let mut d = 0.0;
-                let mut used = 0usize;
-                for e in &sorted {
-                    if t < config.transmittance_min {
-                        break;
-                    }
-                    let pg = &projected[e.proj as usize];
-                    let w = t * e.alpha;
-                    c += pg.color * w;
-                    d += pg.depth * w;
-                    contribs.push(Contribution {
-                        gaussian: pg.id,
-                        alpha: e.alpha,
-                        transmittance: t,
-                    });
-                    t *= 1.0 - e.alpha;
-                    used += 1;
-                }
-                (c, d, t, used)
-            };
+                let pg = &projected[e.proj as usize];
+                let w = t * e.alpha;
+                c += pg.color * w;
+                d += pg.depth * w;
+                contribs.push(Contribution {
+                    gaussian: pg.id,
+                    alpha: e.alpha,
+                    transmittance: t,
+                });
+                t *= 1.0 - e.alpha;
+                used += 1;
+            }
             part.color.push(c + config.background * t);
             part.depth.push(d);
             part.t_final.push(t);

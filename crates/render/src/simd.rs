@@ -1,16 +1,18 @@
 //! Runtime-detected SIMD implementations of the hot kernels, with the
 //! scalar code as the bit-exactness oracle.
 //!
-//! The four hot kernels — projection (`project_chunk`), preemptive
-//! α-checking (`alpha_batch_gaussian`), compositing
-//! (`composite_pixel`), and per-pixel gradient accumulation
-//! (`pixel_backward_simd`) — get explicit vector paths here. Every shipped
-//! lane replicates the scalar operation *order* exactly (same adds in the
-//! same association, `exp` evaluated scalar per lane, IEEE min/max with the
-//! never-NaN operand second), so SIMD output is **bit-identical** to the
+//! Two kernels get explicit vector paths here, each kept because it
+//! measurably pays (DESIGN.md §13): projection (`project_chunk`, run by
+//! every tracking and mapping iteration) and per-pixel gradient
+//! accumulation (`pixel_backward_simd`, run by the dense and mapping
+//! backward passes). The pixel forward — preemptive α-checking and
+//! compositing — has one scalar path: vector versions of both measured
+//! within run-to-run noise end to end. Every shipped lane replicates the
+//! scalar operation *order* exactly (same adds in the same association,
+//! `exp` evaluated scalar), so SIMD output is **bit-identical** to the
 //! scalar oracle on every input. The determinism suite asserts this
-//! directly; [`KernelMode`] remains as the A/B harness for future lanes
-//! (e.g. a vectorized polynomial `exp`) that would relax the contract.
+//! directly; [`KernelMode`] is the A/B switch that suite and the `kernels`
+//! bench drive.
 //!
 //! Backend selection is per-architecture at compile time and per-CPU at
 //! runtime:
@@ -26,7 +28,7 @@
 
 use crate::grad::{CamGradAccumulator, PixelBackwardCounts, GRAD_COMPONENTS};
 use crate::kernel::{
-    alpha_at, in_front_of_near, project_from_cam, project_mean, ProjectedGaussian, RenderConfig,
+    in_front_of_near, project_from_cam, project_mean, ProjectedGaussian, RenderConfig,
 };
 use crate::Contribution;
 use splatonic_math::{Vec2, Vec3};
@@ -35,10 +37,12 @@ use splatonic_scene::{Camera, GaussianScene, ProjectionTerms};
 /// Kernel implementation selector carried by
 /// [`RenderConfig::kernels`](crate::RenderConfig).
 ///
-/// Both modes produce bit-identical output (the SIMD lanes replicate the
-/// scalar operation order exactly); the flag is the A/B harness demanded of
-/// any future lane that relaxes that contract, and the switch the `kernels`
-/// bench bin drives via `--scalar` / `--simd`.
+/// Selects between the scalar oracle and the two vector kernels
+/// (`project_chunk`, `pixel_backward_simd`). Both modes produce
+/// bit-identical output (the SIMD lanes replicate the scalar operation
+/// order exactly); the flag is the A/B switch the scalar≡SIMD determinism
+/// tests and the `kernels` bench bin (`--scalar` / `--simd`) drive, so each
+/// remaining kernel can keep showing that it pays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelMode {
     /// Always use the scalar oracle kernels.
@@ -143,13 +147,6 @@ mod arch {
         pub(super) fn div(self, r: Self) -> Self {
             unsafe { F4(_mm256_div_pd(self.0, r.0)) }
         }
-        /// Lanewise max matching `f64::max` under the kernel precondition
-        /// that `r` is never NaN (`vmaxpd` returns the second operand on
-        /// NaN, which is `f64::max`'s answer for a NaN first operand).
-        #[inline(always)]
-        pub(super) fn max(self, r: Self) -> Self {
-            unsafe { F4(_mm256_max_pd(self.0, r.0)) }
-        }
         #[inline(always)]
         pub(super) fn to_array(self) -> [f64; 4] {
             let mut out = [0.0; 4];
@@ -196,11 +193,6 @@ mod arch {
         #[inline(always)]
         pub(super) fn div(self, r: Self) -> Self {
             unsafe { F4(vdivq_f64(self.0, r.0), vdivq_f64(self.1, r.1)) }
-        }
-        /// `fmaxnm` has `f64::max`'s NaN-ignoring (maxNum) semantics.
-        #[inline(always)]
-        pub(super) fn max(self, r: Self) -> Self {
-            unsafe { F4(vmaxnmq_f64(self.0, r.0), vmaxnmq_f64(self.1, r.1)) }
         }
         #[inline(always)]
         pub(super) fn to_array(self) -> [f64; 4] {
@@ -252,10 +244,6 @@ mod arch {
             F4(std::array::from_fn(|i| self.0[i] / r.0[i]))
         }
         #[inline(always)]
-        pub(super) fn max(self, r: Self) -> Self {
-            F4(std::array::from_fn(|i| self.0[i].max(r.0[i])))
-        }
-        #[inline(always)]
         pub(super) fn to_array(self) -> [f64; 4] {
             self.0
         }
@@ -265,11 +253,11 @@ mod arch {
 use arch::F4;
 
 /// Structure-of-arrays view of a projected-Gaussian list, gathered once per
-/// forward/backward pass so the vector kernels load only the attributes
-/// they touch (instead of copying whole [`ProjectedGaussian`] records).
+/// backward pass so [`pixel_backward_simd`] loads only the attributes it
+/// touches (instead of copying whole [`ProjectedGaussian`] records).
 ///
-/// `colorz` packs `[r, g, b, depth]` contiguously per splat: compositing
-/// and the backward pass accumulate those four channels in one lane batch.
+/// `colorz` packs `[r, g, b, depth]` contiguously per splat: the backward
+/// pass accumulates those four channels in one lane batch.
 #[derive(Debug, Clone, Default)]
 pub struct ProjectedSoA {
     mx: Vec<f64>,
@@ -280,7 +268,6 @@ pub struct ProjectedSoA {
     c11: Vec<f64>,
     opacity: Vec<f64>,
     colorz: Vec<[f64; 4]>,
-    id: Vec<u32>,
 }
 
 impl ProjectedSoA {
@@ -298,7 +285,6 @@ impl ProjectedSoA {
             c11: Vec::with_capacity(n),
             opacity: Vec::with_capacity(n),
             colorz: Vec::with_capacity(n),
-            id: Vec::with_capacity(n),
         };
         for pg in projected {
             s.mx.push(pg.mean2d.x);
@@ -310,19 +296,18 @@ impl ProjectedSoA {
             s.opacity.push(pg.opacity);
             s.colorz
                 .push([pg.color.x, pg.color.y, pg.color.z, pg.depth]);
-            s.id.push(pg.id);
         }
         s
     }
 
     /// Number of projected Gaussians.
     pub fn len(&self) -> usize {
-        self.id.len()
+        self.mx.len()
     }
 
     /// Returns `true` when no Gaussian was projected.
     pub fn is_empty(&self) -> bool {
-        self.id.is_empty()
+        self.mx.is_empty()
     }
 }
 
@@ -330,11 +315,12 @@ impl ProjectedSoA {
 /// [`ProjectedSoA`] costs more than the vector kernels save.
 const SOA_AMORTIZE: usize = 8;
 
-/// Whether a pass over `pixel_count` pixels amortizes the O(projected) SoA
-/// gather. The scalar oracle and the vector kernels produce bit-identical
-/// output, so this heuristic moves wall-clock only — never results. Sparse
-/// tracking passes (tens of pixels against thousands of projected splats)
-/// stay on the scalar path; dense and mapping passes vectorize.
+/// Whether a backward pass over `pixel_count` pixels amortizes the
+/// O(projected) SoA gather. The scalar oracle and the vector kernel produce
+/// bit-identical output, so this heuristic moves wall-clock only — never
+/// results. Sparse tracking passes (tens of pixels against thousands of
+/// projected splats) stay on the scalar path; dense and mapping passes
+/// vectorize.
 #[inline]
 pub fn soa_pays_off(pixel_count: usize, projected_count: usize) -> bool {
     pixel_count.saturating_mul(SOA_AMORTIZE) >= projected_count
@@ -348,124 +334,6 @@ fn assert_vector_unit() {
         lanes() > 1,
         "SIMD kernel invoked without a vector unit; gate calls on KernelMode::simd_active()"
     );
-}
-
-/// α-check of one projected Gaussian against a batch of pixel centers
-/// (`px[k]`, `py[k]`), appending each α to `out`.
-///
-/// Bit-identical to pushing `alpha_at(pg, (px[k], py[k]), config).0` per
-/// element: the quadratic form replicates `Vec2::dot`'s `0.0 + x·x' + y·y'`
-/// association per lane, and `exp` stays scalar per lane.
-///
-/// # Panics
-///
-/// Panics when called without a vector unit ([`lanes`] == 1).
-pub fn alpha_batch_gaussian(
-    pg: &ProjectedGaussian,
-    px: &[f64],
-    py: &[f64],
-    config: &RenderConfig,
-    out: &mut Vec<f64>,
-) {
-    assert_vector_unit();
-    debug_assert_eq!(px.len(), py.len());
-    // SAFETY: `assert_vector_unit` confirmed the target feature at runtime.
-    unsafe { alpha_batch_gaussian_impl(pg, px, py, config, out) }
-}
-
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
-unsafe fn alpha_batch_gaussian_impl(
-    pg: &ProjectedGaussian,
-    px: &[f64],
-    py: &[f64],
-    config: &RenderConfig,
-    out: &mut Vec<f64>,
-) {
-    let n = px.len();
-    out.reserve(n);
-    let mx = F4::splat(pg.mean2d.x);
-    let my = F4::splat(pg.mean2d.y);
-    let c00 = F4::splat(pg.conic.m[0]);
-    let c01 = F4::splat(pg.conic.m[1]);
-    let c10 = F4::splat(pg.conic.m[2]);
-    let c11 = F4::splat(pg.conic.m[3]);
-    let zero = F4::splat(0.0);
-    let mut i = 0;
-    while i + 4 <= n {
-        let pxv = F4::new(px[i], px[i + 1], px[i + 2], px[i + 3]);
-        let pyv = F4::new(py[i], py[i + 1], py[i + 2], py[i + 3]);
-        let dx = pxv.sub(mx);
-        let dy = pyv.sub(my);
-        // u = conic·d, rows (m0·dx + m1·dy, m2·dx + m3·dy).
-        let ux = c00.mul(dx).add(c01.mul(dy));
-        let uy = c10.mul(dx).add(c11.mul(dy));
-        // q = u·d via the oracle's `0.0 + ux·dx + uy·dy`, clamped at 0.
-        let q = zero.add(ux.mul(dx)).add(uy.mul(dy)).max(zero).to_array();
-        for &qk in &q {
-            out.push((pg.opacity * (-0.5 * qk).exp()).min(config.alpha_max));
-        }
-        i += 4;
-    }
-    while i < n {
-        out.push(alpha_at(pg, Vec2::new(px[i], py[i]), config).0);
-        i += 1;
-    }
-}
-
-/// Front-to-back compositing of one pixel's depth-sorted candidate list
-/// (parallel `projs` / `alphas` arrays — the SoA form of the per-pixel
-/// entry list).
-///
-/// The four color/depth channels `[r, g, b, z]` ride one lane batch through
-/// `acc += colorz[proj] · (Γ·α)`; the transmittance recurrence stays
-/// scalar (it is serial by definition). Returns
-/// `([r, g, b, depth], final transmittance, pairs integrated)` — bitwise
-/// the scalar raster loop's sums — and pushes one [`Contribution`] per
-/// integrated pair.
-///
-/// # Panics
-///
-/// Panics when called without a vector unit ([`lanes`] == 1).
-pub fn composite_pixel(
-    projs: &[u32],
-    alphas: &[f64],
-    soa: &ProjectedSoA,
-    transmittance_min: f64,
-    contribs: &mut Vec<Contribution>,
-) -> ([f64; 4], f64, usize) {
-    assert_vector_unit();
-    debug_assert_eq!(projs.len(), alphas.len());
-    // SAFETY: `assert_vector_unit` confirmed the target feature at runtime.
-    unsafe { composite_pixel_impl(projs, alphas, soa, transmittance_min, contribs) }
-}
-
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
-unsafe fn composite_pixel_impl(
-    projs: &[u32],
-    alphas: &[f64],
-    soa: &ProjectedSoA,
-    transmittance_min: f64,
-    contribs: &mut Vec<Contribution>,
-) -> ([f64; 4], f64, usize) {
-    let mut t = 1.0;
-    let mut acc = F4::splat(0.0);
-    let mut used = 0usize;
-    for (&proj, &alpha) in projs.iter().zip(alphas) {
-        if t < transmittance_min {
-            break;
-        }
-        let proj = proj as usize;
-        let w = t * alpha;
-        acc = acc.add(F4::load(&soa.colorz[proj]).mul(F4::splat(w)));
-        contribs.push(Contribution {
-            gaussian: soa.id[proj],
-            alpha,
-            transmittance: t,
-        });
-        t *= 1.0 - alpha;
-        used += 1;
-    }
-    (acc.to_array(), t, used)
 }
 
 /// Reverse color integration for one pixel — the vector twin of
@@ -727,7 +595,6 @@ mod tests {
             assert_eq!(soa.mx[i].to_bits(), pg.mean2d.x.to_bits());
             assert_eq!(soa.c01[i].to_bits(), pg.conic.m[1].to_bits());
             assert_eq!(soa.colorz[i][3].to_bits(), pg.depth.to_bits());
-            assert_eq!(soa.id[i], pg.id);
         }
     }
 
@@ -762,80 +629,6 @@ mod tests {
             assert_eq!(a.mean2d.y.to_bits(), b.mean2d.y.to_bits());
             assert_eq!(a.conic.m[0].to_bits(), b.conic.m[0].to_bits());
             assert_eq!(a.depth.to_bits(), b.depth.to_bits());
-        }
-    }
-
-    #[test]
-    fn alpha_batches_match_scalar_bitwise() {
-        if lanes() == 1 {
-            return;
-        }
-        let cfg = RenderConfig::default();
-        let (projected, _) = crate::kernel::project_scene(&scene(), &camera(), &cfg);
-        // Odd-length batches exercise the scalar tails too.
-        let pts: Vec<Vec2> = (0..13)
-            .map(|k| Vec2::new(3.0 + 4.7 * k as f64, 2.0 + 3.1 * k as f64))
-            .collect();
-        let px: Vec<f64> = pts.iter().map(|p| p.x).collect();
-        let py: Vec<f64> = pts.iter().map(|p| p.y).collect();
-        for pg in &projected {
-            let mut batched = Vec::new();
-            alpha_batch_gaussian(pg, &px, &py, &cfg, &mut batched);
-            for (k, p) in pts.iter().enumerate() {
-                assert_eq!(batched[k].to_bits(), alpha_at(pg, *p, &cfg).0.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn composite_matches_scalar_bitwise() {
-        if lanes() == 1 {
-            return;
-        }
-        let cfg = RenderConfig::default();
-        let (projected, _) = crate::kernel::project_scene(&scene(), &camera(), &cfg);
-        let soa = ProjectedSoA::build(&projected);
-        let projs: Vec<u32> = (0..projected.len() as u32).collect();
-        let alphas: Vec<f64> = projected
-            .iter()
-            .enumerate()
-            .map(|(i, _)| 0.05 + 0.11 * (i % 9) as f64)
-            .collect();
-        let mut contribs = Vec::new();
-        let (acc, t, used) =
-            composite_pixel(&projs, &alphas, &soa, cfg.transmittance_min, &mut contribs);
-        // Scalar oracle (the pixel.rs raster loop).
-        let mut st = 1.0;
-        let mut c = Vec3::ZERO;
-        let mut d = 0.0;
-        let mut sused = 0;
-        let mut scontribs = Vec::new();
-        for (e, &alpha) in projs.iter().zip(&alphas) {
-            if st < cfg.transmittance_min {
-                break;
-            }
-            let pg = &projected[*e as usize];
-            let w = st * alpha;
-            c += pg.color * w;
-            d += pg.depth * w;
-            scontribs.push(Contribution {
-                gaussian: pg.id,
-                alpha,
-                transmittance: st,
-            });
-            st *= 1.0 - alpha;
-            sused += 1;
-        }
-        assert_eq!(used, sused);
-        assert_eq!(t.to_bits(), st.to_bits());
-        assert_eq!(acc[0].to_bits(), c.x.to_bits());
-        assert_eq!(acc[1].to_bits(), c.y.to_bits());
-        assert_eq!(acc[2].to_bits(), c.z.to_bits());
-        assert_eq!(acc[3].to_bits(), d.to_bits());
-        assert_eq!(contribs.len(), scontribs.len());
-        for (a, b) in contribs.iter().zip(&scontribs) {
-            assert_eq!(a.gaussian, b.gaussian);
-            assert_eq!(a.transmittance.to_bits(), b.transmittance.to_bits());
         }
     }
 

@@ -1223,4 +1223,84 @@ mod tests {
         let mut sys = SlamSystem::new(SlamConfig::default(), d.intrinsics);
         let _ = sys.run(&empty);
     }
+
+    /// Runs the `tiny()` sequence with one degenerate-sensor edit under
+    /// both the SPLATONIC and the dense configuration. A degenerate sensor
+    /// must degrade accuracy, not crash: the run completes with finite
+    /// poses, ATE and PSNR, and the scene grows to at most twice its clean
+    /// size.
+    fn assert_degrades_gracefully(label: &str, degrade: impl Fn(&mut Dataset)) {
+        let algorithm = AlgorithmConfig::default();
+        for config in [
+            SlamConfig::splatonic(algorithm),
+            SlamConfig::dense_baseline(algorithm),
+        ] {
+            let clean = tiny();
+            let clean_size = SlamSystem::new(config, clean.intrinsics)
+                .run(&clean)
+                .scene_size;
+            let mut d = tiny();
+            degrade(&mut d);
+            let r = SlamSystem::new(config, d.intrinsics).run(&d);
+            let mode = format!("{:?}", config.pipeline);
+            assert_eq!(r.est_poses.len(), d.len(), "{label}/{mode}");
+            for pose in &r.est_poses {
+                assert!(
+                    pose.translation.is_finite() && pose.rotation.m.iter().all(|v| v.is_finite()),
+                    "{label}/{mode}: non-finite pose {pose:?}"
+                );
+            }
+            assert!(r.ate_cm.is_finite(), "{label}/{mode}: ATE {}", r.ate_cm);
+            assert!(r.psnr_db.is_finite(), "{label}/{mode}: PSNR {}", r.psnr_db);
+            assert!(
+                r.scene_size <= 2 * clean_size,
+                "{label}/{mode}: scene grew to {} against {clean_size} clean",
+                r.scene_size
+            );
+        }
+    }
+
+    #[test]
+    fn zero_depth_after_the_anchor_degrades_gracefully() {
+        assert_degrades_gracefully("zero depth from frame 1", |d| {
+            for f in &mut d.frames[1..] {
+                f.depth = f.depth.map(|_| 0.0);
+            }
+        });
+    }
+
+    #[test]
+    fn zero_depth_everywhere_degrades_gracefully() {
+        // The anchor frame seeds nothing, so every later stage runs on an
+        // empty scene.
+        assert_degrades_gracefully("zero depth everywhere", |d| {
+            for f in &mut d.frames {
+                f.depth = f.depth.map(|_| 0.0);
+            }
+        });
+    }
+
+    #[test]
+    fn constant_color_frames_degrade_gracefully() {
+        assert_degrades_gracefully("constant color", |d| {
+            for f in &mut d.frames {
+                f.color = f.color.map(|_| splatonic_math::Vec3::splat(0.5));
+            }
+        });
+    }
+
+    #[test]
+    fn zero_motion_degrades_gracefully() {
+        // Frame 0 and its pose repeated: the sequence never moves.
+        assert_degrades_gracefully("zero motion", |d| {
+            let (first, pose) = (d.frames[0].clone(), d.gt_poses[0]);
+            for (i, (f, p)) in d.frames.iter_mut().zip(&mut d.gt_poses).enumerate() {
+                *f = Frame {
+                    index: i,
+                    ..first.clone()
+                };
+                *p = pose;
+            }
+        });
+    }
 }

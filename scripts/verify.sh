@@ -110,6 +110,14 @@ for name in kernels fault_run fault_resume; do
   test -s "$VERIFY_TMP/${name}_events.jsonl"
 done
 
+echo "== scripts/bench_record.sh --iters 1 (sort-reduction + KERNEL_SPANS gates) =="
+# The recorder refuses a tile-sort reduction below 2x (DESIGN.md §16) and
+# fails when a recorded kernel span is missing from the kernels report, so
+# running it here gates both locally as CI does. It writes to scratch files;
+# the committed trajectories are appended to only on purpose.
+bash scripts/bench_record.sh --iters 1 \
+  --out "$VERIFY_TMP/BENCH_kernels.json" --sort-out "$VERIFY_TMP/BENCH_sort.json"
+
 echo "== scripts/fault_inject.sh (kill/resume bitwise + corruption gate) =="
 # Cross-process checkpoint/resume: kill mid-run, resume from the snapshot,
 # assert bitwise-identical results at widths 1, 4, and auto (DESIGN.md §12).
