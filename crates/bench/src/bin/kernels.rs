@@ -9,7 +9,7 @@
 //!
 //! Usage:
 //!   kernels [--iters N] [--threads N] [--report out.json]
-//!           [--scalar | --simd] [--no-tile-grouping]
+//!           [--scalar | --simd]
 //!           [--trace-out trace.json] [--events-out events.jsonl]
 //!
 //! `--trace-out` writes a Chrome trace-event JSON (Perfetto-loadable) of
@@ -30,11 +30,10 @@
 //! The backward cases time the pixel schedule on the sparse set and the
 //! tile schedule on the dense set, each on one forward pass's output.
 //!
-//! `--no-tile-grouping` disables the tile pipeline's GS-TG-style grouped
-//! depth sort. Output is again bit-identical; the run's `sort/*` gauges
-//! record the compared-element counts of a short tracking burst under the
-//! selected schedule against the per-tile uncached baseline measured in the
-//! same run, so a single default run quantifies the sort-work reduction.
+//! The run's `sort/*` gauges record the compared-element counts of a short
+//! tracking burst under the tile pipeline's GS-TG-style grouped sort
+//! schedule against the per-tile uncached baseline measured in the same
+//! run, so a single default run quantifies the sort-work reduction.
 //!
 //! `--scalar` / `--simd` select the kernel mode (DESIGN.md §13). The two
 //! SIMD kernels, projection and per-pixel gradient accumulation, are
@@ -102,7 +101,6 @@ fn main() {
     let iters = arg_usize(&args, "--iters").unwrap_or(20);
     let report_path = arg_value(&args, "--report");
     let threads = arg_usize(&args, "--threads").unwrap_or(0);
-    let tile_grouping = !args.iter().any(|a| a == "--no-tile-grouping");
     let mode = if args.iter().any(|a| a == "--scalar") {
         splatonic_render::KernelMode::Scalar
     } else {
@@ -121,7 +119,6 @@ fn main() {
     let (scene, cam) = bench_scene();
     let cfg = RenderConfig {
         threads,
-        tile_grouping,
         kernels: mode,
         ..RenderConfig::default()
     };
@@ -157,7 +154,7 @@ fn main() {
 
     // A/B sorted-tile-list accounting on the tile schedule: a short
     // tracking burst (4 nearby poses × 2 Adam iterations, forward +
-    // backward) under the selected grouping knob, against the per-tile
+    // backward) under the grouped schedule, against the per-tile
     // uncached baseline. Without reuse every pass sorts its lists, so each
     // is charged twice (fwd + bwd); the sorted-list cache replays the
     // forward's lists for the backward and for repeat iterations at the
@@ -195,7 +192,7 @@ fn main() {
             naive_elems += out.trace.forward.sort_elems * 2 * ITERS_PER_POSE as u64;
         }
 
-        // Selected schedule, realized: run the full burst and read the
+        // Grouped schedule, realized: run the full burst and read the
         // side-band cache stats.
         splatonic_render::tilesort::clear();
         let sort_before = splatonic_render::tilesort::stats();
@@ -233,8 +230,7 @@ fn main() {
         t.gauge_set("sort/elems_reduction", reduction);
         eprintln!(
             "[kernels] tile sort burst: per-tile uncached {naive_elems} elems \
-             vs realized {realized} ({reduction:.1}x reduction; grouping {})",
-            if tile_grouping { "on" } else { "off" },
+             vs realized {realized} ({reduction:.1}x reduction)"
         );
     }
 
@@ -323,8 +319,6 @@ fn main() {
                         &proj_of_id,
                         Vec3::splat(0.1),
                         0.05,
-                        &cfg,
-                        cfg.background,
                         &mut accum,
                     )
                 } else {
@@ -334,8 +328,6 @@ fn main() {
                         &lookup,
                         Vec3::splat(0.1),
                         0.05,
-                        &cfg,
-                        cfg.background,
                         &mut accum,
                     )
                 };

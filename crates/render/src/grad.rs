@@ -19,7 +19,7 @@
 //! covariance-orientation dependence on pose is dropped (standard
 //! SplaTAM-style approximation; see DESIGN.md §5).
 
-use crate::kernel::{projection_jacobian, ProjectedGaussian, RenderConfig};
+use crate::kernel::{projection_jacobian, ProjectedGaussian, ALPHA_MAX};
 use crate::Contribution;
 use splatonic_math::{pool, Mat2, Mat3, Se3, Vec2, Vec3};
 use splatonic_scene::{Camera, Gaussian, GaussianScene};
@@ -217,24 +217,17 @@ pub fn pixel_backward(
     lookup: &dyn Fn(u32) -> ProjectedGaussian,
     dl_dc: Vec3,
     dl_dd: f64,
-    config: &RenderConfig,
-    background: Vec3,
     accum: &mut CamGradAccumulator,
 ) -> PixelBackwardCounts {
     let mut counts = PixelBackwardCounts::default();
     if contribs.is_empty() {
         return counts;
     }
-    // Suffix sums: S_c = Σ_{j>i} w_j c_j, S_z = Σ_{j>i} w_j z_j, plus the
-    // background term which also depends on every α through Γ_final.
-    // C = Σ w_i c_i + Γ_final·bg, with Γ_final = Π (1−α_j):
-    //   ∂C/∂α_i = Γ_i c_i − (S_c^i + Γ_final·bg)/(1−α_i).
+    // Suffix sums: S_c = Σ_{j>i} w_j c_j, S_z = Σ_{j>i} w_j z_j. With a
+    // black background C = Σ w_i c_i, so
+    //   ∂C/∂α_i = Γ_i c_i − S_c^i/(1−α_i).
     let mut suffix_c = Vec3::ZERO;
     let mut suffix_z = 0.0;
-    let mut t_final = 1.0;
-    for c in contribs {
-        t_final *= 1.0 - c.alpha;
-    }
     // Iterate back-to-front (the paper's reverse integration order).
     for c in contribs.iter().rev() {
         let pg = lookup(c.gaussian);
@@ -244,12 +237,12 @@ pub fn pixel_backward(
         let dl_dz = dl_dd * w;
         // ∂L/∂α via color and depth channels.
         let one_minus = (1.0 - c.alpha).max(1e-6);
-        let dc_dalpha = pg.color * c.transmittance - (suffix_c + background * t_final) / one_minus;
+        let dc_dalpha = pg.color * c.transmittance - suffix_c / one_minus;
         let dd_dalpha = pg.depth * c.transmittance - suffix_z / one_minus;
         let dl_dalpha = dl_dc.dot(dc_dalpha) + dl_dd * dd_dalpha;
         // α = min(α_max, o·G): zero gradient through the clamp.
         let g_val = c.alpha / pg.opacity;
-        let clamped = c.alpha >= config.alpha_max - 1e-12;
+        let clamped = c.alpha >= ALPHA_MAX - 1e-12;
         let (dl_do, dl_dg) = if clamped {
             (0.0, 0.0)
         } else {
@@ -611,8 +604,6 @@ mod tests {
             &|_| unreachable!(),
             Vec3::ZERO,
             0.0,
-            &RenderConfig::default(),
-            Vec3::ZERO,
             &mut acc,
         );
         assert_eq!(counts.pairs, 0);

@@ -15,60 +15,74 @@
 use splatonic_math::{pool, Mat2, Vec2, Vec3};
 use splatonic_scene::{Camera, Gaussian, ProjectionTerms};
 
-/// Numeric configuration shared by both pipelines.
+/// α* — a Gaussian with `α < ALPHA_THRESHOLD` at a pixel is skipped
+/// (preemptive α-checking and the tile raster's check alike).
+pub const ALPHA_THRESHOLD: f64 = 1.0 / 255.0;
+
+/// Upper clamp on α (the reference 3DGS implementation's value).
+pub const ALPHA_MAX: f64 = 0.99;
+
+/// Early-termination transmittance: compositing stops once `Γ < T_min`.
+pub const TRANSMITTANCE_MIN: f64 = 1e-4;
+
+/// Screen-space blur added to the projected covariance diagonal.
+pub const SCREEN_BLUR: f64 = 0.3;
+
+/// Bounding-box extent in standard deviations.
+///
+/// 3.5σ guarantees that a pixel outside the box has `α < ALPHA_THRESHOLD`
+/// even at full opacity: some axis has `|d| > BBOX_SIGMA·√λmax`, hence
+/// `q = dᵀΣ'⁻¹d ≥ |d|²/λmax > BBOX_SIGMA²` and `α < exp(−BBOX_SIGMA²/2)`,
+/// which is below α* because `BBOX_SIGMA² ≥ −2·ln ALPHA_THRESHOLD`
+/// (12.25 ≥ 11.08). So bbox-based candidate discovery (pixel pipeline) and
+/// threshold-only α-checking (tile pipeline) select exactly the same
+/// pixel–Gaussian pairs, and both pipelines skip the `exp` of a pair whose
+/// pixel lies outside the box. The skip is a host shortcut only: the trace
+/// still counts the check, because the modelled hardware performs it.
+pub const BBOX_SIGMA: f64 = 3.5;
+
+/// Near-plane distance for frustum culling.
+pub const NEAR: f64 = 0.2;
+
+/// Background color where transmittance remains. Black, so the `Γ·bg`
+/// term of a composited color and of its gradient is `+0` and the
+/// compositing and backward loops leave it out (bit-exact: none of their
+/// sums is ever `-0.0`).
+pub const BACKGROUND: Vec3 = Vec3::ZERO;
+
+/// Execution policy shared by both pipelines. Every field is
+/// output-transparent: results are bit-identical for every value, so none
+/// enters the `SlamConfig` fingerprint. The numbers that define the
+/// rendering are the crate constants above ([`ALPHA_THRESHOLD`] …
+/// [`BACKGROUND`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use splatonic_render::RenderConfig;
-/// let cfg = RenderConfig::default();
-/// assert!(cfg.alpha_threshold > 0.0 && cfg.alpha_threshold < 1.0);
+/// use splatonic_render::{KernelMode, RenderConfig};
+/// let cfg = RenderConfig {
+///     threads: 1,
+///     kernels: KernelMode::Scalar,
+///     ..RenderConfig::default()
+/// };
+/// assert!(cfg.tile_grouping);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RenderConfig {
-    /// α* — Gaussians with `α < alpha_threshold` at a pixel are skipped
-    /// (default `1/255`). Output-affecting: part of the rendering
-    /// definition, covered by the `SlamConfig` fingerprint.
-    pub alpha_threshold: f64,
-    /// Upper clamp on α (default `0.99`, the reference implementation's
-    /// value). Output-affecting.
-    pub alpha_max: f64,
-    /// Early-termination transmittance: stop compositing once `Γ < t_min`
-    /// (default `1e-4`). Output-affecting.
-    pub transmittance_min: f64,
-    /// Screen-space blur added to the projected covariance diagonal
-    /// (default `0.3`). Output-affecting.
-    pub screen_blur: f64,
-    /// Bounding-box extent in standard deviations (default `3.5`). 3.5σ
-    /// guarantees that any pixel outside the box has `α < 1/255` even at
-    /// full opacity (`exp(−3.5²/2)·0.99 ≈ 0.0022 < 1/255`), so bbox-based
-    /// candidate discovery (pixel pipeline) and threshold-only α-checking
-    /// (tile pipeline) select exactly the same pixel–Gaussian pairs; the
-    /// same bound lets both pipelines skip the `exp` of a pair whose pixel
-    /// lies outside the box ([`RenderConfig::bbox_prereject`]).
-    /// Output-affecting.
-    pub bbox_sigma: f64,
-    /// Near-plane distance for frustum culling (default `0.2`).
-    /// Output-affecting.
-    pub near: f64,
-    /// Background color composited where transmittance remains (default
-    /// black). Output-affecting.
-    pub background: Vec3,
     /// Worker threads for the parallel render/backward paths (default `0` =
     /// auto: the `SPLATONIC_THREADS` environment variable, falling back to
     /// `available_parallelism()`). Results are bit-identical for every
     /// value (see `splatonic_math::pool`).
     pub threads: usize,
-    /// GS-TG-style tile grouping for the tile pipeline (default `true`):
+    /// Which tile-sort schedule the trace counts (default `true`). With
+    /// grouping, the modelled hardware runs GS-TG-style tile grouping:
     /// 16×16 tiles are partitioned into
-    /// [`crate::tilesort::GROUP_SIZE`]² groups,
-    /// one shared depth sort runs per group over the union candidate list,
-    /// and each tile's list is derived by masking the shared order. Because
-    /// the depth comparator (`depth` ascending, id tie-break) is a total
-    /// order over unique ids, the masked per-tile lists are bit-identical
-    /// to independently sorted ones — enforced against the per-tile oracle
-    /// by the determinism suite. The `sort_lists`/`sort_elems`/
-    /// `sort_group_reuse` trace counters record the schedule that ran.
+    /// [`crate::tilesort::GROUP_SIZE`]² groups, one shared depth sort runs
+    /// per group over the union candidate list, and each tile's list is
+    /// derived by masking the shared order; without it, every tile sorts its
+    /// own list. The host builds the same depth-sorted tile lists either way
+    /// (the comparator is a total order over unique ids), so only the
+    /// `sort_lists`/`sort_elems`/`sort_group_reuse` trace counters differ.
     pub tile_grouping: bool,
     /// Kernel implementation selector (default [`crate::simd::KernelMode::Simd`]).
     ///
@@ -78,21 +92,12 @@ pub struct RenderConfig {
     /// lane replicates the scalar operation order exactly, so outputs are
     /// bit-identical across modes (enforced by the determinism suite); the
     /// flag is the A/B switch that shows each vector kernel still pays.
-    /// Excluded from the `SlamConfig` fingerprint, like the other
-    /// output-transparent execution knobs.
     pub kernels: crate::simd::KernelMode,
 }
 
 impl Default for RenderConfig {
     fn default() -> Self {
         RenderConfig {
-            alpha_threshold: 1.0 / 255.0,
-            alpha_max: 0.99,
-            transmittance_min: 1e-4,
-            screen_blur: 0.3,
-            bbox_sigma: 3.5,
-            near: 0.2,
-            background: Vec3::ZERO,
             tile_grouping: true,
             threads: 0,
             kernels: crate::simd::KernelMode::Simd,
@@ -117,7 +122,7 @@ pub struct ProjectedGaussian {
     pub opacity: f64,
     /// Color, clamped into \[0, 1].
     pub color: Vec3,
-    /// Bounding-box half-extent in pixels (per axis, from `bbox_sigma`).
+    /// Bounding-box half-extent in pixels (per axis, from [`BBOX_SIGMA`]).
     pub radius: Vec2,
 }
 
@@ -132,22 +137,6 @@ impl ProjectedGaussian {
     pub fn bbox_contains(&self, pixel: Vec2) -> bool {
         let (lo, hi) = self.bbox();
         pixel.x >= lo.x && pixel.x <= hi.x && pixel.y >= lo.y && pixel.y <= hi.y
-    }
-}
-
-impl RenderConfig {
-    /// Whether a pixel outside a projected Gaussian's bounding box provably
-    /// fails the α-check, so the host may skip its `exp`.
-    ///
-    /// Outside the box some axis has `|d| > bbox_sigma·√λmax`, hence
-    /// `q = dᵀΣ'⁻¹d ≥ |d|²/λmax > bbox_sigma²` and, with opacity ≤ 1,
-    /// `α < exp(−bbox_sigma²/2)`. That is below `alpha_threshold` exactly
-    /// when `bbox_sigma² ≥ −2·ln(alpha_threshold)` (defaults: 12.25 ≥
-    /// 11.08). The skip is a host shortcut only: the trace still counts the
-    /// check, because the modelled hardware performs it.
-    #[inline]
-    pub fn bbox_prereject(&self) -> bool {
-        self.bbox_sigma * self.bbox_sigma >= -2.0 * self.alpha_threshold.ln()
     }
 }
 
@@ -172,25 +161,12 @@ pub fn projection_jacobian(fx: f64, fy: f64, p_cam: Vec3) -> [Vec3; 2] {
 /// The SIMD path reads the same terms from the scene's
 /// [`GaussianScene::projection_terms`](splatonic_scene::GaussianScene::projection_terms)
 /// column and is bit-identical to it.
-pub fn project_gaussian(
-    g: &Gaussian,
-    id: u32,
-    camera: &Camera,
-    config: &RenderConfig,
-) -> Option<ProjectedGaussian> {
+pub fn project_gaussian(g: &Gaussian, id: u32, camera: &Camera) -> Option<ProjectedGaussian> {
     let (p_cam, mean2d) = project_mean(camera, g.mean);
-    if !in_front_of_near(p_cam.z, config) {
+    if !in_front_of_near(p_cam.z) {
         return None;
     }
-    project_from_cam(
-        &ProjectionTerms::of(g),
-        g.color,
-        id,
-        p_cam,
-        mean2d,
-        camera,
-        config,
-    )
+    project_from_cam(&ProjectionTerms::of(g), g.color, id, p_cam, mean2d, camera)
 }
 
 /// Camera-frame mean and pinhole-projected 2D mean of a world point: the
@@ -209,8 +185,8 @@ pub(crate) fn project_mean(camera: &Camera, mean: Vec3) -> (Vec3, Vec2) {
 /// The near-plane cull shared by the scalar and SIMD projection heads. A
 /// positive test, so a NaN depth fails it and is culled.
 #[inline]
-pub(crate) fn in_front_of_near(z: f64, config: &RenderConfig) -> bool {
-    z > config.near
+pub(crate) fn in_front_of_near(z: f64) -> bool {
+    z > NEAR
 }
 
 /// Covariance/conic/culling tail of [`project_gaussian`], starting from the
@@ -225,7 +201,6 @@ pub(crate) fn project_from_cam(
     p_cam: Vec3,
     mean2d: Vec2,
     camera: &Camera,
-    config: &RenderConfig,
 ) -> Option<ProjectedGaussian> {
     if !terms.opacity.is_finite() {
         return None;
@@ -238,10 +213,10 @@ pub(crate) fn project_from_cam(
     let js0 = sigma_cam * j[0];
     let js1 = sigma_cam * j[1];
     let mut cov2d = Mat2::new(
-        j[0].dot(js0) + config.screen_blur,
+        j[0].dot(js0) + SCREEN_BLUR,
         j[0].dot(js1),
         j[1].dot(js0),
-        j[1].dot(js1) + config.screen_blur,
+        j[1].dot(js1) + SCREEN_BLUR,
     );
     // Symmetrize against floating-point drift.
     let off = 0.5 * (cov2d.m[1] + cov2d.m[2]);
@@ -254,7 +229,7 @@ pub(crate) fn project_from_cam(
     if !(l1 > 0.0 && l2 > 0.0) {
         return None;
     }
-    let r = config.bbox_sigma * l1.sqrt();
+    let r = BBOX_SIGMA * l1.sqrt();
     let radius = Vec2::new(r, r);
     // Frustum culling. The margin is capped: near the image plane the
     // affine (EWA) approximation blows the projected radius up for
@@ -303,21 +278,13 @@ pub fn project_scene(
             let mut out = Vec::with_capacity(means.len());
             let mut culled = 0u64;
             if let Some(terms) = terms {
-                crate::simd::project_chunk(
-                    scene,
-                    terms,
-                    offset,
-                    means.len(),
-                    camera,
-                    config,
-                    &mut out,
-                );
+                crate::simd::project_chunk(scene, terms, offset, means.len(), camera, &mut out);
                 culled += (means.len() - out.len()) as u64;
             } else {
                 for k in 0..means.len() {
                     let i = offset + k;
                     let g = scene.gaussian(i);
-                    match project_gaussian(&g, i as u32, camera, config) {
+                    match project_gaussian(&g, i as u32, camera) {
                         Some(pg) => out.push(pg),
                         None => culled += 1,
                     }
@@ -344,11 +311,11 @@ pub fn power_at(pg: &ProjectedGaussian, pixel: Vec2) -> f64 {
 /// Evaluates α at `pixel`: `min(α_max, o·exp(−q/2))`.
 ///
 /// Returns `(alpha, power)`; α-checking compares `alpha` against
-/// `config.alpha_threshold`.
+/// [`ALPHA_THRESHOLD`].
 #[inline]
-pub fn alpha_at(pg: &ProjectedGaussian, pixel: Vec2, config: &RenderConfig) -> (f64, f64) {
+pub fn alpha_at(pg: &ProjectedGaussian, pixel: Vec2) -> (f64, f64) {
     let q = power_at(pg, pixel);
-    let alpha = (pg.opacity * (-0.5 * q).exp()).min(config.alpha_max);
+    let alpha = (pg.opacity * (-0.5 * q).exp()).min(ALPHA_MAX);
     (alpha, q)
 }
 
@@ -356,7 +323,6 @@ pub fn alpha_at(pg: &ProjectedGaussian, pixel: Vec2, config: &RenderConfig) -> (
 /// transmittance (Eq. 1). `contribs` must be front-to-back.
 pub fn composite(
     contribs: &[(f64, Vec3, f64)], // (alpha, color, z) front-to-back
-    background: Vec3,
 ) -> (Vec3, f64, f64) {
     let mut t = 1.0;
     let mut color = Vec3::ZERO;
@@ -367,7 +333,7 @@ pub fn composite(
         depth += z * w;
         t *= 1.0 - alpha;
     }
-    (color + background * t, depth, t)
+    (color, depth, t)
 }
 
 /// Sort of projected Gaussians by ascending depth, tie-broken by Gaussian
@@ -401,7 +367,7 @@ mod tests {
     #[test]
     fn project_center_gaussian() {
         let cam = camera();
-        let pg = project_gaussian(&gaussian_at(2.0), 0, &cam, &RenderConfig::default()).unwrap();
+        let pg = project_gaussian(&gaussian_at(2.0), 0, &cam).unwrap();
         assert!((pg.mean2d.x - cam.intrinsics.cx).abs() < 1e-9);
         assert!((pg.mean2d.y - cam.intrinsics.cy).abs() < 1e-9);
         assert!((pg.depth - 2.0).abs() < 1e-12);
@@ -410,7 +376,7 @@ mod tests {
     #[test]
     fn behind_camera_culled() {
         let cam = camera();
-        assert!(project_gaussian(&gaussian_at(-1.0), 0, &cam, &RenderConfig::default()).is_none());
+        assert!(project_gaussian(&gaussian_at(-1.0), 0, &cam).is_none());
     }
 
     #[test]
@@ -423,16 +389,15 @@ mod tests {
             0.9,
             Vec3::ZERO,
         );
-        assert!(project_gaussian(&g, 0, &cam, &RenderConfig::default()).is_none());
+        assert!(project_gaussian(&g, 0, &cam).is_none());
     }
 
     #[test]
     fn alpha_peaks_at_mean() {
         let cam = camera();
-        let cfg = RenderConfig::default();
-        let pg = project_gaussian(&gaussian_at(2.0), 0, &cam, &cfg).unwrap();
-        let (a_center, q_center) = alpha_at(&pg, pg.mean2d, &cfg);
-        let (a_off, _) = alpha_at(&pg, pg.mean2d + Vec2::new(5.0, 0.0), &cfg);
+        let pg = project_gaussian(&gaussian_at(2.0), 0, &cam).unwrap();
+        let (a_center, q_center) = alpha_at(&pg, pg.mean2d);
+        let (a_off, _) = alpha_at(&pg, pg.mean2d + Vec2::new(5.0, 0.0));
         assert!(q_center.abs() < 1e-12);
         assert!(a_center > a_off);
         assert!(
@@ -444,7 +409,6 @@ mod tests {
     #[test]
     fn alpha_clamped_at_max() {
         let cam = camera();
-        let cfg = RenderConfig::default();
         let g = Gaussian::new(
             Vec3::new(0.0, 0.0, 2.0),
             Vec3::splat(0.05),
@@ -452,16 +416,15 @@ mod tests {
             0.9999,
             Vec3::ZERO,
         );
-        let pg = project_gaussian(&g, 0, &cam, &cfg).unwrap();
-        let (a, _) = alpha_at(&pg, pg.mean2d, &cfg);
-        assert!(a <= cfg.alpha_max + 1e-12);
+        let pg = project_gaussian(&g, 0, &cam).unwrap();
+        let (a, _) = alpha_at(&pg, pg.mean2d);
+        assert!(a <= ALPHA_MAX + 1e-12);
     }
 
     #[test]
     fn projected_covariance_grows_with_scale() {
         let cam = camera();
-        let cfg = RenderConfig::default();
-        let small = project_gaussian(&gaussian_at(2.0), 0, &cam, &cfg).unwrap();
+        let small = project_gaussian(&gaussian_at(2.0), 0, &cam).unwrap();
         let big_g = Gaussian::new(
             Vec3::new(0.0, 0.0, 2.0),
             Vec3::splat(0.2),
@@ -469,23 +432,22 @@ mod tests {
             0.9,
             Vec3::ZERO,
         );
-        let big = project_gaussian(&big_g, 0, &cam, &cfg).unwrap();
+        let big = project_gaussian(&big_g, 0, &cam).unwrap();
         assert!(big.radius.x > small.radius.x * 2.0);
     }
 
     #[test]
     fn closer_gaussian_projects_larger() {
         let cam = camera();
-        let cfg = RenderConfig::default();
-        let near = project_gaussian(&gaussian_at(1.0), 0, &cam, &cfg).unwrap();
-        let far = project_gaussian(&gaussian_at(4.0), 0, &cam, &cfg).unwrap();
+        let near = project_gaussian(&gaussian_at(1.0), 0, &cam).unwrap();
+        let far = project_gaussian(&gaussian_at(4.0), 0, &cam).unwrap();
         assert!(near.radius.x > far.radius.x);
     }
 
     #[test]
     fn composite_single_opaque() {
         let c = Vec3::new(0.2, 0.4, 0.6);
-        let (color, depth, t) = composite(&[(0.99, c, 2.0)], Vec3::ZERO);
+        let (color, depth, t) = composite(&[(0.99, c, 2.0)]);
         assert!((color - c * 0.99).norm() < 1e-12);
         assert!((depth - 1.98).abs() < 1e-12);
         assert!((t - 0.01).abs() < 1e-12);
@@ -495,8 +457,8 @@ mod tests {
     fn composite_order_matters() {
         let red = (0.8, Vec3::new(1.0, 0.0, 0.0), 1.0);
         let blue = (0.8, Vec3::new(0.0, 0.0, 1.0), 2.0);
-        let (front_red, _, _) = composite(&[red, blue], Vec3::ZERO);
-        let (front_blue, _, _) = composite(&[blue, red], Vec3::ZERO);
+        let (front_red, _, _) = composite(&[red, blue]);
+        let (front_blue, _, _) = composite(&[blue, red]);
         assert!(front_red.x > front_red.z);
         assert!(front_blue.z > front_blue.x);
     }
@@ -504,25 +466,24 @@ mod tests {
     #[test]
     fn composite_transmittance_product() {
         let items = [(0.5, Vec3::ZERO, 1.0), (0.25, Vec3::ZERO, 1.0)];
-        let (_, _, t) = composite(&items, Vec3::ZERO);
+        let (_, _, t) = composite(&items);
         assert!((t - 0.5 * 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn background_fills_remaining_transmittance() {
-        let bg = Vec3::new(1.0, 1.0, 1.0);
-        let (color, _, t) = composite(&[], bg);
+        let (color, depth, t) = composite(&[]);
         assert_eq!(t, 1.0);
-        assert_eq!(color, bg);
+        assert_eq!(depth, 0.0);
+        assert_eq!(color, BACKGROUND);
     }
 
     #[test]
     fn sort_by_depth_orders_ascending() {
         let cam = camera();
-        let cfg = RenderConfig::default();
         let mut list: Vec<ProjectedGaussian> = [3.0, 1.0, 2.0]
             .iter()
-            .map(|&z| project_gaussian(&gaussian_at(z), 0, &cam, &cfg).unwrap())
+            .map(|&z| project_gaussian(&gaussian_at(z), 0, &cam).unwrap())
             .collect();
         sort_by_depth(&mut list);
         assert!(list[0].depth < list[1].depth && list[1].depth < list[2].depth);

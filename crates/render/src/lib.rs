@@ -14,11 +14,14 @@
 //!
 //! Supporting modules:
 //!
-//! * [`kernel`] — EWA projection, α evaluation, and the analytic Jacobians,
+//! * [`kernel`] — EWA projection, α evaluation, the analytic Jacobians,
+//!   and the constants that define the rendering (α* = 1/255, the α clamp,
+//!   `T_min`, blur, 3.5σ bbox, near plane, black background);
+//!   [`RenderConfig`] holds only output-transparent execution policy,
 //! * [`projcache`] — the cross-iteration projection cache reusing
 //!   per-Gaussian projection results across Adam iterations,
-//! * [`tilesort`] — GS-TG-style tile grouping (one shared depth sort per
-//!   tile group, per-tile lists derived by masking) plus an exact-key
+//! * [`tilesort`] — depth-sorted tile lists from one global sort, the
+//!   counted GS-TG-style tile-grouping sort schedule, and an exact-key
 //!   sorted-list cache keyed like `projcache` (bit-identical output),
 //! * [`phase`] — gated side-band phase tracing feeding the Chrome trace
 //!   export (trace-only; never perturbs reports),

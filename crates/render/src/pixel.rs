@@ -18,7 +18,9 @@
 use crate::grad::{
     pixel_backward, reproject, CamGradAccumulator, GradRequest, PoseGrad, SceneGrads,
 };
-use crate::kernel::{alpha_at, ProjectedGaussian, RenderConfig};
+use crate::kernel::{
+    alpha_at, ProjectedGaussian, RenderConfig, ALPHA_THRESHOLD, TRANSMITTANCE_MIN,
+};
 use crate::loss::LossGrad;
 use crate::pixelset::{PixelCoord, PixelSet};
 use crate::projcache::project_scene_cached;
@@ -78,9 +80,9 @@ pub fn forward(
     //
     // A tile-indexed sample whose tile overlaps the bbox can still lie
     // outside it; such a pair is counted as α-checked (the hardware
-    // checks it) but its `exp` is skipped, since it provably fails.
+    // checks it) but its `exp` is skipped, since it provably fails
+    // (`kernel::BBOX_SIGMA`).
     let _discover = crate::phase::begin("render/discover_exhaustive");
-    let prereject = config.bbox_prereject();
     struct ProjCheckPartial {
         entries: Vec<(usize, PixelEntry)>,
         alpha_checks: u64,
@@ -99,11 +101,11 @@ pub fn forward(
                 let check = |out_idx: usize, p: PixelCoord| {
                     part.alpha_checks += 1;
                     let c = p.center();
-                    if prereject && !pg.bbox_contains(c) {
+                    if !pg.bbox_contains(c) {
                         return;
                     }
-                    let (alpha, _) = alpha_at(pg, c, config);
-                    if alpha >= config.alpha_threshold {
+                    let (alpha, _) = alpha_at(pg, c);
+                    if alpha >= ALPHA_THRESHOLD {
                         part.pairs_kept += 1;
                         part.entries.push((
                             out_idx,
@@ -205,7 +207,7 @@ pub fn forward(
             let mut d = 0.0;
             let mut used = 0usize;
             for e in &sorted {
-                if t < config.transmittance_min {
+                if t < TRANSMITTANCE_MIN {
                     break;
                 }
                 let pg = &projected[e.proj as usize];
@@ -220,7 +222,7 @@ pub fn forward(
                 t *= 1.0 - e.alpha;
                 used += 1;
             }
-            part.color.push(c + config.background * t);
+            part.color.push(c);
             part.depth.push(d);
             part.t_final.push(t);
             part.pairs_integrated += used as u64;
@@ -363,8 +365,6 @@ pub fn backward(
                         &proj_of_id,
                         loss_grads[out_idx].d_color,
                         loss_grads[out_idx].d_depth,
-                        config,
-                        config.background,
                         &mut acc,
                     )
                 } else {
@@ -374,8 +374,6 @@ pub fn backward(
                         &lookup,
                         loss_grads[out_idx].d_color,
                         loss_grads[out_idx].d_depth,
-                        config,
-                        config.background,
                         &mut acc,
                     )
                 };

@@ -8,12 +8,6 @@
 //! pixel of a tile-less set ([`PixelSet::from_pixels`]) — are bucketed into
 //! a coarse cell index when the set is built, so a projected Gaussian finds
 //! them by the same bounding-box indexing instead of a scan.
-//!
-//! Storage is structure-of-arrays: sample and extra coordinates live in
-//! parallel `Vec<u16>` columns (`x` and `y` separately) so the SIMD kernels
-//! in [`crate::simd`] can load contiguous coordinate lanes without gathering
-//! through an array-of-structs layout. [`PixelCoord`] remains the by-value
-//! exchange type at every API boundary.
 
 use splatonic_math::Vec2;
 
@@ -146,18 +140,12 @@ pub struct PixelSet {
     width: usize,
     height: usize,
     tile: usize,
-    /// Sample columns, one entry per tile-structured sample (SoA with
-    /// `sample_ys`).
-    sample_xs: Vec<u16>,
-    /// Sample rows (SoA with `sample_xs`).
-    sample_ys: Vec<u16>,
-    /// tile index → index into the sample columns, or `NO_SAMPLE`.
+    /// The tile-structured samples.
+    samples: Vec<PixelCoord>,
+    /// tile index → index into `samples`, or `NO_SAMPLE`.
     tile_grid: Vec<u32>,
-    /// Extra-pixel columns (mapping's unseen set), outside the per-tile
-    /// structure (SoA with `extra_ys`).
-    extra_xs: Vec<u16>,
-    /// Extra-pixel rows (SoA with `extra_xs`).
-    extra_ys: Vec<u16>,
+    /// Extra pixels (mapping's unseen set), outside the per-tile structure.
+    extras: Vec<PixelCoord>,
     /// The pixels without a tile slot (a tile-less set's samples, then the
     /// extras), rebuilt whenever they change.
     untiled: CellIndex,
@@ -166,24 +154,17 @@ pub struct PixelSet {
 impl PixelSet {
     /// Builds a dense set covering every pixel (tile size 1).
     pub fn dense(width: usize, height: usize) -> Self {
-        let mut sample_xs = Vec::with_capacity(width * height);
-        let mut sample_ys = Vec::with_capacity(width * height);
-        for y in 0..height {
-            for x in 0..width {
-                sample_xs.push(x as u16);
-                sample_ys.push(y as u16);
-            }
-        }
-        let tile_grid = (0..sample_xs.len() as u32).collect();
+        let samples: Vec<PixelCoord> = (0..height)
+            .flat_map(|y| (0..width).map(move |x| PixelCoord::new(x as u16, y as u16)))
+            .collect();
+        let tile_grid = (0..samples.len() as u32).collect();
         PixelSet {
             width,
             height,
             tile: 1,
-            sample_xs,
-            sample_ys,
+            samples,
             tile_grid,
-            extra_xs: Vec::new(),
-            extra_ys: Vec::new(),
+            extras: Vec::new(),
             untiled: CellIndex::default(),
         }
     }
@@ -206,8 +187,7 @@ impl PixelSet {
         assert!(tile > 0, "tile size must be positive");
         let tiles_x = width.div_ceil(tile);
         let tiles_y = height.div_ceil(tile);
-        let mut sample_xs = Vec::with_capacity(tiles_x * tiles_y);
-        let mut sample_ys = Vec::with_capacity(tiles_x * tiles_y);
+        let mut samples = Vec::with_capacity(tiles_x * tiles_y);
         let mut tile_grid = vec![NO_SAMPLE; tiles_x * tiles_y];
         for ty in 0..tiles_y {
             for tx in 0..tiles_x {
@@ -223,9 +203,8 @@ impl PixelSet {
                             && (p.y as usize) < y0 + h,
                         "chooser returned a pixel outside its tile"
                     );
-                    tile_grid[ty * tiles_x + tx] = sample_xs.len() as u32;
-                    sample_xs.push(p.x);
-                    sample_ys.push(p.y);
+                    tile_grid[ty * tiles_x + tx] = samples.len() as u32;
+                    samples.push(p);
                 }
             }
         }
@@ -233,11 +212,9 @@ impl PixelSet {
             width,
             height,
             tile,
-            sample_xs,
-            sample_ys,
+            samples,
             tile_grid,
-            extra_xs: Vec::new(),
-            extra_ys: Vec::new(),
+            extras: Vec::new(),
             untiled: CellIndex::default(),
         }
     }
@@ -245,17 +222,13 @@ impl PixelSet {
     /// Builds a set from an explicit pixel list (tile structure degenerate:
     /// every pixel goes into the cell index).
     pub fn from_pixels(width: usize, height: usize, pixels: Vec<PixelCoord>) -> Self {
-        let sample_xs = pixels.iter().map(|p| p.x).collect();
-        let sample_ys = pixels.iter().map(|p| p.y).collect();
         let mut set = PixelSet {
             width,
             height,
             tile: 1,
             tile_grid: Vec::new(),
-            sample_xs,
-            sample_ys,
-            extra_xs: Vec::new(),
-            extra_ys: Vec::new(),
+            samples: pixels,
+            extras: Vec::new(),
             untiled: CellIndex::default(),
         };
         set.index_untiled();
@@ -264,10 +237,7 @@ impl PixelSet {
 
     /// Appends extra (unseen) pixels stored outside the tile structure.
     pub fn add_extra(&mut self, pixels: impl IntoIterator<Item = PixelCoord>) {
-        for p in pixels {
-            self.extra_xs.push(p.x);
-            self.extra_ys.push(p.y);
-        }
+        self.extras.extend(pixels);
         self.index_untiled();
     }
 
@@ -305,25 +275,25 @@ impl PixelSet {
     /// Total number of selected pixels (samples + extras).
     #[inline]
     pub fn len(&self) -> usize {
-        self.sample_xs.len() + self.extra_xs.len()
+        self.samples.len() + self.extras.len()
     }
 
     /// Returns `true` when no pixels are selected.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.sample_xs.is_empty() && self.extra_xs.is_empty()
+        self.samples.is_empty() && self.extras.is_empty()
     }
 
     /// Number of tile-structured samples (excluding extras).
     #[inline]
     pub fn sample_count(&self) -> usize {
-        self.sample_xs.len()
+        self.samples.len()
     }
 
     /// Number of extra (unseen) pixels.
     #[inline]
     pub fn extra_count(&self) -> usize {
-        self.extra_xs.len()
+        self.extras.len()
     }
 
     /// The tile-structured sample at index `i`.
@@ -333,39 +303,19 @@ impl PixelSet {
     /// Panics if `i >= self.sample_count()`.
     #[inline]
     pub fn sample(&self, i: usize) -> PixelCoord {
-        PixelCoord::new(self.sample_xs[i], self.sample_ys[i])
+        self.samples[i]
     }
 
     /// The tile-structured samples, by value.
     #[inline]
     pub fn samples(&self) -> impl ExactSizeIterator<Item = PixelCoord> + '_ {
-        self.sample_xs
-            .iter()
-            .zip(&self.sample_ys)
-            .map(|(&x, &y)| PixelCoord::new(x, y))
-    }
-
-    /// Sample columns (`x` coordinates), SoA order matching
-    /// [`PixelSet::sample_ys`].
-    #[inline]
-    pub fn sample_xs(&self) -> &[u16] {
-        &self.sample_xs
-    }
-
-    /// Sample rows (`y` coordinates), SoA order matching
-    /// [`PixelSet::sample_xs`].
-    #[inline]
-    pub fn sample_ys(&self) -> &[u16] {
-        &self.sample_ys
+        self.samples.iter().copied()
     }
 
     /// The extra (unseen) pixels, by value.
     #[inline]
     pub fn extra(&self) -> impl ExactSizeIterator<Item = PixelCoord> + '_ {
-        self.extra_xs
-            .iter()
-            .zip(&self.extra_ys)
-            .map(|(&x, &y)| PixelCoord::new(x, y))
+        self.extras.iter().copied()
     }
 
     /// Iterates over all selected pixels: samples first, then extras.
@@ -474,23 +424,6 @@ mod tests {
         let all: Vec<_> = s.iter_all().collect();
         assert_eq!(all[0], PixelCoord::new(0, 0));
         assert_eq!(all[2], PixelCoord::new(6, 6));
-    }
-
-    #[test]
-    fn soa_columns_mirror_coords() {
-        let mut s = PixelSet::from_tile_chooser(32, 32, 16, |_, _, x0, y0, _, _| {
-            Some(PixelCoord::new((x0 + 1) as u16, (y0 + 2) as u16))
-        });
-        s.add_extra([PixelCoord::new(30, 31)]);
-        assert_eq!(s.sample_xs().len(), s.sample_count());
-        assert_eq!(s.sample_ys().len(), s.sample_count());
-        for (i, p) in s.samples().enumerate() {
-            assert_eq!(s.sample_xs()[i], p.x);
-            assert_eq!(s.sample_ys()[i], p.y);
-            assert_eq!(s.sample(i), p);
-        }
-        let extras: Vec<_> = s.extra().collect();
-        assert_eq!(extras, vec![PixelCoord::new(30, 31)]);
     }
 
     #[test]

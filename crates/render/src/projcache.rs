@@ -34,8 +34,9 @@
 //! delta invalidates the entry; that event is what the
 //! `cache_invalidations` statistic counts. The remaining key fields guard
 //! everything else projection reads: the scene contents (via
-//! [`GaussianScene::revision`], which changes on every mutation), the
-//! intrinsics, and the numeric knobs (`near`, `screen_blur`, `bbox_sigma`).
+//! [`GaussianScene::revision`], which changes on every mutation) and the
+//! intrinsics. The projection's numbers (near plane, blur, bbox extent)
+//! are crate constants, so they need no key field.
 //!
 //! # Determinism
 //!
@@ -80,13 +81,10 @@ pub(crate) struct Key {
     cy: u64,
     width: usize,
     height: usize,
-    near: u64,
-    screen_blur: u64,
-    bbox_sigma: u64,
 }
 
 impl Key {
-    pub(crate) fn new(scene: &GaussianScene, camera: &Camera, config: &RenderConfig) -> Key {
+    pub(crate) fn new(scene: &GaussianScene, camera: &Camera) -> Key {
         let mut rotation = [0u64; 9];
         for (i, slot) in rotation.iter_mut().enumerate() {
             *slot = camera.pose.rotation.m[i].to_bits();
@@ -104,15 +102,12 @@ impl Key {
             cy: intr.cy.to_bits(),
             width: intr.width,
             height: intr.height,
-            near: config.near.to_bits(),
-            screen_blur: config.screen_blur.to_bits(),
-            bbox_sigma: config.bbox_sigma.to_bits(),
         }
     }
 
     /// True when the two keys differ *only* in the pose — the signature of
     /// an iteration-to-iteration pose step (tracking) as opposed to a scene
-    /// edit or a camera/config swap.
+    /// edit or a camera swap.
     pub(crate) fn pose_only_delta(&self, other: &Key) -> bool {
         self.scene_revision == other.scene_revision
             && self.scene_len == other.scene_len
@@ -122,9 +117,6 @@ impl Key {
             && self.cy == other.cy
             && self.width == other.width
             && self.height == other.height
-            && self.near == other.near
-            && self.screen_blur == other.screen_blur
-            && self.bbox_sigma == other.bbox_sigma
             && (self.rotation != other.rotation || self.translation != other.translation)
     }
 }
@@ -184,7 +176,7 @@ pub fn project_scene_cached(
     camera: &Camera,
     config: &RenderConfig,
 ) -> (Rc<Vec<ProjectedGaussian>>, u64) {
-    let key = Key::new(scene, camera, config);
+    let key = Key::new(scene, camera);
     CACHE.with(|cell| {
         let mut state = cell.borrow_mut();
         if let Some(pos) = state.entries.iter().position(|e| e.key == key) {

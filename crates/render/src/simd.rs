@@ -28,7 +28,7 @@
 
 use crate::grad::{CamGradAccumulator, PixelBackwardCounts, GRAD_COMPONENTS};
 use crate::kernel::{
-    in_front_of_near, project_from_cam, project_mean, ProjectedGaussian, RenderConfig,
+    in_front_of_near, project_from_cam, project_mean, ProjectedGaussian, ALPHA_MAX,
 };
 use crate::Contribution;
 use splatonic_math::{Vec2, Vec3};
@@ -342,11 +342,9 @@ fn assert_vector_unit() {
 ///
 /// Lane batch: `[r, g, b, z]` channels share one vector for the direct
 /// gradients (`∂L/∂color`, `∂L/∂z`), the α chain (`∂C/∂α`, `∂D/∂α`), and
-/// the suffix sums. Lane 3 of the background term carries `-0.0` so the
-/// depth suffix picks up no bias (`x + -0.0 == x` bitwise for every `x`).
-/// The `∂L/∂α` reduction extracts the four products and sums them in the
-/// oracle's association `((0 + p₀) + p₁ + p₂) + p₃`, so the result is
-/// bit-identical.
+/// the suffix sums. The `∂L/∂α` reduction extracts the four products and
+/// sums them in the oracle's association `((0 + p₀) + p₁ + p₂) + p₃`, so
+/// the result is bit-identical.
 ///
 /// # Panics
 ///
@@ -359,17 +357,11 @@ pub fn pixel_backward_simd(
     proj_of_id: &[u32],
     dl_dc: Vec3,
     dl_dd: f64,
-    config: &RenderConfig,
-    background: Vec3,
     accum: &mut CamGradAccumulator,
 ) -> PixelBackwardCounts {
     assert_vector_unit();
     // SAFETY: `assert_vector_unit` confirmed the target feature at runtime.
-    unsafe {
-        pixel_backward_impl(
-            pixel, contribs, soa, proj_of_id, dl_dc, dl_dd, config, background, accum,
-        )
-    }
+    unsafe { pixel_backward_impl(pixel, contribs, soa, proj_of_id, dl_dc, dl_dd, accum) }
 }
 
 #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
@@ -381,27 +373,13 @@ unsafe fn pixel_backward_impl(
     proj_of_id: &[u32],
     dl_dc: Vec3,
     dl_dd: f64,
-    config: &RenderConfig,
-    background: Vec3,
     accum: &mut CamGradAccumulator,
 ) -> PixelBackwardCounts {
     let mut counts = PixelBackwardCounts::default();
     if contribs.is_empty() {
         return counts;
     }
-    let mut t_final = 1.0;
-    for c in contribs {
-        t_final *= 1.0 - c.alpha;
-    }
     let dldc4 = F4::new(dl_dc.x, dl_dc.y, dl_dc.z, dl_dd);
-    // Lane 3 carries -0.0: the depth channel has no background term, and
-    // `suffix_z + -0.0` is bitwise `suffix_z` for every value.
-    let bgterm = F4::new(
-        background.x * t_final,
-        background.y * t_final,
-        background.z * t_final,
-        -0.0,
-    );
     let mut sfx = F4::splat(0.0);
     for c in contribs.iter().rev() {
         let proj = proj_of_id[c.gaussian as usize] as usize;
@@ -411,13 +389,13 @@ unsafe fn pixel_backward_impl(
         let one_minus = (1.0 - c.alpha).max(1e-6);
         let dalpha4 = colorz
             .mul(F4::splat(c.transmittance))
-            .sub(sfx.add(bgterm).div(F4::splat(one_minus)));
+            .sub(sfx.div(F4::splat(one_minus)));
         let p = dldc4.mul(dalpha4).to_array();
         // Oracle order: dl_dc.dot(dc_dalpha) + dl_dd * dd_dalpha.
         let dl_dalpha = ((0.0 + p[0]) + p[1] + p[2]) + p[3];
         let opacity = soa.opacity[proj];
         let g_val = c.alpha / opacity;
-        let clamped = c.alpha >= config.alpha_max - 1e-12;
+        let clamped = c.alpha >= ALPHA_MAX - 1e-12;
         let (dl_do, dl_dg) = if clamped {
             (0.0, 0.0)
         } else {
@@ -468,12 +446,11 @@ pub fn project_chunk(
     offset: usize,
     len: usize,
     camera: &Camera,
-    config: &RenderConfig,
     out: &mut Vec<ProjectedGaussian>,
 ) {
     assert_vector_unit();
     // SAFETY: `assert_vector_unit` confirmed the target feature at runtime.
-    unsafe { project_chunk_impl(scene, terms, offset, len, camera, config, out) }
+    unsafe { project_chunk_impl(scene, terms, offset, len, camera, out) }
 }
 
 #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
@@ -483,7 +460,6 @@ unsafe fn project_chunk_impl(
     offset: usize,
     len: usize,
     camera: &Camera,
-    config: &RenderConfig,
     out: &mut Vec<ProjectedGaussian>,
 ) {
     let means = &scene.means()[offset..offset + len];
@@ -498,12 +474,11 @@ unsafe fn project_chunk_impl(
     let (cx, cy) = (F4::splat(intr.cx), F4::splat(intr.cy));
     // The tail shared by the lane batches and the scalar remainder.
     let mut finish = |k: usize, p_cam: Vec3, mean2d: Vec2| {
-        if !in_front_of_near(p_cam.z, config) {
+        if !in_front_of_near(p_cam.z) {
             return;
         }
         let id = (offset + k) as u32;
-        if let Some(pg) = project_from_cam(&terms[k], colors[k], id, p_cam, mean2d, camera, config)
-        {
+        if let Some(pg) = project_from_cam(&terms[k], colors[k], id, p_cam, mean2d, camera) {
             out.push(pg);
         }
     };
@@ -586,7 +561,7 @@ mod tests {
 
     #[test]
     fn soa_mirrors_projection_list() {
-        let cfg = RenderConfig::default();
+        let cfg = crate::RenderConfig::default();
         let (projected, _) = crate::kernel::project_scene(&scene(), &camera(), &cfg);
         assert!(!projected.is_empty());
         let soa = ProjectedSoA::build(&projected);
@@ -605,20 +580,11 @@ mod tests {
         }
         let s = scene();
         let cam = camera();
-        let cfg = RenderConfig::default();
         let mut simd_out = Vec::new();
-        project_chunk(
-            &s,
-            s.projection_terms(1),
-            0,
-            s.len(),
-            &cam,
-            &cfg,
-            &mut simd_out,
-        );
+        project_chunk(&s, s.projection_terms(1), 0, s.len(), &cam, &mut simd_out);
         let mut scalar_out = Vec::new();
         for i in 0..s.len() {
-            if let Some(pg) = project_gaussian(&s.gaussian(i), i as u32, &cam, &cfg) {
+            if let Some(pg) = project_gaussian(&s.gaussian(i), i as u32, &cam) {
                 scalar_out.push(pg);
             }
         }
@@ -637,7 +603,7 @@ mod tests {
         if lanes() == 1 {
             return;
         }
-        let cfg = RenderConfig::default();
+        let cfg = crate::RenderConfig::default();
         let s = scene();
         let (projected, _) = crate::kernel::project_scene(&s, &camera(), &cfg);
         let soa = ProjectedSoA::build(&projected);
@@ -664,7 +630,6 @@ mod tests {
         let pixel = Vec2::new(31.5, 23.5);
         let dl_dc = Vec3::new(0.4, -0.3, 0.2);
         let dl_dd = 0.07;
-        let bg = Vec3::new(0.1, 0.2, 0.3);
         let mut acc_simd = CamGradAccumulator::new(s.len());
         acc_simd.reset(s.len());
         let counts_simd = pixel_backward_simd(
@@ -674,22 +639,12 @@ mod tests {
             &proj_of_id,
             dl_dc,
             dl_dd,
-            &cfg,
-            bg,
             &mut acc_simd,
         );
         let mut acc_scalar = CamGradAccumulator::new(s.len());
         acc_scalar.reset(s.len());
-        let counts_scalar = crate::grad::pixel_backward(
-            pixel,
-            &contribs,
-            &lookup,
-            dl_dc,
-            dl_dd,
-            &cfg,
-            bg,
-            &mut acc_scalar,
-        );
+        let counts_scalar =
+            crate::grad::pixel_backward(pixel, &contribs, &lookup, dl_dc, dl_dd, &mut acc_scalar);
         assert_eq!(counts_simd, counts_scalar);
         assert_eq!(acc_simd.touched(), acc_scalar.touched());
         for &id in acc_scalar.touched() {

@@ -18,7 +18,9 @@
 use crate::grad::{
     pixel_backward, reproject, CamGradAccumulator, GradRequest, PoseGrad, SceneGrads,
 };
-use crate::kernel::{alpha_at, ProjectedGaussian, RenderConfig};
+use crate::kernel::{
+    alpha_at, ProjectedGaussian, RenderConfig, ALPHA_THRESHOLD, BACKGROUND, TRANSMITTANCE_MIN,
+};
 use crate::loss::LossGrad;
 use crate::pixelset::{PixelCoord, PixelSet};
 use crate::trace::{bytes, RenderTrace};
@@ -116,9 +118,6 @@ pub fn forward(
     let mut contributions: Vec<Vec<Contribution>> = vec![Vec::new(); n_out];
     let groups = group_pixels_by_tile(pixels, tiles_x, tiles_y);
     let threads = pool::resolve_threads(config.threads);
-    let prereject = config.bbox_prereject();
-    // `T_min > 1`: no lane ever passes `T ≥ T_min`, so none is α-checked.
-    let idle = 1.0 < config.transmittance_min;
 
     #[derive(Default)]
     struct TilePartial {
@@ -151,7 +150,7 @@ pub fn forward(
                 if list.is_empty() {
                     for &(_, out_idx) in group {
                         part.pixels_shaded += 1;
-                        part.outputs.push((out_idx, config.background, 0.0, 1.0));
+                        part.outputs.push((out_idx, BACKGROUND, 0.0, 1.0));
                     }
                     continue;
                 }
@@ -185,36 +184,31 @@ pub fn forward(
                             break;
                         }
                         part.warp_steps += 1;
-                        // The modelled warp α-checks every lane with
-                        // `T ≥ T_min`: every live lane, unless `T_min > 1`
-                        // idles all lanes from the start. The trace counts
-                        // those checks here, once per step; the host then
-                        // skips the ones outside the bbox, which provably
-                        // fail (`RenderConfig::bbox_prereject`) — for the
-                        // whole warp at once when the rectangle misses the
-                        // bbox. NaN bounds compare false and take the
-                        // per-lane path.
-                        let checked = if idle { 0 } else { live as u64 };
-                        part.raster_alpha_checks += checked;
-                        part.exp_evals += checked;
+                        // The modelled warp α-checks every live lane (those
+                        // with `T ≥ T_min`). The trace counts those checks
+                        // here, once per step; the host then skips the ones
+                        // outside the bbox, which provably fail
+                        // (`kernel::BBOX_SIGMA`) — for the whole warp at
+                        // once when the rectangle misses the bbox. NaN
+                        // bounds compare false and take the per-lane path.
+                        part.raster_alpha_checks += live as u64;
+                        part.exp_evals += live as u64;
                         let pg = &projected[pi as usize];
                         let (lo, hi) = pg.bbox();
-                        if prereject
-                            && (rhi.x < lo.x || rlo.x > hi.x || rhi.y < lo.y || rlo.y > hi.y)
-                        {
+                        if rhi.x < lo.x || rlo.x > hi.x || rhi.y < lo.y || rlo.y > hi.y {
                             continue;
                         }
                         let mut active_this_step = 0u64;
                         for (mi, &center) in centers.iter().enumerate() {
-                            if prereject && !pg.bbox_contains(center) {
+                            if !pg.bbox_contains(center) {
                                 continue;
                             }
                             let (c, d, t) = state[mi];
-                            if t < config.transmittance_min {
+                            if t < TRANSMITTANCE_MIN {
                                 continue;
                             }
-                            let (alpha, _) = alpha_at(pg, center, config);
-                            if alpha < config.alpha_threshold {
+                            let (alpha, _) = alpha_at(pg, center);
+                            if alpha < ALPHA_THRESHOLD {
                                 continue;
                             }
                             active_this_step += 1;
@@ -229,7 +223,7 @@ pub fn forward(
                             });
                             part.pairs_integrated += 1;
                             state[mi] = (nc, nd, nt);
-                            if nt < config.transmittance_min {
+                            if nt < TRANSMITTANCE_MIN {
                                 live -= 1;
                             }
                         }
@@ -237,8 +231,7 @@ pub fn forward(
                     }
                     for (mi, &(_, out_idx)) in members.iter().enumerate() {
                         let (c, d, t) = state[mi];
-                        part.outputs
-                            .push((out_idx, c + config.background * t, d, t));
+                        part.outputs.push((out_idx, c, d, t));
                         part.pixels_shaded += 1;
                         part.bytes_written += bytes::PIXEL_OUT;
                         part.contribs
@@ -337,7 +330,10 @@ pub fn backward(
     // `pixel_backward`; see `simd`).
     let soa = (config.kernels.simd_active()
         && crate::simd::soa_pays_off(pixels.len(), projected.len()))
-    .then(|| crate::simd::ProjectedSoA::build(projected));
+    .then(|| {
+        let _p = crate::phase::begin("render/soa_build");
+        crate::simd::ProjectedSoA::build(projected)
+    });
     let soa = soa.as_ref();
     let threads = pool::resolve_threads(config.threads);
     let scratch_pool: Mutex<Vec<(CamGradAccumulator, Vec<u32>)>> = Mutex::new(Vec::new());
@@ -420,8 +416,6 @@ pub fn backward(
                         &proj_of_id,
                         loss_grads[out_idx].d_color,
                         loss_grads[out_idx].d_depth,
-                        config,
-                        config.background,
                         &mut acc,
                     )
                 } else {
@@ -431,8 +425,6 @@ pub fn backward(
                         &lookup,
                         loss_grads[out_idx].d_color,
                         loss_grads[out_idx].d_depth,
-                        config,
-                        config.background,
                         &mut acc,
                     )
                 };
@@ -523,13 +515,14 @@ mod tests {
     #[test]
     fn empty_scene_renders_background() {
         let cam = Camera::new(Intrinsics::with_fov(32, 32, 1.0), Pose::identity());
-        let cfg = RenderConfig {
-            background: Vec3::new(0.3, 0.3, 0.3),
-            ..RenderConfig::default()
-        };
         let pixels = PixelSet::dense(32, 32);
-        let out = forward(&GaussianScene::new(), &cam, &pixels, &cfg);
-        assert!(out.color.iter().all(|c| (c.x - 0.3).abs() < 1e-12));
+        let out = forward(
+            &GaussianScene::new(),
+            &cam,
+            &pixels,
+            &RenderConfig::default(),
+        );
+        assert!(out.color.iter().all(|&c| c == BACKGROUND));
         assert!(out.final_transmittance.iter().all(|&t| t == 1.0));
     }
 

@@ -1,44 +1,45 @@
-//! Tile grouping + exact-key sorted-list cache for the tile pipeline.
+//! Depth-sorted tile lists + exact-key sorted-list cache for the tile
+//! pipeline.
 //!
-//! The tile pipeline used to depth-sort the full projected set from scratch
-//! on every pass (forward *and* backward, every Adam iteration). This module
-//! replaces that with the two sort-avoidance mechanisms of GS-TG-style
-//! hierarchical sorting:
-//!
-//! 1. **Tile grouping.** The 16×16 tiles are partitioned into
-//!    [`GROUP_SIZE`]×[`GROUP_SIZE`] groups ([`RenderConfig::tile_grouping`]).
-//!    One shared depth sort runs per group
-//!    over the union candidate list; each member tile's list is then derived
-//!    by *masking* — walking the shared order and keeping the elements whose
-//!    bbox covers the tile. Neighbouring tiles overlap heavily in candidates
-//!    (a splat's bbox usually spans several tiles), so the union is much
-//!    smaller than the sum of per-tile lists and the redundant per-tile
-//!    sorts disappear.
+//! 1. **One build path.** A cold build argsorts the projected set once by
+//!    (depth, id) and walks that order, appending each element to every
+//!    tile its bbox covers, so every tile list comes out depth-sorted.
+//!    The same walk counts the sorting schedule the modelled hardware runs.
+//!    With [`RenderConfig::tile_grouping`] that is GS-TG-style tile
+//!    grouping: the 16×16 tiles are partitioned into
+//!    [`GROUP_SIZE`]×[`GROUP_SIZE`] groups, one shared depth sort runs per
+//!    group over the union candidate list, and each member tile's list is
+//!    *masked* from the shared order. Neighbouring tiles overlap heavily
+//!    in candidates (a splat's bbox usually spans several tiles), so the
+//!    union is much smaller than the sum of per-tile lists. Without
+//!    grouping, every tile sorts its own list. The host runs neither
+//!    schedule; it only counts the one selected.
 //! 2. **Exact-key reuse.** Sorted lists are cached behind the same key
 //!    discipline as [`crate::projcache`] (scene-revision counter + bitwise
-//!    pose/intrinsics/knobs, extended with the tile-grid and grouping
-//!    context). An exact key match — the backward pass at the pose the
-//!    forward just used — replays the lists outright. Any other key builds
-//!    cold; a *pose-only* delta (the tracking iteration signature) first
-//!    drops the entry it supersedes, so there is at most one entry per
-//!    non-pose context and the LRU never pins stale tile lists.
+//!    pose/intrinsics, extended with the tile-grid and grouping context).
+//!    An exact key match — the backward pass at the pose the forward just
+//!    used — replays the lists outright. Any other key builds cold; a
+//!    *pose-only* delta (the tracking iteration signature) first drops the
+//!    entry it supersedes, so there is at most one entry per non-pose
+//!    context and the LRU never pins stale tile lists.
 //!
 //! # Bit-exactness
 //!
 //! The depth comparator ([`crate::kernel::sort_by_depth`]: depth ascending,
 //! Gaussian-id tie-break) is a **total order over unique ids**, so the
 //! sorted sequence for any candidate set is *unique* — independent of the
-//! algorithm that produced it. Grouped-union-sort-then-mask and per-tile
-//! sorting therefore yield byte-identical per-tile lists, and the rendered
-//! output is bit-identical with grouping on or off and with the cache warm
-//! or cold (enforced against the per-tile oracle by the determinism suite).
+//! algorithm that produced it. The one global sort therefore yields the
+//! per-tile lists that grouped-union-sort-then-mask and per-tile sorting
+//! would both produce, and the rendered output is bit-identical with
+//! grouping on or off and with the cache warm or cold (enforced against
+//! the per-tile oracle by the determinism suite).
 //!
 //! # Accounting
 //!
 //! The `sort_lists` / `sort_elems` / `sort_group_reuse` trace counters
-//! describe the sorting schedule that *ran* (per-group union lists when
+//! describe the selected sorting schedule (per-group union lists when
 //! grouping is on, per-tile lists when off). They are fully determined by
-//! (scene, camera, grid, grouping knobs) and never by cache state: an exact
+//! (scene, camera, grid, grouping knob) and never by cache state: an exact
 //! cache hit replays the stored counters, which equal what a cold build
 //! would have produced. Realized cache effectiveness (hits / misses / cold
 //! element counts) is order-dependent — it depends on which render ran
@@ -136,7 +137,7 @@ impl SortKey {
         config: &RenderConfig,
     ) -> SortKey {
         SortKey {
-            proj: crate::projcache::Key::new(scene, camera, config),
+            proj: crate::projcache::Key::new(scene, camera),
             grid_w: width,
             grid_h: height,
             tile_grouping: config.tile_grouping,
@@ -171,9 +172,8 @@ thread_local! {
     static CACHE: RefCell<CacheState> = RefCell::new(CacheState::default());
 }
 
-/// The exact bbox→tile-range arithmetic of the original tile binning
-/// (truncating `isize` division then clamp — kept verbatim so grouped and
-/// ungrouped builds select identical candidate sets).
+/// The inclusive tile range `(tx0, ty0, tx1, ty1)` a projected Gaussian's
+/// bbox covers (truncating `isize` division, then clamp to the grid).
 #[inline]
 fn tile_range(
     pg: &ProjectedGaussian,
@@ -197,80 +197,11 @@ fn depth_cmp(projected: &[ProjectedGaussian], a: u32, b: u32) -> std::cmp::Order
     pa.depth.total_cmp(&pb.depth).then(pa.id.cmp(&pb.id))
 }
 
-/// Unit grid: groups when grouping is on, individual tiles when off.
-struct UnitGrid {
-    units_x: usize,
-    units_y: usize,
-    /// Group edge in tiles (1 when grouping is off).
-    gs: usize,
-}
-
-impl UnitGrid {
-    fn new(tiles_x: usize, tiles_y: usize, config: &RenderConfig) -> UnitGrid {
-        let gs = if config.tile_grouping { GROUP_SIZE } else { 1 };
-        UnitGrid {
-            units_x: tiles_x.div_ceil(gs),
-            units_y: tiles_y.div_ceil(gs),
-            gs,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.units_x * self.units_y
-    }
-}
-
-/// Derives the per-tile lists from depth-sorted unit lists, plus the
-/// sorting-schedule counters. With grouping this is the masking stage: each
-/// group's shared order is walked once and every element is appended to the
-/// member tiles its bbox covers (appending in walk order preserves the
-/// depth order, so no per-tile sort happens). Without grouping the unit
-/// lists *are* the tile lists.
-fn finalize(
-    projected: &[ProjectedGaussian],
-    tiles_x: usize,
-    tiles_y: usize,
-    grid: &UnitGrid,
-    unit_lists: Vec<Vec<u32>>,
-) -> (Vec<Vec<u32>>, u64, u64, u64) {
-    let mut sort_lists = 0u64;
-    let mut sort_elems = 0u64;
-    for list in &unit_lists {
-        if !list.is_empty() {
-            sort_lists += 1;
-            sort_elems += list.len() as u64;
-        }
-    }
-    if grid.gs == 1 {
-        return (unit_lists, sort_lists, sort_elems, 0);
-    }
-    let mut tile_lists: Vec<Vec<u32>> = vec![Vec::new(); tiles_x * tiles_y];
-    for (u, list) in unit_lists.iter().enumerate() {
-        let ux = u % grid.units_x;
-        let uy = u / grid.units_x;
-        let span_x0 = ux * grid.gs;
-        let span_x1 = ((ux + 1) * grid.gs - 1).min(tiles_x - 1);
-        let span_y0 = uy * grid.gs;
-        let span_y1 = ((uy + 1) * grid.gs - 1).min(tiles_y - 1);
-        for &pi in list {
-            let (tx0, ty0, tx1, ty1) = tile_range(&projected[pi as usize], tiles_x, tiles_y);
-            for ty in ty0.max(span_y0)..=ty1.min(span_y1) {
-                for tx in tx0.max(span_x0)..=tx1.min(span_x1) {
-                    tile_lists[ty * tiles_x + tx].push(pi);
-                }
-            }
-        }
-    }
-    // Per-tile sorts avoided: every non-empty tile was masked, not sorted;
-    // the schedule sorted one list per non-empty unit instead.
-    let nonempty_tiles = tile_lists.iter().filter(|l| !l.is_empty()).count() as u64;
-    let sort_group_reuse = nonempty_tiles - sort_lists;
-    (tile_lists, sort_lists, sort_elems, sort_group_reuse)
-}
-
 /// Cold build: one global argsort by (depth, id) over the projected set,
-/// then a single walk in that order scatters each element into its covered
-/// units — every unit list comes out depth-sorted with no per-unit sort.
+/// then a single walk in that order appends each element to every tile its
+/// bbox covers — every tile list comes out depth-sorted with no per-tile
+/// sort — and counts each group's union length for the schedule counters
+/// (a group is one tile without [`RenderConfig::tile_grouping`]).
 fn build_cold(
     projected: Rc<Vec<ProjectedGaussian>>,
     culled: u64,
@@ -281,22 +212,32 @@ fn build_cold(
     let _p = crate::phase::begin("render/tile_sort");
     let tiles_x = width.div_ceil(TILE);
     let tiles_y = height.div_ceil(TILE);
-    let grid = UnitGrid::new(tiles_x, tiles_y, config);
+    let gs = if config.tile_grouping { GROUP_SIZE } else { 1 };
+    let groups_x = tiles_x.div_ceil(gs);
+    let mut group_lens = vec![0u64; groups_x * tiles_y.div_ceil(gs)];
     let mut order: Vec<u32> = (0..projected.len() as u32).collect();
     order.sort_by(|&a, &b| depth_cmp(&projected, a, b));
-    let mut unit_lists: Vec<Vec<u32>> = vec![Vec::new(); grid.len()];
+    let mut tile_lists: Vec<Vec<u32>> = vec![Vec::new(); tiles_x * tiles_y];
     let mut tile_pairs = 0u64;
     for &pi in &order {
         let (tx0, ty0, tx1, ty1) = tile_range(&projected[pi as usize], tiles_x, tiles_y);
         tile_pairs += ((tx1 - tx0 + 1) * (ty1 - ty0 + 1)) as u64;
-        for uy in (ty0 / grid.gs)..=(ty1 / grid.gs) {
-            for ux in (tx0 / grid.gs)..=(tx1 / grid.gs) {
-                unit_lists[uy * grid.units_x + ux].push(pi);
+        for ty in ty0..=ty1 {
+            for tx in tx0..=tx1 {
+                tile_lists[ty * tiles_x + tx].push(pi);
+            }
+        }
+        for gy in (ty0 / gs)..=(ty1 / gs) {
+            for gx in (tx0 / gs)..=(tx1 / gs) {
+                group_lens[gy * groups_x + gx] += 1;
             }
         }
     }
-    let (tile_lists, sort_lists, sort_elems, sort_group_reuse) =
-        finalize(&projected, tiles_x, tiles_y, &grid, unit_lists);
+    let sort_lists = group_lens.iter().filter(|&&n| n > 0).count() as u64;
+    // Per-tile sorts avoided: every non-empty tile is masked from its
+    // group's shared order instead of sorted (zero without grouping, where
+    // each group is one tile).
+    let nonempty_tiles = tile_lists.iter().filter(|l| !l.is_empty()).count() as u64;
     PreparedTiles {
         projected,
         culled,
@@ -305,8 +246,8 @@ fn build_cold(
         tile_lists,
         tile_pairs,
         sort_lists,
-        sort_elems,
-        sort_group_reuse,
+        sort_elems: group_lens.iter().sum(),
+        sort_group_reuse: nonempty_tiles - sort_lists,
     }
 }
 

@@ -8,7 +8,9 @@
 
 use splatonic_math::{Image, Rng64, Vec3};
 use splatonic_render::grad::{pixel_backward, CamGradAccumulator, REPROJECT_CHUNK};
-use splatonic_render::kernel::{alpha_at, project_scene};
+use splatonic_render::kernel::{
+    alpha_at, project_scene, ALPHA_THRESHOLD, BACKGROUND, TRANSMITTANCE_MIN,
+};
 use splatonic_render::loss::LossGrad;
 use splatonic_render::pixelset::{PixelCoord, PixelSet};
 use splatonic_render::sampling::MappingStrategy;
@@ -292,10 +294,9 @@ fn oracle_forward(
     cam: &Camera,
     pixels: &PixelSet,
     tiled: bool,
-    config: &RenderConfig,
 ) -> ForwardResult {
     use splatonic_render::trace::bytes;
-    let (projected, culled) = project_scene(scene, cam, config);
+    let (projected, culled) = project_scene(scene, cam, &cfg(0));
     let mut lists: Vec<Vec<(f64, u32, f64)>> = vec![Vec::new(); pixels.len()];
     let mut trace = RenderTrace::new();
     let tile = pixels.tile_size();
@@ -327,8 +328,8 @@ fn oracle_forward(
         }
         alpha_checks += candidates.len() as u64;
         for (out_idx, p) in candidates {
-            let (alpha, _) = alpha_at(pg, p.center(), config);
-            if alpha >= config.alpha_threshold {
+            let (alpha, _) = alpha_at(pg, p.center());
+            if alpha >= ALPHA_THRESHOLD {
                 lists[out_idx].push((pg.depth, pi as u32, alpha));
             }
         }
@@ -358,7 +359,7 @@ fn oracle_forward(
         let (mut t, mut c, mut d) = (1.0, Vec3::ZERO, 0.0);
         let mut contribs = Vec::new();
         for &(depth, pi, alpha) in &list {
-            if t < config.transmittance_min {
+            if t < TRANSMITTANCE_MIN {
                 break;
             }
             let pg = &projected[pi as usize];
@@ -380,7 +381,7 @@ fn oracle_forward(
         f.bytes_read += used * bytes::PROJECTED;
         f.bytes_written += bytes::PIXEL_OUT;
         f.pixel_list_len.push(used as f64);
-        out.color.push(c + config.background * t);
+        out.color.push(c);
         out.depth.push(d);
         out.final_transmittance.push(t);
         out.contributions.push(contribs);
@@ -391,19 +392,18 @@ fn oracle_forward(
 
 /// Asserts the pixel pipeline is bit-identical to [`oracle_forward`] —
 /// output and every trace counter — at every equality width, in both
-/// kernel modes, with the projection cache on; and, where the bbox bound
-/// holds, that the tile pipeline renders the same output.
-fn assert_matches_oracle(pixels: &PixelSet, tiled: bool, base: RenderConfig) {
+/// kernel modes, with the projection cache on; and that the tile pipeline
+/// renders the same output.
+fn assert_matches_oracle(pixels: &PixelSet, tiled: bool) {
     let scene = random_scene(77, 400);
     let cam = camera();
-    let want = oracle_forward(&scene, &cam, pixels, tiled, &base);
+    let want = oracle_forward(&scene, &cam, pixels, tiled);
     assert!(want.trace.forward.proj_pairs_kept > 0);
     for kernels in [KernelMode::Scalar, KernelMode::Simd] {
         for threads in EQUALITY_WIDTHS {
             let config = RenderConfig {
-                threads,
                 kernels,
-                ..base
+                ..cfg(threads)
             };
             let got = render_forward(&scene, &cam, pixels, Pipeline::PixelBased, &config);
             let at = format!("{kernels:?}, {threads} workers");
@@ -415,41 +415,25 @@ fn assert_matches_oracle(pixels: &PixelSet, tiled: bool, base: RenderConfig) {
             );
             assert_eq!(got.contributions, want.contributions, "contribs, {at}");
             assert_eq!(got.trace, want.trace, "trace, {at}");
-            // Where the bbox bound holds, both pipelines keep exactly the
-            // pairs with α ≥ α*, so the tile raster loop (which takes the
-            // same shortcut) composites the same pairs in the same order.
-            if config.bbox_prereject() {
-                let tile = render_forward(&scene, &cam, pixels, Pipeline::TileBased, &config);
-                assert_eq!(tile.color, want.color, "tile color, {at}");
-                assert_eq!(tile.depth, want.depth, "tile depth, {at}");
-                assert_eq!(
-                    tile.contributions, want.contributions,
-                    "tile contribs, {at}"
-                );
-            }
+            // The bbox bound makes both pipelines keep exactly the pairs
+            // with α ≥ α*, so the tile raster loop (which takes the same
+            // shortcut) composites the same pairs in the same order.
+            let tile = render_forward(&scene, &cam, pixels, Pipeline::TileBased, &config);
+            assert_eq!(tile.color, want.color, "tile color, {at}");
+            assert_eq!(tile.depth, want.depth, "tile depth, {at}");
+            assert_eq!(
+                tile.contributions, want.contributions,
+                "tile contribs, {at}"
+            );
         }
     }
 }
 
 #[test]
 fn sparse_forward_matches_oracle() {
-    // Tile slots plus two cell-indexed extras, at the default config, where
-    // the bbox pre-reject must not change a bit or a counter.
-    let config = cfg(0);
-    assert!(config.bbox_prereject());
-    assert_matches_oracle(&sparse_set(), true, config);
-}
-
-#[test]
-fn sparse_forward_without_prereject_matches_oracle() {
-    // At 3σ the bound no longer guarantees α < α* outside the box, so the
-    // pre-reject switches itself off and every candidate pays its `exp`.
-    let config = RenderConfig {
-        bbox_sigma: 3.0,
-        ..cfg(0)
-    };
-    assert!(!config.bbox_prereject());
-    assert_matches_oracle(&sparse_set(), true, config);
+    // Tile slots plus two cell-indexed extras: the bbox pre-reject must not
+    // change a bit or a counter.
+    assert_matches_oracle(&sparse_set(), true);
 }
 
 #[test]
@@ -465,7 +449,7 @@ fn pixel_list_forward_matches_oracle() {
             )
         })
         .collect();
-    assert_matches_oracle(&PixelSet::from_pixels(96, 72, pts), false, cfg(0));
+    assert_matches_oracle(&PixelSet::from_pixels(96, 72, pts), false);
 }
 
 /// A mapping pixel set from [`MappingSampler`] over a textured frame, with
@@ -487,7 +471,7 @@ fn mapping_combined_forward_matches_oracle() {
     // Tile slots plus ~1.6k cell-indexed unseen pixels.
     let set = mapping_set(MappingStrategy::Combined);
     assert!(set.sample_count() > 0);
-    assert_matches_oracle(&set, true, cfg(0));
+    assert_matches_oracle(&set, true);
 }
 
 #[test]
@@ -495,7 +479,7 @@ fn mapping_unseen_only_forward_matches_oracle() {
     // No samples at all: every pixel is a cell-indexed extra.
     let set = mapping_set(MappingStrategy::UnseenOnly);
     assert_eq!(set.sample_count(), 0);
-    assert_matches_oracle(&set, false, cfg(0));
+    assert_matches_oracle(&set, false);
 }
 
 #[test]
@@ -805,13 +789,8 @@ struct OracleTiles {
     warps: Vec<Vec<Vec<(PixelCoord, usize)>>>,
 }
 
-fn oracle_tiles(
-    scene: &GaussianScene,
-    cam: &Camera,
-    pixels: &PixelSet,
-    config: &RenderConfig,
-) -> OracleTiles {
-    let (projected, culled) = project_scene(scene, cam, config);
+fn oracle_tiles(scene: &GaussianScene, cam: &Camera, pixels: &PixelSet) -> OracleTiles {
+    let (projected, culled) = project_scene(scene, cam, &cfg(0));
     let tiles_x = pixels.width().div_ceil(TILE);
     let tiles_y = pixels.height().div_ceil(TILE);
     let lists = oracle_tile_lists(&projected, tiles_x, tiles_y);
@@ -834,17 +813,12 @@ fn oracle_tiles(
 /// and α-checks each lane with `T ≥ T_min` with a real `exp` — no bbox
 /// shortcut, per lane or per warp. The sort-schedule counters are left zero
 /// (`grouped_sort_matches_per_tile_oracle` covers them).
-fn oracle_tile_forward(
-    scene: &GaussianScene,
-    cam: &Camera,
-    pixels: &PixelSet,
-    config: &RenderConfig,
-) -> ForwardResult {
+fn oracle_tile_forward(scene: &GaussianScene, cam: &Camera, pixels: &PixelSet) -> ForwardResult {
     use splatonic_render::trace::bytes;
-    let tiles = oracle_tiles(scene, cam, pixels, config);
+    let tiles = oracle_tiles(scene, cam, pixels);
     let n = pixels.len();
     let mut out = ForwardResult {
-        color: vec![config.background; n],
+        color: vec![BACKGROUND; n],
         depth: vec![0.0; n],
         final_transmittance: vec![1.0; n],
         contributions: vec![Vec::new(); n],
@@ -876,13 +850,13 @@ fn oracle_tile_forward(
                 let pg = &tiles.projected[pi as usize];
                 for (mi, &(p, out_idx)) in members.iter().enumerate() {
                     let (c, d, t) = state[mi];
-                    if t < config.transmittance_min {
+                    if t < TRANSMITTANCE_MIN {
                         continue;
                     }
                     f.raster_alpha_checks += 1;
                     f.exp_evals += 1;
-                    let (alpha, _) = alpha_at(pg, p.center(), config);
-                    if alpha < config.alpha_threshold {
+                    let (alpha, _) = alpha_at(pg, p.center());
+                    if alpha < ALPHA_THRESHOLD {
                         continue;
                     }
                     f.warp_active += 1;
@@ -894,13 +868,13 @@ fn oracle_tile_forward(
                     });
                     let nt = t * (1.0 - alpha);
                     state[mi] = (c + pg.color * (t * alpha), d + pg.depth * (t * alpha), nt);
-                    if nt < config.transmittance_min {
+                    if nt < TRANSMITTANCE_MIN {
                         live -= 1;
                     }
                 }
             }
             for (&(_, out_idx), &(c, d, t)) in members.iter().zip(&state) {
-                out.color[out_idx] = c + config.background * t;
+                out.color[out_idx] = c;
                 out.depth[out_idx] = d;
                 out.final_transmittance[out_idx] = t;
                 f.bytes_written += bytes::PIXEL_OUT;
@@ -925,10 +899,9 @@ fn oracle_tile_backward(
     pixels: &PixelSet,
     fwd: &ForwardResult,
     lg: &[LossGrad],
-    config: &RenderConfig,
 ) -> (RenderTrace, u64) {
     use splatonic_render::trace::bytes;
-    let tiles = oracle_tiles(scene, cam, pixels, config);
+    let tiles = oracle_tiles(scene, cam, pixels);
     let mut proj_of_id = vec![usize::MAX; scene.len()];
     for (pi, pg) in tiles.projected.iter().enumerate() {
         proj_of_id[pg.id as usize] = pi;
@@ -974,8 +947,6 @@ fn oracle_tile_backward(
                 &lookup,
                 lg[out_idx].d_color,
                 lg[out_idx].d_depth,
-                config,
-                config.background,
                 &mut acc,
             );
             b.pairs_grad += counts.pairs;
@@ -1000,33 +971,31 @@ fn oracle_tile_backward(
 /// (the render pose when `None`). Returns the oracle's forward result at
 /// the render pose and its stalled-lane count, for row-specific checks.
 fn assert_tile_trace_matches_oracle(
+    scene: &GaussianScene,
     pixels: &PixelSet,
-    base: RenderConfig,
     fwd_cam: Option<&Camera>,
 ) -> (ForwardResult, u64) {
-    let scene = random_scene(77, 400);
     let cam = camera();
-    let want = oracle_tile_forward(&scene, &cam, pixels, &base);
+    let want = oracle_tile_forward(scene, &cam, pixels);
     let other;
     let fwd = match fwd_cam {
         Some(c) => {
-            other = oracle_tile_forward(&scene, c, pixels, &base);
+            other = oracle_tile_forward(scene, c, pixels);
             &other
         }
         None => &want,
     };
     let lg = loss_grads(pixels.len());
-    let (want_bwd, stalls) = oracle_tile_backward(&scene, &cam, pixels, fwd, &lg, &base);
+    let (want_bwd, stalls) = oracle_tile_backward(scene, &cam, pixels, fwd, &lg);
     assert!(want.trace.forward.warp_steps > 0 && want_bwd.backward.warp_steps > 0);
     for kernels in [KernelMode::Scalar, KernelMode::Simd] {
         for threads in EQUALITY_WIDTHS {
             let config = RenderConfig {
-                threads,
                 kernels,
-                ..base
+                ..cfg(threads)
             };
             let at = format!("{kernels:?}, {threads} workers");
-            let got = render_forward(&scene, &cam, pixels, Pipeline::TileBased, &config);
+            let got = render_forward(scene, &cam, pixels, Pipeline::TileBased, &config);
             assert_eq!(got.color, want.color, "color, {at}");
             assert_eq!(got.depth, want.depth, "depth, {at}");
             assert_eq!(
@@ -1038,7 +1007,7 @@ fn assert_tile_trace_matches_oracle(
             zero_sort_counters(&mut got_trace);
             assert_eq!(got_trace, want.trace, "forward trace, {at}");
             let (_, _, bwd) = render_backward(
-                &scene,
+                scene,
                 &cam,
                 pixels,
                 fwd,
@@ -1055,9 +1024,8 @@ fn assert_tile_trace_matches_oracle(
 
 #[test]
 fn tile_trace_matches_oracle_dense() {
-    let config = cfg(0);
-    assert!(config.bbox_prereject());
-    assert_tile_trace_matches_oracle(&PixelSet::dense(96, 72), config, None);
+    let scene = random_scene(77, 400);
+    assert_tile_trace_matches_oracle(&scene, &PixelSet::dense(96, 72), None);
 }
 
 #[test]
@@ -1065,51 +1033,29 @@ fn tile_trace_matches_oracle_sparse16() {
     let set = PixelSet::from_tile_chooser(96, 72, 16, |_, _, x0, y0, tw, th| {
         Some(PixelCoord::new((x0 + tw / 2) as u16, (y0 + th / 2) as u16))
     });
-    assert_tile_trace_matches_oracle(&set, cfg(0), None);
+    assert_tile_trace_matches_oracle(&random_scene(77, 400), &set, None);
 }
 
 #[test]
 fn tile_trace_matches_oracle_one_pixel() {
     let set = PixelSet::from_pixels(96, 72, vec![PixelCoord::new(50, 37)]);
-    let (want, _) = assert_tile_trace_matches_oracle(&set, cfg(0), None);
+    let (want, _) = assert_tile_trace_matches_oracle(&random_scene(77, 400), &set, None);
     assert!(!want.contributions[0].is_empty());
 }
 
 #[test]
-fn tile_trace_matches_oracle_without_prereject() {
-    // At 3σ the bbox bound does not hold, so neither the per-lane nor the
-    // per-warp shortcut may fire.
-    let config = RenderConfig {
-        bbox_sigma: 3.0,
-        ..cfg(0)
-    };
-    assert!(!config.bbox_prereject());
-    assert_tile_trace_matches_oracle(&PixelSet::dense(96, 72), config, None);
-}
-
-#[test]
 fn tile_trace_matches_oracle_early_termination() {
-    // Lanes drop out of their warps mid-list, so a warp-level reject must
-    // count only the lanes still checked.
-    let config = RenderConfig {
-        transmittance_min: 0.5,
-        ..cfg(0)
-    };
-    let (want, _) = assert_tile_trace_matches_oracle(&PixelSet::dense(96, 72), config, None);
-    assert!(want.final_transmittance.iter().any(|&t| t < 0.5));
-    assert!(want.final_transmittance.iter().any(|&t| t >= 0.5));
-}
-
-#[test]
-fn tile_trace_matches_oracle_idle_lanes() {
-    // `T_min > 1` idles every lane from the start: warps step through their
-    // whole lists but no lane is ever α-checked.
-    let config = RenderConfig {
-        transmittance_min: 2.0,
-        ..cfg(0)
-    };
-    let (want, _) = assert_tile_trace_matches_oracle(&PixelSet::dense(96, 72), config, None);
-    assert_eq!(want.trace.forward.raster_alpha_checks, 0);
+    // A near-opaque scene: some lanes fall below `T_min` and drop out of
+    // their warps mid-list, so a warp-level reject must count only the
+    // lanes still live; others never terminate.
+    let mut scene = random_scene(77, 400);
+    for i in 0..scene.len() {
+        scene.update(i, |g| g.opacity_logit += 4.0);
+    }
+    let (want, _) = assert_tile_trace_matches_oracle(&scene, &PixelSet::dense(96, 72), None);
+    let t = &want.final_transmittance;
+    assert!(t.iter().any(|&t| t < TRANSMITTANCE_MIN));
+    assert!(t.iter().any(|&t| t >= TRANSMITTANCE_MIN));
 }
 
 #[test]
@@ -1123,7 +1069,10 @@ fn tile_backward_trace_matches_oracle_across_poses() {
         Vec3::new(0.0, 0.0, 2.0),
         Vec3::Y,
     );
-    let (_, stalls) =
-        assert_tile_trace_matches_oracle(&PixelSet::dense(96, 72), cfg(0), Some(&moved));
+    let (_, stalls) = assert_tile_trace_matches_oracle(
+        &random_scene(77, 400),
+        &PixelSet::dense(96, 72),
+        Some(&moved),
+    );
     assert!(stalls > 0);
 }

@@ -114,7 +114,7 @@ fn saturated_opacity_is_clamped() {
     assert_finite(&a);
     for contribs in &a.contributions {
         for c in contribs {
-            assert!(c.alpha <= RenderConfig::default().alpha_max + 1e-12);
+            assert!(c.alpha <= splatonic_render::kernel::ALPHA_MAX + 1e-12);
         }
     }
 }

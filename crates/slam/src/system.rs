@@ -21,6 +21,9 @@ use crate::tracking::{constant_velocity_init, track_frame};
 use crate::Dataset;
 use splatonic_math::pool::WorkerStats;
 use splatonic_math::Pose;
+use splatonic_render::kernel::{
+    ALPHA_MAX, ALPHA_THRESHOLD, BACKGROUND, BBOX_SIGMA, NEAR, SCREEN_BLUR, TRANSMITTANCE_MIN,
+};
 use splatonic_render::projcache;
 use splatonic_render::sampling::MappingStrategy;
 use splatonic_render::tilesort;
@@ -115,11 +118,14 @@ impl SlamConfig {
     ///
     /// Every config struct is destructured with no `..`, so a new field
     /// fails to compile until it is either hashed or bound to `_` as a
-    /// bitwise-transparent execution knob. The excluded knobs are the three
-    /// render execution knobs `render.threads`, `render.tile_grouping` and
-    /// `render.kernels` (scalar and SIMD kernels are bit-identical,
-    /// DESIGN.md §13) and `checkpoint_every` itself, so a snapshot taken at
-    /// one thread width or kernel mode resumes at any other.
+    /// bitwise-transparent execution knob. The excluded knobs are all of
+    /// `render` — `threads`, `tile_grouping` and `kernels` are execution
+    /// policy (scalar and SIMD kernels are bit-identical, DESIGN.md §13) —
+    /// and `checkpoint_every` itself, so a snapshot taken at one thread
+    /// width or kernel mode resumes at any other. The renderer's constants
+    /// (α*, α clamp, T_min, blur, bbox extent, near plane, background) are
+    /// still hashed in their historical slots, so stored snapshots keep
+    /// their fingerprints.
     pub fn fingerprint(&self) -> u64 {
         let SlamConfig {
             algorithm,
@@ -155,16 +161,9 @@ impl SlamConfig {
             huber_delta_depth,
         } = loss;
         let RenderConfig {
-            alpha_threshold,
-            alpha_max,
-            transmittance_min,
-            screen_blur,
-            bbox_sigma,
-            near,
-            background,
             // Pool width: the renderer is bit-identical at every width.
             threads: _,
-            // Tile grouping changes only how sort work is shared.
+            // Tile grouping selects only which sort schedule is counted.
             tile_grouping: _,
             // Scalar and SIMD kernels are bit-identical.
             kernels: _,
@@ -202,17 +201,17 @@ impl SlamConfig {
         u(&mut buf, *mapping_tile);
         buf.extend_from_slice(format!("{mapping_strategy:?}").as_bytes());
         for v in [
-            alpha_threshold,
-            alpha_max,
-            transmittance_min,
-            screen_blur,
-            bbox_sigma,
-            near,
-            &background.x,
-            &background.y,
-            &background.z,
+            ALPHA_THRESHOLD,
+            ALPHA_MAX,
+            TRANSMITTANCE_MIN,
+            SCREEN_BLUR,
+            BBOX_SIGMA,
+            NEAR,
+            BACKGROUND.x,
+            BACKGROUND.y,
+            BACKGROUND.z,
         ] {
-            f(&mut buf, *v);
+            f(&mut buf, v);
         }
         buf.extend_from_slice(&seed.to_le_bytes());
         u(&mut buf, *seed_stride);

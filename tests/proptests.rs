@@ -89,7 +89,7 @@ fn forward_render_invariants() {
             let mut prev_t = 1.0f64;
             for c in contribs {
                 assert!(
-                    c.alpha > 0.0 && c.alpha <= cfg.alpha_max + 1e-12,
+                    c.alpha > 0.0 && c.alpha <= splatonic::render::kernel::ALPHA_MAX + 1e-12,
                     "case {case}: alpha {} out of range",
                     c.alpha
                 );
@@ -248,17 +248,16 @@ fn covariance_is_spd() {
 }
 
 /// A pixel outside a projected Gaussian's bounding box always fails the
-/// α-check, which is what lets the renderer skip its `exp`
-/// (`RenderConfig::bbox_prereject`). Random strongly anisotropic Gaussians
+/// α-check, which is what lets the renderer skip its `exp` unconditionally
+/// (`kernel::BBOX_SIGMA`). Random strongly anisotropic Gaussians
 /// under random poses, with means anywhere in the image plus the
 /// `0.3·max(W, H)` guard band the frustum cull admits beyond each edge, and
 /// pixels from just past a box edge to far outside it.
 #[test]
 fn alpha_fails_outside_bbox() {
     use splatonic::math::Vec2;
-    use splatonic::render::kernel::{alpha_at, project_gaussian};
-    let cfg = RenderConfig::default();
-    assert!(cfg.bbox_prereject());
+    use splatonic::render::kernel::{alpha_at, project_gaussian, ALPHA_THRESHOLD, BBOX_SIGMA};
+    assert!(BBOX_SIGMA * BBOX_SIGMA >= -2.0 * ALPHA_THRESHOLD.ln());
     let (w, h) = (48.0, 36.0);
     let guard = 0.3 * w;
     for_each_case(0xB0B0_0075, |case, rng| {
@@ -280,7 +279,7 @@ fn alpha_fails_outside_bbox() {
             );
             let opacity = rng.gen_range(0.01..1.0);
             let g = Gaussian::new(mean, scale, rotation, opacity, Vec3::splat(0.5));
-            let Some(pg) = project_gaussian(&g, 0, &cam, &cfg) else {
+            let Some(pg) = project_gaussian(&g, 0, &cam) else {
                 continue;
             };
             let (lo, hi) = pg.bbox();
@@ -300,9 +299,9 @@ fn alpha_fails_outside_bbox() {
                 if pg.bbox_contains(pixel) {
                     continue; // `past` vanished in rounding
                 }
-                let (alpha, q) = alpha_at(&pg, pixel, &cfg);
+                let (alpha, q) = alpha_at(&pg, pixel);
                 assert!(
-                    alpha < cfg.alpha_threshold,
+                    alpha < ALPHA_THRESHOLD,
                     "case {case}: α {alpha} (q {q}) at {pixel:?} outside bbox {lo:?}..{hi:?}"
                 );
                 checked += 1;
