@@ -117,7 +117,7 @@ mod tests {
     use super::*;
     use splatonic_math::Vec3;
     use splatonic_render::trace::RenderTrace;
-    use splatonic_render::Contribution;
+    use splatonic_render::{Contribution, PixelLists};
 
     fn fake_forward() -> ForwardResult {
         let mut trace = RenderTrace::new();
@@ -129,7 +129,7 @@ mod tests {
             color: vec![Vec3::ZERO; 2],
             depth: vec![0.0; 2],
             final_transmittance: vec![1.0; 2],
-            contributions: vec![
+            contributions: PixelLists::from_lists([
                 vec![
                     Contribution {
                         gaussian: 4,
@@ -147,7 +147,7 @@ mod tests {
                     alpha: 0.2,
                     transmittance: 1.0,
                 }],
-            ],
+            ]),
             trace,
         }
     }

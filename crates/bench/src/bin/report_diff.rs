@@ -3,6 +3,7 @@
 //! Usage:
 //!   report_diff REPORT BASELINE
 //!   report_diff record SCALAR_REPORT SIMD_REPORT KERNELS_OUT SORT_OUT
+//!   report_diff record-e2e OUT RUN...
 //!
 //! The first form compares a fresh `RunReport` JSON against a committed
 //! baseline under the policy in `splatonic_bench::diff`: workload counters
@@ -16,15 +17,22 @@
 //! appends one entry each to the kernel and sort trajectories
 //! (`splatonic_bench::record`; run by `scripts/bench_record.sh`).
 //!
-//! Exit codes: 0 = pass, 1 = violations (one per line on stderr) or a
-//! refused record, 2 = usage or unreadable/invalid input.
+//! `record-e2e` appends one `BENCH_e2e.json` entry per `RUN`, the saved
+//! stdout of one `bash slam_bench/run.sh` run (`splatonic_bench::record`).
+//!
+//! Exit codes: 0 = pass, 1 = violations (one per line on stderr), a
+//! refused kernel record or a failed write, 2 = usage or
+//! unreadable/invalid input, including a `record-e2e` run that is not
+//! `correct` or has failed frames.
 
 use splatonic::telemetry::json;
-use splatonic_bench::{diff::diff_reports, record::record};
+use splatonic_bench::diff::diff_reports;
+use splatonic_bench::record::{record, record_e2e, E2eError};
 use std::path::Path;
 
 const USAGE: &str = "usage: report_diff REPORT BASELINE\n       \
-                     report_diff record SCALAR_REPORT SIMD_REPORT KERNELS_OUT SORT_OUT";
+                     report_diff record SCALAR_REPORT SIMD_REPORT KERNELS_OUT SORT_OUT\n       \
+                     report_diff record-e2e OUT RUN...";
 
 fn load(path: &str) -> json::Json {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -50,6 +58,24 @@ fn main() {
                 Ok(summary) => print!("{summary}"),
                 Err(e) => {
                     eprintln!("report_diff record: {e}");
+                    std::process::exit(1);
+                }
+            }
+        }
+        [mode, out, runs @ ..] if mode == "record-e2e" => {
+            if runs.is_empty() {
+                eprintln!("{USAGE}");
+                std::process::exit(2);
+            }
+            let runs: Vec<&Path> = runs.iter().map(Path::new).collect();
+            match record_e2e(Path::new(out), &runs) {
+                Ok(summary) => print!("{summary}"),
+                Err(E2eError::Invalid(e)) => {
+                    eprintln!("report_diff record-e2e: {e}");
+                    std::process::exit(2);
+                }
+                Err(E2eError::Write(e)) => {
+                    eprintln!("report_diff record-e2e: {e}");
                     std::process::exit(1);
                 }
             }

@@ -12,6 +12,12 @@
 //!   deterministic, and an entry below [`MIN_SORT_REDUCTION`] is refused.
 //!
 //! Each entry carries the report date and the recording host's `rustc -V`.
+//!
+//! [`record_e2e`] (`report_diff record-e2e`) appends the repository
+//! benchmark's end-to-end results to `BENCH_e2e.json`: one entry per
+//! `slam_bench/run.sh` stdout, with the date, the run's `#` host line
+//! (`nproc`, `simd_lanes`, `rustc`), the workload and the metrics of its
+//! final JSON line. A run whose check failed is refused.
 
 use crate::diff::MIN_SORT_REDUCTION;
 use splatonic::telemetry::json::{self, Json};
@@ -52,6 +58,12 @@ const SORT_DESCRIPTION: &str = "Tile-sort trajectory (scripts/bench_record.sh): 
     deterministic compared-element counts (sort/* gauges of the kernels \
     binary's tracking burst), grouped + cached vs per-tile uncached \
     (DESIGN.md §16); elems_reduction = naive_elems / realized_elems >= 2x.";
+
+const E2E_DESCRIPTION: &str = "End-to-end benchmark trajectory \
+    (report_diff record-e2e): one entry per `bash slam_bench/run.sh` run, \
+    with the run's host line (nproc, simd_lanes, rustc), workload, seed and \
+    the metrics of its final JSON line. Machine-dependent; compare entries \
+    recorded on comparable hosts.";
 
 fn round(x: f64, places: i32) -> f64 {
     let scale = 10f64.powi(places);
@@ -223,6 +235,107 @@ pub fn record(
     ))
 }
 
+/// The value of `key=` in a `slam_bench/run.sh` host line (`rustc` is the
+/// last field and quoted; the others are single words).
+fn host_field<'a>(host: &'a str, key: &str) -> Result<&'a str, String> {
+    if key == "rustc" {
+        return host
+            .split_once(" rustc=\"")
+            .and_then(|(_, rest)| rest.strip_suffix('"'))
+            .ok_or_else(|| "host line has no quoted rustc".to_string());
+    }
+    host.split_whitespace()
+        .find_map(|word| word.strip_prefix(key)?.strip_prefix('='))
+        .ok_or_else(|| format!("host line has no {key}="))
+}
+
+/// Builds a `BENCH_e2e.json` entry dated `date` from the stdout of one
+/// `slam_bench/run.sh` run, refusing a run that is not `correct` or has
+/// failed frames.
+fn e2e_entry(stdout: &str, date: &str) -> Result<Json, String> {
+    let host = stdout
+        .lines()
+        .find(|l| l.starts_with("# slam-bench "))
+        .ok_or("no `# slam-bench` host line")?;
+    let last = stdout
+        .lines()
+        .rev()
+        .find(|l| !l.trim().is_empty())
+        .ok_or("empty run output")?;
+    let result = json::parse(last).map_err(|e| format!("final line is not JSON: {e:?}"))?;
+    let failed = result
+        .get("failed")
+        .and_then(Json::as_f64)
+        .ok_or("final line has no failed count")?;
+    if result.get("correct") != Some(&Json::Bool(true)) || failed != 0.0 {
+        return Err(format!(
+            "refused: run is not correct ({failed} failed frames)"
+        ));
+    }
+    let Some(Json::Obj(fields)) = result.get("metrics") else {
+        return Err("final line has no metrics object".into());
+    };
+    let mut metrics = Json::obj();
+    for (name, metric) in fields {
+        let value = metric
+            .get("value")
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("metric {name} has no value"))?;
+        metrics.set(name, value);
+    }
+    let int = |key| -> Result<i64, String> {
+        host_field(host, key)?
+            .parse()
+            .map_err(|e| format!("host line {key}: {e}"))
+    };
+    let mut entry = Json::obj();
+    entry
+        .set("date", date)
+        .set("workload", host_field(host, "workload")?)
+        .set("seed", int("seed")?)
+        .set("trace", int("trace")?)
+        .set("nproc", int("nproc")?)
+        .set("simd_lanes", int("simd_lanes")?)
+        .set("rustc", host_field(host, "rustc")?)
+        .set("metrics", metrics);
+    Ok(entry)
+}
+
+/// Why [`record_e2e`] wrote nothing, or stopped part-way.
+#[derive(Debug, Clone, PartialEq)]
+pub enum E2eError {
+    /// A run was unreadable, malformed or refused; nothing was written.
+    Invalid(String),
+    /// Writing the trajectory failed.
+    Write(String),
+}
+
+/// Appends one entry per `slam_bench/run.sh` stdout in `runs` to the
+/// trajectory at `out`, dated today (UTC), and returns a summary. Every
+/// entry is built before any is written, so one refused run leaves the
+/// trajectory untouched.
+pub fn record_e2e(out: &Path, runs: &[&Path]) -> Result<String, E2eError> {
+    let unix = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+    let date = splatonic::telemetry::utc_date(unix);
+    let entries = runs
+        .iter()
+        .map(|run| {
+            let text = std::fs::read_to_string(run)
+                .map_err(|e| format!("cannot read {}: {e}", run.display()))?;
+            e2e_entry(&text, &date).map_err(|e| format!("{}: {e}", run.display()))
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(E2eError::Invalid)?;
+    let mut summary = String::new();
+    for entry in entries {
+        let n = append(out, E2E_DESCRIPTION, entry).map_err(E2eError::Write)?;
+        summary += &format!("appended entry {n} to {}\n", out.display());
+    }
+    Ok(summary)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,6 +419,69 @@ mod tests {
             };
             let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
             assert_eq!(names, KERNEL_SPANS, "{key}");
+        }
+    }
+
+    /// The stdout of a `slam_bench/run.sh` run, abridged to two metrics.
+    fn bench_stdout(correct: bool, failed: u32) -> String {
+        format!(
+            "# slam-bench workload=dense-tile seed=1 trace=0 pool_width=2 nproc=2 \
+             simd_lanes=4 rustc=\"rustc 1.0.0 (abc 2026-01-01)\"\n\
+             # 1 untraced episode\n\
+             setup_s 0.035 s\n\
+             # check: ok\n\
+             {{\"correct\": {correct}, \"attempted\": 9, \"failed\": {failed}, \"metrics\": \
+             {{\"setup_s\": {{\"value\": 0.035, \"unit\": \"s\"}}, \
+             \"track_ms_p50\": {{\"value\": 62.7, \"unit\": \"ms\"}}}}}}\n"
+        )
+    }
+
+    #[test]
+    fn e2e_entry_reads_the_host_line_and_final_metrics() {
+        let entry = e2e_entry(&bench_stdout(true, 0), "2026-10-19").unwrap();
+        assert_eq!(entry.get("date"), Some(&Json::from("2026-10-19")));
+        assert_eq!(entry.get("workload"), Some(&Json::from("dense-tile")));
+        assert_eq!(entry.get("seed"), Some(&Json::Int(1)));
+        assert_eq!(entry.get("trace"), Some(&Json::Int(0)));
+        assert_eq!(entry.get("nproc"), Some(&Json::Int(2)));
+        assert_eq!(entry.get("simd_lanes"), Some(&Json::Int(4)));
+        assert_eq!(
+            entry.get("rustc"),
+            Some(&Json::from("rustc 1.0.0 (abc 2026-01-01)"))
+        );
+        let metrics = entry.get("metrics").unwrap();
+        assert_eq!(metrics.get("setup_s"), Some(&Json::Num(0.035)));
+        assert_eq!(metrics.get("track_ms_p50"), Some(&Json::Num(62.7)));
+    }
+
+    #[test]
+    fn failed_bench_runs_are_refused() {
+        for (correct, failed) in [(false, 0), (true, 3), (false, 2)] {
+            let err = e2e_entry(&bench_stdout(correct, failed), "d").unwrap_err();
+            assert!(err.contains("refused"), "{err}");
+        }
+        assert!(e2e_entry("setup_s 1 s\n", "d").is_err());
+
+        // One refused run among good ones writes nothing.
+        let dir = std::env::temp_dir();
+        let id = std::process::id();
+        let good = dir.join(format!("e2e_good_{id}.txt"));
+        let bad = dir.join(format!("e2e_bad_{id}.txt"));
+        let out = dir.join(format!("e2e_out_{id}.json"));
+        std::fs::write(&good, bench_stdout(true, 0)).unwrap();
+        std::fs::write(&bad, bench_stdout(false, 1)).unwrap();
+        let _ = std::fs::remove_file(&out);
+        let got = record_e2e(&out, &[&good, &bad]);
+        assert!(matches!(got, Err(E2eError::Invalid(_))), "{got:?}");
+        assert!(!out.exists());
+        assert!(record_e2e(&out, &[&good, &good]).is_ok());
+        let doc = json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+        assert_eq!(
+            doc.get("entries").and_then(Json::as_arr).map(<[_]>::len),
+            Some(2)
+        );
+        for path in [good, bad, out] {
+            std::fs::remove_file(path).unwrap();
         }
     }
 

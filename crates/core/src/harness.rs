@@ -281,7 +281,7 @@ mod tests {
             let cfg = reference_render_config();
             let out = render_forward(&s.scene, &cam, &pixels, pipeline, &cfg);
             let w = FrameWorkload::from_render(&out, &RenderTrace::new(), pipeline);
-            let lens: Vec<usize> = out.contributions.iter().map(Vec::len).collect();
+            let lens: Vec<usize> = out.contributions.iter().map(<[_]>::len).collect();
             let derived: Vec<usize> = w.pixel_lists.iter().map(|&l| l as usize).collect();
             assert_eq!(derived, lens, "{pipeline:?}");
             assert_eq!(w.proj_alpha_checks, out.trace.forward.proj_alpha_checks);

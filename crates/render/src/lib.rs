@@ -98,6 +98,156 @@ pub struct Contribution {
     pub transmittance: f64,
 }
 
+/// Depth-ordered contribution lists, one per pixel, stored flat.
+///
+/// Each render chunk writes its pixels' lists into one buffer, and the
+/// buffers are kept as written (no merge copy); pixel `i`'s list is a
+/// `(buffer, start, end)` range into one of them. A render thus allocates
+/// once per chunk rather than once per pixel. Equality compares the lists
+/// pixel by pixel, so two layouts of the same lists are equal.
+#[derive(Clone, Default)]
+pub struct PixelLists {
+    buffers: Vec<Box<[Contribution]>>,
+    /// Per pixel, `(buffer, start, end)`; an empty list is `(0, 0, 0)`.
+    ranges: Vec<(u32, u32, u32)>,
+}
+
+impl PixelLists {
+    /// Builds the lists from one slice per pixel (copied into one buffer).
+    pub fn from_lists<L: AsRef<[Contribution]>>(lists: impl IntoIterator<Item = L>) -> Self {
+        let mut chunk = ChunkLists::default();
+        let mut n = 0;
+        for list in lists {
+            chunk.push_list(n, list.as_ref());
+            n += 1;
+        }
+        PixelLists::from_chunks(n, [chunk])
+    }
+
+    /// Assembles the lists of `n` pixels from chunk buffers; a pixel no
+    /// chunk finished has an empty list.
+    pub(crate) fn from_chunks(n: usize, chunks: impl IntoIterator<Item = ChunkLists>) -> Self {
+        let mut lists = PixelLists {
+            buffers: Vec::new(),
+            ranges: vec![(0, 0, 0); n],
+        };
+        for ChunkLists { buffer, spans } in chunks {
+            if buffer.is_empty() {
+                continue;
+            }
+            let b = lists.buffers.len() as u32;
+            for (out_idx, start, end) in spans {
+                lists.ranges[out_idx as usize] = (b, start, end);
+            }
+            lists.buffers.push(buffer.into_boxed_slice());
+        }
+        lists
+    }
+
+    /// Number of pixels.
+    pub fn len(&self) -> usize {
+        self.ranges.len()
+    }
+
+    /// Whether there are no pixels.
+    pub fn is_empty(&self) -> bool {
+        self.ranges.is_empty()
+    }
+
+    /// Pixel `i`'s list. Panics if `i` is out of range.
+    #[inline]
+    pub fn get(&self, i: usize) -> &[Contribution] {
+        let (b, start, end) = self.ranges[i];
+        if start == end {
+            return &[];
+        }
+        &self.buffers[b as usize][start as usize..end as usize]
+    }
+
+    /// The lists in pixel order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Contribution]> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Total number of contributions across all pixels.
+    pub fn total(&self) -> usize {
+        self.ranges.iter().map(|&(_, s, e)| (e - s) as usize).sum()
+    }
+}
+
+impl std::ops::Index<usize> for PixelLists {
+    type Output = [Contribution];
+
+    fn index(&self, i: usize) -> &[Contribution] {
+        self.get(i)
+    }
+}
+
+impl PartialEq for PixelLists {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for PixelLists {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// One render chunk's share of a [`PixelLists`]: the chunk's buffer plus,
+/// per non-empty list, its pixel's output index and range in the buffer.
+/// [`PixelLists::from_chunks`] keeps the buffer, shrunk to its length.
+#[derive(Debug, Default)]
+pub(crate) struct ChunkLists {
+    buffer: Vec<Contribution>,
+    spans: Vec<(u32, u32, u32)>,
+}
+
+impl ChunkLists {
+    /// An empty chunk whose buffer holds `contributions` without growing.
+    pub(crate) fn with_capacity(contributions: usize) -> Self {
+        ChunkLists {
+            buffer: Vec::with_capacity(contributions),
+            spans: Vec::new(),
+        }
+    }
+
+    /// Appends `c` to the list being built.
+    #[inline]
+    pub(crate) fn push(&mut self, c: Contribution) {
+        self.buffer.push(c);
+    }
+
+    /// Closes the list being built (everything pushed since the previous
+    /// close) as pixel `out_idx`'s.
+    pub(crate) fn finish(&mut self, out_idx: usize) {
+        let start = self.spans.last().map_or(0, |s| s.2);
+        let end = u32::try_from(self.buffer.len()).expect("chunk buffer exceeds u32 range");
+        if end > start {
+            let out_idx = u32::try_from(out_idx).expect("pixel index exceeds u32 range");
+            self.spans.push((out_idx, start, end));
+        }
+    }
+
+    /// Appends `list` as pixel `out_idx`'s list.
+    pub(crate) fn push_list(&mut self, out_idx: usize, list: &[Contribution]) {
+        self.buffer.extend_from_slice(list);
+        self.finish(out_idx);
+    }
+
+    /// Moves the lists out into an exact-size copy, leaving this chunk
+    /// empty with its buffer's capacity kept for reuse.
+    pub(crate) fn take_exact(&mut self) -> ChunkLists {
+        let lists = ChunkLists {
+            buffer: self.buffer.to_vec(),
+            spans: std::mem::take(&mut self.spans),
+        };
+        self.buffer.clear();
+        lists
+    }
+}
+
 /// Output of a forward render over a pixel set.
 ///
 /// Per-pixel vectors are indexed in the same order as
@@ -110,8 +260,11 @@ pub struct ForwardResult {
     pub depth: Vec<f64>,
     /// Final transmittance Γ_final per sampled pixel (Eq. 2 input).
     pub final_transmittance: Vec<f64>,
-    /// Contributing (Gaussian, α, Γ) list per sampled pixel, depth-ordered.
-    pub contributions: Vec<Vec<Contribution>>,
+    /// Contributing (Gaussian, α, Γ) list per sampled pixel, depth-ordered,
+    /// stored flat ([`PixelLists`]). The backward pass walks these lists
+    /// instead of re-rasterizing, and the accelerator models read their
+    /// lengths and Gaussian ids.
+    pub contributions: PixelLists,
     /// Workload statistics recorded during the render.
     pub trace: RenderTrace,
 }
@@ -119,7 +272,7 @@ pub struct ForwardResult {
 impl ForwardResult {
     /// Total number of pixel–Gaussian contributions across all pixels.
     pub fn total_contributions(&self) -> usize {
-        self.contributions.iter().map(Vec::len).sum()
+        self.contributions.total()
     }
 }
 
@@ -177,4 +330,130 @@ pub mod prelude {
     pub use crate::pixelset::PixelSet;
     pub use crate::sampling::SamplingStrategy;
     pub use crate::{render_backward, render_forward, ForwardResult, Pipeline};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn c(gaussian: u32) -> Contribution {
+        Contribution {
+            gaussian,
+            alpha: 0.5,
+            transmittance: 1.0 / f64::from(gaussian + 1),
+        }
+    }
+
+    fn nested() -> Vec<Vec<Contribution>> {
+        vec![
+            vec![c(3), c(1)],
+            vec![],
+            vec![c(7)],
+            vec![],
+            vec![c(2), c(5), c(9)],
+        ]
+    }
+
+    #[test]
+    fn from_lists_round_trips_nested_lists() {
+        let want = nested();
+        let lists = PixelLists::from_lists(&want);
+        assert_eq!(lists.len(), want.len());
+        assert_eq!(lists.total(), 6);
+        let back: Vec<Vec<Contribution>> = lists.iter().map(<[_]>::to_vec).collect();
+        assert_eq!(back, want);
+        for (i, list) in want.iter().enumerate() {
+            assert_eq!(lists.get(i), &list[..]);
+            assert_eq!(&lists[i], &list[..]);
+        }
+        let none = PixelLists::from_lists(Vec::<Vec<Contribution>>::new());
+        assert!(none.is_empty());
+        assert_eq!(none.total(), 0);
+    }
+
+    #[test]
+    fn pixels_no_chunk_finishes_are_empty() {
+        // Pixels 0, 2 and 4 are never finished (a tile with an empty list
+        // shades them without a span); pixel 3 is finished with nothing.
+        let mut chunk = ChunkLists::default();
+        chunk.push_list(1, &[c(4)]);
+        chunk.finish(3);
+        let lists = PixelLists::from_chunks(5, [chunk, ChunkLists::default()]);
+        assert_eq!(
+            lists.iter().map(<[_]>::len).collect::<Vec<_>>(),
+            [0, 1, 0, 0, 0]
+        );
+        assert_eq!(lists[1], [c(4)]);
+        assert_eq!(lists.total(), 1);
+        // All-empty lists hold no buffer at all.
+        assert_eq!(
+            PixelLists::from_chunks(3, []),
+            PixelLists::from_lists([[]; 3])
+        );
+        assert!(PixelLists::from_chunks(3, []).buffers.is_empty());
+    }
+
+    #[test]
+    fn ranges_span_several_chunk_buffers() {
+        // Three chunks, scattered like the tile path's: each chunk's lists
+        // are in one buffer, in an output order of their own.
+        let want = nested();
+        let mut a = ChunkLists::with_capacity(3);
+        for x in &want[4] {
+            a.push(*x);
+        }
+        a.finish(4);
+        a.push_list(1, &want[1]);
+        // `b` is copied out of a reused scratch chunk, as the tile path
+        // does; the scratch comes back empty.
+        let mut scratch = ChunkLists::default();
+        scratch.push_list(3, &want[4]);
+        scratch.take_exact();
+        scratch.push_list(2, &want[2]);
+        scratch.push_list(0, &want[0]);
+        let b = scratch.take_exact();
+        assert!(scratch.buffer.is_empty() && scratch.spans.is_empty());
+        assert!(scratch.buffer.capacity() >= 3);
+        assert_eq!(b.buffer.capacity(), 3);
+        let mut empty = ChunkLists::default();
+        empty.push_list(3, &want[3]);
+        let lists = PixelLists::from_chunks(5, [a, empty, b]);
+        assert_eq!(lists.buffers.len(), 2);
+        assert_eq!(lists.ranges[0], (1, 1, 3));
+        assert_eq!(lists.ranges[4], (0, 0, 3));
+        for (i, list) in want.iter().enumerate() {
+            assert_eq!(&lists[i], &list[..], "pixel {i}");
+        }
+        assert_eq!(lists.total(), 6);
+    }
+
+    #[test]
+    fn equality_ignores_the_layout() {
+        let want = nested();
+        let one_buffer = PixelLists::from_lists(&want);
+        let mut chunks = Vec::new();
+        for (i, list) in want.iter().enumerate() {
+            let mut chunk = ChunkLists::default();
+            chunk.push_list(i, list);
+            chunks.push(chunk);
+        }
+        let per_pixel = PixelLists::from_chunks(want.len(), chunks);
+        assert_ne!(one_buffer.buffers.len(), per_pixel.buffers.len());
+        assert_eq!(one_buffer, per_pixel);
+        assert_eq!(format!("{one_buffer:?}"), format!("{want:?}"));
+
+        let mut moved = want.clone();
+        moved[2][0].alpha = 0.25;
+        assert_ne!(one_buffer, PixelLists::from_lists(&moved));
+        // The same contributions split between other pixels differ.
+        let shifted = [
+            vec![c(3)],
+            vec![c(1)],
+            vec![c(7)],
+            vec![],
+            vec![c(2), c(5), c(9)],
+        ];
+        assert_ne!(one_buffer, PixelLists::from_lists(shifted));
+        assert_ne!(one_buffer, PixelLists::from_lists(&want[..4]));
+    }
 }

@@ -175,6 +175,7 @@ pub fn per_tile_loss(
 mod tests {
     use super::*;
     use crate::trace::RenderTrace;
+    use crate::PixelLists;
     use splatonic_math::Image;
 
     fn dummy_forward(colors: Vec<Vec3>, depths: Vec<f64>) -> ForwardResult {
@@ -183,7 +184,7 @@ mod tests {
             color: colors,
             depth: depths,
             final_transmittance: vec![1.0; n],
-            contributions: vec![Vec::new(); n],
+            contributions: PixelLists::from_lists(vec![Vec::new(); n]),
             trace: RenderTrace::new(),
         }
     }

@@ -26,7 +26,7 @@ use crate::pixelset::{PixelCoord, PixelSet};
 use crate::projcache::project_scene_cached;
 use crate::simd::{self, ProjectedSoA};
 use crate::trace::{bytes, RenderTrace};
-use crate::{Contribution, ForwardResult};
+use crate::{ChunkLists, Contribution, ForwardResult, PixelLists};
 use splatonic_math::{pool, Vec3};
 use splatonic_scene::{Camera, GaussianScene};
 use std::sync::Mutex;
@@ -161,12 +161,15 @@ pub fn forward(
     // over fixed chunks of pixels. A warp co-renders each pixel; all lanes
     // do useful work (no α-checking left, no divergence). Each chunk sorts
     // a scratch copy of its lists and shades its pixels; partial outputs
-    // are concatenated in chunk order (= pixel order).
+    // are concatenated in chunk order (= pixel order). Contributions go
+    // straight into the chunk's buffer, reserved at the chunk's discovered
+    // pair count: early termination only shortens a list, so it never
+    // grows.
     struct RasterPartial {
         color: Vec<Vec3>,
         depth: Vec<f64>,
         t_final: Vec<f64>,
-        contribs: Vec<Vec<Contribution>>,
+        lists: ChunkLists,
         sort_lists: u64,
         sort_elems: u64,
         pairs_integrated: u64,
@@ -176,12 +179,12 @@ pub fn forward(
         bytes_written: u64,
     }
     let _raster = crate::phase::begin("render/sort_raster");
-    let raster_partials = pool::par_chunks_indexed(threads, &lists, RASTER_CHUNK, |_, _, chunk| {
+    let raster_partials = pool::par_chunks_indexed(threads, &lists, RASTER_CHUNK, |j, _, chunk| {
         let mut part = RasterPartial {
             color: Vec::with_capacity(chunk.len()),
             depth: Vec::with_capacity(chunk.len()),
             t_final: Vec::with_capacity(chunk.len()),
-            contribs: Vec::with_capacity(chunk.len()),
+            lists: ChunkLists::with_capacity(chunk.iter().map(|l| l.len()).sum()),
             sort_lists: 0,
             sort_elems: 0,
             pairs_integrated: 0,
@@ -191,7 +194,7 @@ pub fn forward(
             bytes_written: 0,
         };
         let mut sorted: Vec<PixelEntry> = Vec::new();
-        for list in chunk {
+        for (k, list) in chunk.iter().enumerate() {
             sorted.clear();
             sorted.extend_from_slice(list);
             if !sorted.is_empty() {
@@ -201,7 +204,6 @@ pub fn forward(
                 // scene id), matching the tile pipeline's global sort order.
                 sorted.sort_by(|a, b| a.depth.total_cmp(&b.depth).then(a.proj.cmp(&b.proj)));
             }
-            let mut contribs = Vec::new();
             let mut t = 1.0;
             let mut c = Vec3::ZERO;
             let mut d = 0.0;
@@ -214,7 +216,7 @@ pub fn forward(
                 let w = t * e.alpha;
                 c += pg.color * w;
                 d += pg.depth * w;
-                contribs.push(Contribution {
+                part.lists.push(Contribution {
                     gaussian: pg.id,
                     alpha: e.alpha,
                     transmittance: t,
@@ -235,7 +237,7 @@ pub fn forward(
             part.warp_active += 2 * used as u64;
             part.bytes_read += used as u64 * bytes::PROJECTED;
             part.bytes_written += bytes::PIXEL_OUT;
-            part.contribs.push(contribs);
+            part.lists.finish(j * RASTER_CHUNK + k);
         }
         part
     });
@@ -243,7 +245,7 @@ pub fn forward(
     let mut color = Vec::with_capacity(n_out);
     let mut depth = Vec::with_capacity(n_out);
     let mut t_final = Vec::with_capacity(n_out);
-    let mut contributions: Vec<Vec<Contribution>> = Vec::with_capacity(n_out);
+    let mut chunk_lists = Vec::with_capacity(raster_partials.len());
     for part in raster_partials {
         f.sort_lists += part.sort_lists;
         f.sort_elems += part.sort_elems;
@@ -253,13 +255,14 @@ pub fn forward(
         f.warp_active += part.warp_active;
         f.bytes_read += part.bytes_read;
         f.bytes_written += part.bytes_written;
-        for contribs in &part.contribs {
-            f.pixel_list_len.push(contribs.len() as f64);
-        }
         color.extend(part.color);
         depth.extend(part.depth);
         t_final.extend(part.t_final);
-        contributions.extend(part.contribs);
+        chunk_lists.push(part.lists);
+    }
+    let contributions = PixelLists::from_chunks(n_out, chunk_lists);
+    for list in contributions.iter() {
+        f.pixel_list_len.push(list.len() as f64);
     }
 
     ForwardResult {

@@ -24,7 +24,7 @@ use crate::kernel::{
 use crate::loss::LossGrad;
 use crate::pixelset::{PixelCoord, PixelSet};
 use crate::trace::{bytes, RenderTrace};
-use crate::{Contribution, ForwardResult};
+use crate::{ChunkLists, Contribution, ForwardResult, PixelLists};
 use splatonic_math::{pool, Vec2, Vec3};
 use splatonic_scene::{Camera, GaussianScene};
 use std::sync::Mutex;
@@ -115,14 +115,13 @@ pub fn forward(
     let mut color = vec![Vec3::ZERO; n_out];
     let mut depth = vec![0.0; n_out];
     let mut t_final = vec![1.0; n_out];
-    let mut contributions: Vec<Vec<Contribution>> = vec![Vec::new(); n_out];
     let groups = group_pixels_by_tile(pixels, tiles_x, tiles_y);
     let threads = pool::resolve_threads(config.threads);
 
     #[derive(Default)]
     struct TilePartial {
         outputs: Vec<(usize, Vec3, f64, f64)>,
-        contribs: Vec<(usize, Vec<Contribution>)>,
+        lists: ChunkLists,
         bytes_read: u64,
         bytes_written: u64,
         warp_steps: u64,
@@ -132,14 +131,26 @@ pub fn forward(
         pairs_integrated: u64,
         pixels_shaded: u64,
     }
+    // A chunk's list count is known only once it is shaded, so its lists
+    // are built in a buffer recycled across the render's chunks and copied
+    // out at their exact size. Growing a fresh buffer per chunk instead
+    // left the allocator holding ~10% more peak RSS on dense renders.
+    let list_scratch: Mutex<Vec<ChunkLists>> = Mutex::new(Vec::new());
     let tile_partials =
         pool::par_chunks_indexed(threads, &groups, TILE_CHUNK, |_, offset, chunk| {
             let mut part = TilePartial::default();
+            let mut lists = list_scratch
+                .lock()
+                .expect("a worker panicked")
+                .pop()
+                .unwrap_or_default();
             // Per-chunk scratch, cleared per tile (`warps`) or per warp (the
-            // rest).
+            // rest). Each member's list is built in `member_contribs`, whose
+            // vectors keep their capacity from warp to warp, and is appended
+            // to the chunk's buffer when the warp ends.
             let mut warps: [Vec<(PixelCoord, usize)>; WARPS_PER_TILE] = Default::default();
             let mut state: Vec<(Vec3, f64, f64)> = Vec::new(); // (color, depth, T)
-            let mut member_contribs: Vec<Vec<Contribution>> = Vec::new();
+            let mut member_contribs = Vec::new();
             let mut centers: Vec<Vec2> = Vec::new();
             for (k, group) in chunk.iter().enumerate() {
                 let tile_idx = offset + k;
@@ -168,8 +179,10 @@ pub fn forward(
                     // Per-member compositing state.
                     state.clear();
                     state.resize(members.len(), (Vec3::ZERO, 0.0, 1.0));
-                    member_contribs.clear();
-                    member_contribs.resize_with(members.len(), Vec::new);
+                    if member_contribs.len() < members.len() {
+                        member_contribs.resize_with(members.len(), Vec::new);
+                    }
+                    member_contribs.iter_mut().for_each(Vec::clear);
                     centers.clear();
                     centers.extend(members.iter().map(|(p, _)| p.center()));
                     // The rectangle spanned by the members' pixel centers.
@@ -234,13 +247,15 @@ pub fn forward(
                         part.outputs.push((out_idx, c, d, t));
                         part.pixels_shaded += 1;
                         part.bytes_written += bytes::PIXEL_OUT;
-                        part.contribs
-                            .push((out_idx, std::mem::take(&mut member_contribs[mi])));
+                        lists.push_list(out_idx, &member_contribs[mi]);
                     }
                 }
             }
+            part.lists = lists.take_exact();
+            list_scratch.lock().expect("a worker panicked").push(lists);
             part
         });
+    let mut chunk_lists = Vec::with_capacity(tile_partials.len());
     for part in tile_partials {
         f.bytes_read += part.bytes_read;
         f.bytes_written += part.bytes_written;
@@ -255,13 +270,11 @@ pub fn forward(
             depth[out_idx] = d;
             t_final[out_idx] = t;
         }
-        for (out_idx, contribs) in part.contribs {
-            contributions[out_idx] = contribs;
-        }
+        chunk_lists.push(part.lists);
     }
-
-    for contribs in &contributions {
-        f.pixel_list_len.push(contribs.len() as f64);
+    let contributions = PixelLists::from_chunks(n_out, chunk_lists);
+    for list in contributions.iter() {
+        f.pixel_list_len.push(list.len() as f64);
     }
 
     ForwardResult {
@@ -531,12 +544,36 @@ mod tests {
         let (scene, cam) = small_scene();
         let pixels = PixelSet::dense(64, 48);
         let out = forward(&scene, &cam, &pixels, &RenderConfig::default());
-        for contribs in &out.contributions {
+        for contribs in out.contributions.iter() {
             for w in contribs.windows(2) {
                 // Transmittance decreases along the list (front-to-back).
                 assert!(w[1].transmittance <= w[0].transmittance + 1e-12);
             }
         }
+    }
+
+    #[test]
+    fn pixels_of_empty_tile_lists_have_empty_contributions() {
+        let (scene, cam) = small_scene();
+        let pixels = PixelSet::dense(64, 48);
+        let cfg = RenderConfig::default();
+        let out = forward(&scene, &cam, &pixels, &cfg);
+        let prepared = crate::tilesort::prepare_tiles(&scene, &cam, 64, 48, &cfg);
+        let empty_tiles = prepared.tile_lists.iter().filter(|l| l.is_empty()).count();
+        assert!(empty_tiles > 0 && empty_tiles < prepared.tile_lists.len());
+        for (i, p) in pixels.iter_all().enumerate() {
+            let tile = (p.y as usize / TILE) * prepared.tiles_x + p.x as usize / TILE;
+            if prepared.tile_lists[tile].is_empty() {
+                assert!(out.contributions[i].is_empty(), "pixel {i}");
+            }
+        }
+        assert_eq!(out.contributions.len(), pixels.len());
+        assert_eq!(
+            out.total_contributions() as u64,
+            out.trace.forward.pairs_integrated
+        );
+        let pixel = crate::pixel::forward(&scene, &cam, &pixels, &cfg);
+        assert_eq!(out.contributions, pixel.contributions);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use splatonic_render::sampling::MappingStrategy;
 use splatonic_render::tile::{TILE, WARP};
 use splatonic_render::{
     render_backward, render_forward, Contribution, ForwardResult, GradRequest, KernelMode,
-    MappingSampler, Pipeline, PoseGrad, ProjectedGaussian, RenderConfig, RenderTrace,
+    MappingSampler, Pipeline, PixelLists, PoseGrad, ProjectedGaussian, RenderConfig, RenderTrace,
 };
 use splatonic_scene::{Camera, Frame, Gaussian, GaussianScene, Intrinsics};
 
@@ -288,13 +288,14 @@ const EQUALITY_WIDTHS: [usize; 3] = [1, 4, 0];
 /// not `tiled` — whose center lies in its bounding box, by a scan. Each
 /// candidate is α-checked with a real `exp` — no geometric shortcut — and
 /// kept when `α ≥ α*`. Per-pixel lists are then depth-sorted
-/// (projection-index tie-break) and composited front to back.
+/// (projection-index tie-break) and composited front to back. Also returns
+/// the contribution lists as nested per-pixel vectors.
 fn oracle_forward(
     scene: &GaussianScene,
     cam: &Camera,
     pixels: &PixelSet,
     tiled: bool,
-) -> ForwardResult {
+) -> (ForwardResult, Vec<Vec<Contribution>>) {
     use splatonic_render::trace::bytes;
     let (projected, culled) = project_scene(scene, cam, &cfg(0));
     let mut lists: Vec<Vec<(f64, u32, f64)>> = vec![Vec::new(); pixels.len()];
@@ -347,9 +348,10 @@ fn oracle_forward(
         color: Vec::new(),
         depth: Vec::new(),
         final_transmittance: Vec::new(),
-        contributions: Vec::new(),
+        contributions: PixelLists::default(),
         trace: RenderTrace::new(),
     };
+    let mut nested = Vec::new();
     for mut list in lists {
         if !list.is_empty() {
             f.sort_lists += 1;
@@ -384,10 +386,19 @@ fn oracle_forward(
         out.color.push(c);
         out.depth.push(d);
         out.final_transmittance.push(t);
-        out.contributions.push(contribs);
+        nested.push(contribs);
     }
+    out.contributions = PixelLists::from_lists(&nested);
     out.trace = trace;
-    out
+    (out, nested)
+}
+
+/// Asserts `got` holds exactly the nested lists `want`, pixel by pixel.
+fn assert_lists_match(got: &PixelLists, want: &[Vec<Contribution>], at: &str) {
+    assert_eq!(got.len(), want.len(), "list count, {at}");
+    for (i, list) in want.iter().enumerate() {
+        assert_eq!(&got[i], &list[..], "pixel {i}, {at}");
+    }
 }
 
 /// Asserts the pixel pipeline is bit-identical to [`oracle_forward`] —
@@ -397,7 +408,7 @@ fn oracle_forward(
 fn assert_matches_oracle(pixels: &PixelSet, tiled: bool) {
     let scene = random_scene(77, 400);
     let cam = camera();
-    let want = oracle_forward(&scene, &cam, pixels, tiled);
+    let (want, _) = oracle_forward(&scene, &cam, pixels, tiled);
     assert!(want.trace.forward.proj_pairs_kept > 0);
     for kernels in [KernelMode::Scalar, KernelMode::Simd] {
         for threads in EQUALITY_WIDTHS {
@@ -812,8 +823,13 @@ fn oracle_tiles(scene: &GaussianScene, cam: &Camera, pixels: &PixelSet) -> Oracl
 /// warp steps through its tile's list until all its lanes have terminated,
 /// and α-checks each lane with `T ≥ T_min` with a real `exp` — no bbox
 /// shortcut, per lane or per warp. The sort-schedule counters are left zero
-/// (`grouped_sort_matches_per_tile_oracle` covers them).
-fn oracle_tile_forward(scene: &GaussianScene, cam: &Camera, pixels: &PixelSet) -> ForwardResult {
+/// (`grouped_sort_matches_per_tile_oracle` covers them). Also returns the
+/// contribution lists as nested per-pixel vectors.
+fn oracle_tile_forward(
+    scene: &GaussianScene,
+    cam: &Camera,
+    pixels: &PixelSet,
+) -> (ForwardResult, Vec<Vec<Contribution>>) {
     use splatonic_render::trace::bytes;
     let tiles = oracle_tiles(scene, cam, pixels);
     let n = pixels.len();
@@ -821,9 +837,10 @@ fn oracle_tile_forward(scene: &GaussianScene, cam: &Camera, pixels: &PixelSet) -
         color: vec![BACKGROUND; n],
         depth: vec![0.0; n],
         final_transmittance: vec![1.0; n],
-        contributions: vec![Vec::new(); n],
+        contributions: PixelLists::default(),
         trace: RenderTrace::new(),
     };
+    let mut nested: Vec<Vec<Contribution>> = vec![Vec::new(); n];
     let f = &mut out.trace.forward;
     let tile_pairs: u64 = tiles.lists.iter().map(|l| l.len() as u64).sum();
     f.gaussians_input = scene.len() as u64;
@@ -861,7 +878,7 @@ fn oracle_tile_forward(scene: &GaussianScene, cam: &Camera, pixels: &PixelSet) -
                     }
                     f.warp_active += 1;
                     f.pairs_integrated += 1;
-                    out.contributions[out_idx].push(Contribution {
+                    nested[out_idx].push(Contribution {
                         gaussian: pg.id,
                         alpha,
                         transmittance: t,
@@ -881,10 +898,11 @@ fn oracle_tile_forward(scene: &GaussianScene, cam: &Camera, pixels: &PixelSet) -
             }
         }
     }
-    for contribs in &out.contributions {
+    for contribs in &nested {
         f.pixel_list_len.push(contribs.len() as f64);
     }
-    out
+    out.contributions = PixelLists::from_lists(&nested);
+    (out, nested)
 }
 
 /// The tile pipeline's backward trace as the per-lane cursor walk it
@@ -976,11 +994,11 @@ fn assert_tile_trace_matches_oracle(
     fwd_cam: Option<&Camera>,
 ) -> (ForwardResult, u64) {
     let cam = camera();
-    let want = oracle_tile_forward(scene, &cam, pixels);
+    let (want, _) = oracle_tile_forward(scene, &cam, pixels);
     let other;
     let fwd = match fwd_cam {
         Some(c) => {
-            other = oracle_tile_forward(scene, c, pixels);
+            other = oracle_tile_forward(scene, c, pixels).0;
             &other
         }
         None => &want,
@@ -1075,4 +1093,31 @@ fn tile_backward_trace_matches_oracle_across_poses() {
         Some(&moved),
     );
     assert!(stalls > 0);
+}
+
+#[test]
+fn flat_lists_match_nested_oracle_lists() {
+    // Both pipelines' flat per-chunk lists hold, pixel by pixel, what the
+    // oracles build as one vector per pixel, at widths 1, 2 and 4: on the
+    // dense set, chunk buffers hold thousands of lists each.
+    let scene = random_scene(77, 400);
+    let cam = camera();
+    for (name, pixels, tiled) in [
+        ("sparse", sparse_set(), true),
+        ("dense", PixelSet::dense(96, 72), false),
+    ] {
+        let (_, pixel_want) = oracle_forward(&scene, &cam, &pixels, tiled);
+        let (_, tile_want) = oracle_tile_forward(&scene, &cam, &pixels);
+        for threads in [1, 2, 4] {
+            for (pipeline, want) in [
+                (Pipeline::PixelBased, &pixel_want),
+                (Pipeline::TileBased, &tile_want),
+            ] {
+                let got = render_forward(&scene, &cam, &pixels, pipeline, &cfg(threads));
+                let at = format!("{name}, {pipeline:?}, {threads} workers");
+                assert_lists_match(&got.contributions, want, &at);
+                assert_eq!(got.contributions, PixelLists::from_lists(want), "{at}");
+            }
+        }
+    }
 }

@@ -112,7 +112,7 @@ fn saturated_opacity_is_clamped() {
     let pixels = PixelSet::dense(W, H);
     let (a, _) = render_both(&scene, &pixels);
     assert_finite(&a);
-    for contribs in &a.contributions {
+    for contribs in a.contributions.iter() {
         for c in contribs {
             assert!(c.alpha <= splatonic_render::kernel::ALPHA_MAX + 1e-12);
         }

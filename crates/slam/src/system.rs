@@ -1302,4 +1302,39 @@ mod tests {
             }
         });
     }
+
+    #[test]
+    fn yaw_180_degrades_gracefully() {
+        // From mid-sequence on the camera turns half a turn about its own
+        // up axis (camera y points down, so the yaw is R_y(π) applied in
+        // the camera frame, exact in floating point), and those frames
+        // are re-rendered from the world: tracking must jump 180° between
+        // two frames that share almost no content.
+        assert_degrades_gracefully("180° yaw", |d| {
+            let yaw = Pose::new(
+                splatonic_math::Mat3::from_rows(
+                    splatonic_math::Vec3::new(-1.0, 0.0, 0.0),
+                    splatonic_math::Vec3::Y,
+                    splatonic_math::Vec3::new(0.0, 0.0, -1.0),
+                ),
+                splatonic_math::Vec3::ZERO,
+            );
+            let mid = d.len() / 2;
+            for p in &mut d.gt_poses[mid..] {
+                *p = yaw.compose(p);
+            }
+            let frames = crate::dataset::render_sequence(
+                &d.world.scene,
+                &d.gt_poses[mid..],
+                d.intrinsics,
+                0.9, // tiny()'s depth_dropout_coverage
+            );
+            for (i, f) in frames.into_iter().enumerate() {
+                d.frames[mid + i] = Frame {
+                    index: mid + i,
+                    ..f
+                };
+            }
+        });
+    }
 }

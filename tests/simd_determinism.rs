@@ -100,7 +100,12 @@ fn assert_forward_bitwise(a: &ForwardResult, b: &ForwardResult, label: &str) {
         b.contributions.len(),
         "{label}: contribution lists"
     );
-    for (i, (la, lb)) in a.contributions.iter().zip(&b.contributions).enumerate() {
+    for (i, (la, lb)) in a
+        .contributions
+        .iter()
+        .zip(b.contributions.iter())
+        .enumerate()
+    {
         assert_eq!(la.len(), lb.len(), "{label}: contribs[{i}] length");
         for (ea, eb) in la.iter().zip(lb) {
             assert_eq!(ea.gaussian, eb.gaussian, "{label}: contribs[{i}] id");
