@@ -25,21 +25,38 @@
 //! both go through the bench crate's one export path (`cli::Exports`).
 //! Either flag triggers the instrumented pass even without `--report`.
 //!
-//! A flag whose value is missing or malformed exits 2.
-//!
-//! `--plan <file>` executes a headless multi-step plan (run → checkpoint →
-//! export `.ply` → decimate → re-import → re-evaluate PSNR; see
-//! `crates/bench/src/plan.rs` for the schema and `plans/roundtrip.json`
-//! for the committed CI smoke plan). Artifacts land in `--plan-dir <dir>`
-//! (default: a per-process temp directory). Any failed plan assertion
-//! exits nonzero.
+//! An unknown flag, an unknown experiment id, or a flag whose value is
+//! missing or malformed exits 2 before anything runs.
 
-use splatonic_bench::cli::{arg_usize, arg_value};
-use splatonic_bench::{plan, report, run_experiment, Settings, EXPERIMENTS};
+use splatonic_bench::cli::{arg_usize, arg_value, positional_args};
+use splatonic_bench::{report, run_experiment, Settings, EXPERIMENTS};
 use std::path::PathBuf;
+
+/// The flags that take a value.
+const VALUED_FLAGS: &[&str] = &[
+    "--report",
+    "--checkpoint-every",
+    "--checkpoint-dir",
+    "--trace-out",
+    "--events-out",
+];
+
+/// The flags that stand alone.
+const SWITCHES: &[&str] = &["--quick", "--list"];
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("[figures] {message}");
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut ids =
+        positional_args(&args, VALUED_FLAGS, SWITCHES).unwrap_or_else(|e| usage_error(&e));
+    let known = |id: &&str| ["all", "ablations"].contains(id) || EXPERIMENTS.contains(id);
+    if let Some(id) = ids.iter().find(|id| !known(id)) {
+        usage_error(&format!("unknown experiment id {id} (see figures --list)"));
+    }
     if args.iter().any(|a| a == "--list") {
         for id in EXPERIMENTS {
             println!("{id}");
@@ -62,38 +79,9 @@ fn main() {
     if let Some(every) = arg_usize(&args, "--checkpoint-every") {
         options.checkpoint_every = every;
     }
-    let plan_path = arg_value(&args, "--plan").map(PathBuf::from);
-    let plan_dir = arg_value(&args, "--plan-dir").map(PathBuf::from);
     let instrument =
         report_path.is_some() || options.trace_out.is_some() || options.events_out.is_some();
-    let mut ids: Vec<&str> = {
-        let mut skip_next = false;
-        args.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if [
-                    "--report",
-                    "--checkpoint-every",
-                    "--checkpoint-dir",
-                    "--trace-out",
-                    "--events-out",
-                    "--plan",
-                    "--plan-dir",
-                ]
-                .contains(&a.as_str())
-                {
-                    skip_next = true;
-                    return false;
-                }
-                !a.starts_with("--")
-            })
-            .map(String::as_str)
-            .collect()
-    };
-    if ids.contains(&"all") || (ids.is_empty() && !instrument && plan_path.is_none()) {
+    if ids.contains(&"all") || (ids.is_empty() && !instrument) {
         ids = EXPERIMENTS.to_vec();
     }
     for id in ids {
@@ -135,36 +123,5 @@ fn main() {
             "[figures] instrumented pass done in {:.1}s",
             start.elapsed().as_secs_f64()
         );
-    }
-    if let Some(path) = &plan_path {
-        let start = std::time::Instant::now();
-        let dir = plan_dir.unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("splatonic-plan-{}", std::process::id()))
-        });
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("[figures] cannot create plan dir {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-        eprintln!(
-            "[figures] running plan {} (artifacts in {})...",
-            path.display(),
-            dir.display()
-        );
-        match plan::run_plan_file(path, &settings, &dir) {
-            Ok(outcome) => {
-                for line in &outcome.log {
-                    println!("[plan {}] {line}", outcome.name);
-                }
-                eprintln!(
-                    "[figures] plan {} done in {:.1}s",
-                    outcome.name,
-                    start.elapsed().as_secs_f64()
-                );
-            }
-            Err(e) => {
-                eprintln!("[figures] plan failed: {e}");
-                std::process::exit(1);
-            }
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! Command-line plumbing shared by the bench binaries (`figures`,
 //! `kernels`, `fleet`, `fault_inject`): flag parsing that rejects malformed
-//! values, and the `--trace-out`/`--events-out` exports.
+//! values or unknown flags, and the `--trace-out`/`--events-out` exports.
 
 use splatonic::telemetry::{SpanEvent, Telemetry, TraceSession};
 use std::path::{Path, PathBuf};
@@ -23,6 +23,32 @@ pub fn parse_flag<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, 
         .parse()
         .map(Some)
         .map_err(|_| format!("{flag}: malformed value {value:?}"))
+}
+
+/// The positional arguments of `args`, after checking every `--flag`
+/// against the known ones: a flag in `valued` consumes the argument after
+/// it, a flag in `switches` stands alone.
+///
+/// # Errors
+///
+/// On a flag in neither list.
+pub fn positional_args<'a>(
+    args: &'a [String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<Vec<&'a str>, String> {
+    let mut positional = Vec::new();
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg) {
+            rest.next();
+        } else if !arg.starts_with("--") {
+            positional.push(arg);
+        } else if !switches.contains(&arg) {
+            return Err(format!("unknown flag {arg}"));
+        }
+    }
+    Ok(positional)
 }
 
 /// [`parse_flag`] that prints the error and exits 2 (a usage error).
@@ -117,5 +143,23 @@ mod tests {
         assert!(malformed.contains("malformed value \"x\""), "{malformed}");
         let missing = parse_flag::<String>(&a, "--out").unwrap_err();
         assert!(missing.contains("requires an argument"), "{missing}");
+    }
+
+    #[test]
+    fn positional_args_skip_flag_values_and_reject_unknown_flags() {
+        let (valued, switches) = (&["--report", "--out"][..], &["--quick"][..]);
+        let a = args(&["fig19", "--report", "r.json", "--quick", "fig21", "--out"]);
+        assert_eq!(
+            positional_args(&a, valued, switches),
+            Ok(vec!["fig19", "fig21"])
+        );
+        // A flag's value is never an id, even when it looks like a flag.
+        let a = args(&["--report", "--quick", "fig04"]);
+        assert_eq!(positional_args(&a, valued, switches), Ok(vec!["fig04"]));
+        let a = args(&["fig04", "--qiuck"]);
+        assert_eq!(
+            positional_args(&a, valued, switches),
+            Err("unknown flag --qiuck".to_string())
+        );
     }
 }

@@ -86,7 +86,16 @@ pub fn fig14(settings: &Settings) -> Vec<Table> {
     vec![t]
 }
 
-/// Shared engine for Fig. 19/21: per-algorithm e2e tracking speedups.
+/// The algorithm label of Fig. 19/21's one row. The workload shape (and
+/// thus the per-iteration ratio) is shared by every preset; algorithms
+/// differ in budgets, which cancel in the ratio, so a row per preset would
+/// repeat the same numbers.
+fn all_presets_label() -> String {
+    let names: Vec<&str> = AlgorithmPreset::all().iter().map(|p| p.name()).collect();
+    format!("all ({})", names.join(", "))
+}
+
+/// Shared engine for Fig. 19/21: e2e tracking speedups.
 fn tracking_speedups(ms: &MeasurementSet) -> [(f64, f64); 2] {
     let (org_t, org_e) = iteration_cost(&ms.dense_tile);
     let (s_t, s_e) = iteration_cost(&ms.sparse_tile);
@@ -97,10 +106,10 @@ fn tracking_speedups(ms: &MeasurementSet) -> [(f64, f64); 2] {
     ]
 }
 
-/// Fig. 19 — end-to-end GPU speedup and energy saving per algorithm
-/// (paper: ORG.+S ≈3.4× / 55.5%; SPLATONIC ≈14.6× / 86.1%). The end-to-end
-/// speedup equals the tracking speedup because mapping is hidden behind
-/// tracking (paper Sec. VII-B).
+/// Fig. 19 — end-to-end GPU speedup and energy saving, one row for all
+/// four algorithms (paper: ORG.+S ≈3.4× / 55.5%; SPLATONIC ≈14.6× /
+/// 86.1%). The end-to-end speedup equals the tracking speedup because
+/// mapping is hidden behind tracking (paper Sec. VII-B).
 pub fn fig19(settings: &Settings) -> Vec<Table> {
     let scenario = canonical_scenario(settings);
     let ms = measurements(&scenario);
@@ -115,17 +124,13 @@ pub fn fig19(settings: &Settings) -> Vec<Table> {
             "SPLATONIC energy saved",
         ],
     );
-    for preset in AlgorithmPreset::all() {
-        // The workload shape (and thus the per-iteration ratio) is shared;
-        // algorithms differ in budgets, which cancel in the ratio.
-        t.row([
-            preset.name().to_string(),
-            fmt_x(s_speed),
-            format!("{:.1}%", 100.0 * s_save),
-            fmt_x(ours_speed),
-            format!("{:.1}%", 100.0 * ours_save),
-        ]);
-    }
+    t.row([
+        all_presets_label(),
+        fmt_x(s_speed),
+        format!("{:.1}%", 100.0 * s_save),
+        fmt_x(ours_speed),
+        format!("{:.1}%", 100.0 * ours_save),
+    ]);
     vec![t]
 }
 
@@ -151,8 +156,8 @@ pub fn fig20(settings: &Settings) -> Vec<Table> {
     vec![t]
 }
 
-/// Fig. 21 — bottleneck-stage speedups during tracking per algorithm
-/// (paper: sampling alone 4.1×/4.3×; ours 64.4×/77.2×).
+/// Fig. 21 — bottleneck-stage speedups during tracking, one row for all
+/// four algorithms (paper: sampling alone 4.1×/4.3×; ours 64.4×/77.2×).
 pub fn fig21(settings: &Settings) -> Vec<Table> {
     let scenario = canonical_scenario(settings);
     let ms = measurements(&scenario);
@@ -169,14 +174,12 @@ pub fn fig21(settings: &Settings) -> Vec<Table> {
             "Ours rev-raster",
         ],
     );
-    for preset in AlgorithmPreset::all() {
-        t.row([
-            preset.name().to_string(),
-            fmt_x(org_r / s_r),
-            fmt_x(org_rr / s_rr),
-            fmt_x(org_r / o_r),
-            fmt_x(org_rr / o_rr),
-        ]);
-    }
+    t.row([
+        all_presets_label(),
+        fmt_x(org_r / s_r),
+        fmt_x(org_rr / s_rr),
+        fmt_x(org_r / o_r),
+        fmt_x(org_rr / o_rr),
+    ]);
     vec![t]
 }

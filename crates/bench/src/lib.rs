@@ -10,7 +10,6 @@
 pub mod cli;
 pub mod diff;
 pub mod experiments;
-pub mod plan;
 pub mod record;
 pub mod report;
 pub mod tables;

@@ -18,8 +18,8 @@
 //!   and the constants that define the rendering (α* = 1/255, the α clamp,
 //!   `T_min`, blur, 3.5σ bbox, near plane, black background);
 //!   [`RenderConfig`] holds only output-transparent execution policy,
-//! * [`projcache`] — the cross-iteration projection cache reusing
-//!   per-Gaussian projection results across Adam iterations,
+//! * [`projcache`] — the projection cache that hands each forward pass's
+//!   per-Gaussian projection to the backward pass at the same pose,
 //! * [`tilesort`] — depth-sorted tile lists from one global sort, the
 //!   counted GS-TG-style tile-grouping sort schedule, and an exact-key
 //!   sorted-list cache keyed like `projcache` (bit-identical output),

@@ -1,4 +1,9 @@
-//! Cross-iteration projection cache (thread-local, small keyed LRU).
+//! Forward→backward projection cache (thread-local, small keyed LRU).
+//!
+//! Its hits are backward passes replaying the projection their forward
+//! pass just made at the same pose; adjacent iterations move the pose, so
+//! a forward pass almost never hits. A probe of a `replica-splatonic` run
+//! counted 666 hits in 666 backward passes and 8 in 715 forward passes.
 //!
 //! Tracking and mapping call the renderer many times per frame — one
 //! forward and one backward pass per Adam iteration — and every call starts

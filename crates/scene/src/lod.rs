@@ -10,8 +10,7 @@
 //! priority order is fully deterministic: the same scene and budget always
 //! keep exactly the same Gaussians, in their original order.
 //!
-//! Used by the bench plan runner's `decimate` step, after a run has
-//! finished.
+//! Runs on a finished map only; the SLAM loop never decimates.
 
 use crate::gaussian::{sigmoid, GaussianScene};
 
@@ -71,7 +70,7 @@ pub fn decimate(scene: &mut GaussianScene, budget: usize) -> LodStats {
 
 /// Decimates to a fraction of the current size: `keep_fraction` in
 /// `[0, 1]` is rounded to the nearest whole budget. Convenience wrapper
-/// over [`decimate`] for plan files that scale with scene size.
+/// over [`decimate`] for callers that scale with scene size.
 pub fn decimate_fraction(scene: &mut GaussianScene, keep_fraction: f64) -> LodStats {
     let budget = (scene.len() as f64 * keep_fraction.clamp(0.0, 1.0)).round() as usize;
     decimate(scene, budget)

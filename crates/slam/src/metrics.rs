@@ -131,9 +131,9 @@ pub fn psnr_db(rendered: &ColorImage, reference: &ColorImage) -> f64 {
 /// against `frame`'s color image.
 ///
 /// This is the per-frame reconstruction-quality probe behind the run
-/// report's PSNR column; it is public so standalone pipelines (the bench
-/// plan runner's `eval_psnr` step, `.ply`-imported scenes) evaluate with
-/// exactly the arithmetic `SlamSystem::finalize` uses.
+/// report's PSNR column; it is public so standalone pipelines (`.ply`-
+/// imported or LOD-decimated scenes) evaluate with exactly the arithmetic
+/// `SlamSystem::finalize` uses.
 pub fn scene_frame_psnr(
     scene: &GaussianScene,
     intrinsics: Intrinsics,

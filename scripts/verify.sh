@@ -63,15 +63,6 @@ python3 scripts/check_trace.py "$VERIFY_TMP/trace.json" --min-threads 2
 cargo run --release -p splatonic-bench --bin report_diff -- \
   "$VERIFY_TMP/report.json" scripts/bench_baseline.json
 
-echo "== roundtrip plan: .ply export/import + LOD + v1 snapshot decode (DESIGN.md §17) =="
-# The committed asset-pipeline smoke: run -> checkpoint -> export .ply ->
-# bit-stability assert -> re-import -> 50% LOD decimation within the
-# documented PSNR floor -> decode of the committed v1 snapshot fixture.
-# figures exits nonzero on any failed plan assertion.
-SPLATONIC_THREADS=4 cargo run --release -p splatonic-bench --bin figures -- --quick \
-  --plan plans/roundtrip.json --plan-dir "$VERIFY_TMP/plan"
-test -s "$VERIFY_TMP/plan/roundtrip_full.ply"
-
 echo "== fleet smoke: 3 interleaved sessions, bitwise vs sequential (DESIGN.md §15) =="
 # The serving layer's contract end to end: K sessions interleaved through
 # one SessionManager (with snapshot eviction/resume forced by the default

@@ -2,6 +2,7 @@
 //! SLAM → evaluation → hardware pricing.
 
 use splatonic::prelude::*;
+use splatonic_scene::{lod, ply, GaussianScene};
 
 fn dataset() -> Dataset {
     Dataset::replica_like(
@@ -30,6 +31,26 @@ fn sparse_slam_tracks_and_reconstructs() {
     assert!(r.ate_cm < 12.0, "ATE {} cm", r.ate_cm);
     assert!(r.psnr_db > 20.0, "PSNR {} dB", r.psnr_db);
     assert_eq!(r.est_poses.len(), d.len());
+
+    // The asset pipeline on the real map: an exported `.ply` re-encodes
+    // bit-identically, the re-imported map still renders the sequence, and
+    // a 50% LOD decimation keeps a usable floor (DESIGN.md §17).
+    let bytes = ply::encode_ply(sys.scene());
+    let mut scene = ply::decode_ply(&bytes).expect("exported map decodes");
+    assert!(ply::encode_ply(&scene) == bytes, ".ply re-encode differs");
+    let render_cfg = sys.config().render;
+    let psnr = |scene: &GaussianScene| {
+        evaluate_scene_psnr(scene, d.intrinsics, &render_cfg, &d, &r.est_poses, 1)
+    };
+    let imported = psnr(&scene);
+    assert!(imported >= 30.0, "re-imported map PSNR {imported} dB");
+    lod::decimate_fraction(&mut scene, 0.5);
+    let decimated = psnr(&scene);
+    assert!(decimated >= 8.0, "50% LOD PSNR {decimated} dB");
+    assert!(
+        imported - decimated <= 28.0,
+        "50% LOD drops {imported} -> {decimated} dB"
+    );
 }
 
 #[test]
