@@ -94,8 +94,8 @@ impl GsArchModel {
     /// Sorting is charged per tile–Gaussian pair (`tile_pairs /
     /// sort_per_cycle`): the prior architectures sort each tile's list
     /// independently, so the grouped-schedule counters (`sort_elems`,
-    /// `sort_lists`, `sort_group_reuse`) are deliberately ignored here —
-    /// only SPLATONIC's hierarchical sorters model the grouping ablation.
+    /// `sort_lists`) are deliberately ignored here — only SPLATONIC's
+    /// hierarchical sorters model the grouping ablation.
     pub fn price(&self, w: &FrameWorkload) -> BaselineReport {
         let slots = w.tile_warp_steps as f64 * 32.0;
         let fwd_bytes = w.fwd_bytes as f64 * self.dram_traffic_factor;
@@ -173,7 +173,10 @@ impl GauSpuModel {
         let gpu_time = gpu_report.forward.projection + gpu_report.forward.sorting;
         // Count the GPU energy for just those stages via their time share.
         let gpu_total = gpu_report.total_seconds().max(1e-12);
-        let gpu_energy_all = self.gpu_energy.price(gpu_trace, &gpu_report).total_j();
+        let gpu_energy_all = self
+            .gpu_energy
+            .price(gpu_trace, Pipeline::TileBased, &gpu_report)
+            .total_j();
         let gpu_energy = gpu_energy_all * (gpu_time / gpu_total).min(1.0);
 
         // Accelerator side: tile-granular rasterization slots.
@@ -233,7 +236,7 @@ mod tests {
                 .collect(),
             sort_elems: 40_000,
             sort_lists: 48,
-            sort_group_reuse: 0,
+            per_tile_sort: (48, 40_000),
             tile_warp_steps: steps,
             fwd_bytes: 4_000_000,
             bwd_bytes: 2_000_000,
@@ -273,15 +276,14 @@ mod tests {
 
     #[test]
     fn gsarch_pricing_ignores_grouped_sort_counters() {
-        // Prior tile architectures sort per tile; a trace produced with
-        // tile grouping (different sort_elems/sort_lists) must price
-        // identically — they only see tile_pairs.
+        // Prior tile architectures sort per tile and see only tile_pairs:
+        // other sort counters must not change the price.
         let m = GsArchModel::edge();
         let per_tile = tile_workload(true);
         let mut grouped = tile_workload(true);
         grouped.sort_elems = 16_000;
         grouped.sort_lists = 12;
-        grouped.sort_group_reuse = 36;
+        grouped.per_tile_sort = (60, 41_000);
         assert_eq!(m.price(&per_tile), m.price(&grouped));
     }
 

@@ -158,15 +158,18 @@ impl SplatonicAccel {
 
         // Sorting on the hierarchical sorters. Pixel workloads (the
         // architecture's native schedule) sort per-pixel lists. Tile
-        // workloads carry the schedule's own sort accounting — per-tile
-        // lists, or fewer/larger shared group lists when the trace was
-        // produced with tile grouping; with `tile_grouping` the model also
-        // charges one mask/scatter stream pass over the tile–Gaussian
-        // pairs to derive per-tile lists from the shared group sorts.
+        // workloads sort per tile, or, with `tile_grouping`, run the fewer,
+        // larger shared group sorts plus one mask/scatter stream pass over
+        // the tile–Gaussian pairs to derive per-tile lists from them.
+        let (lists, elems) = if c.tile_grouping {
+            (w.sort_lists, w.sort_elems)
+        } else {
+            w.per_tile_sort
+        };
         let sort_work: f64 = match w.pipeline {
-            Some(Pipeline::TileBased) if w.sort_lists > 0 => {
-                let mean_len = (w.sort_elems as f64 / w.sort_lists as f64).max(2.0);
-                let mut work = w.sort_elems as f64 * mean_len.log2();
+            Some(Pipeline::TileBased) if lists > 0 => {
+                let mean_len = (elems as f64 / lists as f64).max(2.0);
+                let mut work = elems as f64 * mean_len.log2();
                 if c.tile_grouping {
                     work += w.tile_pairs as f64;
                 }
@@ -267,7 +270,7 @@ mod tests {
             grad_stream,
             sort_elems: 0,
             sort_lists: 0,
-            sort_group_reuse: 0,
+            per_tile_sort: (0, 0),
             tile_warp_steps: 0,
             fwd_bytes: 4000 * 64 + 960 * 12,
             bwd_bytes: 960 * 48,
@@ -340,35 +343,32 @@ mod tests {
 
     #[test]
     fn grouped_tile_workload_sorts_cheaper() {
-        // Same tile pipeline, two schedules: per-tile sorts vs. grouped
+        // One tile workload, two schedules: per-tile sorts vs. grouped
         // shared sorts (4× fewer lists, ~2.5× fewer compared elements, as
         // the render-side ablation measures). Grouping must cut sorting
-        // cycles on the base config, and the grouping-aware config's
-        // mask/scatter surcharge must not erase the win.
-        let mut per_tile = sparse_workload();
-        per_tile.pipeline = Some(Pipeline::TileBased);
-        per_tile.tile_pairs = 40_000;
-        per_tile.sort_elems = 100_000;
-        per_tile.sort_lists = 192;
-        let mut grouped = per_tile.clone();
-        grouped.sort_elems = 40_000;
-        grouped.sort_lists = 48;
-        grouped.sort_group_reuse = 144;
+        // cycles, and its mask/scatter surcharge must not erase the win.
+        let mut w = sparse_workload();
+        w.pipeline = Some(Pipeline::TileBased);
+        w.tile_pairs = 100_000;
+        w.per_tile_sort = (192, 100_000);
+        w.sort_elems = 40_000;
+        w.sort_lists = 48;
 
-        let base = SplatonicAccel::paper();
-        let baseline = base.price(&per_tile).sorting_cycles;
+        let baseline = SplatonicAccel::paper().price(&w).sorting_cycles;
         let mut with_grouping = SplatonicAccel::paper();
         with_grouping.config = with_grouping.config.with_tile_grouping(true);
-        let ablation = with_grouping.price(&grouped).sorting_cycles;
+        let ablation = with_grouping.price(&w).sorting_cycles;
         assert!(baseline > 0.0);
         assert!(
             ablation < baseline,
             "grouped sorting {ablation} should beat per-tile {baseline}"
         );
-        // The mask/scatter pass is charged: grouping-aware pricing of the
-        // grouped schedule costs more than naively pricing its sorts alone.
-        let naive = base.price(&grouped).sorting_cycles;
-        assert!(ablation > naive);
+        // The mask/scatter pass is charged: grouping-aware pricing costs
+        // more than pricing the shared sorts alone.
+        let c = with_grouping.config;
+        let shared_sorts = 40_000.0 * (40_000.0f64 / 48.0).log2()
+            / (c.sorting_units as f64 * c.sort_elems_per_unit_cycle);
+        assert!(ablation > shared_sorts);
     }
 
     #[test]
@@ -378,6 +378,7 @@ mod tests {
         let mut w = sparse_workload();
         w.sort_elems = 123_456;
         w.sort_lists = 7;
+        w.per_tile_sort = (9, 234_567);
         let base = SplatonicAccel::paper().price(&sparse_workload());
         let noisy = SplatonicAccel::paper().price(&w);
         let mut grouped = SplatonicAccel::paper();

@@ -30,15 +30,16 @@ pub struct FrameWorkload {
     /// gradients (in reverse integration order).
     pub grad_stream: Vec<Vec<u32>>,
     /// Depth-compared elements across the schedule's sorted lists (tile
-    /// pipeline: per-tile or per-group lists depending on the grouping
-    /// knob that produced the trace; pixel pipeline: per-pixel lists).
+    /// pipeline: GS-TG-style shared group lists; pixel pipeline: per-pixel
+    /// lists).
     pub sort_elems: u64,
-    /// Number of depth sorts the schedule executed (tile pipeline with
-    /// grouping: one shared sort per non-empty group).
+    /// Number of depth sorts the schedule executed (tile pipeline: one
+    /// shared sort per non-empty tile group).
     pub sort_lists: u64,
-    /// Per-tile sorts avoided by deriving tile lists from a shared group
-    /// sort by masking. Zero when grouping was off or for pixel workloads.
-    pub sort_group_reuse: u64,
+    /// Tile pipeline: `(lists, elements)` of the per-tile sort schedule,
+    /// from [`splatonic_render::trace::ForwardStats::per_tile_sort`].
+    /// Unused for pixel workloads.
+    pub per_tile_sort: (u64, u64),
     /// Warp-steps the GPU tile schedule would issue (for baselines that
     /// inherit tile-granular work).
     pub tile_warp_steps: u64,
@@ -84,7 +85,7 @@ impl FrameWorkload {
             grad_stream,
             sort_elems: f.sort_elems,
             sort_lists: f.sort_lists,
-            sort_group_reuse: f.sort_group_reuse,
+            per_tile_sort: f.per_tile_sort(),
             tile_warp_steps: f.warp_steps,
             fwd_bytes: f.bytes_read + f.bytes_written,
             bwd_bytes: backward.backward.bytes_read + backward.backward.bytes_written,

@@ -11,8 +11,9 @@
 //! crash) and `--events-out <path>` (JSONL event stream, flushed per line —
 //! so the stream written up to the kill point survives the crash, which is
 //! the whole point of a live-tailing format). Both go through the bench
-//! crate's one export path (`cli::Exports`). A flag whose value is missing
-//! or malformed exits 2.
+//! crate's one export path (`cli::Exports`). An unknown flag or mode, a
+//! stray argument, or a flag whose value is missing or malformed exits 2
+//! before anything runs.
 //!
 //! `run` executes SLAM frame by frame, writing a snapshot to `--dir` on the
 //! checkpoint cadence, then simulates a crash by exiting with code 21
@@ -27,7 +28,7 @@
 //! in `resume` is self-contained; thread width comes from the standard
 //! `SPLATONIC_THREADS` resolution and must not affect any compared value.
 
-use splatonic_bench::cli::{arg_usize, arg_value, Exports};
+use splatonic_bench::cli::{arg_usize, arg_value, positional_args_or_exit, Exports};
 use splatonic_bench::Settings;
 use splatonic_slam::prelude::*;
 use splatonic_slam::snapshot::HEADER_LEN;
@@ -211,9 +212,25 @@ fn corrupt_mode(dir: &Path) {
     println!("fault_inject corrupt: all 4 corruptions rejected with typed errors");
 }
 
+/// The flags that take a value (this binary has no switches).
+const VALUED_FLAGS: &[&str] = &[
+    "--dir",
+    "--kill-at",
+    "--checkpoint-every",
+    "--trace-out",
+    "--events-out",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = args.first().map(String::as_str).unwrap_or("");
+    let mode = match positional_args_or_exit(&args, VALUED_FLAGS, &[])[..] {
+        [mode] => mode,
+        [] => "",
+        [_, extra, ..] => {
+            eprintln!("unexpected argument {extra}");
+            exit(2);
+        }
+    };
     let dir = arg_value(&args, "--dir")
         .map(PathBuf::from)
         .unwrap_or_else(|| {

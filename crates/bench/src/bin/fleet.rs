@@ -25,10 +25,11 @@
 //! telemetry — per-session accounting stays exact under concurrency).
 //! `--trace-out` writes one merged Chrome trace with a process group per
 //! session (`scripts/check_trace.py` validates it) through the bench
-//! crate's one export path (`cli::Exports`). A flag whose value is missing
-//! or malformed exits 2.
+//! crate's one export path (`cli::Exports`). An unknown flag, a stray
+//! argument, or a flag whose value is missing or malformed exits 2 before
+//! anything runs.
 
-use splatonic_bench::cli::{arg_usize, arg_value, Exports};
+use splatonic_bench::cli::{arg_usize, arg_value, positional_args_or_exit, Exports};
 use splatonic_bench::Settings;
 use splatonic_slam::prelude::*;
 use splatonic_slam::serve::{ServeConfig, ServeError, SessionManager, SessionOutcome};
@@ -37,8 +38,26 @@ use std::path::PathBuf;
 use std::process::exit;
 use std::time::Instant;
 
+/// The flags that take a value.
+const VALUED_FLAGS: &[&str] = &[
+    "--sessions",
+    "--frames",
+    "--queue-cap",
+    "--max-resident",
+    "--threads",
+    "--report",
+    "--trace-out",
+];
+
+/// The flags that stand alone.
+const SWITCHES: &[&str] = &["--quick", "--no-verify"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(arg) = positional_args_or_exit(&args, VALUED_FLAGS, SWITCHES).first() {
+        eprintln!("unexpected argument {arg}");
+        exit(2);
+    }
     let sessions = arg_usize(&args, "--sessions").unwrap_or(4);
     let queue_cap = arg_usize(&args, "--queue-cap").unwrap_or(4);
     // K−1 resident by default: the fleet always exercises eviction/resume.

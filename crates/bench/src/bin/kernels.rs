@@ -15,8 +15,9 @@
 //! `--trace-out` writes a Chrome trace-event JSON (Perfetto-loadable) of
 //! the whole run; `--events-out` streams the span/counter records as JSONL
 //! (one object per line, flushed per line). Both go through the bench
-//! crate's one export path (`cli::Exports`). A flag whose value is missing
-//! or malformed exits 2.
+//! crate's one export path (`cli::Exports`). An unknown flag, a stray
+//! argument, or a flag whose value is missing or malformed exits 2 before
+//! anything runs.
 //!
 //! `--threads` sets the render worker-pool width (0 = auto: the
 //! `SPLATONIC_THREADS` environment variable, then host parallelism).
@@ -32,8 +33,9 @@
 //!
 //! The run's `sort/*` gauges record the compared-element counts of a short
 //! tracking burst under the tile pipeline's GS-TG-style grouped sort
-//! schedule against the per-tile uncached baseline measured in the same
-//! run, so a single default run quantifies the sort-work reduction.
+//! schedule against the per-tile uncached baseline read from the same
+//! renders' traces, so a single default run quantifies the sort-work
+//! reduction.
 //!
 //! `--scalar` / `--simd` select the kernel mode (DESIGN.md §13). The two
 //! SIMD kernels, projection and per-pixel gradient accumulation, are
@@ -46,7 +48,7 @@
 
 use splatonic::telemetry::{AccuracySummary, Telemetry};
 use splatonic_accel::{AggregationConfig, DramModel, FrameWorkload, SplatonicAccel};
-use splatonic_bench::cli::{arg_usize, arg_value, Exports};
+use splatonic_bench::cli::{arg_usize, arg_value, positional_args_or_exit, Exports};
 use splatonic_render::prelude::*;
 use splatonic_render::sampling::{tracking_plan, MappingStrategy};
 use splatonic_render::{loss, LossConfig, MappingSampler};
@@ -96,8 +98,24 @@ fn bench_dataset(name: &str, frames: usize) -> Dataset {
     )
 }
 
+/// The flags that take a value.
+const VALUED_FLAGS: &[&str] = &[
+    "--iters",
+    "--threads",
+    "--report",
+    "--trace-out",
+    "--events-out",
+];
+
+/// The flags that stand alone.
+const SWITCHES: &[&str] = &["--scalar", "--simd"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(arg) = positional_args_or_exit(&args, VALUED_FLAGS, SWITCHES).first() {
+        eprintln!("unexpected argument {arg}");
+        std::process::exit(2);
+    }
     let iters = arg_usize(&args, "--iters").unwrap_or(20);
     let report_path = arg_value(&args, "--report");
     let threads = arg_usize(&args, "--threads").unwrap_or(0);
@@ -120,7 +138,6 @@ fn main() {
     let cfg = RenderConfig {
         threads,
         kernels: mode,
-        ..RenderConfig::default()
     };
     let lanes = if mode.simd_active() {
         splatonic_render::simd::lanes()
@@ -155,11 +172,11 @@ fn main() {
     // A/B sorted-tile-list accounting on the tile schedule: a short
     // tracking burst (4 nearby poses × 2 Adam iterations, forward +
     // backward) under the grouped schedule, against the per-tile
-    // uncached baseline. Without reuse every pass sorts its lists, so each
-    // is charged twice (fwd + bwd); the sorted-list cache replays the
-    // forward's lists for the backward and for repeat iterations at the
-    // same pose, so `sort/realized_elems` counts only the elements sorted
-    // cold — once per pose. Output is bit-identical either way.
+    // uncached baseline read from the same renders' traces. Without reuse
+    // every pass sorts its lists, so each is charged twice (fwd + bwd);
+    // the sorted-list cache replays the forward's lists for the backward
+    // and for repeat iterations at the same pose, so `sort/realized_elems`
+    // counts only the elements sorted cold — once per pose.
     {
         const POSES: usize = 4;
         const ITERS_PER_POSE: usize = 2;
@@ -181,21 +198,11 @@ fn main() {
 
         // Baseline schedule: per-tile sorts, no reuse — each of the
         // 2 × POSES × ITERS_PER_POSE passes sorts every tile list cold.
-        let naive_cfg = RenderConfig {
-            tile_grouping: false,
-            ..cfg
-        };
-        let mut naive_elems = 0u64;
-        for p in 0..POSES {
-            let camp = pose_cam(p);
-            let out = render_forward(&scene, &camp, &sparse, Pipeline::TileBased, &naive_cfg);
-            naive_elems += out.trace.forward.sort_elems * 2 * ITERS_PER_POSE as u64;
-        }
-
-        // Grouped schedule, realized: run the full burst and read the
-        // side-band cache stats.
+        // Grouped schedule, realized: the side-band cache stats of the
+        // burst.
         splatonic_render::tilesort::clear();
         let sort_before = splatonic_render::tilesort::stats();
+        let mut naive_elems = 0u64;
         let mut sched_elems = 0u64;
         let mut group_reuse = 0u64;
         let _outer = t.span("sort_ab");
@@ -204,6 +211,7 @@ fn main() {
             for _ in 0..ITERS_PER_POSE {
                 let _span = t.span("tile_sparse16_iter");
                 let out = render_forward(&scene, &camp, &sparse, Pipeline::TileBased, &cfg);
+                naive_elems += out.trace.forward.per_tile_sort().1 * 2;
                 sched_elems += out.trace.forward.sort_elems * 2;
                 group_reuse += out.trace.forward.sort_group_reuse;
                 std::hint::black_box(render_backward(

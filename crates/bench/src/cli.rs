@@ -51,6 +51,19 @@ pub fn positional_args<'a>(
     Ok(positional)
 }
 
+/// [`positional_args`] that prints the error and exits 2 (a usage error),
+/// so an unknown flag stops a binary before any work starts.
+pub fn positional_args_or_exit<'a>(
+    args: &'a [String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Vec<&'a str> {
+    positional_args(args, valued, switches).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
 /// [`parse_flag`] that prints the error and exits 2 (a usage error).
 fn flag_or_exit<T: FromStr>(args: &[String], flag: &str) -> Option<T> {
     parse_flag(args, flag).unwrap_or_else(|e| {

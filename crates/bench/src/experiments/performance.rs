@@ -21,7 +21,7 @@ fn stage_latencies(m: &splatonic::harness::IterationMeasurement) -> (f64, f64) {
 fn iteration_cost(m: &splatonic::harness::IterationMeasurement) -> (f64, f64) {
     let cfg = GpuConfig::orin_like();
     let r = cfg.price(&m.trace, m.pipeline);
-    let e = GpuEnergyModel::orin_like().price(&m.trace, &r);
+    let e = GpuEnergyModel::orin_like().price(&m.trace, m.pipeline, &r);
     (r.total_seconds(), e.total_j())
 }
 

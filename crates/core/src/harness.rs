@@ -97,25 +97,8 @@ pub struct IterationMeasurement {
     pub pixels: usize,
 }
 
-/// The reference render configuration used by the measurement harness.
-///
-/// Tile grouping is pinned **off** so measured traces/workloads reflect the
-/// conventional per-tile sort schedule regardless of the runtime default —
-/// the `sort_*` trace counters (and the hardware gauges priced from them)
-/// stay comparable across releases, and ablation experiments switch
-/// schedules explicitly via [`measure_dense_iteration_with_config`]. The
-/// sorted-list cache needs no pin: a hit replays exactly the counters a
-/// cold build records, so it never reaches the trace.
-pub fn reference_render_config() -> RenderConfig {
-    RenderConfig {
-        tile_grouping: false,
-        ..RenderConfig::default()
-    }
-}
-
 /// Renders one tracking iteration under the given schedule and sampling,
-/// with a real loss/backward pass, and returns its measurement. Uses
-/// [`reference_render_config`].
+/// with a real loss/backward pass, and returns its measurement.
 pub fn measure_tracking_iteration(
     scenario: &TrackingScenario,
     pipeline: Pipeline,
@@ -130,25 +113,28 @@ pub fn measure_tracking_iteration(
         &frame,
         &pixels,
         pipeline,
-        &reference_render_config(),
     )
 }
 
 /// Renders one mapping iteration (the paper's `w_m`-tile combined sampler,
 /// plus the unseen set from a dense Γ pass) and returns its measurement.
-/// Uses [`reference_render_config`].
 pub fn measure_mapping_iteration(
     scenario: &TrackingScenario,
     pipeline: Pipeline,
     mapping_tile: usize,
     seed: u64,
 ) -> IterationMeasurement {
-    let config = reference_render_config();
     let cam = Camera::new(scenario.intrinsics, scenario.pose);
     // Dense Γ pass feeds the unseen classification (priced separately by
     // callers if desired; here it only shapes the pixel set).
     let dense = PixelSet::dense(scenario.intrinsics.width, scenario.intrinsics.height);
-    let dense_out = render_forward(&scenario.scene, &cam, &dense, pipeline, &config);
+    let dense_out = render_forward(
+        &scenario.scene,
+        &cam,
+        &dense,
+        pipeline,
+        &RenderConfig::default(),
+    );
     let mut transmittance =
         splatonic_math::Image::filled(scenario.intrinsics.width, scenario.intrinsics.height, 1.0);
     for (i, p) in dense.iter_all().enumerate() {
@@ -156,53 +142,31 @@ pub fn measure_mapping_iteration(
     }
     let sampler = MappingSampler::new(mapping_tile, MappingStrategy::Combined);
     let pixels = sampler.build(&scenario.frame, &transmittance, seed);
-    measure_iteration(
-        &scenario.scene,
-        &cam,
-        &scenario.frame,
-        &pixels,
-        pipeline,
-        &config,
-    )
+    measure_iteration(&scenario.scene, &cam, &scenario.frame, &pixels, pipeline)
 }
 
 /// Renders a dense iteration (the dense-mapping / dense-baseline case).
-///
-/// Uses [`reference_render_config`]; pass an explicit configuration via
-/// [`measure_dense_iteration_with_config`] for schedule ablations.
 pub fn measure_dense_iteration(
     scenario: &TrackingScenario,
     pipeline: Pipeline,
 ) -> IterationMeasurement {
-    measure_dense_iteration_with_config(scenario, pipeline, &reference_render_config())
-}
-
-/// [`measure_dense_iteration`] with an explicit render configuration.
-pub fn measure_dense_iteration_with_config(
-    scenario: &TrackingScenario,
-    pipeline: Pipeline,
-    config: &RenderConfig,
-) -> IterationMeasurement {
     let cam = Camera::new(scenario.intrinsics, scenario.pose);
     let pixels = PixelSet::dense(scenario.intrinsics.width, scenario.intrinsics.height);
-    measure_iteration(
-        &scenario.scene,
-        &cam,
-        &scenario.frame,
-        &pixels,
-        pipeline,
-        config,
-    )
+    measure_iteration(&scenario.scene, &cam, &scenario.frame, &pixels, pipeline)
 }
 
+/// One forward, loss and backward pass under [`RenderConfig::default`].
+/// A tile trace counts the grouped sort schedule; the per-tile one is
+/// [`splatonic_render::trace::ForwardStats::per_tile_sort`] of the same
+/// trace.
 fn measure_iteration(
     scene: &GaussianScene,
     cam: &Camera,
     frame: &Frame,
     pixels: &PixelSet,
     pipeline: Pipeline,
-    cfg: &RenderConfig,
 ) -> IterationMeasurement {
+    let cfg = &RenderConfig::default();
     let out = render_forward(scene, cam, pixels, pipeline, cfg);
     let l = loss::evaluate_loss(
         &out,
@@ -278,7 +242,7 @@ mod tests {
             let plan = tracking_plan(sampling, &s.frame, 3, None);
             let (intrinsics, pixels, _) = resolve_plan(plan, s.intrinsics, &s.frame);
             let cam = Camera::new(intrinsics, s.pose);
-            let cfg = reference_render_config();
+            let cfg = RenderConfig::default();
             let out = render_forward(&s.scene, &cam, &pixels, pipeline, &cfg);
             let w = FrameWorkload::from_render(&out, &RenderTrace::new(), pipeline);
             let lens: Vec<usize> = out.contributions.iter().map(<[_]>::len).collect();
@@ -355,28 +319,19 @@ mod tests {
 
     #[test]
     fn grouping_ablation_changes_only_sort_counters() {
-        let s = scenario();
-        // Default harness calls pin the reference per-tile schedule…
-        let reference = measure_dense_iteration(&s, Pipeline::TileBased);
-        assert_eq!(reference.trace.forward.sort_group_reuse, 0);
-        // …while the runtime default (grouping on) is reached
-        // through the explicit-config variant for ablation rows.
-        let grouped =
-            measure_dense_iteration_with_config(&s, Pipeline::TileBased, &RenderConfig::default());
-        assert!(grouped.trace.forward.sort_group_reuse > 0);
-        assert!(grouped.trace.forward.sort_elems < reference.trace.forward.sort_elems);
-        assert!(grouped.trace.forward.sort_lists < reference.trace.forward.sort_lists);
-        // The schedule change is sort-only: the tile lists (and hence every
-        // downstream counter the baselines price) are bit-identical.
-        assert_eq!(grouped.workload.tile_pairs, reference.workload.tile_pairs);
+        // One dense tile render counts the grouped schedule, and the
+        // per-tile schedule is read from the same trace. Both are pinned to
+        // what this scenario gave when each schedule was rendered on its
+        // own (per-tile: 12 lists, 5342 elements; grouped: 4 shared sorts
+        // over 3926 elements, 8 tiles masked).
+        let m = measure_dense_iteration(&scenario(), Pipeline::TileBased);
+        let f = &m.trace.forward;
         assert_eq!(
-            grouped.workload.total_pairs(),
-            reference.workload.total_pairs()
+            (f.sort_lists, f.sort_elems, f.sort_group_reuse),
+            (4, 3926, 8)
         );
-        assert_eq!(
-            grouped.workload.tile_warp_steps,
-            reference.workload.tile_warp_steps
-        );
+        assert_eq!(f.per_tile_sort(), (12, 5342));
+        assert_eq!(m.workload.tile_pairs, 5342);
     }
 
     #[test]

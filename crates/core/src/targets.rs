@@ -83,7 +83,7 @@ impl HardwareTarget {
             HardwareTarget::GpuTile | HardwareTarget::GpuPixel => {
                 let cfg = GpuConfig::orin_like();
                 let report = cfg.price(&m.trace, m.pipeline);
-                let energy = GpuEnergyModel::orin_like().price(&m.trace, &report);
+                let energy = GpuEnergyModel::orin_like().price(&m.trace, m.pipeline, &report);
                 IterationCost {
                     seconds: report.total_seconds(),
                     joules: energy.total_j(),

@@ -6,8 +6,8 @@
 //! calculators (Sec. VI). Constants are calibration values for a mobile
 //! Ampere-class SoC.
 
-use crate::timing::GpuReport;
-use splatonic_render::RenderTrace;
+use crate::timing::{sorted_lists, GpuReport};
+use splatonic_render::{Pipeline, RenderTrace};
 
 /// Per-operation and static energy constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,15 +42,22 @@ impl GpuEnergyModel {
         }
     }
 
-    /// Prices the energy of a traced pass given its timing report.
-    pub fn price(&self, trace: &RenderTrace, report: &GpuReport) -> EnergyBreakdown {
+    /// Prices the energy of a traced pass on `pipeline` given its timing
+    /// report.
+    pub fn price(
+        &self,
+        trace: &RenderTrace,
+        pipeline: Pipeline,
+        report: &GpuReport,
+    ) -> EnergyBreakdown {
         let f = &trace.forward;
         let b = &trace.backward;
+        let (_, sort_elems) = sorted_lists(f, pipeline);
         let pj = |v: f64| v * 1e-12;
         let compute = pj((f.warp_steps + b.warp_steps) as f64 * self.pj_per_warp_step
             + (f.exp_evals + b.exp_evals + b.alpha_checks) as f64 * self.pj_per_exp
             + f.gaussians_input as f64 * self.pj_per_projection
-            + f.sort_elems as f64 * self.pj_per_sort_elem
+            + sort_elems as f64 * self.pj_per_sort_elem
             + (f.proj_alpha_checks + f.proj_pairs_kept + f.tile_pairs) as f64
                 * self.pj_per_sort_elem);
         let atomic = pj(b.atomic_adds as f64 * self.pj_per_atomic);
@@ -119,7 +126,6 @@ impl EnergyBreakdown {
 mod tests {
     use super::*;
     use crate::timing::GpuConfig;
-    use splatonic_render::Pipeline;
 
     #[test]
     fn more_work_costs_more_energy() {
@@ -132,8 +138,9 @@ mod tests {
         big.forward.warp_steps = 1_000_000;
         big.forward.exp_evals = 10_000_000;
         big.backward.atomic_adds = 1_000_000;
-        let es = em.price(&small, &cfg.price(&small, Pipeline::TileBased));
-        let eb = em.price(&big, &cfg.price(&big, Pipeline::TileBased));
+        let tile = Pipeline::TileBased;
+        let es = em.price(&small, tile, &cfg.price(&small, tile));
+        let eb = em.price(&big, tile, &cfg.price(&big, tile));
         assert!(eb.total_j() > es.total_j() * 10.0);
     }
 
@@ -143,7 +150,7 @@ mod tests {
         let trace = RenderTrace::new();
         let mut report = GpuReport::default();
         report.forward.rasterization = 1.0;
-        let e = em.price(&trace, &report);
+        let e = em.price(&trace, Pipeline::TileBased, &report);
         assert!((e.static_j - em.static_watts).abs() < 1e-9);
     }
 

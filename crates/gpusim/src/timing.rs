@@ -1,6 +1,17 @@
 //! Per-stage GPU timing model.
 
+use splatonic_render::trace::ForwardStats;
 use splatonic_render::{Pipeline, RenderTrace};
+
+/// `(lists, elements)` the GPU sorts for a trace: per tile on the tile
+/// pipeline (a GPU sorts each tile's list on its own), per pixel on the
+/// pixel pipeline.
+pub(crate) fn sorted_lists(f: &ForwardStats, pipeline: Pipeline) -> (u64, u64) {
+    match pipeline {
+        Pipeline::TileBased => f.per_tile_sort(),
+        Pipeline::PixelBased => (f.sort_lists, f.sort_elems),
+    }
+}
 
 /// GPU hardware parameters (defaults model a Jetson-Orin-class mobile
 /// Ampere GPU).
@@ -122,15 +133,15 @@ impl GpuConfig {
                 + self.issue_seconds(f.proj_pairs_kept as f64 * self.pair_setup_cycles / 32.0);
         }
 
-        // Sorting: n·log n compare/exchange work over the recorded lists.
-        let mean_len = if f.sort_lists > 0 {
-            (f.sort_elems as f64 / f.sort_lists as f64).max(2.0)
+        // Sorting: n·log n compare/exchange work over the sorted lists.
+        let (lists, elems) = sorted_lists(f, pipeline);
+        let mean_len = if lists > 0 {
+            (elems as f64 / lists as f64).max(2.0)
         } else {
             2.0
         };
-        let sorting = self.issue_seconds(
-            f.sort_elems as f64 * mean_len.log2() * self.sort_cycles_per_elem / 32.0,
-        );
+        let sorting =
+            self.issue_seconds(elems as f64 * mean_len.log2() * self.sort_cycles_per_elem / 32.0);
 
         // Rasterization: warp-steps are the issued work regardless of how
         // many lanes were useful (divergence); α-check exps bound via SFU.

@@ -63,9 +63,8 @@ pub const BACKGROUND: Vec3 = Vec3::ZERO;
 /// let cfg = RenderConfig {
 ///     threads: 1,
 ///     kernels: KernelMode::Scalar,
-///     ..RenderConfig::default()
 /// };
-/// assert!(cfg.tile_grouping);
+/// assert_ne!(cfg, RenderConfig::default());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RenderConfig {
@@ -74,16 +73,6 @@ pub struct RenderConfig {
     /// `available_parallelism()`). Results are bit-identical for every
     /// value (see `splatonic_math::pool`).
     pub threads: usize,
-    /// Which tile-sort schedule the trace counts (default `true`). With
-    /// grouping, the modelled hardware runs GS-TG-style tile grouping:
-    /// 16×16 tiles are partitioned into
-    /// [`crate::tilesort::GROUP_SIZE`]² groups, one shared depth sort runs
-    /// per group over the union candidate list, and each tile's list is
-    /// derived by masking the shared order; without it, every tile sorts its
-    /// own list. The host builds the same depth-sorted tile lists either way
-    /// (the comparator is a total order over unique ids), so only the
-    /// `sort_lists`/`sort_elems`/`sort_group_reuse` trace counters differ.
-    pub tile_grouping: bool,
     /// Kernel implementation selector (default [`crate::simd::KernelMode::Simd`]).
     ///
     /// `Simd` uses the runtime-detected vector paths in [`crate::simd`]
@@ -98,7 +87,6 @@ pub struct RenderConfig {
 impl Default for RenderConfig {
     fn default() -> Self {
         RenderConfig {
-            tile_grouping: true,
             threads: 0,
             kernels: crate::simd::KernelMode::Simd,
         }

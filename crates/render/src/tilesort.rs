@@ -4,19 +4,19 @@
 //! 1. **One build path.** A cold build argsorts the projected set once by
 //!    (depth, id) and walks that order, appending each element to every
 //!    tile its bbox covers, so every tile list comes out depth-sorted.
-//!    The same walk counts the sorting schedule the modelled hardware runs.
-//!    With [`RenderConfig::tile_grouping`] that is GS-TG-style tile
-//!    grouping: the 16×16 tiles are partitioned into
-//!    [`GROUP_SIZE`]×[`GROUP_SIZE`] groups, one shared depth sort runs per
-//!    group over the union candidate list, and each member tile's list is
-//!    *masked* from the shared order. Neighbouring tiles overlap heavily
-//!    in candidates (a splat's bbox usually spans several tiles), so the
-//!    union is much smaller than the sum of per-tile lists. Without
-//!    grouping, every tile sorts its own list. The host runs neither
-//!    schedule; it only counts the one selected.
+//!    The same walk counts GS-TG-style grouped sorting: the 16×16 tiles
+//!    are partitioned into [`GROUP_SIZE`]×[`GROUP_SIZE`] groups, one shared
+//!    depth sort runs per group over the union candidate list, and each
+//!    member tile's list is *masked* from the shared order. Neighbouring
+//!    tiles overlap heavily in candidates (a splat's bbox usually spans
+//!    several tiles), so the union is much smaller than the sum of
+//!    per-tile lists. The per-tile schedule (every tile sorts its own list)
+//!    is read from the same counters by
+//!    [`crate::trace::ForwardStats::per_tile_sort`]. The host runs neither
+//!    schedule; it only counts them.
 //! 2. **Exact-key reuse.** Sorted lists are cached behind the same key
 //!    discipline as [`crate::projcache`] (scene-revision counter + bitwise
-//!    pose/intrinsics, extended with the tile-grid and grouping context).
+//!    pose/intrinsics, extended with the tile-grid size).
 //!    An exact key match — the backward pass at the pose the forward just
 //!    used — replays the lists outright. Any other key builds cold; a
 //!    *pose-only* delta (the tracking iteration signature) first drops the
@@ -30,18 +30,17 @@
 //! sorted sequence for any candidate set is *unique* — independent of the
 //! algorithm that produced it. The one global sort therefore yields the
 //! per-tile lists that grouped-union-sort-then-mask and per-tile sorting
-//! would both produce, and the rendered output is bit-identical with
-//! grouping on or off and with the cache warm or cold (enforced against
-//! the per-tile oracle by the determinism suite).
+//! would both produce, and the rendered output is bit-identical to the
+//! per-tile oracle with the cache warm or cold (enforced by the
+//! determinism suite).
 //!
 //! # Accounting
 //!
 //! The `sort_lists` / `sort_elems` / `sort_group_reuse` trace counters
-//! describe the selected sorting schedule (per-group union lists when
-//! grouping is on, per-tile lists when off). They are fully determined by
-//! (scene, camera, grid, grouping knob) and never by cache state: an exact
-//! cache hit replays the stored counters, which equal what a cold build
-//! would have produced. Realized cache effectiveness (hits / misses / cold
+//! describe the grouped sorting schedule (per-group union lists). They
+//! are fully determined by (scene, camera, grid) and never by cache state:
+//! an exact cache hit replays the stored counters, which equal what a cold
+//! build would have produced. Realized cache effectiveness (hits / misses / cold
 //! element counts) is order-dependent — it depends on which render ran
 //! before this one — so it lives in the side-band [`SortStats`]
 //! (exported as `render/sort_*` counters), exactly like
@@ -76,7 +75,7 @@ pub(crate) struct PreparedTiles {
     pub(crate) tile_lists: Vec<Vec<u32>>,
     /// Total tile–Gaussian pairs (sum of tile-list lengths).
     pub(crate) tile_pairs: u64,
-    /// Sorting-schedule counter: lists sorted (groups or tiles).
+    /// Sorting-schedule counter: non-empty groups, one shared sort each.
     pub(crate) sort_lists: u64,
     /// Sorting-schedule counter: elements through sorting (union lengths).
     pub(crate) sort_elems: u64,
@@ -118,29 +117,20 @@ impl SortStats {
 }
 
 /// Everything the sorted lists depend on: the projection key (scene
-/// revision, pose bits, intrinsics, projection knobs) extended with the
-/// tile-grid and grouping context.
+/// revision, pose bits, intrinsics) extended with the tile-grid size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SortKey {
     proj: crate::projcache::Key,
     grid_w: usize,
     grid_h: usize,
-    tile_grouping: bool,
 }
 
 impl SortKey {
-    fn new(
-        scene: &GaussianScene,
-        camera: &Camera,
-        width: usize,
-        height: usize,
-        config: &RenderConfig,
-    ) -> SortKey {
+    fn new(scene: &GaussianScene, camera: &Camera, width: usize, height: usize) -> SortKey {
         SortKey {
             proj: crate::projcache::Key::new(scene, camera),
             grid_w: width,
             grid_h: height,
-            tile_grouping: config.tile_grouping,
         }
     }
 
@@ -150,7 +140,6 @@ impl SortKey {
     fn pose_only_delta(&self, other: &SortKey) -> bool {
         self.grid_w == other.grid_w
             && self.grid_h == other.grid_h
-            && self.tile_grouping == other.tile_grouping
             && self.proj.pose_only_delta(&other.proj)
     }
 }
@@ -200,21 +189,18 @@ fn depth_cmp(projected: &[ProjectedGaussian], a: u32, b: u32) -> std::cmp::Order
 /// Cold build: one global argsort by (depth, id) over the projected set,
 /// then a single walk in that order appends each element to every tile its
 /// bbox covers — every tile list comes out depth-sorted with no per-tile
-/// sort — and counts each group's union length for the schedule counters
-/// (a group is one tile without [`RenderConfig::tile_grouping`]).
+/// sort — and counts each group's union length for the schedule counters.
 fn build_cold(
     projected: Rc<Vec<ProjectedGaussian>>,
     culled: u64,
     width: usize,
     height: usize,
-    config: &RenderConfig,
 ) -> PreparedTiles {
     let _p = crate::phase::begin("render/tile_sort");
     let tiles_x = width.div_ceil(TILE);
     let tiles_y = height.div_ceil(TILE);
-    let gs = if config.tile_grouping { GROUP_SIZE } else { 1 };
-    let groups_x = tiles_x.div_ceil(gs);
-    let mut group_lens = vec![0u64; groups_x * tiles_y.div_ceil(gs)];
+    let groups_x = tiles_x.div_ceil(GROUP_SIZE);
+    let mut group_lens = vec![0u64; groups_x * tiles_y.div_ceil(GROUP_SIZE)];
     let mut order: Vec<u32> = (0..projected.len() as u32).collect();
     order.sort_by(|&a, &b| depth_cmp(&projected, a, b));
     let mut tile_lists: Vec<Vec<u32>> = vec![Vec::new(); tiles_x * tiles_y];
@@ -227,16 +213,15 @@ fn build_cold(
                 tile_lists[ty * tiles_x + tx].push(pi);
             }
         }
-        for gy in (ty0 / gs)..=(ty1 / gs) {
-            for gx in (tx0 / gs)..=(tx1 / gs) {
+        for gy in (ty0 / GROUP_SIZE)..=(ty1 / GROUP_SIZE) {
+            for gx in (tx0 / GROUP_SIZE)..=(tx1 / GROUP_SIZE) {
                 group_lens[gy * groups_x + gx] += 1;
             }
         }
     }
     let sort_lists = group_lens.iter().filter(|&&n| n > 0).count() as u64;
     // Per-tile sorts avoided: every non-empty tile is masked from its
-    // group's shared order instead of sorted (zero without grouping, where
-    // each group is one tile).
+    // group's shared order instead of sorted.
     let nonempty_tiles = tile_lists.iter().filter(|l| !l.is_empty()).count() as u64;
     PreparedTiles {
         projected,
@@ -262,7 +247,7 @@ pub(crate) fn prepare_tiles(
     height: usize,
     config: &RenderConfig,
 ) -> Rc<PreparedTiles> {
-    let key = SortKey::new(scene, camera, width, height, config);
+    let key = SortKey::new(scene, camera, width, height);
     CACHE.with(|cell| {
         let mut state = cell.borrow_mut();
         if let Some(pos) = state.entries.iter().position(|e| e.key == key) {
@@ -283,7 +268,7 @@ pub(crate) fn prepare_tiles(
             state.entries.remove(pos);
         }
         let (projected, culled) = crate::projcache::project_scene_cached(scene, camera, config);
-        let prepared = Rc::new(build_cold(projected, culled, width, height, config));
+        let prepared = Rc::new(build_cold(projected, culled, width, height));
         state.stats.misses += 1;
         state.stats.cold_elems += prepared.sort_elems;
         state.entries.insert(
@@ -351,28 +336,38 @@ mod tests {
         lists
     }
 
-    fn cfg(grouping: bool) -> RenderConfig {
-        RenderConfig {
-            tile_grouping: grouping,
-            ..RenderConfig::default()
-        }
-    }
-
     #[test]
     fn grouped_lists_match_per_tile_oracle() {
         clear();
         crate::projcache::clear();
         let (scene, cam) = setup();
-        for grouping in [false, true] {
-            let config = cfg(grouping);
-            let prepared = prepare_tiles(&scene, &cam, 64, 48, &config);
-            let oracle = oracle_tile_lists(&prepared.projected, 64, 48);
-            assert_eq!(prepared.tile_lists, oracle, "grouping={grouping}");
-            assert_eq!(
-                prepared.tile_pairs,
-                oracle.iter().map(|l| l.len() as u64).sum::<u64>()
-            );
+        let prepared = prepare_tiles(&scene, &cam, 64, 48, &RenderConfig::default());
+        let oracle = oracle_tile_lists(&prepared.projected, 64, 48);
+        assert_eq!(prepared.tile_lists, oracle);
+        assert_eq!(
+            prepared.tile_pairs,
+            oracle.iter().map(|l| l.len() as u64).sum::<u64>()
+        );
+        // The grouped counters from the oracle's lists: a group's shared
+        // sort runs over the union of its member tiles' lists.
+        let (tiles_x, tiles_y) = (prepared.tiles_x, prepared.tiles_y);
+        let (mut groups, mut union_elems) = (0u64, 0u64);
+        for gy in (0..tiles_y).step_by(GROUP_SIZE) {
+            for gx in (0..tiles_x).step_by(GROUP_SIZE) {
+                let mut union: Vec<u32> = (gy..(gy + GROUP_SIZE).min(tiles_y))
+                    .flat_map(|ty| (gx..(gx + GROUP_SIZE).min(tiles_x)).map(move |tx| (tx, ty)))
+                    .flat_map(|(tx, ty)| oracle[ty * tiles_x + tx].iter().copied())
+                    .collect();
+                union.sort_unstable();
+                union.dedup();
+                groups += u64::from(!union.is_empty());
+                union_elems += union.len() as u64;
+            }
         }
+        let nonempty_tiles = oracle.iter().filter(|l| !l.is_empty()).count() as u64;
+        assert_eq!(prepared.sort_lists, groups);
+        assert_eq!(prepared.sort_elems, union_elems);
+        assert_eq!(prepared.sort_group_reuse, nonempty_tiles - groups);
         clear();
         crate::projcache::clear();
     }
@@ -382,20 +377,14 @@ mod tests {
         clear();
         crate::projcache::clear();
         let (scene, cam) = setup();
-        let ungrouped = prepare_tiles(&scene, &cam, 64, 48, &cfg(false));
-        let grouped = prepare_tiles(&scene, &cam, 64, 48, &cfg(true));
-        assert_eq!(ungrouped.sort_elems, ungrouped.tile_pairs);
+        let grouped = prepare_tiles(&scene, &cam, 64, 48, &RenderConfig::default());
         assert!(
-            grouped.sort_elems < ungrouped.sort_elems,
+            grouped.sort_elems < grouped.tile_pairs,
             "union sort ({}) must beat per-tile sort ({})",
             grouped.sort_elems,
-            ungrouped.sort_elems
+            grouped.tile_pairs
         );
-        assert!(grouped.sort_lists < ungrouped.sort_lists);
         assert!(grouped.sort_group_reuse > 0);
-        assert_eq!(ungrouped.sort_group_reuse, 0);
-        // Masking reconstructs every pair: tile_pairs is grouping-invariant.
-        assert_eq!(grouped.tile_pairs, ungrouped.tile_pairs);
         clear();
         crate::projcache::clear();
     }
@@ -405,7 +394,7 @@ mod tests {
         clear();
         crate::projcache::clear();
         let (scene, cam) = setup();
-        let config = cfg(true);
+        let config = RenderConfig::default();
         let a = prepare_tiles(&scene, &cam, 64, 48, &config);
         let b = prepare_tiles(&scene, &cam, 64, 48, &config);
         let s = stats();
@@ -423,7 +412,7 @@ mod tests {
         clear();
         crate::projcache::clear();
         let (scene, cam) = setup();
-        let config = cfg(true);
+        let config = RenderConfig::default();
         let first = prepare_tiles(&scene, &cam, 64, 48, &config);
         let moved_cam = Camera::new(
             cam.intrinsics,
@@ -454,25 +443,12 @@ mod tests {
         clear();
         crate::projcache::clear();
         let (mut scene, cam) = setup();
-        let config = cfg(true);
+        let config = RenderConfig::default();
         let _ = prepare_tiles(&scene, &cam, 64, 48, &config);
         scene.update(0, |g| g.opacity_logit += 0.25);
         let _ = prepare_tiles(&scene, &cam, 64, 48, &config);
         let s = stats();
         assert_eq!((s.hits, s.misses), (0, 2), "scene edit is a cold miss");
-        clear();
-        crate::projcache::clear();
-    }
-
-    #[test]
-    fn grouping_knobs_key_separate_entries() {
-        clear();
-        crate::projcache::clear();
-        let (scene, cam) = setup();
-        let _ = prepare_tiles(&scene, &cam, 64, 48, &cfg(true));
-        let _ = prepare_tiles(&scene, &cam, 64, 48, &cfg(false));
-        let s = stats();
-        assert_eq!(s.misses, 2, "grouping flag is part of the key");
         clear();
         crate::projcache::clear();
     }

@@ -30,17 +30,18 @@ pub struct ForwardStats {
     pub bin_candidates: u64,
     /// Pixel-based: candidate pairs that passed preemptive α-checking.
     pub proj_pairs_kept: u64,
-    /// Total elements passed through sorting (sum of list lengths). For the
-    /// tile pipeline this reflects the schedule that actually ran: per-tile
-    /// list lengths when tile grouping is off, shared group-union list
-    /// lengths when it is on (see `RenderConfig::tile_grouping`).
+    /// Total elements passed through sorting (sum of list lengths): the
+    /// shared group-union lists of GS-TG-style tile grouping for the tile
+    /// pipeline (see [`crate::tilesort`]), per-pixel lists for the pixel
+    /// pipeline. [`ForwardStats::per_tile_sort`] reads the per-tile
+    /// schedule of a tile trace.
     pub sort_elems: u64,
-    /// Number of sorted lists (tiles, tile groups, or pixels).
+    /// Number of sorted lists (non-empty tile groups, or pixels).
     pub sort_lists: u64,
-    /// Tile-based with grouping: tiles whose depth-sorted list was derived
-    /// by masking a shared group sort instead of being sorted independently
-    /// (the per-tile sorts avoided by GS-TG-style grouping). Zero when
-    /// grouping is disabled and for the pixel pipeline.
+    /// Tile-based: non-empty tiles whose depth-sorted list was derived by
+    /// masking a shared group sort instead of being sorted independently
+    /// (the per-tile sorts avoided by grouping). Zero for the pixel
+    /// pipeline.
     pub sort_group_reuse: u64,
     /// α-checks performed inside rasterization (tile-based only; the
     /// pixel-based pipeline has none by construction).
@@ -65,6 +66,17 @@ pub struct ForwardStats {
 }
 
 impl ForwardStats {
+    /// `(lists, elements)` of the per-tile sorting schedule — every
+    /// non-empty tile sorts its own list — read from a tile-pipeline
+    /// trace's grouped counters: each non-empty tile is either one of its
+    /// group's shared sorts or masked from one, and the per-tile lists hold
+    /// exactly the tile–Gaussian pairs. Meaningless for pixel-pipeline
+    /// traces. Version-1 snapshots carry no `sort_group_reuse`, so a trace
+    /// restored from one reads a low list count.
+    pub fn per_tile_sort(&self) -> (u64, u64) {
+        (self.sort_lists + self.sort_group_reuse, self.tile_pairs)
+    }
+
     /// Thread utilization during rasterization in `[0, 1]`
     /// (paper Fig. 7 reports ≈ 28% for tile-based rendering).
     pub fn warp_utilization(&self) -> f64 {

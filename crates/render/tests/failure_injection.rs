@@ -277,18 +277,11 @@ fn non_finite_rows() -> Vec<(String, Gaussian, bool)> {
 }
 
 #[test]
-fn non_finite_parameters_in_every_sort_schedule_and_kernel_mode() {
+fn non_finite_parameters_in_every_pipeline_and_kernel_mode() {
     let sparse = PixelSet::from_tile_chooser(W, H, 8, |_, _, x0, y0, tw, th| {
         Some(PixelCoord::new((x0 + tw / 2) as u16, (y0 + th / 2) as u16))
     });
     let cam = camera();
-    // The tile pipeline with grouped and per-tile sorting, and the pixel
-    // pipeline.
-    let schedules = [
-        (Pipeline::TileBased, true),
-        (Pipeline::TileBased, false),
-        (Pipeline::PixelBased, true),
-    ];
     for (what, bad, culled) in non_finite_rows() {
         // Four healthy neighbours, so the bad row lands in a SIMD lane batch
         // at index 1 and in the scalar remainder at index 4.
@@ -309,15 +302,12 @@ fn non_finite_parameters_in_every_sort_schedule_and_kernel_mode() {
             }
             for pixels in [&sparse, &PixelSet::dense(W, H)] {
                 for kernels in [KernelMode::Scalar, KernelMode::Simd] {
-                    for (pipeline, tile_grouping) in schedules {
-                        let cfg = RenderConfig {
-                            kernels,
-                            tile_grouping,
-                            ..RenderConfig::default()
-                        };
-                        let at = format!(
-                            "{what} at {pos}, {pipeline:?} (grouping {tile_grouping}), {kernels:?}"
-                        );
+                    let cfg = RenderConfig {
+                        kernels,
+                        ..RenderConfig::default()
+                    };
+                    for pipeline in [Pipeline::TileBased, Pipeline::PixelBased] {
+                        let at = format!("{what} at {pos}, {pipeline:?}, {kernels:?}");
                         let out = render_forward(&scene, &cam, pixels, pipeline, &cfg);
                         assert_finite(&out);
                         assert!(out.total_contributions() > 0, "{at}");

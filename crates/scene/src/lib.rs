@@ -11,8 +11,7 @@
 //! * [`trajectory`] — smooth (Replica-like) and fast-motion (TUM-like)
 //!   camera trajectories,
 //! * [`ply`] — standard 3DGS `.ply` import/export (reconstructions become
-//!   inspectable artifacts, external captures become workloads),
-//! * [`lod`] — opacity/scale-aware level-of-detail decimation.
+//!   inspectable artifacts, external captures become workloads).
 //!
 //! # Examples
 //!
@@ -33,7 +32,6 @@
 pub mod camera;
 pub mod frame;
 pub mod gaussian;
-pub mod lod;
 pub mod ply;
 pub mod trajectory;
 pub mod world;
@@ -41,7 +39,6 @@ pub mod world;
 pub use camera::{Camera, Intrinsics};
 pub use frame::{ColorImage, DepthImage, Frame};
 pub use gaussian::{Gaussian, GaussianScene, ProjectionTerms};
-pub use lod::{decimate, decimate_fraction, LodStats};
 pub use ply::{decode_ply, encode_ply, read_ply_file, write_ply_file, PlyError};
 pub use trajectory::{Trajectory, TrajectoryKind};
 pub use world::{SyntheticWorld, WorldBuilder, WorldStyle};

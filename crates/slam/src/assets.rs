@@ -9,7 +9,6 @@
 
 use splatonic_scene::{ply, GaussianScene, PlyError};
 use splatonic_telemetry::Telemetry;
-use std::path::Path;
 
 /// Encodes `scene` to 3DGS `.ply` bytes, counting the exported Gaussians
 /// as `assets/ply_gaussians_written`.
@@ -22,26 +21,6 @@ pub fn encode_scene_ply(scene: &GaussianScene, telemetry: &Telemetry) -> Vec<u8>
 /// as `assets/ply_gaussians_read`. Nothing is counted on a decode error.
 pub fn decode_scene_ply(bytes: &[u8], telemetry: &Telemetry) -> Result<GaussianScene, PlyError> {
     let scene = ply::decode_ply(bytes)?;
-    telemetry.counter_add("assets/ply_gaussians_read", scene.len() as u64);
-    Ok(scene)
-}
-
-/// [`encode_scene_ply`] straight to a file (atomic temp-file + rename).
-pub fn write_scene_ply(
-    scene: &GaussianScene,
-    path: impl AsRef<Path>,
-    telemetry: &Telemetry,
-) -> Result<(), PlyError> {
-    telemetry.counter_add("assets/ply_gaussians_written", scene.len() as u64);
-    ply::write_ply_file(scene, path)
-}
-
-/// [`decode_scene_ply`] from a file.
-pub fn read_scene_ply(
-    path: impl AsRef<Path>,
-    telemetry: &Telemetry,
-) -> Result<GaussianScene, PlyError> {
-    let scene = ply::read_ply_file(path)?;
     telemetry.counter_add("assets/ply_gaussians_read", scene.len() as u64);
     Ok(scene)
 }
@@ -92,21 +71,5 @@ mod tests {
         assert!(decode_scene_ply(b"not a ply", &telemetry).is_err());
         let report = telemetry.finish("assets-err", Default::default());
         assert_eq!(counter(&report, "assets/ply_gaussians_read"), None);
-    }
-
-    #[test]
-    fn file_wrappers_count_and_roundtrip() {
-        let telemetry = Telemetry::enabled();
-        let dir = std::env::temp_dir().join(format!("splatonic-assets-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("scene.ply");
-        let s = scene(4);
-        write_scene_ply(&s, &path, &telemetry).unwrap();
-        let back = read_scene_ply(&path, &telemetry).unwrap();
-        assert_eq!(back.len(), 4);
-        let report = telemetry.finish("assets-file", Default::default());
-        assert_eq!(counter(&report, "assets/ply_gaussians_written"), Some(4));
-        assert_eq!(counter(&report, "assets/ply_gaussians_read"), Some(4));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -119,10 +119,10 @@ impl SlamConfig {
     /// Every config struct is destructured with no `..`, so a new field
     /// fails to compile until it is either hashed or bound to `_` as a
     /// bitwise-transparent execution knob. The excluded knobs are all of
-    /// `render` — `threads`, `tile_grouping` and `kernels` are execution
-    /// policy (scalar and SIMD kernels are bit-identical, DESIGN.md §13) —
-    /// and `checkpoint_every` itself, so a snapshot taken at one thread
-    /// width or kernel mode resumes at any other. The renderer's constants
+    /// `render` — `threads` and `kernels` are execution policy (scalar and
+    /// SIMD kernels are bit-identical, DESIGN.md §13) — and
+    /// `checkpoint_every` itself, so a snapshot taken at one thread width
+    /// or kernel mode resumes at any other. The renderer's constants
     /// (α*, α clamp, T_min, blur, bbox extent, near plane, background) are
     /// still hashed in their historical slots, so stored snapshots keep
     /// their fingerprints.
@@ -163,8 +163,6 @@ impl SlamConfig {
         let RenderConfig {
             // Pool width: the renderer is bit-identical at every width.
             threads: _,
-            // Tile grouping selects only which sort schedule is counted.
-            tile_grouping: _,
             // Scalar and SIMD kernels are bit-identical.
             kernels: _,
         } = render;
@@ -1182,7 +1180,6 @@ mod tests {
         // ...but ignore bitwise-transparent execution knobs.
         let mut b2 = b;
         b2.render.threads = 13;
-        b2.render.tile_grouping = false;
         b2.render.kernels = splatonic_render::KernelMode::Scalar;
         b2.checkpoint_every = 5;
         assert_eq!(b.fingerprint(), b2.fingerprint());

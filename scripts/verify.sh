@@ -12,6 +12,16 @@ cargo fmt --all --check
 echo "== cargo build --workspace --release =="
 cargo build --workspace --release
 
+echo "== bench binaries refuse an unknown flag (exit 2, before any work) =="
+for cmd in "kernels --bogus" "fleet --qiuck" "fault_inject run --bogus"; do
+  status=0
+  ./target/release/$cmd 2>/dev/null || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "$cmd: expected exit 2, got $status" >&2
+    exit 1
+  fi
+done
+
 echo "== cargo test --workspace --release -q (default parallelism) =="
 cargo test --workspace --release -q
 

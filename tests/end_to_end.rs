@@ -2,7 +2,7 @@
 //! SLAM → evaluation → hardware pricing.
 
 use splatonic::prelude::*;
-use splatonic_scene::{lod, ply, GaussianScene};
+use splatonic_scene::{ply, GaussianScene};
 
 fn dataset() -> Dataset {
     Dataset::replica_like(
@@ -33,10 +33,10 @@ fn sparse_slam_tracks_and_reconstructs() {
     assert_eq!(r.est_poses.len(), d.len());
 
     // The asset pipeline on the real map: an exported `.ply` re-encodes
-    // bit-identically, the re-imported map still renders the sequence, and
-    // a 50% LOD decimation keeps a usable floor (DESIGN.md §17).
+    // bit-identically and the re-imported map still renders the sequence
+    // (DESIGN.md §17).
     let bytes = ply::encode_ply(sys.scene());
-    let mut scene = ply::decode_ply(&bytes).expect("exported map decodes");
+    let scene = ply::decode_ply(&bytes).expect("exported map decodes");
     assert!(ply::encode_ply(&scene) == bytes, ".ply re-encode differs");
     let render_cfg = sys.config().render;
     let psnr = |scene: &GaussianScene| {
@@ -44,13 +44,6 @@ fn sparse_slam_tracks_and_reconstructs() {
     };
     let imported = psnr(&scene);
     assert!(imported >= 30.0, "re-imported map PSNR {imported} dB");
-    lod::decimate_fraction(&mut scene, 0.5);
-    let decimated = psnr(&scene);
-    assert!(decimated >= 8.0, "50% LOD PSNR {decimated} dB");
-    assert!(
-        imported - decimated <= 28.0,
-        "50% LOD drops {imported} -> {decimated} dB"
-    );
 }
 
 #[test]

@@ -67,7 +67,6 @@ fn config(mode: KernelMode, threads: usize) -> RenderConfig {
     RenderConfig {
         kernels: mode,
         threads,
-        ..RenderConfig::default()
     }
 }
 
