@@ -10,7 +10,7 @@
 //! from measured data.
 
 use crate::dram::DramModel;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Aggregation-unit parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,6 +111,51 @@ impl GaussianCache {
     }
 }
 
+/// Merged partials waiting for their accumulated gradient, in arrival
+/// order: a Gaussian keeps the position of its first pending partial, and
+/// later same-id partials merge into it. Fill issue and retirement walk this
+/// order, so a simulation is the same in every process (a hash map's
+/// iteration order is seeded per process).
+#[derive(Default)]
+struct Scoreboard {
+    order: Vec<u32>,
+    pending: HashSet<u32>,
+}
+
+impl Scoreboard {
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    /// Merges one partial of `id` (a new entry if none is pending).
+    fn merge(&mut self, id: u32) {
+        if self.pending.insert(id) {
+            self.order.push(id);
+        }
+    }
+
+    /// Retires up to `max` entries whose line is cached, oldest first;
+    /// returns how many retired.
+    fn retire(&mut self, cache: &GaussianCache, max: usize) -> usize {
+        let mut retired = 0;
+        let pending = &mut self.pending;
+        self.order.retain(|id| {
+            if retired < max && cache.contains(*id) {
+                pending.remove(id);
+                retired += 1;
+                false
+            } else {
+                true
+            }
+        });
+        retired
+    }
+}
+
 /// Simulates draining one gradient stream through the aggregation unit.
 ///
 /// `stream` holds the per-pixel Gaussian-id lists (reverse-integration
@@ -138,8 +183,7 @@ pub fn simulate(
         .max(1e-9);
 
     let mut cache = GaussianCache::new(config.cache_entries);
-    // Scoreboard: id → pending merged-partial count.
-    let mut scoreboard: HashMap<u32, u32> = HashMap::new();
+    let mut scoreboard = Scoreboard::default();
     // Outstanding fills: (ready_cycle, id), kept sorted by arrival.
     let mut inflight: Vec<(u64, u32)> = Vec::new();
     let mut next_fill_free = 0.0f64;
@@ -174,7 +218,7 @@ pub fn simulate(
         {
             let id = flat[cursor];
             // Merge unit: same-id partials combine in the scoreboard.
-            *scoreboard.entry(id).or_insert(0) += 1;
+            scoreboard.merge(id);
             cursor += 1;
             issued += 1;
             progressed = true;
@@ -183,7 +227,7 @@ pub fn simulate(
         // Kick off fills for scoreboard entries whose line is neither
         // cached nor in flight (re-attempted every cycle so entries that
         // arrived while the fill queue was full still make progress).
-        for id in scoreboard.keys().copied() {
+        for &id in &scoreboard.order {
             if inflight.len() >= dram.max_outstanding {
                 break;
             }
@@ -197,19 +241,9 @@ pub fn simulate(
         }
 
         // Retire ready scoreboard entries (their line is in the cache).
-        let mut retired = 0;
-        let ready_ids: Vec<u32> = scoreboard
-            .keys()
-            .filter(|id| cache.contains(**id))
-            .take(config.retire_per_cycle)
-            .copied()
-            .collect();
-        for id in ready_ids {
-            scoreboard.remove(&id);
-            retired += 1;
+        if scoreboard.retire(&cache, config.retire_per_cycle) > 0 {
             progressed = true;
         }
-        let _ = retired;
 
         if !progressed {
             result.stall_cycles += 1;
@@ -282,6 +316,21 @@ mod tests {
         let r = simulate(&big, &AggregationConfig::paper(), &dram(), 500e6);
         assert!(r.evictions > 0);
         assert!(r.fills > 4000, "second pass over 4000 ids must refill");
+    }
+
+    #[test]
+    fn contended_stream_is_repeatable() {
+        // A stream that keeps the scoreboard full and the fill queue
+        // contended, so fill issue and retirement order shape the result.
+        let stream: Vec<Vec<u32>> = (0..8000u32)
+            .map(|i| vec![(7919 * i) % 4000, (31 * i) % 977])
+            .collect();
+        let first = simulate(&stream, &AggregationConfig::paper(), &dram(), 500e6);
+        assert!(first.stall_cycles > 0 && first.evictions > 0, "{first:?}");
+        for run in 1..20 {
+            let again = simulate(&stream, &AggregationConfig::paper(), &dram(), 500e6);
+            assert_eq!(again, first, "run {run}");
+        }
     }
 
     #[test]

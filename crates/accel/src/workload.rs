@@ -149,6 +149,7 @@ mod tests {
                     transmittance: 1.0,
                 }],
             ]),
+            projected: Vec::new(),
             trace,
         }
     }

@@ -3,7 +3,7 @@
 //! Usage:
 //!   report_diff REPORT BASELINE
 //!   report_diff record SCALAR_REPORT SIMD_REPORT KERNELS_OUT SORT_OUT
-//!   report_diff record-e2e OUT RUN...
+//!   report_diff record-e2e --commit REV OUT RUN...
 //!
 //! The first form compares a fresh `RunReport` JSON against a committed
 //! baseline under the policy in `splatonic_bench::diff`: workload counters
@@ -18,7 +18,8 @@
 //! (`splatonic_bench::record`; run by `scripts/bench_record.sh`).
 //!
 //! `record-e2e` appends one `BENCH_e2e.json` entry per `RUN`, the saved
-//! stdout of one `bash slam_bench/run.sh` run (`splatonic_bench::record`).
+//! stdout of one `bash slam_bench/run.sh` run (`splatonic_bench::record`),
+//! stamped with `REV`, the commit the runs measured (required).
 //!
 //! Exit codes: 0 = pass, 1 = violations (one per line on stderr), a
 //! refused kernel record or a failed write, 2 = usage or
@@ -32,7 +33,7 @@ use std::path::Path;
 
 const USAGE: &str = "usage: report_diff REPORT BASELINE\n       \
                      report_diff record SCALAR_REPORT SIMD_REPORT KERNELS_OUT SORT_OUT\n       \
-                     report_diff record-e2e OUT RUN...";
+                     report_diff record-e2e --commit REV OUT RUN...";
 
 fn load(path: &str) -> json::Json {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -62,13 +63,13 @@ fn main() {
                 }
             }
         }
-        [mode, out, runs @ ..] if mode == "record-e2e" => {
+        [mode, flag, commit, out, runs @ ..] if mode == "record-e2e" && flag == "--commit" => {
             if runs.is_empty() {
                 eprintln!("{USAGE}");
                 std::process::exit(2);
             }
             let runs: Vec<&Path> = runs.iter().map(Path::new).collect();
-            match record_e2e(Path::new(out), &runs) {
+            match record_e2e(Path::new(out), commit, &runs) {
                 Ok(summary) => print!("{summary}"),
                 Err(E2eError::Invalid(e)) => {
                     eprintln!("report_diff record-e2e: {e}");

@@ -15,9 +15,10 @@
 //!
 //! [`record_e2e`] (`report_diff record-e2e`) appends the repository
 //! benchmark's end-to-end results to `BENCH_e2e.json`: one entry per
-//! `slam_bench/run.sh` stdout, with the date, the run's `#` host line
-//! (`nproc`, `simd_lanes`, `rustc`), the workload and the metrics of its
-//! final JSON line. A run whose check failed is refused.
+//! `slam_bench/run.sh` stdout, with the date, the commit the run measured
+//! (given by the caller, so the two sides of an A/B can be told apart), the
+//! run's `#` host line (`nproc`, `simd_lanes`, `rustc`), the workload and
+//! the metrics of its final JSON line. A run whose check failed is refused.
 
 use crate::diff::MIN_SORT_REDUCTION;
 use splatonic::telemetry::json::{self, Json};
@@ -61,8 +62,9 @@ const SORT_DESCRIPTION: &str = "Tile-sort trajectory (scripts/bench_record.sh): 
 
 const E2E_DESCRIPTION: &str = "End-to-end benchmark trajectory \
     (report_diff record-e2e): one entry per `bash slam_bench/run.sh` run, \
-    with the run's host line (nproc, simd_lanes, rustc), workload, seed and \
-    the metrics of its final JSON line. Machine-dependent; compare entries \
+    with the commit it measured (entries from before the `commit` key have \
+    none), the run's host line (nproc, simd_lanes, rustc), workload, seed \
+    and the metrics of its final JSON line. Machine-dependent; compare entries \
     recorded on comparable hosts.";
 
 fn round(x: f64, places: i32) -> f64 {
@@ -249,10 +251,10 @@ fn host_field<'a>(host: &'a str, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("host line has no {key}="))
 }
 
-/// Builds a `BENCH_e2e.json` entry dated `date` from the stdout of one
-/// `slam_bench/run.sh` run, refusing a run that is not `correct` or has
-/// failed frames.
-fn e2e_entry(stdout: &str, date: &str) -> Result<Json, String> {
+/// Builds a `BENCH_e2e.json` entry dated `date` for `commit` from the
+/// stdout of one `slam_bench/run.sh` run, refusing a run that is not
+/// `correct` or has failed frames.
+fn e2e_entry(stdout: &str, date: &str, commit: &str) -> Result<Json, String> {
     let host = stdout
         .lines()
         .find(|l| l.starts_with("# slam-bench "))
@@ -291,6 +293,7 @@ fn e2e_entry(stdout: &str, date: &str) -> Result<Json, String> {
     let mut entry = Json::obj();
     entry
         .set("date", date)
+        .set("commit", commit)
         .set("workload", host_field(host, "workload")?)
         .set("seed", int("seed")?)
         .set("trace", int("trace")?)
@@ -311,10 +314,14 @@ pub enum E2eError {
 }
 
 /// Appends one entry per `slam_bench/run.sh` stdout in `runs` to the
-/// trajectory at `out`, dated today (UTC), and returns a summary. Every
-/// entry is built before any is written, so one refused run leaves the
-/// trajectory untouched.
-pub fn record_e2e(out: &Path, runs: &[&Path]) -> Result<String, E2eError> {
+/// trajectory at `out`, dated today (UTC) and stamped with `commit`, the
+/// revision the runs measured, and returns a summary. Every entry is built
+/// before any is written, so one refused run (or an empty `commit`) leaves
+/// the trajectory untouched.
+pub fn record_e2e(out: &Path, commit: &str, runs: &[&Path]) -> Result<String, E2eError> {
+    if commit.trim().is_empty() {
+        return Err(E2eError::Invalid("empty --commit".into()));
+    }
     let unix = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
@@ -324,7 +331,7 @@ pub fn record_e2e(out: &Path, runs: &[&Path]) -> Result<String, E2eError> {
         .map(|run| {
             let text = std::fs::read_to_string(run)
                 .map_err(|e| format!("cannot read {}: {e}", run.display()))?;
-            e2e_entry(&text, &date).map_err(|e| format!("{}: {e}", run.display()))
+            e2e_entry(&text, &date, commit).map_err(|e| format!("{}: {e}", run.display()))
         })
         .collect::<Result<Vec<_>, _>>()
         .map_err(E2eError::Invalid)?;
@@ -438,8 +445,9 @@ mod tests {
 
     #[test]
     fn e2e_entry_reads_the_host_line_and_final_metrics() {
-        let entry = e2e_entry(&bench_stdout(true, 0), "2026-10-19").unwrap();
+        let entry = e2e_entry(&bench_stdout(true, 0), "2026-10-19", "c77a40f").unwrap();
         assert_eq!(entry.get("date"), Some(&Json::from("2026-10-19")));
+        assert_eq!(entry.get("commit"), Some(&Json::from("c77a40f")));
         assert_eq!(entry.get("workload"), Some(&Json::from("dense-tile")));
         assert_eq!(entry.get("seed"), Some(&Json::Int(1)));
         assert_eq!(entry.get("trace"), Some(&Json::Int(0)));
@@ -457,10 +465,10 @@ mod tests {
     #[test]
     fn failed_bench_runs_are_refused() {
         for (correct, failed) in [(false, 0), (true, 3), (false, 2)] {
-            let err = e2e_entry(&bench_stdout(correct, failed), "d").unwrap_err();
+            let err = e2e_entry(&bench_stdout(correct, failed), "d", "c").unwrap_err();
             assert!(err.contains("refused"), "{err}");
         }
-        assert!(e2e_entry("setup_s 1 s\n", "d").is_err());
+        assert!(e2e_entry("setup_s 1 s\n", "d", "c").is_err());
 
         // One refused run among good ones writes nothing.
         let dir = std::env::temp_dir();
@@ -471,15 +479,18 @@ mod tests {
         std::fs::write(&good, bench_stdout(true, 0)).unwrap();
         std::fs::write(&bad, bench_stdout(false, 1)).unwrap();
         let _ = std::fs::remove_file(&out);
-        let got = record_e2e(&out, &[&good, &bad]);
+        let got = record_e2e(&out, "c", &[&good, &bad]);
+        assert!(matches!(got, Err(E2eError::Invalid(_))), "{got:?}");
+        let got = record_e2e(&out, " ", &[&good]);
         assert!(matches!(got, Err(E2eError::Invalid(_))), "{got:?}");
         assert!(!out.exists());
-        assert!(record_e2e(&out, &[&good, &good]).is_ok());
+        assert!(record_e2e(&out, "abc123", &[&good, &good]).is_ok());
         let doc = json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-        assert_eq!(
-            doc.get("entries").and_then(Json::as_arr).map(<[_]>::len),
-            Some(2)
-        );
+        let entries = doc.get("entries").and_then(Json::as_arr).unwrap();
+        assert_eq!(entries.len(), 2);
+        for entry in entries {
+            assert_eq!(entry.get("commit"), Some(&Json::from("abc123")));
+        }
         for path in [good, bad, out] {
             std::fs::remove_file(path).unwrap();
         }

@@ -242,8 +242,62 @@ pub(crate) fn project_from_cam(
 }
 
 /// Fixed fan-out granularity for projection (thread-count independent, so
-/// the concatenation order of per-chunk outputs never changes).
-const PROJECT_CHUNK: usize = 512;
+/// the concatenation order of per-chunk outputs never changes). The pixel
+/// pipeline's fused projection + α-check pass fans out over the same chunks.
+pub(crate) const PROJECT_CHUNK: usize = 512;
+
+/// The per-chunk projection body shared by [`project_scene`] and the pixel
+/// pipeline's fused pass: the SIMD head ([`crate::simd::project_chunk`])
+/// when the kernel mode has a vector unit, the scalar oracle otherwise.
+/// Both are bit-identical.
+pub(crate) struct Projector<'a> {
+    scene: &'a splatonic_scene::GaussianScene,
+    camera: &'a Camera,
+    /// The scene's projection-terms column, built once before the fan-out;
+    /// `None` selects the scalar oracle.
+    terms: Option<&'a [ProjectionTerms]>,
+}
+
+impl<'a> Projector<'a> {
+    pub(crate) fn new(
+        scene: &'a splatonic_scene::GaussianScene,
+        camera: &'a Camera,
+        config: &RenderConfig,
+        threads: usize,
+    ) -> Self {
+        let terms = config
+            .kernels
+            .simd_active()
+            .then(|| scene.projection_terms(threads));
+        Projector {
+            scene,
+            camera,
+            terms,
+        }
+    }
+
+    /// Projects scene Gaussians `offset..offset + len`, appending the
+    /// visible ones to `out` in scene order; returns the number culled.
+    pub(crate) fn project(
+        &self,
+        offset: usize,
+        len: usize,
+        out: &mut Vec<ProjectedGaussian>,
+    ) -> u64 {
+        let before = out.len();
+        if let Some(terms) = self.terms {
+            crate::simd::project_chunk(self.scene, terms, offset, len, self.camera, out);
+        } else {
+            for i in offset..offset + len {
+                let g = self.scene.gaussian(i);
+                if let Some(pg) = project_gaussian(&g, i as u32, self.camera) {
+                    out.push(pg);
+                }
+            }
+        }
+        (len - (out.len() - before)) as u64
+    }
+}
 
 /// Projects the whole scene, returning visible Gaussians (ordered by scene
 /// index) and the number culled.
@@ -257,27 +311,11 @@ pub fn project_scene(
     config: &RenderConfig,
 ) -> (Vec<ProjectedGaussian>, u64) {
     let threads = pool::resolve_threads(config.threads);
-    let terms = config
-        .kernels
-        .simd_active()
-        .then(|| scene.projection_terms(threads));
+    let projector = Projector::new(scene, camera, config, threads);
     let chunks =
         pool::par_chunks_indexed(threads, scene.means(), PROJECT_CHUNK, |_, offset, means| {
             let mut out = Vec::with_capacity(means.len());
-            let mut culled = 0u64;
-            if let Some(terms) = terms {
-                crate::simd::project_chunk(scene, terms, offset, means.len(), camera, &mut out);
-                culled += (means.len() - out.len()) as u64;
-            } else {
-                for k in 0..means.len() {
-                    let i = offset + k;
-                    let g = scene.gaussian(i);
-                    match project_gaussian(&g, i as u32, camera) {
-                        Some(pg) => out.push(pg),
-                        None => culled += 1,
-                    }
-                }
-            }
+            let culled = projector.project(offset, means.len(), &mut out);
             (out, culled)
         });
     let mut out = Vec::with_capacity(scene.len());

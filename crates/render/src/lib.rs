@@ -18,8 +18,10 @@
 //!   and the constants that define the rendering (α* = 1/255, the α clamp,
 //!   `T_min`, blur, 3.5σ bbox, near plane, black background);
 //!   [`RenderConfig`] holds only output-transparent execution policy,
-//! * [`projcache`] — the projection cache that hands each forward pass's
-//!   per-Gaussian projection to the backward pass at the same pose,
+//! * [`projcache`] — the tile pipeline's projection cache, which hands
+//!   each tile forward pass's per-Gaussian projection to the backward pass
+//!   at the same pose (the pixel pipeline hands its compact projection over
+//!   in [`ForwardResult::projected`] instead),
 //! * [`tilesort`] — depth-sorted tile lists from one global sort, the
 //!   counted GS-TG-style tile-grouping sort schedule, and an exact-key
 //!   sorted-list cache keyed like `projcache` (bit-identical output),
@@ -265,6 +267,12 @@ pub struct ForwardResult {
     /// instead of re-rasterizing, and the accelerator models read their
     /// lengths and Gaussian ids.
     pub contributions: PixelLists,
+    /// The pixel pipeline's compact projection, in scene order: every
+    /// Gaussian that kept at least one pixel pair, projected at this
+    /// render's pose. [`pixel::backward`] reads it instead of projecting
+    /// again. The tile pipeline leaves it empty (its backward replays the
+    /// sorted tile lists through [`tilesort`]).
+    pub projected: Vec<ProjectedGaussian>,
     /// Workload statistics recorded during the render.
     pub trace: RenderTrace,
 }

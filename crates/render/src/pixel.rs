@@ -1,29 +1,34 @@
 //! The paper's **pixel-based** rendering pipeline (Sec. IV-B, Fig. 13).
 //!
 //! Forward:
-//! 1. *Pixel-level projection with preemptive α-checking* — each projected
-//!    Gaussian direct-indexes the sampled-pixel grid via its bounding-box
-//!    corners (paper Sec. V-C) and α-checks each candidate; only passing
-//!    pairs enter the per-pixel intersection lists.
+//! 1. *Pixel-level projection with preemptive α-checking* — one pass
+//!    (`render/project`): each Gaussian is projected and, at once,
+//!    direct-indexes the sampled-pixel grid via its bounding-box corners
+//!    (paper Sec. V-C) and α-checks each candidate; only passing pairs
+//!    enter the per-pixel intersection lists, and only Gaussians with a
+//!    passing pair enter the compact projection
+//!    ([`ForwardResult::projected`]).
 //! 2. *Per-pixel sorting* — each pixel's list is depth-sorted.
 //! 3. *Gaussian-parallel rasterization* — a 32-thread warp co-renders one
 //!    pixel: Gaussians are distributed across lanes with no divergence
 //!    (every list entry is known to contribute), followed by a color
 //!    reduction.
 //!
-//! Backward re-uses the per-pixel sorted lists: a first cross-thread
-//! reduction recovers `Γ_i`, per-pair gradients are computed in parallel,
-//! and a second reduction aggregates them per Gaussian.
+//! Backward re-uses the per-pixel sorted lists and the forward's compact
+//! projection (it projects nothing and looks nothing up in a cache): a
+//! first cross-thread reduction recovers `Γ_i`, per-pair gradients are
+//! computed in parallel, and a second reduction aggregates them per
+//! Gaussian.
 
 use crate::grad::{
     pixel_backward, reproject, CamGradAccumulator, GradRequest, PoseGrad, SceneGrads,
 };
 use crate::kernel::{
-    alpha_at, ProjectedGaussian, RenderConfig, ALPHA_THRESHOLD, TRANSMITTANCE_MIN,
+    alpha_at, ProjectedGaussian, Projector, RenderConfig, ALPHA_THRESHOLD, PROJECT_CHUNK,
+    TRANSMITTANCE_MIN,
 };
 use crate::loss::LossGrad;
 use crate::pixelset::{PixelCoord, PixelSet};
-use crate::projcache::project_scene_cached;
 use crate::simd::{self, ProjectedSoA};
 use crate::trace::{bytes, RenderTrace};
 use crate::{ChunkLists, Contribution, ForwardResult, PixelLists};
@@ -36,7 +41,6 @@ pub const WARP: usize = 32;
 
 /// Fixed fan-out granularities (thread-count independent; see
 /// `splatonic_math::pool` for why this matters for determinism).
-const PROJ_CHECK_CHUNK: usize = 256;
 const RASTER_CHUNK: usize = 128;
 const BACKWARD_CHUNK: usize = 128;
 
@@ -61,63 +65,74 @@ pub fn forward(
     f.gaussians_input = scene.len() as u64;
     f.bytes_read += scene.len() as u64 * bytes::GAUSSIAN;
 
-    let (projected_shared, culled) = project_scene_cached(scene, camera, config);
-    let projected: &[ProjectedGaussian] = &projected_shared;
-    f.gaussians_culled = culled;
-    f.gaussians_projected = projected.len() as u64;
-
     let n_out = pixels.len();
     let threads = pool::resolve_threads(config.threads);
 
-    // Gaussian-major discovery, the only walk: pixel-level projection +
-    // preemptive α-checking, fanned out over fixed chunks of projected
-    // Gaussians. Each Gaussian direct-indexes its bbox through the pixel
-    // set (tile slots, then the cell-indexed pixels without one). Each chunk
-    // emits its passing (pixel, entry) pairs and counter partials; the merge
-    // below applies them in chunk order, which reproduces the sequential
-    // push order. A pixel gets at most one entry per Gaussian, so the visit
-    // order inside one Gaussian never reaches a per-pixel list.
+    // Pixel-level projection with preemptive α-checking, one fused pass
+    // fanned out over fixed chunks of scene Gaussians. Each chunk projects
+    // its Gaussians into a chunk-local buffer (`kernel::Projector`, the body
+    // `project_scene` runs) and α-checks each one at once, while it is
+    // still in cache: the Gaussian direct-indexes its bbox through the
+    // pixel set (tile slots, then the cell-indexed pixels without one).
+    // A Gaussian enters the render's compact projection only if it keeps at
+    // least one pair; its entries name it by its index in the chunk's kept
+    // list, and the merge below rebases that index by the chunk's offset in
+    // the compact list. The compact list is in scene order, like the full
+    // projection, so the `(depth, proj)` tie-break orders every pixel's
+    // entries as the full projection's indices would. The chunks' pairs and
+    // counter partials are applied in chunk order, which reproduces the
+    // sequential push order. A pixel gets at most one entry per Gaussian,
+    // so the visit order inside one Gaussian never reaches a per-pixel list.
     //
     // A tile-indexed sample whose tile overlaps the bbox can still lie
     // outside it; such a pair is counted as α-checked (the hardware
     // checks it) but its `exp` is skipped, since it provably fails
     // (`kernel::BBOX_SIGMA`).
-    let _discover = crate::phase::begin("render/discover_exhaustive");
-    struct ProjCheckPartial {
+    let _project = crate::phase::begin("render/project");
+    let projector = Projector::new(scene, camera, config, threads);
+    struct ProjectPartial {
+        kept: Vec<ProjectedGaussian>,
         entries: Vec<(usize, PixelEntry)>,
+        projected: u64,
+        culled: u64,
         alpha_checks: u64,
-        pairs_kept: u64,
     }
-    let proj_partials =
-        pool::par_chunks_indexed(threads, projected, PROJ_CHECK_CHUNK, |_, offset, chunk| {
-            let mut part = ProjCheckPartial {
+    let partials =
+        pool::par_chunks_indexed(threads, scene.means(), PROJECT_CHUNK, |_, offset, means| {
+            let mut visible = Vec::with_capacity(means.len());
+            let culled = projector.project(offset, means.len(), &mut visible);
+            let mut part = ProjectPartial {
+                kept: Vec::new(),
                 entries: Vec::new(),
+                projected: visible.len() as u64,
+                culled,
                 alpha_checks: 0,
-                pairs_kept: 0,
             };
-            for (k, pg) in chunk.iter().enumerate() {
-                let pi = offset + k;
+            for pg in visible {
+                let local = part.kept.len() as u32;
+                let before = part.entries.len();
                 let (lo, hi) = pg.bbox();
-                let check = |out_idx: usize, p: PixelCoord| {
+                pixels.samples_in_bbox(lo, hi, |out_idx: usize, p: PixelCoord| {
                     part.alpha_checks += 1;
                     let c = p.center();
                     if !pg.bbox_contains(c) {
                         return;
                     }
-                    let (alpha, _) = alpha_at(pg, c);
+                    let (alpha, _) = alpha_at(&pg, c);
                     if alpha >= ALPHA_THRESHOLD {
-                        part.pairs_kept += 1;
                         part.entries.push((
                             out_idx,
                             PixelEntry {
-                                proj: pi as u32,
+                                proj: local,
                                 alpha,
                                 depth: pg.depth,
                             },
                         ));
                     }
-                };
-                pixels.samples_in_bbox(lo, hi, check);
+                });
+                if part.entries.len() > before {
+                    part.kept.push(pg);
+                }
             }
             part
         });
@@ -127,10 +142,12 @@ pub fn forward(
     // order; pixel `i`'s list is `flat[offsets[i]..offsets[i + 1]]`. Each
     // partial is freed once it has been scattered.
     let mut offsets = vec![0usize; n_out + 1];
-    for part in &proj_partials {
+    let mut n_kept = 0;
+    for part in &partials {
         for &(out_idx, _) in &part.entries {
             offsets[out_idx + 1] += 1;
         }
+        n_kept += part.kept.len();
     }
     for i in 0..n_out {
         offsets[i + 1] += offsets[i];
@@ -144,15 +161,22 @@ pub fn forward(
         };
         offsets[n_out]
     ];
-    for part in proj_partials {
+    let mut projected = Vec::with_capacity(n_kept);
+    for part in partials {
+        f.gaussians_culled += part.culled;
+        f.gaussians_projected += part.projected;
         f.proj_alpha_checks += part.alpha_checks;
         f.exp_evals += part.alpha_checks;
-        f.proj_pairs_kept += part.pairs_kept;
-        for (out_idx, e) in part.entries {
+        f.proj_pairs_kept += part.entries.len() as u64;
+        let base = projected.len() as u32;
+        for (out_idx, mut e) in part.entries {
+            e.proj += base;
             flat[cursor[out_idx]] = e;
             cursor[out_idx] += 1;
         }
+        projected.extend(part.kept);
     }
+    drop(_project);
     let lists: Vec<&[PixelEntry]> = offsets.windows(2).map(|w| &flat[w[0]..w[1]]).collect();
     f.bytes_written += f.proj_pairs_kept * bytes::PAIR_ENTRY;
     f.bytes_read += f.proj_pairs_kept * bytes::PAIR_ENTRY;
@@ -270,17 +294,24 @@ pub fn forward(
         depth,
         final_transmittance: t_final,
         contributions,
+        projected,
         trace,
     }
 }
 
 /// Backward pass of the pixel-based pipeline.
 ///
-/// Re-uses the per-pixel sorted lists from the forward pass. The first
+/// Re-uses the per-pixel sorted lists and the compact projection
+/// ([`ForwardResult::projected`]) from the forward pass. The first
 /// cross-thread reduction (recovering `Γ_i` per Gaussian) is charged to the
 /// trace; the partial-gradient computation is lane-parallel; the second
 /// reduction is the aggregation stage. Re-projection computes only the
 /// gradient half `want` asks for.
+///
+/// # Panics
+///
+/// Panics when `forward_result` has contributions but no projection (a
+/// tile forward result), or when `loss_grads` does not cover `pixels`.
 pub fn backward(
     scene: &GaussianScene,
     camera: &Camera,
@@ -297,8 +328,15 @@ pub fn backward(
     );
     let _pass = crate::phase::begin("render/pixel_backward");
     let mut trace = RenderTrace::new();
-    let (projected_shared, _) = project_scene_cached(scene, camera, config);
-    let projected: &[ProjectedGaussian] = &projected_shared;
+    // The forward's compact projection: every Gaussian in a contribution
+    // list, at this render's pose. A tile forward carries none.
+    let projected: &[ProjectedGaussian] = &forward_result.projected;
+    assert!(
+        !projected.is_empty() || forward_result.total_contributions() == 0,
+        "pixel backward needs the pixel forward's projection: ForwardResult::projected is \
+         empty but {} contributions are not (a tile forward result?)",
+        forward_result.total_contributions()
+    );
     let mut proj_of_id: Vec<u32> = vec![u32::MAX; scene.len()];
     for (pi, pg) in projected.iter().enumerate() {
         proj_of_id[pg.id as usize] = pi as u32;

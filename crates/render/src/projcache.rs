@@ -1,15 +1,21 @@
-//! Forward→backward projection cache (thread-local, small keyed LRU).
+//! Forward→backward projection cache of the tile pipeline (thread-local,
+//! small keyed LRU).
 //!
-//! Its hits are backward passes replaying the projection their forward
-//! pass just made at the same pose; adjacent iterations move the pose, so
-//! a forward pass almost never hits. A probe of a `replica-splatonic` run
-//! counted 666 hits in 666 backward passes and 8 in 715 forward passes.
+//! Only the tile pipeline ([`crate::tile`], through [`crate::tilesort`])
+//! projects through this cache. The pixel pipeline projects and α-checks
+//! in one pass and hands the Gaussians that kept a pair to its backward
+//! pass in [`crate::ForwardResult::projected`], so it makes no lookup here.
+//! Before that hand-over, a probe of a `replica-splatonic` run counted 666
+//! hits in 666 pixel backward passes and 8 in 715 forward passes: the hits
+//! are backward passes replaying the projection their forward pass just
+//! made at the same pose, and adjacent iterations move the pose, so a
+//! forward pass almost never hits.
 //!
 //! Tracking and mapping call the renderer many times per frame — one
-//! forward and one backward pass per Adam iteration — and every call starts
-//! by projecting the whole scene ([`crate::kernel::project_scene`]). Within
-//! one iteration the backward pass projects at *exactly* the pose the
-//! forward pass just used, so half of all projection work is verbatim
+//! forward and one backward pass per Adam iteration — and every tile render
+//! starts by projecting the whole scene ([`crate::kernel::project_scene`]).
+//! Within one iteration the backward pass projects at *exactly* the pose
+//! the forward pass just used, so half of all projection work is verbatim
 //! recomputation. This module caches recent projection results (projected
 //! means, conics, depths, and the α-filter cull verdicts — culled Gaussians
 //! are simply absent from the list) and replays one when the next render is

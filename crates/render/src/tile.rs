@@ -282,6 +282,7 @@ pub fn forward(
         depth,
         final_transmittance: t_final,
         contributions,
+        projected: Vec::new(),
         trace,
     }
 }

@@ -265,6 +265,78 @@ fn tile_backward_is_thread_count_invariant() {
     assert_backward_bit_identical(Pipeline::TileBased, &PixelSet::dense(96, 72));
 }
 
+/// Asserts that the pixel backward reading the forward's compact
+/// projection is bit-identical — scene grads, pose grad and backward trace —
+/// to one handed the full `project_scene` list, in both kernel modes at
+/// widths 1, 2 and 4.
+fn assert_compact_backward_matches_full(pixels: &PixelSet) {
+    let scene = random_scene(63, 400);
+    let cam = camera();
+    let lg = loss_grads(pixels.len());
+    for kernels in [KernelMode::Scalar, KernelMode::Simd] {
+        for threads in [1, 2, 4] {
+            let config = RenderConfig {
+                kernels,
+                ..cfg(threads)
+            };
+            let compact = render_forward(&scene, &cam, pixels, Pipeline::PixelBased, &config);
+            let mut full = compact.clone();
+            full.projected = project_scene(&scene, &cam, &config).0;
+            assert!(compact.projected.len() <= full.projected.len());
+            let backward = |fwd: &ForwardResult| {
+                render_backward(
+                    &scene,
+                    &cam,
+                    pixels,
+                    fwd,
+                    &lg,
+                    Pipeline::PixelBased,
+                    &config,
+                    GradRequest::Both,
+                )
+            };
+            let (gc, pc, tc) = backward(&compact);
+            let (gf, pf, tf) = backward(&full);
+            let at = format!("{kernels:?}, {threads} workers");
+            assert!(!gc.entries.is_empty(), "no gradients, {at}");
+            assert_eq!(gc, gf, "scene grads, {at}");
+            assert_eq!(pc, pf, "pose grad, {at}");
+            assert_eq!(tc, tf, "backward trace, {at}");
+        }
+    }
+}
+
+#[test]
+fn compact_projection_backward_matches_full_sparse() {
+    assert_compact_backward_matches_full(&sparse_set());
+}
+
+#[test]
+fn compact_projection_backward_matches_full_dense() {
+    assert_compact_backward_matches_full(&PixelSet::dense(96, 72));
+}
+
+#[test]
+#[should_panic(expected = "pixel backward needs the pixel forward's projection")]
+fn pixel_backward_refuses_a_tile_forward_result() {
+    let scene = random_scene(57, 400);
+    let cam = camera();
+    let pixels = sparse_set();
+    let lg = loss_grads(pixels.len());
+    let fwd = render_forward(&scene, &cam, &pixels, Pipeline::TileBased, &cfg(1));
+    assert!(fwd.projected.is_empty() && fwd.total_contributions() > 0);
+    render_backward(
+        &scene,
+        &cam,
+        &pixels,
+        &fwd,
+        &lg,
+        Pipeline::PixelBased,
+        &cfg(1),
+        GradRequest::Both,
+    );
+}
+
 /// Empties the thread-local projection and sorted-list caches, so the next
 /// render starts cold.
 fn clear_caches() {
@@ -284,8 +356,9 @@ const EQUALITY_WIDTHS: [usize; 3] = [1, 4, 0];
 /// not `tiled` — whose center lies in its bounding box, by a scan. Each
 /// candidate is α-checked with a real `exp` — no geometric shortcut — and
 /// kept when `α ≥ α*`. Per-pixel lists are then depth-sorted
-/// (projection-index tie-break) and composited front to back. Also returns
-/// the contribution lists as nested per-pixel vectors.
+/// (projection-index tie-break) and composited front to back. The compact
+/// projection holds every projected Gaussian that kept a pair, in scene
+/// order. Also returns the contribution lists as nested per-pixel vectors.
 fn oracle_forward(
     scene: &GaussianScene,
     cam: &Camera,
@@ -304,6 +377,7 @@ fn oracle_forward(
     };
     let untiled_from = if tiled { pixels.sample_count() } else { 0 };
     let mut alpha_checks = 0u64;
+    let mut compact = Vec::new();
     for (pi, pg) in projected.iter().enumerate() {
         let (lo, hi) = pg.bbox();
         let mut candidates = Vec::new();
@@ -324,11 +398,16 @@ fn oracle_forward(
             }
         }
         alpha_checks += candidates.len() as u64;
+        let mut kept = false;
         for (out_idx, p) in candidates {
             let (alpha, _) = alpha_at(pg, p.center());
             if alpha >= ALPHA_THRESHOLD {
                 lists[out_idx].push((pg.depth, pi as u32, alpha));
+                kept = true;
             }
+        }
+        if kept {
+            compact.push(*pg);
         }
     }
     let f = &mut trace.forward;
@@ -345,6 +424,7 @@ fn oracle_forward(
         depth: Vec::new(),
         final_transmittance: Vec::new(),
         contributions: PixelLists::default(),
+        projected: compact,
         trace: RenderTrace::new(),
     };
     let mut nested = Vec::new();
@@ -398,9 +478,9 @@ fn assert_lists_match(got: &PixelLists, want: &[Vec<Contribution>], at: &str) {
 }
 
 /// Asserts the pixel pipeline is bit-identical to [`oracle_forward`] —
-/// output and every trace counter — at every equality width, in both
-/// kernel modes, with the projection cache on; and that the tile pipeline
-/// renders the same output.
+/// output, compact projection and every trace counter — at every equality
+/// width, in both kernel modes; and that the tile pipeline renders the same
+/// output.
 fn assert_matches_oracle(pixels: &PixelSet, tiled: bool) {
     let scene = random_scene(77, 400);
     let cam = camera();
@@ -421,6 +501,7 @@ fn assert_matches_oracle(pixels: &PixelSet, tiled: bool) {
                 "Γ_final, {at}"
             );
             assert_eq!(got.contributions, want.contributions, "contribs, {at}");
+            assert_eq!(got.projected, want.projected, "compact projection, {at}");
             assert_eq!(got.trace, want.trace, "trace, {at}");
             // The bbox bound makes both pipelines keep exactly the pairs
             // with α ≥ α*, so the tile raster loop (which takes the same
@@ -491,10 +572,12 @@ fn mapping_unseen_only_forward_matches_oracle() {
 
 #[test]
 fn cached_render_sequence_matches_uncached() {
-    // A tracking-shaped sequence — forward and backward at pose A (the
-    // backward is a guaranteed cache hit), then forward at pose B (pose
-    // delta, invalidation) — must be bit-identical to the same sequence
-    // rendered cold, at every equality width and both pipelines.
+    // A tracking-shaped sequence — forward and backward at pose A, then
+    // forward at pose B (a pose delta) — must be bit-identical to the same
+    // sequence rendered cold, at every equality width and both pipelines.
+    // The tile pipeline's backward is a sorted-list cache hit; the pixel
+    // pipeline hands its projection over in the `ForwardResult` and never
+    // looks up the projection cache.
     let scene = random_scene(91, 400);
     let cam_a = camera();
     let cam_b = Camera::look_at(
@@ -533,15 +616,14 @@ fn cached_render_sequence_matches_uncached() {
                 let f2 = render_forward(&scene, &cam_b, &pixels, pipeline, c);
                 (f, bwd, f2)
             };
+            let before = splatonic_render::projcache::stats();
             let (fa, ba, fa2) = run(&c, false);
             match pipeline {
                 Pipeline::PixelBased => {
-                    // The pixel pipeline reuses projections directly.
-                    let stats = splatonic_render::projcache::stats();
-                    assert!(stats.hits >= 1, "{pipeline:?}: backward must hit the cache");
-                    assert!(
-                        stats.invalidations >= 1,
-                        "{pipeline:?}: the pose step must invalidate"
+                    assert_eq!(
+                        splatonic_render::projcache::stats(),
+                        before,
+                        "{pipeline:?}: forward and backward make no cache lookup"
                     );
                 }
                 Pipeline::TileBased => {
@@ -789,6 +871,7 @@ fn oracle_tile_forward(
         depth: vec![0.0; n],
         final_transmittance: vec![1.0; n],
         contributions: PixelLists::default(),
+        projected: Vec::new(),
         trace: RenderTrace::new(),
     };
     let mut nested: Vec<Vec<Contribution>> = vec![Vec::new(); n];

@@ -12,13 +12,15 @@
 //! 3. `S_m` iterations of render → loss → backward → Adam over the window's
 //!    keyframes, with pixels chosen by the [`MappingSampler`].
 //!
-//! The projection cache (`splatonic_render::projcache`) helps only within a
-//! single mapping iteration here: the backward pass reuses the forward's
-//! projection (same scene revision, same keyframe pose), but every Adam step
-//! mutates the scene and bumps its revision, so the next iteration's forward
-//! is a plain cache miss (not an invalidation — the scene changed, not the
-//! pose) and reprojects. Keyframe poses inside one iteration's window loop
-//! differ pairwise, which also shows up as pose-only invalidations.
+//! Within one mapping iteration the backward pass reuses the forward's
+//! projection: the pixel pipeline hands it over in
+//! `ForwardResult::projected`, and only the tile pipeline looks it up in
+//! `splatonic_render::projcache` (same scene revision, same keyframe pose).
+//! Every Adam step mutates the scene, so the next iteration's forward
+//! projects afresh (on the tile path a plain cache miss, not an
+//! invalidation — the scene changed, not the pose). Keyframe poses inside
+//! one iteration's window loop differ pairwise, which on the tile path
+//! shows up as pose-only invalidations.
 
 use crate::adam::{AdamParams, AdamVector};
 use crate::algorithm::AlgorithmConfig;

@@ -8,12 +8,13 @@
 //! best-of pose selection is meaningful; only the loss-guided baseline
 //! re-samples each iteration.
 //!
-//! The projection cache (`splatonic_render::projcache`) interacts with this
-//! loop as follows: within one iteration the forward pass projects the scene
-//! and the backward pass hits the cache (same scene revision, same pose).
-//! The Adam step then moves the pose, so the next iteration's forward is a
-//! cache *invalidation* (pose-only delta) and reprojects. Net effect: one
-//! projection per iteration instead of two, with bit-identical results.
+//! Each iteration projects the scene once: the pixel pipeline's forward
+//! pass hands the Gaussians that kept a pair to its backward pass in
+//! `ForwardResult::projected`, and the Adam step then moves the pose, so the
+//! next forward projects afresh. Only the tile pipeline (the dense
+//! baselines) goes through `splatonic_render::projcache`, whose backward hit
+//! and per-iteration pose invalidation give it the same one projection per
+//! iteration.
 
 use crate::adam::{AdamParams, AdamVector};
 use crate::algorithm::AlgorithmConfig;
