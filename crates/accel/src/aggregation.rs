@@ -11,6 +11,37 @@
 
 use crate::dram::DramModel;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher for the simulator's `u32` Gaussian ids: one multiply by a 64-bit
+/// odd constant, with the well-mixed high half folded into the low bits
+/// the table indexes by. The id sets and maps are only looked up, never
+/// iterated, so the hash function cannot change a result; std's seeded
+/// SipHash costs more than the per-cycle lookups it serves.
+#[derive(Default)]
+struct IdHasher(u64);
+
+/// 2^64 / φ, odd: the Fibonacci-hashing multiplier.
+const ID_HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(ID_HASH_MUL);
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0 ^ u64::from(id)).wrapping_mul(ID_HASH_MUL);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type IdSet = HashSet<u32, BuildHasherDefault<IdHasher>>;
+type IdMap<V> = HashMap<u32, V, BuildHasherDefault<IdHasher>>;
 
 /// Aggregation-unit parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,7 +108,7 @@ impl AggregationResult {
 /// Pseudo-LRU (clock) Gaussian cache.
 struct GaussianCache {
     slots: Vec<Option<u32>>,
-    index: HashMap<u32, usize>,
+    index: IdMap<usize>,
     clock: usize,
 }
 
@@ -85,7 +116,7 @@ impl GaussianCache {
     fn new(entries: usize) -> Self {
         GaussianCache {
             slots: vec![None; entries.max(1)],
-            index: HashMap::new(),
+            index: IdMap::default(),
             clock: 0,
         }
     }
@@ -119,7 +150,7 @@ impl GaussianCache {
 #[derive(Default)]
 struct Scoreboard {
     order: Vec<u32>,
-    pending: HashSet<u32>,
+    pending: IdSet,
 }
 
 impl Scoreboard {
@@ -184,8 +215,10 @@ pub fn simulate(
 
     let mut cache = GaussianCache::new(config.cache_entries);
     let mut scoreboard = Scoreboard::default();
-    // Outstanding fills: (ready_cycle, id), kept sorted by arrival.
+    // Outstanding fills: (ready_cycle, id), kept sorted by arrival, plus
+    // the set of their ids for the per-cycle "already in flight?" test.
     let mut inflight: Vec<(u64, u32)> = Vec::new();
+    let mut inflight_ids = IdSet::default();
     let mut next_fill_free = 0.0f64;
     let mut cursor = 0usize;
     let mut cycle = 0u64;
@@ -198,6 +231,7 @@ pub fn simulate(
         // Complete arrived fills.
         inflight.retain(|&(ready, id)| {
             if ready <= cycle {
+                inflight_ids.remove(&id);
                 if let Some(evicted) = cache.insert(id) {
                     let _ = evicted;
                     result.evictions += 1;
@@ -231,10 +265,11 @@ pub fn simulate(
             if inflight.len() >= dram.max_outstanding {
                 break;
             }
-            if !cache.contains(id) && !inflight.iter().any(|&(_, fid)| fid == id) {
+            if !cache.contains(id) && !inflight_ids.contains(&id) {
                 let start = next_fill_free.max(cycle as f64);
                 next_fill_free = start + fill_gap;
                 inflight.push((start as u64 + latency, id));
+                inflight_ids.insert(id);
                 result.fills += 1;
                 progressed = true;
             }

@@ -149,7 +149,7 @@ mod tests {
                     transmittance: 1.0,
                 }],
             ]),
-            projected: Vec::new(),
+            handoff: splatonic_render::Handoff::Pixel(Vec::new()),
             trace,
         }
     }

@@ -20,7 +20,7 @@
 //! the results.
 //!
 //! `--report` writes a fleet-level JSON report: aggregate `serve/*`
-//! counters, per-session frame counts and cache hits, aggregate
+//! counters, per-session frame counts, aggregate
 //! frames/sec, and each session's p95 track/map latency (from its own
 //! telemetry — per-session accounting stays exact under concurrency).
 //! `--trace-out` writes one merged Chrome trace with a process group per
@@ -204,15 +204,6 @@ fn main() {
         scene_total += o.result.scene_size;
         let pfx = format!("session/{}", o.id);
         fleet.counter_add(&format!("{pfx}/frames"), o.result.frames as u64);
-        for key in [
-            "render/cache_hits",
-            "render/cache_misses",
-            "render/cache_invalidations",
-        ] {
-            if let Some((_, v)) = o.report.counters.iter().find(|(n, _)| n == key) {
-                fleet.counter_add(&format!("{pfx}/{}", key.rsplit('/').next().unwrap()), *v);
-            }
-        }
         for (name, q) in o.report.latency() {
             let short = name.rsplit('/').next().unwrap_or(name);
             fleet.gauge_set(&format!("{pfx}/{short}_p95"), q.p95_ms);

@@ -26,16 +26,15 @@
 //! The forward cases time both schedules on the dense set and on the
 //! one-per-16×16-tile sparse set, plus the pixel schedule on a tile-less
 //! copy of the sparse set (`pixel_scattered16`), whose pixels are found
-//! through the pixel set's cell index instead of its tile slots. The
-//! `cache/*` gauges report the projection cache's hits over those cases.
+//! through the pixel set's cell index instead of its tile slots.
 //! The backward cases time the pixel schedule on the sparse set and the
 //! tile schedule on the dense set, each on one forward pass's output.
 //!
 //! The run's `sort/*` gauges record the compared-element counts of a short
 //! tracking burst under the tile pipeline's GS-TG-style grouped sort
-//! schedule against the per-tile uncached baseline read from the same
-//! renders' traces, so a single default run quantifies the sort-work
-//! reduction.
+//! schedule, whose backward passes read their forward's lists, against the
+//! per-tile baseline that sorts in every pass, read from the same renders'
+//! traces, so a single default run quantifies the sort-work reduction.
 //!
 //! `--scalar` / `--simd` select the kernel mode (DESIGN.md §13). The two
 //! SIMD kernels, projection and per-pixel gradient accumulation, are
@@ -164,19 +163,14 @@ fn main() {
         }
     }
 
-    let cache_stats = splatonic_render::projcache::stats();
-    t.gauge_set("cache/hits", cache_stats.hits as f64);
-    t.gauge_set("cache/misses", cache_stats.misses as f64);
-    t.gauge_set("cache/invalidations", cache_stats.invalidations as f64);
-
     // A/B sorted-tile-list accounting on the tile schedule: a short
     // tracking burst (4 nearby poses × 2 Adam iterations, forward +
-    // backward) under the grouped schedule, against the per-tile
-    // uncached baseline read from the same renders' traces. Without reuse
-    // every pass sorts its lists, so each is charged twice (fwd + bwd);
-    // the sorted-list cache replays the forward's lists for the backward
-    // and for repeat iterations at the same pose, so `sort/realized_elems`
-    // counts only the elements sorted cold — once per pose.
+    // backward) under the grouped schedule, against the per-tile baseline
+    // read from the same renders' traces. The baseline sorts every tile
+    // list in every pass, so each iteration is charged twice (fwd + bwd).
+    // The backward reads its forward's sorted lists, so
+    // `sort/realized_elems` counts the forwards' grouped sorts alone — once
+    // per iteration, the repeat iteration at a pose included.
     {
         const POSES: usize = 4;
         const ITERS_PER_POSE: usize = 2;
@@ -196,14 +190,9 @@ fn main() {
             sparse.len()
         ];
 
-        // Baseline schedule: per-tile sorts, no reuse — each of the
-        // 2 × POSES × ITERS_PER_POSE passes sorts every tile list cold.
-        // Grouped schedule, realized: the side-band cache stats of the
-        // burst.
-        splatonic_render::tilesort::clear();
-        let sort_before = splatonic_render::tilesort::stats();
         let mut naive_elems = 0u64;
         let mut sched_elems = 0u64;
+        let mut realized = 0u64;
         let mut group_reuse = 0u64;
         let _outer = t.span("sort_ab");
         for p in 0..POSES {
@@ -213,6 +202,7 @@ fn main() {
                 let out = render_forward(&scene, &camp, &sparse, Pipeline::TileBased, &cfg);
                 naive_elems += out.trace.forward.per_tile_sort().1 * 2;
                 sched_elems += out.trace.forward.sort_elems * 2;
+                realized += out.trace.forward.sort_elems;
                 group_reuse += out.trace.forward.sort_group_reuse;
                 std::hint::black_box(render_backward(
                     &scene,
@@ -220,24 +210,19 @@ fn main() {
                     &sparse,
                     &out,
                     &grads,
-                    Pipeline::TileBased,
                     &cfg,
                     GradRequest::Pose,
                 ));
             }
         }
-        let s = splatonic_render::tilesort::stats().since(&sort_before);
-        let realized = s.cold_elems;
         t.gauge_set("sort/naive_elems", naive_elems as f64);
         t.gauge_set("sort/sched_elems", sched_elems as f64);
         t.gauge_set("sort/realized_elems", realized as f64);
         t.gauge_set("sort/group_reuse", group_reuse as f64);
-        t.gauge_set("sort/hits", s.hits as f64);
-        t.gauge_set("sort/misses", s.misses as f64);
         let reduction = naive_elems as f64 / realized.max(1) as f64;
         t.gauge_set("sort/elems_reduction", reduction);
         eprintln!(
-            "[kernels] tile sort burst: per-tile uncached {naive_elems} elems \
+            "[kernels] tile sort burst: per-tile {naive_elems} elems \
              vs realized {realized} ({reduction:.1}x reduction)"
         );
     }
@@ -275,7 +260,7 @@ fn main() {
             for _ in 0..iters {
                 let _span = t.span(name);
                 std::hint::black_box(render_backward(
-                    &scene, &cam, pixels, &out, &grads, pipeline, &cfg, want,
+                    &scene, &cam, pixels, &out, &grads, &cfg, want,
                 ));
             }
         }

@@ -38,34 +38,28 @@ pub const TIMING_FLOOR_MS: f64 = 5.0;
 /// Machine-dependent metric prefixes, value-skipped on both sides.
 pub const SKIP_PREFIXES: &[&str] = &["pool/", "render/simd_lanes"];
 /// Counters the report must carry regardless of what the baseline holds —
-/// a dropped checkpoint subsystem (or a silently disabled sorted-tile-list
-/// cache) must fail the gate even if both sides lost the keys together.
+/// a dropped checkpoint subsystem must fail the gate even if both sides
+/// lost the keys together.
 pub const REQUIRED_COUNTERS: &[&str] = &[
     "slam/checkpoints_written",
-    "render/sort_hits",
-    "render/sort_misses",
-    "render/sort_cold_elems",
     "assets/ply_gaussians_written",
     "assets/ply_gaussians_read",
     "mapping/densify_capped",
 ];
 /// The [`REQUIRED_COUNTERS`] subset that must additionally be nonzero: any
-/// instrumented run checkpoints, performs at least one cold tile-sort
-/// build (the per-frame PSNR evaluation renders the tile schedule), and
-/// roundtrips the scene through the `.ply` codec. Exact hits depend
-/// on the run shape — and `mapping/densify_capped` is zero whenever its
-/// knob is off — so those are presence-only.
+/// instrumented run checkpoints and roundtrips the scene through the `.ply`
+/// codec. `mapping/densify_capped` is zero whenever its knob is off, so it
+/// is presence-only.
 pub const REQUIRED_NONZERO: &[&str] = &[
     "slam/checkpoints_written",
-    "render/sort_misses",
-    "render/sort_cold_elems",
     "assets/ply_gaussians_written",
     "assets/ply_gaussians_read",
 ];
 /// Gauges that must be present on both sides (values may be skipped).
 pub const REQUIRED_GAUGES: &[&str] = &["slam/snapshot_bytes", "render/simd_lanes"];
-/// Minimum sorted-element reduction of the grouped + cached tile sort over
-/// the per-tile uncached baseline (DESIGN.md §16); `report_diff record`
+/// Minimum sorted-element reduction of the grouped tile sort, with each
+/// backward reading its forward's lists, over the per-tile baseline that
+/// sorts in every pass (DESIGN.md §16); `report_diff record`
 /// refuses to append a `BENCH_sort.json` entry below it.
 pub const MIN_SORT_REDUCTION: f64 = 2.0;
 /// Hint appended to key-set violations.
@@ -153,8 +147,6 @@ fn diff_frames(errors: &mut Vec<String>, report: &Json, baseline: &Json) {
         "sampled_pixels",
         "map_sampled_pixels",
         "gaussian_count",
-        "cache_hits",
-        "cache_invalidations",
     ];
     const FLOATS: &[&str] = &["psnr_db", "ate_so_far_cm"];
     let frames_r = report.get("frames").and_then(Json::as_arr).unwrap_or(&[]);
@@ -476,8 +468,8 @@ mod tests {
             ),
             (
                 "required-nonzero counter zeroed",
-                |r| *at(r, &["counters", "render/sort_cold_elems"]) = Json::Int(0),
-                &["counters.render/sort_cold_elems", "nonzero"],
+                |r| *at(r, &["counters", "slam/checkpoints_written"]) = Json::Int(0),
+                &["counters.slam/checkpoints_written", "nonzero"],
             ),
         ];
         for (class, mutate, needles) in classes {
@@ -494,11 +486,11 @@ mod tests {
     #[test]
     fn required_counters_fail_even_when_both_sides_agree() {
         let mut doc = baseline();
-        remove(&mut doc, &["counters"], "render/sort_hits");
+        remove(&mut doc, &["counters"], "mapping/densify_capped");
         *at(&mut doc, &["counters", "assets/ply_gaussians_read"]) = Json::Int(0);
         let errors = diff_reports(&doc, &doc);
         for needle in [
-            "counters.render/sort_hits: required, missing from report",
+            "counters.mapping/densify_capped: required, missing from report",
             "counters.assets/ply_gaussians_read: required to be nonzero",
         ] {
             assert!(errors.iter().any(|e| e.contains(needle)), "{errors:?}");

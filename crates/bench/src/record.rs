@@ -7,8 +7,7 @@
 //! * `BENCH_kernels.json`: both runs' per-kernel span totals and the
 //!   derived speedup (DESIGN.md §13);
 //! * `BENCH_sort.json`: the SIMD run's `sort/*` gauges (DESIGN.md §16).
-//!   Every `kernels` run measures the per-tile uncached sort baseline
-//!   in-process, so one report carries the whole comparison. The counts are
+//!   Every `kernels` run measures the per-tile sort baseline in-process, so one report carries the whole comparison. The counts are
 //!   deterministic, and an entry below [`MIN_SORT_REDUCTION`] is refused.
 //!
 //! Each entry carries the report date and the recording host's `rustc -V`.
@@ -46,8 +45,6 @@ const SORT_GAUGES: &[&str] = &[
     "sort/realized_elems",
     "sort/elems_reduction",
     "sort/group_reuse",
-    "sort/hits",
-    "sort/misses",
 ];
 
 const KERNELS_DESCRIPTION: &str = "Scalar-vs-SIMD kernel timing trajectory \
@@ -57,8 +54,9 @@ const KERNELS_DESCRIPTION: &str = "Scalar-vs-SIMD kernel timing trajectory \
 
 const SORT_DESCRIPTION: &str = "Tile-sort trajectory (scripts/bench_record.sh): \
     deterministic compared-element counts (sort/* gauges of the kernels \
-    binary's tracking burst), grouped + cached vs per-tile uncached \
-    (DESIGN.md §16); elems_reduction = naive_elems / realized_elems >= 2x.";
+    binary's tracking burst), grouped with each backward reading its \
+    forward's lists vs per-tile sorting in every pass (DESIGN.md §16); \
+    elems_reduction = naive_elems / realized_elems >= 2x.";
 
 const E2E_DESCRIPTION: &str = "End-to-end benchmark trajectory \
     (report_diff record-e2e): one entry per `bash slam_bench/run.sh` run, \
@@ -155,7 +153,7 @@ fn sort_entry(report: &Json, rustc: &str) -> Result<Json, String> {
     let reduction = round(gauge(report, "sort/elems_reduction")?, 3);
     if reduction < MIN_SORT_REDUCTION {
         return Err(format!(
-            "grouped+cached sort reduction {reduction}x is below the \
+            "grouped sort reduction {reduction}x is below the \
              {MIN_SORT_REDUCTION}x acceptance bar (DESIGN.md §16)"
         ));
     }
@@ -163,7 +161,7 @@ fn sort_entry(report: &Json, rustc: &str) -> Result<Json, String> {
     entry
         .set("date", date(report)?)
         .set("rustc", rustc)
-        .set("grouped_cached", grouped)
+        .set("grouped", grouped)
         .set("elems_reduction", reduction);
     Ok(entry)
 }
@@ -361,11 +359,9 @@ mod tests {
         for (name, value) in [
             ("sort/naive_elems", 36780.0),
             ("sort/sched_elems", 18732.0),
-            ("sort/realized_elems", 4683.0),
+            ("sort/realized_elems", 9366.0),
             ("sort/elems_reduction", reduction),
             ("sort/group_reuse", 168.0),
-            ("sort/hits", 12.0),
-            ("sort/misses", 4.0),
         ] {
             gauges.set(name, value);
         }
@@ -378,8 +374,8 @@ mod tests {
 
     #[test]
     fn entries_are_built_from_kernel_reports() {
-        let scalar = kernels_report(9.0, 36780.0 / 4683.0);
-        let simd = kernels_report(3.0, 36780.0 / 4683.0);
+        let scalar = kernels_report(9.0, 36780.0 / 9366.0);
+        let simd = kernels_report(3.0, 36780.0 / 9366.0);
         let kernels = kernel_entry(&scalar, &simd, "rustc 1.0.0").unwrap();
         assert_eq!(kernels.get("rustc"), Some(&Json::from("rustc 1.0.0")));
         assert_eq!(kernels.get("iters"), Some(&Json::Int(5)));
@@ -391,11 +387,12 @@ mod tests {
 
         let sort = sort_entry(&simd, "rustc 1.0.0").unwrap();
         assert_eq!(sort.get("date"), Some(&Json::from("2026-10-16")));
-        assert_eq!(sort.get("elems_reduction"), Some(&Json::Num(7.854)));
+        assert_eq!(sort.get("elems_reduction"), Some(&Json::Num(3.927)));
         assert!(sort.get("per_tile_uncached").is_none());
-        let grouped = sort.get("grouped_cached").unwrap();
+        let grouped = sort.get("grouped").unwrap();
         assert_eq!(grouped.get("naive_elems"), Some(&Json::Num(36780.0)));
-        assert_eq!(grouped.get("realized_elems"), Some(&Json::Num(4683.0)));
+        assert_eq!(grouped.get("realized_elems"), Some(&Json::Num(9366.0)));
+        assert!(grouped.get("hits").is_none() && grouped.get("misses").is_none());
 
         let path = std::env::temp_dir().join(format!("record_test_{}.json", std::process::id()));
         let _ = std::fs::remove_file(&path);

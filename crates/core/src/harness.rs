@@ -175,16 +175,7 @@ fn measure_iteration(
         &splatonic_render::LossConfig::default(),
     );
     // Only the trace is used, and it is the same for every request.
-    let (_, _, bwd) = render_backward(
-        scene,
-        cam,
-        pixels,
-        &out,
-        &l.grads,
-        pipeline,
-        cfg,
-        GradRequest::Pose,
-    );
+    let (_, _, bwd) = render_backward(scene, cam, pixels, &out, &l.grads, cfg, GradRequest::Pose);
     let workload = FrameWorkload::from_render(&out, &bwd, pipeline);
     let mut trace = out.trace.clone();
     trace.merge(&bwd);

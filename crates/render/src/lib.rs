@@ -18,13 +18,8 @@
 //!   and the constants that define the rendering (α* = 1/255, the α clamp,
 //!   `T_min`, blur, 3.5σ bbox, near plane, black background);
 //!   [`RenderConfig`] holds only output-transparent execution policy,
-//! * [`projcache`] — the tile pipeline's projection cache, which hands
-//!   each tile forward pass's per-Gaussian projection to the backward pass
-//!   at the same pose (the pixel pipeline hands its compact projection over
-//!   in [`ForwardResult::projected`] instead),
-//! * [`tilesort`] — depth-sorted tile lists from one global sort, the
-//!   counted GS-TG-style tile-grouping sort schedule, and an exact-key
-//!   sorted-list cache keyed like `projcache` (bit-identical output),
+//! * [`tilesort`] — depth-sorted tile lists from one global sort and the
+//!   counted GS-TG-style tile-grouping sort schedule,
 //! * [`phase`] — gated side-band phase tracing feeding the Chrome trace
 //!   export (trace-only; never perturbs reports),
 //! * [`sampling`] — the adaptive sparse pixel samplers of Sec. IV-A plus the
@@ -267,12 +262,10 @@ pub struct ForwardResult {
     /// instead of re-rasterizing, and the accelerator models read their
     /// lengths and Gaussian ids.
     pub contributions: PixelLists,
-    /// The pixel pipeline's compact projection, in scene order: every
-    /// Gaussian that kept at least one pixel pair, projected at this
-    /// render's pose. [`pixel::backward`] reads it instead of projecting
-    /// again. The tile pipeline leaves it empty (its backward replays the
-    /// sorted tile lists through [`tilesort`]).
-    pub projected: Vec<ProjectedGaussian>,
+    /// What the backward pass reads besides the contribution lists, tagged
+    /// by the pipeline that rendered ([`Handoff`]). [`render_backward`]
+    /// dispatches on it, so it projects and sorts nothing.
+    pub handoff: Handoff,
     /// Workload statistics recorded during the render.
     pub trace: RenderTrace,
 }
@@ -282,6 +275,22 @@ impl ForwardResult {
     pub fn total_contributions(&self) -> usize {
         self.contributions.total()
     }
+}
+
+/// What a forward pass hands to its backward pass, tagged by the pipeline
+/// that made it.
+///
+/// The backward pass runs at the forward's scene and pose, so it reads the
+/// forward's projection (and, on the tile path, its sorted tile lists)
+/// instead of building them again.
+#[derive(Debug, Clone)]
+pub enum Handoff {
+    /// The pixel pipeline's compact projection, in scene order: every
+    /// Gaussian that kept at least one pixel pair, projected at the
+    /// render's pose.
+    Pixel(Vec<ProjectedGaussian>),
+    /// The tile pipeline's full projection and depth-sorted tile lists.
+    Tile(tilesort::PreparedTiles),
 }
 
 /// Renders the scene at `camera` over the pixels in `pixels` using the
@@ -306,28 +315,43 @@ pub fn render_forward(
 ///
 /// `loss_grads` supplies `∂L/∂color` and `∂L/∂depth` per sampled pixel (in
 /// pixel-set order). Returns per-Gaussian gradients, the camera-pose
-/// gradient, and the backward-stage trace. `want` selects which of the two
+/// gradient, and the backward-stage trace. The pipeline is the one that
+/// rendered `forward` ([`ForwardResult::handoff`]); `scene`, `camera` and
+/// `pixels` must be the forward's. `want` selects which of the two
 /// gradients is computed (tracking: [`GradRequest::Pose`], mapping:
 /// [`GradRequest::Scene`]); the other comes back empty or zero. The trace
 /// and the bits of every computed gradient do not depend on `want`.
-#[allow(clippy::too_many_arguments)]
 pub fn render_backward(
     scene: &GaussianScene,
     camera: &Camera,
     pixels: &PixelSet,
     forward: &ForwardResult,
     loss_grads: &[LossGrad],
-    pipeline: Pipeline,
     config: &RenderConfig,
     want: GradRequest,
 ) -> (SceneGrads, PoseGrad, RenderTrace) {
-    match pipeline {
-        Pipeline::TileBased => {
-            tile::backward(scene, camera, pixels, forward, loss_grads, config, want)
-        }
-        Pipeline::PixelBased => {
-            pixel::backward(scene, camera, pixels, forward, loss_grads, config, want)
-        }
+    let contributions = &forward.contributions;
+    match &forward.handoff {
+        Handoff::Tile(prepared) => tile::backward(
+            scene,
+            camera,
+            pixels,
+            contributions,
+            prepared,
+            loss_grads,
+            config,
+            want,
+        ),
+        Handoff::Pixel(projected) => pixel::backward(
+            scene,
+            camera,
+            pixels,
+            contributions,
+            projected,
+            loss_grads,
+            config,
+            want,
+        ),
     }
 }
 
@@ -337,12 +361,19 @@ pub mod prelude {
     pub use crate::kernel::RenderConfig;
     pub use crate::pixelset::PixelSet;
     pub use crate::sampling::SamplingStrategy;
-    pub use crate::{render_backward, render_forward, ForwardResult, Pipeline};
+    pub use crate::{render_backward, render_forward, ForwardResult, Handoff, Pipeline};
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn forward_result_is_send_and_sync() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<ForwardResult>();
+        send_sync::<Handoff>();
+    }
 
     fn c(gaussian: u32) -> Contribution {
         Contribution {

@@ -185,7 +185,7 @@ mod tests {
             depth: depths,
             final_transmittance: vec![1.0; n],
             contributions: PixelLists::from_lists(vec![Vec::new(); n]),
-            projected: Vec::new(),
+            handoff: crate::Handoff::Pixel(Vec::new()),
             trace: RenderTrace::new(),
         }
     }

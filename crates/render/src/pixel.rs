@@ -7,7 +7,7 @@
 //!    (paper Sec. V-C) and α-checks each candidate; only passing pairs
 //!    enter the per-pixel intersection lists, and only Gaussians with a
 //!    passing pair enter the compact projection
-//!    ([`ForwardResult::projected`]).
+//!    ([`crate::Handoff::Pixel`]).
 //! 2. *Per-pixel sorting* — each pixel's list is depth-sorted.
 //! 3. *Gaussian-parallel rasterization* — a 32-thread warp co-renders one
 //!    pixel: Gaussians are distributed across lanes with no divergence
@@ -15,7 +15,7 @@
 //!    reduction.
 //!
 //! Backward re-uses the per-pixel sorted lists and the forward's compact
-//! projection (it projects nothing and looks nothing up in a cache): a
+//! projection, so it projects nothing: a
 //! first cross-thread reduction recovers `Γ_i`, per-pair gradients are
 //! computed in parallel, and a second reduction aggregates them per
 //! Gaussian.
@@ -31,7 +31,7 @@ use crate::loss::LossGrad;
 use crate::pixelset::{PixelCoord, PixelSet};
 use crate::simd::{self, ProjectedSoA};
 use crate::trace::{bytes, RenderTrace};
-use crate::{ChunkLists, Contribution, ForwardResult, PixelLists};
+use crate::{ChunkLists, Contribution, ForwardResult, Handoff, PixelLists};
 use splatonic_math::{pool, Vec3};
 use splatonic_scene::{Camera, GaussianScene};
 use std::sync::Mutex;
@@ -294,15 +294,15 @@ pub fn forward(
         depth,
         final_transmittance: t_final,
         contributions,
-        projected,
+        handoff: Handoff::Pixel(projected),
         trace,
     }
 }
 
 /// Backward pass of the pixel-based pipeline.
 ///
-/// Re-uses the per-pixel sorted lists and the compact projection
-/// ([`ForwardResult::projected`]) from the forward pass. The first
+/// Re-uses the per-pixel sorted lists (`contributions`) and the compact
+/// projection ([`crate::Handoff::Pixel`]) of the forward pass. The first
 /// cross-thread reduction (recovering `Γ_i` per Gaussian) is charged to the
 /// trace; the partial-gradient computation is lane-parallel; the second
 /// reduction is the aggregation stage. Re-projection computes only the
@@ -310,13 +310,14 @@ pub fn forward(
 ///
 /// # Panics
 ///
-/// Panics when `forward_result` has contributions but no projection (a
-/// tile forward result), or when `loss_grads` does not cover `pixels`.
-pub fn backward(
+/// Panics when `loss_grads` does not cover `pixels`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn backward(
     scene: &GaussianScene,
     camera: &Camera,
     pixels: &PixelSet,
-    forward_result: &ForwardResult,
+    contributions: &PixelLists,
+    projected: &[ProjectedGaussian],
     loss_grads: &[LossGrad],
     config: &RenderConfig,
     want: GradRequest,
@@ -328,15 +329,6 @@ pub fn backward(
     );
     let _pass = crate::phase::begin("render/pixel_backward");
     let mut trace = RenderTrace::new();
-    // The forward's compact projection: every Gaussian in a contribution
-    // list, at this render's pose. A tile forward carries none.
-    let projected: &[ProjectedGaussian] = &forward_result.projected;
-    assert!(
-        !projected.is_empty() || forward_result.total_contributions() == 0,
-        "pixel backward needs the pixel forward's projection: ForwardResult::projected is \
-         empty but {} contributions are not (a tile forward result?)",
-        forward_result.total_contributions()
-    );
     let mut proj_of_id: Vec<u32> = vec![u32::MAX; scene.len()];
     for (pi, pg) in projected.iter().enumerate() {
         proj_of_id[pg.id as usize] = pi as u32;
@@ -384,7 +376,7 @@ pub fn backward(
             let mut part = BackwardPartial::default();
             for (k, p) in chunk.iter().enumerate() {
                 let out_idx = offset + k;
-                let contribs = &forward_result.contributions[out_idx];
+                let contribs = &contributions[out_idx];
                 if contribs.is_empty() {
                     continue;
                 }
@@ -637,8 +629,10 @@ mod tests {
                 d_depth: 0.05 * ((i % 3) as f64 - 1.0),
             })
             .collect();
-        let (ga, pa, _) = tile::backward(&scene, &cam, &pixels, &fa, &lg, &cfg, GradRequest::Both);
-        let (gb, pb, _) = backward(&scene, &cam, &pixels, &fb, &lg, &cfg, GradRequest::Both);
+        let (ga, pa, _) =
+            crate::render_backward(&scene, &cam, &pixels, &fa, &lg, &cfg, GradRequest::Both);
+        let (gb, pb, _) =
+            crate::render_backward(&scene, &cam, &pixels, &fb, &lg, &cfg, GradRequest::Both);
         assert_eq!(ga.len(), gb.len());
         // Pose gradients must agree across schedules.
         let d = (pa.xi.rho - pb.xi.rho).norm() + (pa.xi.phi - pb.xi.phi).norm();
@@ -664,7 +658,8 @@ mod tests {
             };
             pixels.len()
         ];
-        let (_, _, trace) = backward(&scene, &cam, &pixels, &f, &lg, &cfg, GradRequest::Both);
+        let (_, _, trace) =
+            crate::render_backward(&scene, &cam, &pixels, &f, &lg, &cfg, GradRequest::Both);
         assert!(trace.backward.reduction_ops > 0);
         assert!(
             trace.backward.alpha_checks == 0,

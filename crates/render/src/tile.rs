@@ -10,10 +10,11 @@
 //! host skips the ones that provably fail, a whole warp at a time where it
 //! can (DESIGN.md §13).
 //!
-//! Backward: reverse rasterization re-walks the cached tile lists per pixel,
-//! re-α-checking, then aggregates partial gradients per Gaussian (the
-//! `atomicAdd` stage) and re-projects them to world space. The walk computes
-//! no gradient, so the host counts it in closed form.
+//! Backward: reverse rasterization re-walks the forward's tile lists
+//! ([`crate::Handoff::Tile`]) per pixel, re-α-checking, then aggregates
+//! partial gradients per Gaussian (the `atomicAdd` stage) and re-projects
+//! them to world space. The walk computes no gradient, so the host counts
+//! it in closed form.
 
 use crate::grad::{
     pixel_backward, reproject, CamGradAccumulator, GradRequest, PoseGrad, SceneGrads,
@@ -23,8 +24,9 @@ use crate::kernel::{
 };
 use crate::loss::LossGrad;
 use crate::pixelset::{PixelCoord, PixelSet};
+use crate::tilesort::{prepare_tiles, PreparedTiles};
 use crate::trace::{bytes, RenderTrace};
-use crate::{ChunkLists, Contribution, ForwardResult, PixelLists};
+use crate::{ChunkLists, Contribution, ForwardResult, Handoff, PixelLists};
 use splatonic_math::{pool, Vec2, Vec3};
 use splatonic_scene::{Camera, GaussianScene};
 use std::sync::Mutex;
@@ -54,6 +56,14 @@ fn warp_of(p: PixelCoord, x0: usize, y0: usize) -> usize {
     ((p.y as usize - y0) * TILE + (p.x as usize - x0)) / WARP
 }
 
+/// The tile grid of `pixels`' image, `(tiles_x, tiles_y)` 16×16 tiles.
+pub(crate) fn tile_grid(pixels: &PixelSet) -> (usize, usize) {
+    (
+        pixels.width().div_ceil(TILE),
+        pixels.height().div_ceil(TILE),
+    )
+}
+
 /// Groups the requested pixels by tile, keeping their output indices.
 fn group_pixels_by_tile(
     pixels: &PixelSet,
@@ -77,20 +87,17 @@ pub fn forward(
     config: &RenderConfig,
 ) -> ForwardResult {
     let _pass = crate::phase::begin("render/tile_forward");
-    let width = pixels.width();
-    let height = pixels.height();
     let mut trace = RenderTrace::new();
     let f = &mut trace.forward;
     f.gaussians_input = scene.len() as u64;
     f.bytes_read += scene.len() as u64 * bytes::GAUSSIAN;
 
     // Projection (tile granularity: one projection per Gaussian, shared by
-    // all pixels of every covered tile) plus depth-sorted tile lists, both
-    // served through the caches in `projcache`/`tilesort`: one shared sort
-    // per tile group, per-tile lists derived by masking, reused across the
-    // forward/backward pair of each iteration. The lists hold indices into
-    // the shared scene-index-ordered projection — no clone, no global sort.
-    let prepared = crate::tilesort::prepare_tiles(scene, camera, width, height, config);
+    // all pixels of every covered tile) plus depth-sorted tile lists: one
+    // shared sort per tile group, per-tile lists derived by masking. The
+    // lists hold indices into the scene-index-ordered projection, and both
+    // go to the backward pass in `ForwardResult::handoff`.
+    let prepared = prepare_tiles(scene, camera, pixels, config);
     f.gaussians_culled = prepared.culled;
     f.gaussians_projected = prepared.projected.len() as u64;
     f.bytes_written += prepared.projected.len() as u64 * bytes::PROJECTED;
@@ -100,10 +107,7 @@ pub fn forward(
     f.sort_elems = prepared.sort_elems;
     f.sort_group_reuse = prepared.sort_group_reuse;
     f.bytes_read += prepared.tile_pairs * bytes::PAIR_ENTRY;
-    let tiles_x = prepared.tiles_x;
-    let tiles_y = prepared.tiles_y;
-    // Plain slices for the pool closure (`PreparedTiles` holds an `Rc` and
-    // is not `Sync`; the slices are).
+    let (tiles_x, tiles_y) = tile_grid(pixels);
     let projected: &[ProjectedGaussian] = &prepared.projected;
     let tile_lists: &[Vec<u32>] = &prepared.tile_lists;
 
@@ -282,21 +286,29 @@ pub fn forward(
         depth,
         final_transmittance: t_final,
         contributions,
-        projected: Vec::new(),
+        handoff: Handoff::Tile(prepared),
         trace,
     }
 }
 
 /// Backward pass of the tile-based pipeline.
 ///
-/// Re-uses the cached tile–Gaussian sorted lists (modelled by re-projecting,
-/// which is deterministic) and the per-pixel contributions from `forward`.
-/// Re-projection computes only the gradient half `want` asks for.
-pub fn backward(
+/// Re-uses the forward pass's projection and tile–Gaussian sorted lists
+/// (`prepared`, [`crate::Handoff::Tile`]) and its per-pixel
+/// `contributions`. Re-projection computes only the gradient half `want`
+/// asks for.
+///
+/// # Panics
+///
+/// Panics when `loss_grads` does not cover `pixels`, or when `prepared`
+/// was built for another tile grid than `pixels`'.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn backward(
     scene: &GaussianScene,
     camera: &Camera,
     pixels: &PixelSet,
-    forward_result: &ForwardResult,
+    contributions: &PixelLists,
+    prepared: &PreparedTiles,
     loss_grads: &[LossGrad],
     config: &RenderConfig,
     want: GradRequest,
@@ -307,15 +319,14 @@ pub fn backward(
         "loss gradients must cover the pixel set"
     );
     let _pass = crate::phase::begin("render/tile_backward");
-    let width = pixels.width();
-    let height = pixels.height();
+    let (tiles_x, tiles_y) = tile_grid(pixels);
+    assert_eq!(
+        prepared.tile_lists.len(),
+        tiles_x * tiles_y,
+        "the forward's tile lists must cover the pixel set's tile grid"
+    );
     let mut trace = RenderTrace::new();
 
-    // The projected set and sorted tile lists, read back from the forward
-    // pass: the backward pass runs at the exact pose the forward just
-    // used, so this is a guaranteed hit in both the projection and the
-    // sorted-list cache.
-    let prepared = crate::tilesort::prepare_tiles(scene, camera, width, height, config);
     let projected: &[ProjectedGaussian] = &prepared.projected;
     let tile_lists: &[Vec<u32>] = &prepared.tile_lists;
     let tile_pairs = prepared.tile_pairs;
@@ -323,8 +334,6 @@ pub fn backward(
     for (pi, pg) in projected.iter().enumerate() {
         proj_of_id[pg.id as usize] = pi as u32;
     }
-    let tiles_x = prepared.tiles_x;
-    let tiles_y = prepared.tiles_y;
 
     {
         let b = &mut trace.backward;
@@ -401,7 +410,7 @@ pub fn backward(
             for &(p, out_idx) in group {
                 occupied |= 1 << warp_of(p, x0, y0);
                 let mut next = 0;
-                for c in &forward_result.contributions[out_idx] {
+                for c in &contributions[out_idx] {
                     match list_pos.get(c.gaussian as usize) {
                         Some(&pos) if pos != u32::MAX && pos as usize >= next => {
                             next = pos as usize + 1;
@@ -425,7 +434,7 @@ pub fn backward(
                 let counts = if let Some(soa) = soa {
                     crate::simd::pixel_backward_simd(
                         p.center(),
-                        &forward_result.contributions[out_idx],
+                        &contributions[out_idx],
                         soa,
                         &proj_of_id,
                         loss_grads[out_idx].d_color,
@@ -435,7 +444,7 @@ pub fn backward(
                 } else {
                     pixel_backward(
                         p.center(),
-                        &forward_result.contributions[out_idx],
+                        &contributions[out_idx],
                         &lookup,
                         loss_grads[out_idx].d_color,
                         loss_grads[out_idx].d_depth,
@@ -559,11 +568,14 @@ mod tests {
         let pixels = PixelSet::dense(64, 48);
         let cfg = RenderConfig::default();
         let out = forward(&scene, &cam, &pixels, &cfg);
-        let prepared = crate::tilesort::prepare_tiles(&scene, &cam, 64, 48, &cfg);
+        let Handoff::Tile(prepared) = &out.handoff else {
+            panic!("a tile forward hands over its tile lists");
+        };
+        let (tiles_x, _) = tile_grid(&pixels);
         let empty_tiles = prepared.tile_lists.iter().filter(|l| l.is_empty()).count();
         assert!(empty_tiles > 0 && empty_tiles < prepared.tile_lists.len());
         for (i, p) in pixels.iter_all().enumerate() {
-            let tile = (p.y as usize / TILE) * prepared.tiles_x + p.x as usize / TILE;
+            let tile = (p.y as usize / TILE) * tiles_x + p.x as usize / TILE;
             if prepared.tile_lists[tile].is_empty() {
                 assert!(out.contributions[i].is_empty(), "pixel {i}");
             }
@@ -631,7 +643,7 @@ mod tests {
             })
             .collect();
         let (sg, pg, trace) =
-            backward(&scene, &cam, &pixels, &out, &grads, &cfg, GradRequest::Both);
+            crate::render_backward(&scene, &cam, &pixels, &out, &grads, &cfg, GradRequest::Both);
         assert!(!sg.is_empty());
         assert!(pg.xi.norm() > 0.0);
         assert!(trace.backward.pairs_grad > 0);
@@ -646,7 +658,8 @@ mod tests {
         let cfg = RenderConfig::default();
         let out = forward(&scene, &cam, &pixels, &cfg);
         let grads = vec![LossGrad::default(); pixels.len()];
-        let (sg, pg, _) = backward(&scene, &cam, &pixels, &out, &grads, &cfg, GradRequest::Both);
+        let (sg, pg, _) =
+            crate::render_backward(&scene, &cam, &pixels, &out, &grads, &cfg, GradRequest::Both);
         for (_, g) in &sg.entries {
             assert!(g.mean.norm() < 1e-12);
             assert!(g.color.norm() < 1e-12);
@@ -657,10 +670,12 @@ mod tests {
     #[test]
     fn bbox_to_tiles_covers_projection() {
         let (scene, cam) = small_scene();
-        crate::projcache::clear();
-        crate::tilesort::clear();
-        let prepared =
-            crate::tilesort::prepare_tiles(&scene, &cam, 64, 48, &RenderConfig::default());
+        let prepared = prepare_tiles(
+            &scene,
+            &cam,
+            &PixelSet::dense(64, 48),
+            &RenderConfig::default(),
+        );
         assert_eq!(
             prepared.tile_pairs,
             prepared

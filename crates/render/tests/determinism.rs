@@ -16,7 +16,7 @@ use splatonic_render::pixelset::{PixelCoord, PixelSet};
 use splatonic_render::sampling::MappingStrategy;
 use splatonic_render::tile::{TILE, WARP};
 use splatonic_render::{
-    render_backward, render_forward, Contribution, ForwardResult, GradRequest, KernelMode,
+    render_backward, render_forward, Contribution, ForwardResult, GradRequest, Handoff, KernelMode,
     MappingSampler, Pipeline, PixelLists, PoseGrad, ProjectedGaussian, RenderConfig, RenderTrace,
 };
 use splatonic_scene::{Camera, Frame, Gaussian, GaussianScene, Intrinsics};
@@ -65,6 +65,14 @@ fn sparse_set() -> PixelSet {
     });
     set.add_extra([PixelCoord::new(10, 11), PixelCoord::new(70, 45)]);
     set
+}
+
+/// The compact projection a pixel forward hands to its backward pass.
+fn pixel_projection(f: &ForwardResult) -> &[ProjectedGaussian] {
+    match &f.handoff {
+        Handoff::Pixel(projected) => projected,
+        Handoff::Tile(_) => panic!("expected a pixel forward result"),
+    }
 }
 
 fn loss_grads(n: usize) -> Vec<LossGrad> {
@@ -117,16 +125,7 @@ fn assert_backward_bit_identical(pipeline: Pipeline, pixels: &PixelSet) {
     let cam = camera();
     let lg = loss_grads(pixels.len());
     let fwd = render_forward(&scene, &cam, pixels, pipeline, &cfg(1));
-    let (g1, p1, t1) = render_backward(
-        &scene,
-        &cam,
-        pixels,
-        &fwd,
-        &lg,
-        pipeline,
-        &cfg(1),
-        GradRequest::Both,
-    );
+    let (g1, p1, t1) = render_backward(&scene, &cam, pixels, &fwd, &lg, &cfg(1), GradRequest::Both);
     for threads in THREAD_COUNTS {
         let (g, p, t) = render_backward(
             &scene,
@@ -134,7 +133,6 @@ fn assert_backward_bit_identical(pipeline: Pipeline, pixels: &PixelSet) {
             pixels,
             &fwd,
             &lg,
-            pipeline,
             &cfg(threads),
             GradRequest::Both,
         );
@@ -162,24 +160,15 @@ fn assert_split_reproject_matches_both(
         ..cfg(1)
     };
     let fwd = render_forward(scene, &cam, pixels, pipeline, &oracle);
-    let (want_g, want_p, want_t) = render_backward(
-        scene,
-        &cam,
-        pixels,
-        &fwd,
-        &lg,
-        pipeline,
-        &oracle,
-        GradRequest::Both,
-    );
+    let (want_g, want_p, want_t) =
+        render_backward(scene, &cam, pixels, &fwd, &lg, &oracle, GradRequest::Both);
     assert!(!want_g.is_empty() && want_p != PoseGrad::default());
     for kernels in [KernelMode::Scalar, KernelMode::Simd] {
         for threads in EQUALITY_WIDTHS {
             let config = RenderConfig { threads, kernels };
             let at = format!("{pipeline:?}, {kernels:?}, {threads} workers");
             let fwd = render_forward(scene, &cam, pixels, pipeline, &config);
-            let backward =
-                |want| render_backward(scene, &cam, pixels, &fwd, &lg, pipeline, &config, want);
+            let backward = |want| render_backward(scene, &cam, pixels, &fwd, &lg, &config, want);
             let (both_g, both_p, both_t) = backward(GradRequest::Both);
             let (scene_g, scene_p, scene_t) = backward(GradRequest::Scene);
             let (pose_g, pose_p, pose_t) = backward(GradRequest::Pose);
@@ -281,19 +270,10 @@ fn assert_compact_backward_matches_full(pixels: &PixelSet) {
             };
             let compact = render_forward(&scene, &cam, pixels, Pipeline::PixelBased, &config);
             let mut full = compact.clone();
-            full.projected = project_scene(&scene, &cam, &config).0;
-            assert!(compact.projected.len() <= full.projected.len());
+            full.handoff = Handoff::Pixel(project_scene(&scene, &cam, &config).0);
+            assert!(pixel_projection(&compact).len() <= pixel_projection(&full).len());
             let backward = |fwd: &ForwardResult| {
-                render_backward(
-                    &scene,
-                    &cam,
-                    pixels,
-                    fwd,
-                    &lg,
-                    Pipeline::PixelBased,
-                    &config,
-                    GradRequest::Both,
-                )
+                render_backward(&scene, &cam, pixels, fwd, &lg, &config, GradRequest::Both)
             };
             let (gc, pc, tc) = backward(&compact);
             let (gf, pf, tf) = backward(&full);
@@ -316,35 +296,7 @@ fn compact_projection_backward_matches_full_dense() {
     assert_compact_backward_matches_full(&PixelSet::dense(96, 72));
 }
 
-#[test]
-#[should_panic(expected = "pixel backward needs the pixel forward's projection")]
-fn pixel_backward_refuses_a_tile_forward_result() {
-    let scene = random_scene(57, 400);
-    let cam = camera();
-    let pixels = sparse_set();
-    let lg = loss_grads(pixels.len());
-    let fwd = render_forward(&scene, &cam, &pixels, Pipeline::TileBased, &cfg(1));
-    assert!(fwd.projected.is_empty() && fwd.total_contributions() > 0);
-    render_backward(
-        &scene,
-        &cam,
-        &pixels,
-        &fwd,
-        &lg,
-        Pipeline::PixelBased,
-        &cfg(1),
-        GradRequest::Both,
-    );
-}
-
-/// Empties the thread-local projection and sorted-list caches, so the next
-/// render starts cold.
-fn clear_caches() {
-    splatonic_render::projcache::clear();
-    splatonic_render::tilesort::clear();
-}
-
-/// Widths for the oracle and cached equality tests: 1, a fixed multi-worker
+/// Widths for the oracle and hand-over equality tests: 1, a fixed multi-worker
 /// width, and the session default (0 = `SPLATONIC_THREADS` / host).
 const EQUALITY_WIDTHS: [usize; 3] = [1, 4, 0];
 
@@ -424,7 +376,7 @@ fn oracle_forward(
         depth: Vec::new(),
         final_transmittance: Vec::new(),
         contributions: PixelLists::default(),
-        projected: compact,
+        handoff: Handoff::Pixel(compact),
         trace: RenderTrace::new(),
     };
     let mut nested = Vec::new();
@@ -501,7 +453,11 @@ fn assert_matches_oracle(pixels: &PixelSet, tiled: bool) {
                 "Γ_final, {at}"
             );
             assert_eq!(got.contributions, want.contributions, "contribs, {at}");
-            assert_eq!(got.projected, want.projected, "compact projection, {at}");
+            assert_eq!(
+                pixel_projection(&got),
+                pixel_projection(&want),
+                "compact projection, {at}"
+            );
             assert_eq!(got.trace, want.trace, "trace, {at}");
             // The bbox bound makes both pipelines keep exactly the pairs
             // with α ≥ α*, so the tile raster loop (which takes the same
@@ -571,96 +527,64 @@ fn mapping_unseen_only_forward_matches_oracle() {
 }
 
 #[test]
-fn cached_render_sequence_matches_uncached() {
-    // A tracking-shaped sequence — forward and backward at pose A, then
-    // forward at pose B (a pose delta) — must be bit-identical to the same
-    // sequence rendered cold, at every equality width and both pipelines.
-    // The tile pipeline's backward is a sorted-list cache hit; the pixel
-    // pipeline hands its projection over in the `ForwardResult` and never
-    // looks up the projection cache.
-    let scene = random_scene(91, 400);
-    let cam_a = camera();
-    let cam_b = Camera::look_at(
-        Intrinsics::with_fov(96, 72, 1.2),
-        Vec3::new(0.35, -0.2, -0.5),
-        Vec3::new(0.0, 0.0, 2.0),
-        Vec3::Y,
-    );
+fn interleaved_forwards_and_backwards_match_sequential_order() {
+    // Each backward pass reads its own forward's hand-over, so issuing
+    // both forwards first (forward A, forward B, backward A, backward B)
+    // gives the bits of the sequential order (A's forward and backward,
+    // then B's): colour, contributions, gradients and traces, on both
+    // pipelines at every equality width. A and B differ in scene and pose.
+    let renders = [
+        (random_scene(91, 400), camera()),
+        (
+            random_scene(92, 400),
+            Camera::look_at(
+                Intrinsics::with_fov(96, 72, 1.2),
+                Vec3::new(0.35, -0.2, -0.5),
+                Vec3::new(0.0, 0.0, 2.0),
+                Vec3::Y,
+            ),
+        ),
+    ];
     let pixels = sparse_set();
     let lg = loss_grads(pixels.len());
     for pipeline in [Pipeline::PixelBased, Pipeline::TileBased] {
         for threads in EQUALITY_WIDTHS {
-            clear_caches();
             let c = cfg(threads);
-            // The cold run empties both caches before every render.
-            let run = |c: &RenderConfig, cold: bool| {
-                let fresh = || {
-                    if cold {
-                        clear_caches();
-                    }
-                };
-                fresh();
-                let f = render_forward(&scene, &cam_a, &pixels, pipeline, c);
-                fresh();
-                let bwd = render_backward(
-                    &scene,
-                    &cam_a,
-                    &pixels,
-                    &f,
-                    &lg,
-                    pipeline,
-                    c,
-                    GradRequest::Both,
-                );
-                fresh();
-                let f2 = render_forward(&scene, &cam_b, &pixels, pipeline, c);
-                (f, bwd, f2)
+            let forward = |(scene, cam): &(GaussianScene, Camera)| {
+                render_forward(scene, cam, &pixels, pipeline, &c)
             };
-            let before = splatonic_render::projcache::stats();
-            let (fa, ba, fa2) = run(&c, false);
-            match pipeline {
-                Pipeline::PixelBased => {
-                    assert_eq!(
-                        splatonic_render::projcache::stats(),
-                        before,
-                        "{pipeline:?}: forward and backward make no cache lookup"
-                    );
-                }
-                Pipeline::TileBased => {
-                    // The tile pipeline reuses whole sorted tile lists: the
-                    // backward pass is an exact hit, the pose step at B a
-                    // cold miss.
-                    let stats = splatonic_render::tilesort::stats();
-                    assert_eq!(
-                        (stats.hits, stats.misses),
-                        (1, 2),
-                        "{pipeline:?}: backward hits, the pose step misses"
-                    );
-                }
+            let backward = |(scene, cam): &(GaussianScene, Camera), f: &ForwardResult| {
+                render_backward(scene, cam, &pixels, f, &lg, &c, GradRequest::Both)
+            };
+            let sequential: Vec<_> = renders
+                .iter()
+                .map(|r| {
+                    let f = forward(r);
+                    let b = backward(r, &f);
+                    (f, b)
+                })
+                .collect();
+            let forwards: Vec<ForwardResult> = renders.iter().map(forward).collect();
+            let interleaved: Vec<_> = renders
+                .iter()
+                .zip(forwards)
+                .map(|(r, f)| {
+                    let b = backward(r, &f);
+                    (f, b)
+                })
+                .collect();
+            for (i, ((fs, bs), (fi, bi))) in sequential.iter().zip(&interleaved).enumerate() {
+                let at = format!("render {i}, {pipeline:?}, {threads} workers");
+                assert_eq!(fs.color, fi.color, "color, {at}");
+                assert_eq!(fs.contributions, fi.contributions, "contribs, {at}");
+                assert_eq!(fs.trace, fi.trace, "forward trace, {at}");
+                assert_eq!(bs.0, bi.0, "scene grads, {at}");
+                assert_eq!(bs.1, bi.1, "pose grad, {at}");
+                assert_eq!(bs.2, bi.2, "backward trace, {at}");
             }
-            let (fb, bb, fb2) = run(&c, true);
-            assert_eq!(
-                fa.color, fb.color,
-                "{pipeline:?} fwd color, {threads} workers"
-            );
-            assert_eq!(
-                fa.trace, fb.trace,
-                "{pipeline:?} fwd trace, {threads} workers"
-            );
-            assert_eq!(ba.0, bb.0, "{pipeline:?} scene grads, {threads} workers");
-            assert_eq!(ba.1, bb.1, "{pipeline:?} pose grad, {threads} workers");
-            assert_eq!(ba.2, bb.2, "{pipeline:?} bwd trace, {threads} workers");
-            assert_eq!(
-                fa2.color, fb2.color,
-                "{pipeline:?} moved fwd, {threads} workers"
-            );
-            assert_eq!(
-                fa2.trace, fb2.trace,
-                "{pipeline:?} moved trace, {threads} workers"
-            );
+            assert!(!sequential[0].1 .0.is_empty() && !sequential[1].1 .0.is_empty());
         }
     }
-    clear_caches();
 }
 
 /// Zeroes the sorting-schedule counters, which the tile oracles leave
@@ -688,7 +612,6 @@ fn grouped_sort_matches_per_tile_oracle() {
         );
         let (want, _) = oracle_tile_forward(&scene, &cam, &pixels);
         for threads in [1, 2, 4] {
-            clear_caches();
             let got = render_forward(&scene, &cam, &pixels, Pipeline::TileBased, &cfg(threads));
             let f = &got.trace.forward;
             assert_eq!(f.per_tile_sort(), per_tile, "{threads} workers");
@@ -700,79 +623,6 @@ fn grouped_sort_matches_per_tile_oracle() {
             assert_eq!(got.contributions, want.contributions, "contribs, {threads}");
         }
     }
-    clear_caches();
-}
-
-#[test]
-fn cached_sort_matches_cold_sort() {
-    // A tracking-shaped pose walk (A, A-backward, then three small pose
-    // steps, each a cold miss) through the sort cache must be
-    // bit-identical — outputs *and* traces — to the same walk built cold,
-    // at every width.
-    let scene = random_scene(127, 400);
-    let pixels = PixelSet::dense(96, 72);
-    let lg = loss_grads(pixels.len());
-    let poses: Vec<Camera> = (0..4)
-        .map(|i| {
-            Camera::look_at(
-                Intrinsics::with_fov(96, 72, 1.2),
-                Vec3::new(0.3 + 0.01 * i as f64, -0.2, -0.5),
-                Vec3::new(0.0, 0.0, 2.0),
-                Vec3::Y,
-            )
-        })
-        .collect();
-    for threads in EQUALITY_WIDTHS {
-        // The cold walk empties both caches before every render.
-        let walk = |c: &RenderConfig, cold: bool| {
-            clear_caches();
-            let mut outs = Vec::new();
-            for cam in &poses {
-                let f = render_forward(&scene, cam, &pixels, Pipeline::TileBased, c);
-                if cold {
-                    clear_caches();
-                }
-                let b = render_backward(
-                    &scene,
-                    cam,
-                    &pixels,
-                    &f,
-                    &lg,
-                    Pipeline::TileBased,
-                    c,
-                    GradRequest::Both,
-                );
-                if cold {
-                    clear_caches();
-                }
-                outs.push((f, b));
-            }
-            outs
-        };
-        let c = cfg(threads);
-        let cached = walk(&c, false);
-        let stats = splatonic_render::tilesort::stats();
-        assert_eq!(stats.misses as usize, poses.len(), "every pose builds cold");
-        assert_eq!(stats.hits as usize, poses.len(), "every backward hits");
-        // Each pose step superseded its predecessor's entry, so returning to
-        // the first pose misses too.
-        let _ = render_forward(&scene, &poses[0], &pixels, Pipeline::TileBased, &c);
-        let misses = splatonic_render::tilesort::stats().misses as usize;
-        assert_eq!(misses, poses.len() + 1, "the first pose was superseded");
-        let cold = walk(&c, true);
-        for (i, ((fc, bc), (fx, bx))) in cached.iter().zip(&cold).enumerate() {
-            assert_eq!(fc.color, fx.color, "pose {i} color, {threads} workers");
-            assert_eq!(
-                fc.contributions, fx.contributions,
-                "pose {i} contribs, {threads} workers"
-            );
-            assert_eq!(fc.trace, fx.trace, "pose {i} trace, {threads} workers");
-            assert_eq!(bc.0, bx.0, "pose {i} scene grads, {threads} workers");
-            assert_eq!(bc.1, bx.1, "pose {i} pose grad, {threads} workers");
-            assert_eq!(bc.2, bx.2, "pose {i} bwd trace, {threads} workers");
-        }
-    }
-    clear_caches();
 }
 
 #[test]
@@ -798,7 +648,7 @@ fn merged_traces_are_thread_count_invariant() {
 
 /// Per-tile depth-sorted lists (depth, then id) of every projected Gaussian
 /// whose clamped bbox tile range covers the tile, built here independently
-/// of `tilesort`'s grouped, cached build.
+/// of `tilesort`'s grouped build.
 fn oracle_tile_lists(
     projected: &[ProjectedGaussian],
     tiles_x: usize,
@@ -871,7 +721,9 @@ fn oracle_tile_forward(
         depth: vec![0.0; n],
         final_transmittance: vec![1.0; n],
         contributions: PixelLists::default(),
-        projected: Vec::new(),
+        // The oracle builds no tile lists of its own to hand over; the
+        // backward rows pair its contributions with a tile render's lists.
+        handoff: Handoff::Pixel(Vec::new()),
         trace: RenderTrace::new(),
     };
     let mut nested: Vec<Vec<Contribution>> = vec![Vec::new(); n];
@@ -1058,13 +910,18 @@ fn assert_tile_trace_matches_oracle(
             let mut got_trace = got.trace.clone();
             zero_sort_counters(&mut got_trace);
             assert_eq!(got_trace, want.trace, "forward trace, {at}");
+            // The backward pass reads the render's own tile lists, handed
+            // `fwd`'s contributions (another pose's when `fwd_cam` is set).
+            let handed = ForwardResult {
+                contributions: fwd.contributions.clone(),
+                ..got
+            };
             let (_, _, bwd) = render_backward(
                 scene,
                 &cam,
                 pixels,
-                fwd,
+                &handed,
                 &lg,
-                Pipeline::TileBased,
                 &config,
                 GradRequest::Both,
             );

@@ -149,16 +149,8 @@ fn empty_scene_backward_is_empty() {
         };
         pixels.len()
     ];
-    let (sg, pg, trace) = render_backward(
-        &scene,
-        &cam,
-        &pixels,
-        &out,
-        &grads,
-        Pipeline::PixelBased,
-        &cfg,
-        GradRequest::Both,
-    );
+    let (sg, pg, trace) =
+        render_backward(&scene, &cam, &pixels, &out, &grads, &cfg, GradRequest::Both);
     assert!(sg.is_empty());
     assert_eq!(pg.xi.norm(), 0.0);
     assert_eq!(trace.backward.pairs_grad, 0);

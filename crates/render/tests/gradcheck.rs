@@ -103,8 +103,7 @@ fn analytic_grads(
     let l = loss::evaluate_loss(&out, reference, &pixels, &loss_cfg());
     // Each half comes from the request its caller makes (mapping: scene,
     // tracking: pose), so the finite differences check what they use.
-    let backward =
-        |want| render_backward(scene, cam, &pixels, &out, &l.grads, pipeline, &cfg, want);
+    let backward = |want| render_backward(scene, cam, &pixels, &out, &l.grads, &cfg, want);
     let (sg, _, _) = backward(GradRequest::Scene);
     let (_, pg, _) = backward(GradRequest::Pose);
     (sg, pg)

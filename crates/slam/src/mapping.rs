@@ -12,15 +12,10 @@
 //! 3. `S_m` iterations of render → loss → backward → Adam over the window's
 //!    keyframes, with pixels chosen by the [`MappingSampler`].
 //!
-//! Within one mapping iteration the backward pass reuses the forward's
-//! projection: the pixel pipeline hands it over in
-//! `ForwardResult::projected`, and only the tile pipeline looks it up in
-//! `splatonic_render::projcache` (same scene revision, same keyframe pose).
-//! Every Adam step mutates the scene, so the next iteration's forward
-//! projects afresh (on the tile path a plain cache miss, not an
-//! invalidation — the scene changed, not the pose). Keyframe poses inside
-//! one iteration's window loop differ pairwise, which on the tile path
-//! shows up as pose-only invalidations.
+//! Within one mapping iteration the backward pass reads the forward's
+//! projection (and, on the tile path, its sorted tile lists) from
+//! `ForwardResult::handoff`. Every Adam step mutates the scene, so the next
+//! iteration's forward projects afresh.
 
 use crate::adam::{AdamParams, AdamVector};
 use crate::algorithm::AlgorithmConfig;
@@ -298,7 +293,6 @@ pub fn map_scene(
                 &pixels,
                 &out,
                 &l.grads,
-                pipeline,
                 render_cfg,
                 GradRequest::Scene,
             )

@@ -2,13 +2,12 @@
 //!
 //! The ROADMAP north star is serving many users, and SplaTAM-style
 //! per-frame track/map loops are embarrassingly parallel *across* sessions
-//! — but until PR 8 the repo could only run one [`SlamSystem`] at a time
-//! correctly: the projection cache, the render-phase ring buffer, and the
-//! pool trace collectors were process-global, so interleaved sessions
-//! silently thrashed and cross-attributed each other's state. With those
-//! globals session-scoped (keyed LRU projection cache, run-id-tagged trace
-//! events, per-frame counter windows), this module adds the missing
-//! piece: a [`SessionManager`] that owns K independent sessions and drives
+//! — but the repo once could only run one [`SlamSystem`] at a time
+//! correctly: the render-phase ring buffer and the pool trace collectors
+//! were process-global, so interleaved sessions cross-attributed each
+//! other's events. With those session-scoped (run-id-tagged trace events,
+//! per-frame counter windows) and a renderer that keeps no state between
+//! renders, this module adds the missing piece: a [`SessionManager`] that owns K independent sessions and drives
 //! them over the shared deterministic worker pool.
 //!
 //! # Model
@@ -34,10 +33,9 @@
 //!
 //! Per-session accounting stays meaningful under concurrency because every
 //! session owns its own [`Telemetry`] handle: each frame window writes its
-//! `render/cache_*`/`render/sort_*` counters, `pool/worker*` spans and
-//! per-frame record straight into that handle (see `system.rs`
-//! `FrameWindow`), so it holds only what the session's own frames did, and
-//! an eviction has nothing left to flush.
+//! `pool/worker*` spans and per-frame record straight into that handle
+//! (see `system.rs` `FrameWindow`), so it holds only what the session's own
+//! frames did, and an eviction has nothing left to flush.
 //!
 //! [`ingest`]: SessionManager::ingest
 //! [`step`]: SessionManager::step
@@ -162,7 +160,7 @@ pub struct SessionOutcome {
     /// [`SlamSystem::run`] over the same frames.
     pub result: SlamResult,
     /// The session's own telemetry report (per-frame records and their
-    /// latency quantiles, `render/cache_*` counters, `pool/worker*` spans).
+    /// latency quantiles, `slam/*` counters, `pool/worker*` spans).
     pub report: RunReport,
     /// The session's hierarchical span events (run-id tagged), for merged
     /// fleet trace export.

@@ -17,8 +17,7 @@
 //! round trip is bit-exact by construction (NaN payloads and signed zeros
 //! included).
 //!
-//! Deliberately **not** captured: the projection cache and its thread-local
-//! statistics (bitwise-transparent by contract), pool worker state, and the
+//! Deliberately **not** captured: pool worker state and the
 //! scene's revision counter as an identity (it is stored as metadata but a
 //! fresh revision is drawn on restore — revisions are process-unique).
 

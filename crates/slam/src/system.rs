@@ -24,9 +24,7 @@ use splatonic_math::Pose;
 use splatonic_render::kernel::{
     ALPHA_MAX, ALPHA_THRESHOLD, BACKGROUND, BBOX_SIGMA, NEAR, SCREEN_BLUR, TRANSMITTANCE_MIN,
 };
-use splatonic_render::projcache;
 use splatonic_render::sampling::MappingStrategy;
-use splatonic_render::tilesort;
 use splatonic_render::{
     LossConfig, MappingSampler, Pipeline, RenderConfig, RenderTrace, SamplingStrategy,
 };
@@ -316,7 +314,7 @@ impl SlamResult {
 }
 
 /// In-flight run state: everything that must survive a checkpoint/resume
-/// cycle. Execution telemetry (pool and cache activity) is not part of it:
+/// cycle. Execution telemetry (pool activity) is not part of it:
 /// each [`FrameWindow`] writes its share straight into the run's
 /// [`Telemetry`] handle.
 #[derive(Debug, Clone, Default)]
@@ -340,18 +338,15 @@ struct RunState {
     mapping_invocations: usize,
 }
 
-/// The pool, projection-cache and sorted-list-cache activity of one window
-/// of a run (a frame, or the final evaluation), outside the bitwise
-/// contract. The pool registry is process-global and the caches are
-/// thread-local, so a run-start/run-end subtraction would absorb every
+/// The pool activity of one window of a run (a frame, or the final
+/// evaluation), outside the bitwise contract. The pool registry is
+/// process-global, so a run-start/run-end subtraction would absorb every
 /// other session's activity when runs interleave on one thread; each
 /// window brackets only this run's own work instead, and its deltas go
 /// straight into the run's telemetry. Counters are additive, so nothing is
 /// lost when a serving layer evicts the run between windows.
 struct FrameWindow {
     pool: Vec<WorkerStats>,
-    cache: projcache::CacheStats,
-    sort: tilesort::SortStats,
 }
 
 impl FrameWindow {
@@ -359,28 +354,11 @@ impl FrameWindow {
     fn open(telemetry: &Telemetry) -> Option<FrameWindow> {
         telemetry.is_enabled().then(|| FrameWindow {
             pool: splatonic_math::pool::worker_stats_snapshot(),
-            cache: projcache::stats(),
-            sort: tilesort::stats(),
         })
     }
 
-    /// Projection-cache activity since the window opened.
-    fn cache_so_far(&self) -> projcache::CacheStats {
-        projcache::stats().since(&self.cache)
-    }
-
-    /// Adds the window's cache and sort activity to the `render/cache_*`
-    /// and `render/sort_*` counters and its pool activity to the
-    /// `pool/worker<i>` spans.
+    /// Adds the window's pool activity to the `pool/worker<i>` spans.
     fn close(self, telemetry: &Telemetry) {
-        let cache = self.cache_so_far();
-        let sort = tilesort::stats().since(&self.sort);
-        telemetry.counter_add("render/cache_hits", cache.hits);
-        telemetry.counter_add("render/cache_misses", cache.misses);
-        telemetry.counter_add("render/cache_invalidations", cache.invalidations);
-        telemetry.counter_add("render/sort_hits", sort.hits);
-        telemetry.counter_add("render/sort_misses", sort.misses);
-        telemetry.counter_add("render/sort_cold_elems", sort.cold_elems);
         telemetry.record_pool_workers(&self.pool);
     }
 }
@@ -507,7 +485,7 @@ impl SlamSystem {
         let ate_cm = ate_rmse_cm(&state.est_poses, &dataset.gt_poses[..n]);
         let psnr = {
             let _span = telemetry.span_flat("psnr_eval");
-            // The evaluation renders go through the same pool and cache;
+            // The evaluation renders go through the same pool;
             // window them so they attribute to this run too.
             let window = FrameWindow::open(telemetry);
             let v = self.evaluate_psnr(
@@ -668,7 +646,7 @@ impl SlamSystem {
         // per processed frame, anchor included) without nesting the
         // tracking/mapping paths beneath it.
         let _frame = telemetry.span_flat("frame");
-        // Window this frame so pool and cache activity attribute to *this*
+        // Window this frame so pool activity attributes to *this*
         // run even when a session manager interleaves several runs on one
         // thread.
         let window = FrameWindow::open(telemetry);
@@ -760,9 +738,6 @@ impl SlamSystem {
         }
 
         if let Some(window) = window {
-            // The frame's cache delta is read before the telemetry-only
-            // PSNR render below, whose lookups the window still counts.
-            let cache_frame = window.cache_so_far();
             telemetry.record_frame(FrameRecord {
                 frame_idx: t,
                 track_iters,
@@ -770,8 +745,6 @@ impl SlamSystem {
                 sampled_pixels,
                 map_sampled_pixels,
                 gaussian_count: self.scene.len(),
-                cache_hits: cache_frame.hits,
-                cache_invalidations: cache_frame.invalidations,
                 psnr_db: self.frame_psnr(frame, pose),
                 ate_so_far_cm: if t == 0 {
                     0.0 // the anchor pose is given

@@ -8,13 +8,11 @@
 //! best-of pose selection is meaningful; only the loss-guided baseline
 //! re-samples each iteration.
 //!
-//! Each iteration projects the scene once: the pixel pipeline's forward
-//! pass hands the Gaussians that kept a pair to its backward pass in
-//! `ForwardResult::projected`, and the Adam step then moves the pose, so the
-//! next forward projects afresh. Only the tile pipeline (the dense
-//! baselines) goes through `splatonic_render::projcache`, whose backward hit
-//! and per-iteration pose invalidation give it the same one projection per
-//! iteration.
+//! Each iteration projects the scene once: the forward pass hands its
+//! projection to its backward pass in `ForwardResult::handoff` (the pixel
+//! pipeline the Gaussians that kept a pair, the tile pipeline the whole
+//! projection with its sorted tile lists), and the Adam step then moves the
+//! pose, so the next forward projects afresh.
 
 use crate::adam::{AdamParams, AdamVector};
 use crate::algorithm::AlgorithmConfig;
@@ -157,7 +155,6 @@ pub fn track_frame(
                 &pixels,
                 &out,
                 &l.grads,
-                pipeline,
                 render_cfg,
                 GradRequest::Pose,
             )

@@ -337,8 +337,7 @@ fn served_session_counters_match_a_solo_instrumented_run() {
     let d = &datasets(1, 5)[0];
     let cfg = config(1);
 
-    // Solo reference: one system, one telemetry handle, same thread (the
-    // projection cache is thread-local, so this is an exact-counter oracle).
+    // Solo reference: one system, one telemetry handle, same thread.
     let solo_tel = Telemetry::enabled();
     let mut solo = SlamSystem::new(cfg, d.intrinsics);
     let solo_result = solo.run_with_telemetry(d, &solo_tel);
@@ -373,9 +372,6 @@ fn served_session_counters_match_a_solo_instrumented_run() {
             .unwrap_or_else(|| panic!("missing counter {name}"))
     };
     for key in [
-        "render/cache_hits",
-        "render/cache_misses",
-        "render/cache_invalidations",
         "slam/tracking_iters",
         "slam/mapping_iters",
         "slam/mapping_invocations",
@@ -387,54 +383,6 @@ fn served_session_counters_match_a_solo_instrumented_run() {
         );
     }
     assert_eq!(served_report.frames.len(), solo_report.frames.len());
-}
-
-#[test]
-fn evicted_sessions_count_every_cache_lookup_once() {
-    // Snapshots carry no execution telemetry, so whatever a session's
-    // cache and sort lookups recorded before an eviction must already be in
-    // its own handle. Exact hits may differ from a solo run (a resumed
-    // scene gets a fresh revision, so one would-be hit misses), but every
-    // lookup is counted exactly once: hits + misses match the solo oracle.
-    let data = datasets(2, 5);
-    let cfg = config(1);
-    let (manager, outcomes) = serve_interleaved(
-        ServeConfig {
-            queue_capacity: 2,
-            max_resident: 1,
-            evict_dir: Some(evict_dir("lookups")),
-            telemetry: true,
-        },
-        cfg,
-        &data,
-    );
-    assert!(manager.evictions() > 0, "no eviction happened");
-    let counter = |report: &splatonic_telemetry::RunReport, name: &str| {
-        report
-            .counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    };
-    for (outcome, d) in outcomes.iter().zip(&data) {
-        assert!(outcome.evictions > 0, "{}: never evicted", d.name);
-        let solo_tel = Telemetry::enabled();
-        SlamSystem::new(cfg, d.intrinsics).run_with_telemetry(d, &solo_tel);
-        let solo = solo_tel.finish(&d.name, Default::default());
-        for kind in ["cache", "sort"] {
-            let lookups = |r: &splatonic_telemetry::RunReport| {
-                counter(r, &format!("render/{kind}_hits"))
-                    + counter(r, &format!("render/{kind}_misses"))
-            };
-            assert!(lookups(&solo) > 0, "{}: no {kind} lookups", d.name);
-            assert_eq!(
-                lookups(&outcome.report),
-                lookups(&solo),
-                "{}: served {kind} lookups diverged from the solo run",
-                d.name
-            );
-        }
-    }
 }
 
 #[test]

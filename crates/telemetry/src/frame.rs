@@ -24,12 +24,6 @@ pub struct FrameRecord {
     pub map_sampled_pixels: usize,
     /// Scene size (Gaussians) after processing this frame.
     pub gaussian_count: usize,
-    /// Projection-cache hits across this frame's renders (tracking +
-    /// mapping); 0 when the cache is disabled.
-    pub cache_hits: u64,
-    /// Projection-cache invalidations (pose-delta misses) across this
-    /// frame's renders; 0 when the cache is disabled.
-    pub cache_invalidations: u64,
     /// PSNR of the current map rendered at the estimated pose (dB); NaN
     /// serializes as `null` when not evaluated.
     pub psnr_db: f64,
@@ -52,8 +46,6 @@ impl FrameRecord {
             .set("sampled_pixels", self.sampled_pixels)
             .set("map_sampled_pixels", self.map_sampled_pixels)
             .set("gaussian_count", self.gaussian_count)
-            .set("cache_hits", self.cache_hits)
-            .set("cache_invalidations", self.cache_invalidations)
             .set("psnr_db", self.psnr_db)
             .set("ate_so_far_cm", self.ate_so_far_cm)
             .set("track_ms", self.track_ms)
@@ -76,8 +68,6 @@ mod tests {
             sampled_pixels: 120,
             map_sampled_pixels: 200,
             gaussian_count: 5000,
-            cache_hits: 18,
-            cache_invalidations: 9,
             psnr_db: 21.5,
             ate_so_far_cm: 0.8,
             track_ms: 12.0,
@@ -100,8 +90,6 @@ mod tests {
             sampled_pixels: 0,
             map_sampled_pixels: 0,
             gaussian_count: 0,
-            cache_hits: 0,
-            cache_invalidations: 0,
             psnr_db: f64::NAN,
             ate_so_far_cm: 0.0,
             track_ms: 0.0,

@@ -650,8 +650,6 @@ mod tests {
                 sampled_pixels: 0,
                 map_sampled_pixels: 0,
                 gaussian_count: 0,
-                cache_hits: 0,
-                cache_invalidations: 0,
                 psnr_db: 0.0,
                 ate_so_far_cm: 0.0,
                 track_ms: 0.0,
@@ -786,8 +784,6 @@ mod tests {
             sampled_pixels: 1,
             map_sampled_pixels: 0,
             gaussian_count: 1,
-            cache_hits: 0,
-            cache_invalidations: 0,
             psnr_db: f64::NAN,
             ate_so_far_cm: 0.0,
             track_ms,

@@ -314,8 +314,6 @@ mod tests {
                 sampled_pixels: 48,
                 map_sampled_pixels: 0,
                 gaussian_count: 900,
-                cache_hits: 0,
-                cache_invalidations: 0,
                 psnr_db: 20.0,
                 ate_so_far_cm: 0.4,
                 track_ms: 5.0,

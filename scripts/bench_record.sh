@@ -11,9 +11,10 @@
 # * BENCH_kernels.json: both runs' span timings plus the derived per-kernel
 #   speedups. Each commit that touches the hot kernels should append one so
 #   the history of the scalar/SIMD gap stays reviewable in-repo.
-# * BENCH_sort.json: the SIMD run's sorted-element counts for the grouped +
-#   frame-coherent-cached tile sort against the per-tile uncached baseline
-#   that every `kernels` run measures in-process (DESIGN.md §16). These are
+# * BENCH_sort.json: the SIMD run's sorted-element counts for the grouped
+#   tile sort, whose backward passes read their forward's sorted lists,
+#   against the per-tile baseline that sorts in every pass, which every
+#   `kernels` run measures in-process (DESIGN.md §16). These are
 #   deterministic workload counters, comparable across hosts; the recorder
 #   exits nonzero (writing neither file) if the reduction is below 2x.
 #

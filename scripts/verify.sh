@@ -9,6 +9,14 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --all --check =="
 cargo fmt --all --check
 
+echo "== no thread_local! under crates/render/src =="
+# The renderer keeps no state between renders: each forward pass hands its
+# backward pass what it needs in `ForwardResult::handoff` (DESIGN.md §11).
+if grep -rn 'thread_local!' crates/render/src; then
+  echo "thread_local! found under crates/render/src" >&2
+  exit 1
+fi
+
 echo "== cargo build --workspace --release =="
 cargo build --workspace --release
 

@@ -311,43 +311,6 @@ fn alpha_fails_outside_bbox() {
     });
 }
 
-/// Empties the thread-local projection and sorted-list caches, so the next
-/// render starts cold.
-fn clear_caches() {
-    splatonic::render::projcache::clear();
-    splatonic::render::tilesort::clear();
-}
-
-/// The cross-iteration projection cache never changes rendered output:
-/// a repeated render that hits it is bit-identical to a cold render (both
-/// caches emptied first) of the same inputs. Only the tile pipeline
-/// projects through the cache, and only when its sorted-list cache misses,
-/// so the repeat empties the sorted-list cache alone.
-#[test]
-fn projection_cache_is_transparent() {
-    for_each_case(0xCAC4_E5EED, |case, rng| {
-        let scene = arb_scene(rng, 4, 32);
-        let cam = camera();
-        let cfg = RenderConfig::default();
-        let pixels = PixelSet::dense(48, 36);
-        clear_caches();
-        let a1 = render_forward(&scene, &cam, &pixels, Pipeline::TileBased, &cfg);
-        splatonic::render::tilesort::clear();
-        let a2 = render_forward(&scene, &cam, &pixels, Pipeline::TileBased, &cfg);
-        assert_eq!(
-            splatonic::render::projcache::stats().hits,
-            1,
-            "case {case}: the repeat hits the projection cache"
-        );
-        clear_caches();
-        let b = render_forward(&scene, &cam, &pixels, Pipeline::TileBased, &cfg);
-        assert_eq!(a1.color, b.color, "case {case}: first render");
-        assert_eq!(a2.color, b.color, "case {case}: repeat (cached) render");
-        assert_eq!(a1.trace, b.trace, "case {case}: trace");
-        assert_eq!(a2.trace, b.trace, "case {case}: cached trace");
-    });
-}
-
 /// The grouped tile sort (one shared depth sort per tile group, per-tile
 /// lists recovered by masking, DESIGN.md §16) against an independent
 /// per-tile oracle, for arbitrary scenes and poses: the per-tile schedule
@@ -364,7 +327,6 @@ fn grouped_sort_matches_per_tile_oracle() {
         let cam = Camera::new(Intrinsics::with_fov(48, 36, 1.2), arb_pose(rng));
         let pixels = PixelSet::dense(48, 36);
         let cfg = RenderConfig::default();
-        clear_caches();
         let out = render_forward(&scene, &cam, &pixels, Pipeline::TileBased, &cfg);
         // Oracle: every projected Gaussian in each tile its clamped bbox
         // tile range covers, each tile sorted by (depth, id).
@@ -406,101 +368,6 @@ fn grouped_sort_matches_per_tile_oracle() {
             }
         }
     });
-    clear_caches();
-}
-
-/// The sorted-list cache never changes rendered output: repeated renders
-/// (exact hits), small pose steps and scene mutations (cold misses) are all
-/// bit-identical to cold renders of the same inputs (both caches emptied
-/// before each), forward and backward.
-#[test]
-fn sort_cache_is_transparent() {
-    use splatonic::render::LossGrad;
-    for_each_case(0x50CA_C4ED, |case, rng| {
-        let mut scene = arb_scene(rng, 8, 40);
-        let base = arb_pose(rng);
-        // A tracking-shaped walk: repeat pose, two small steps, then a
-        // scene mutation followed by one more render at the last pose.
-        let step = |p: &Pose, rng: &mut Rng64| {
-            p.compose(&Se3::new(small_vec3(rng) * 0.01, small_vec3(rng) * 0.004).exp())
-        };
-        let mut poses = vec![base, base];
-        let s1 = step(&base, rng);
-        poses.push(s1);
-        poses.push(step(&s1, rng));
-        let pixels = PixelSet::dense(48, 36);
-        let lg: Vec<LossGrad> = (0..pixels.len())
-            .map(|_| LossGrad {
-                d_color: small_vec3(rng),
-                d_depth: rng.gen_range(-0.5..0.5),
-            })
-            .collect();
-        let mutate = |scene: &mut GaussianScene, rng: &mut Rng64| {
-            let i = rng.gen_range(0usize..scene.len());
-            let nudge = small_vec3(rng) * 0.05;
-            scene.update(i, |g| g.mean += nudge);
-        };
-        // The cached walk keeps both caches across renders; the cold walk
-        // empties both before every render.
-        let walk = |scene: &mut GaussianScene, rng: &mut Rng64, cold: bool| {
-            clear_caches();
-            let cfg = RenderConfig::default();
-            let fresh = || {
-                if cold {
-                    clear_caches();
-                }
-            };
-            let mut outs = Vec::new();
-            let mut round = |scene: &GaussianScene, pose: &Pose| {
-                let cam = Camera::new(Intrinsics::with_fov(48, 36, 1.2), *pose);
-                fresh();
-                let f = render_forward(scene, &cam, &pixels, Pipeline::TileBased, &cfg);
-                fresh();
-                let b = render_backward(
-                    scene,
-                    &cam,
-                    &pixels,
-                    &f,
-                    &lg,
-                    Pipeline::TileBased,
-                    &cfg,
-                    GradRequest::Both,
-                );
-                outs.push((f, b));
-            };
-            for cam_pose in &poses {
-                round(scene, cam_pose);
-            }
-            mutate(scene, rng);
-            round(scene, poses.last().unwrap());
-            outs
-        };
-        // Both walks must see the same scene trajectory: clone the scene so
-        // each applies the identical mutation from an identical state.
-        let mut scene_cold = GaussianScene::from_vec(scene.to_vec());
-        let mut rng_cold = Rng64::seed_from_u64(0x50CA_C4ED ^ case as u64 ^ 0xFFFF);
-        let mut rng_cached = Rng64::seed_from_u64(0x50CA_C4ED ^ case as u64 ^ 0xFFFF);
-        let cached = walk(&mut scene, &mut rng_cached, false);
-        let stats = splatonic::render::tilesort::stats();
-        assert_eq!(
-            stats.hits, 6,
-            "case {case}: the repeat and every backward hit"
-        );
-        assert_eq!(stats.misses, 4, "case {case}: pose steps and the edit miss");
-        let cold = walk(&mut scene_cold, &mut rng_cold, true);
-        for (i, ((fc, bc), (fx, bx))) in cached.iter().zip(&cold).enumerate() {
-            assert_eq!(fc.color, fx.color, "case {case}: render {i} color");
-            assert_eq!(
-                fc.contributions, fx.contributions,
-                "case {case}: render {i} contributions"
-            );
-            assert_eq!(fc.trace, fx.trace, "case {case}: render {i} trace");
-            assert_eq!(bc.0, bx.0, "case {case}: render {i} scene grads");
-            assert_eq!(bc.1, bx.1, "case {case}: render {i} pose grad");
-            assert_eq!(bc.2, bx.2, "case {case}: render {i} bwd trace");
-        }
-    });
-    clear_caches();
 }
 
 /// Snapshot wire-format round trip: encode → decode → re-encode is the

@@ -211,7 +211,6 @@ fn backward_scalar_simd_bitwise_at_all_widths() {
                         &pixels,
                         &out,
                         &l.grads,
-                        pipeline,
                         &cfg,
                         GradRequest::Both,
                     )
