@@ -36,11 +36,12 @@
 //! per-tile baseline that sorts in every pass, read from the same renders'
 //! traces, so a single default run quantifies the sort-work reduction.
 //!
-//! `--scalar` / `--simd` select the kernel mode (DESIGN.md §13). The two
-//! SIMD kernels, projection and per-pixel gradient accumulation, are
-//! bit-identical to their scalar oracles, so this is a pure A/B timing
-//! switch: the `kernel/project` and `kernel/gradient` micro-spans and the
-//! end-to-end forward/backward spans move, nothing else. The active lane
+//! `--scalar` / `--simd` select the kernel mode (DESIGN.md §13). The one
+//! SIMD kernel, projection, is bit-identical to its scalar oracle, so this
+//! is a pure A/B timing switch: the `kernel/project` micro-span and the
+//! end-to-end forward/backward spans move, nothing else. The
+//! `kernel/gradient` micro-span times the scalar per-pixel gradient in
+//! both modes. The active lane
 //! width is reported as the `render/simd_lanes` gauge (1 in scalar mode or
 //! on hosts without a vector unit). `scripts/bench_record.sh` runs both modes and
 //! appends the pair to `BENCH_kernels.json`.
@@ -266,22 +267,17 @@ fn main() {
         }
     }
 
-    // Per-kernel microbenches in the selected kernel mode. Each span times
-    // ONE of the two vector kernels in isolation so `BENCH_kernels.json`
-    // records where the scalar-vs-SIMD speedup comes from, not just the
-    // end-to-end delta. Both modes run identical workloads (the SIMD kernels
-    // are bit-exact replicas of the scalar oracles), so the span ratio IS
-    // the speedup.
+    // Per-kernel microbenches. `kernel/project` times the projection
+    // kernel in the selected mode, so the scalar/SIMD span ratio of
+    // `BENCH_kernels.json` is its speedup; `kernel/gradient` times the
+    // scalar per-pixel gradient, which has no vector twin.
     {
         use splatonic_math::{Vec2, Vec3};
         use splatonic_render::grad::{pixel_backward, CamGradAccumulator};
         use splatonic_render::kernel::{project_scene, sort_by_depth};
-        use splatonic_render::simd::{self, ProjectedSoA};
 
-        let simd_on = cfg.kernels.simd_active();
         let (mut projected, _) = project_scene(&scene, &cam, &cfg);
         sort_by_depth(&mut projected);
-        let soa = ProjectedSoA::build(&projected);
         let _outer = t.span("kernel");
 
         // Projection: full scene → screen space.
@@ -304,27 +300,14 @@ fn main() {
             let _span = t.span("gradient");
             accum.reset(scene.len());
             for (pi, pixel) in pixels.iter().enumerate() {
-                let counts = if simd_on {
-                    simd::pixel_backward_simd(
-                        *pixel,
-                        &fwd.contributions[pi],
-                        &soa,
-                        &proj_of_id,
-                        Vec3::splat(0.1),
-                        0.05,
-                        &mut accum,
-                    )
-                } else {
-                    pixel_backward(
-                        *pixel,
-                        &fwd.contributions[pi],
-                        &lookup,
-                        Vec3::splat(0.1),
-                        0.05,
-                        &mut accum,
-                    )
-                };
-                std::hint::black_box(counts);
+                std::hint::black_box(pixel_backward(
+                    *pixel,
+                    &fwd.contributions[pi],
+                    &lookup,
+                    Vec3::splat(0.1),
+                    0.05,
+                    &mut accum,
+                ));
             }
         }
     }

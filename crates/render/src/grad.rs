@@ -1,4 +1,4 @@
-//! Gradient computation shared by both backward pipelines.
+//! The schedule-independent half of both backward pipelines.
 //!
 //! Following the paper's decomposition (Fig. 3), the backward pass is:
 //!
@@ -14,15 +14,25 @@
 //!    camera-pose tangent (tracking), whichever the caller requests
 //!    ([`GradRequest`]); implemented by [`reproject`].
 //!
+//! Only the order in which pixels are walked depends on the schedule. The
+//! pixel and tile pipelines each own their walk and its trace counters;
+//! everything else — the id → projection index, the per-pair gradient
+//! call, the pooled fan-out, the chunk-order merge and re-projection — is
+//! the one `run_backward` here.
+//!
 //! Tracking pose gradients flow through the projected means and depths
 //! (`∂p_cam/∂ξ = [I | −[p_cam]×]` for a left-multiplicative update); the
 //! covariance-orientation dependence on pose is dropped (standard
 //! SplaTAM-style approximation; see DESIGN.md §5).
 
-use crate::kernel::{projection_jacobian, ProjectedGaussian, ALPHA_MAX};
-use crate::Contribution;
+use crate::kernel::{projection_jacobian, ProjectedGaussian, RenderConfig, ALPHA_MAX};
+use crate::loss::LossGrad;
+use crate::pixelset::{PixelCoord, PixelSet};
+use crate::trace::{bytes, BackwardStats, RenderTrace};
+use crate::{Contribution, PixelLists};
 use splatonic_math::{pool, Mat2, Mat3, Se3, Vec2, Vec3};
 use splatonic_scene::{Camera, Gaussian, GaussianScene};
+use std::sync::Mutex;
 
 /// Gradient of the loss w.r.t. one Gaussian's trainable parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -208,13 +218,13 @@ pub const GRAD_COMPONENTS: u64 = 10;
 ///
 /// Walks the pixel's depth-ordered contribution list, computes each pair's
 /// partial gradients analytically, and adds them into `accum`. `lookup`
-/// resolves a Gaussian id to its projection. `dl_dc`/`dl_dd` are the loss
+/// resolves a Gaussian id to its projection; it is generic so that the
+/// lookup inlines into the per-pair loop. `dl_dc`/`dl_dd` are the loss
 /// gradients w.r.t. this pixel's color and depth.
-#[allow(clippy::too_many_arguments)]
 pub fn pixel_backward(
     pixel: Vec2,
     contribs: &[Contribution],
-    lookup: &dyn Fn(u32) -> ProjectedGaussian,
+    lookup: &impl Fn(u32) -> ProjectedGaussian,
     dl_dc: Vec3,
     dl_dd: f64,
     accum: &mut CamGradAccumulator,
@@ -277,8 +287,8 @@ pub fn pixel_backward(
 /// Tracking optimizes only the camera pose and mapping only the Gaussians
 /// (paper Sec. II-A), so each process asks for the half it uses and pays
 /// for nothing else. The stages before re-projection, and with them every
-/// [`RenderTrace`](crate::RenderTrace) counter, are the same for every
-/// request; so are the bits of each half that is computed.
+/// [`RenderTrace`] counter, are the same for every request; so are the
+/// bits of each half that is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GradRequest {
     /// Per-Gaussian scene gradients only; the pose gradient is zero
@@ -438,8 +448,8 @@ fn param_grad(
 ///
 /// Covariance and opacity come from the scene's
 /// [`projection_terms`](GaussianScene::projection_terms) column, which the
-/// forward pass at this scene revision has already built, so no covariance
-/// is recomputed here. The scene half fans out over fixed
+/// forward pass on this scene has already built, so no covariance is
+/// recomputed here. The scene half fans out over fixed
 /// [`REPROJECT_CHUNK`]-sized chunks of the touched ids on `threads` pool
 /// workers; each entry is independent and chunks are concatenated in
 /// order, so the entries are in first-touch order at every width. The pose
@@ -490,6 +500,144 @@ pub fn reproject(
         }
     }
     (grads, PoseGrad { xi: pose })
+}
+
+/// Runs the schedule-independent half of one backward pass around a
+/// pipeline's `walk`, from the forward's hand-over projection and the loss
+/// gradients, and re-projects the result to the half `want` asks for.
+///
+/// The walk runs over fixed `chunk_size`-sized pool chunks of `items` and
+/// calls [`ChunkGrads::pixel`] for every pixel it visits, counting only its
+/// own schedule's work. Each chunk accumulates into a private
+/// [`CamGradAccumulator`], recycled through a small pool together with the
+/// walk's scratch `S`, and extracts its per-Gaussian partials in
+/// first-touch order. The partials and the chunks' counters are merged in
+/// chunk order, so every sum is identical for every worker count.
+/// `render/backward_accum` covers the walk, the per-pair gradients and the
+/// merge; re-projection follows under `render/reproject`. The returned
+/// trace holds the walk's counters plus the aggregation's.
+///
+/// # Panics
+///
+/// Panics when `loss_grads` does not cover `pixels`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_backward<T: Sync, S: Default + Send>(
+    scene: &GaussianScene,
+    camera: &Camera,
+    pixels: &PixelSet,
+    contributions: &PixelLists,
+    projected: &[ProjectedGaussian],
+    loss_grads: &[LossGrad],
+    config: &RenderConfig,
+    want: GradRequest,
+    items: &[T],
+    chunk_size: usize,
+    walk: impl Fn(usize, &[T], &mut S, &mut ChunkGrads<'_>) + Sync,
+) -> (SceneGrads, PoseGrad, RenderTrace) {
+    assert_eq!(
+        loss_grads.len(),
+        pixels.len(),
+        "loss gradients must cover the pixel set"
+    );
+    let n = scene.len();
+    let mut proj_of_id = vec![u32::MAX; n];
+    for (pi, pg) in projected.iter().enumerate() {
+        proj_of_id[pg.id as usize] = pi as u32;
+    }
+    let stage = GradStage {
+        contributions,
+        loss_grads,
+        projected,
+        proj_of_id,
+    };
+    let threads = pool::resolve_threads(config.threads);
+    let accum_phase = crate::phase::begin("render/backward_accum");
+    let recycled: Mutex<Vec<(CamGradAccumulator, S)>> = Mutex::new(Vec::new());
+    let partials = pool::par_chunks_indexed(threads, items, chunk_size, |_, offset, chunk| {
+        let (acc, mut s) = recycled
+            .lock()
+            .expect("a worker panicked")
+            .pop()
+            .unwrap_or_else(|| (CamGradAccumulator::new(n), S::default()));
+        let mut g = ChunkGrads {
+            stage: &stage,
+            acc,
+            stats: BackwardStats::default(),
+        };
+        g.acc.reset(n);
+        walk(offset, chunk, &mut s, &mut g);
+        let entries: Vec<(u32, CamGrad)> = g
+            .acc
+            .touched()
+            .iter()
+            .map(|&id| (id, g.acc.get(id)))
+            .collect();
+        recycled.lock().expect("a worker panicked").push((g.acc, s));
+        (entries, g.stats)
+    });
+    let mut trace = RenderTrace::new();
+    let b = &mut trace.backward;
+    let mut accum = CamGradAccumulator::new(n);
+    for (entries, stats) in partials {
+        b.merge(&stats);
+        for (id, cg) in &entries {
+            accum.merge_entry(*id, cg);
+        }
+    }
+    for &id in accum.touched() {
+        b.gaussian_touches.push(accum.get(id).count as f64);
+    }
+    b.gaussians_touched = accum.touched().len() as u64;
+    b.reprojections = accum.touched().len() as u64;
+    b.bytes_read += b.gaussians_touched * bytes::GRADIENT;
+    b.bytes_written += b.gaussians_touched * bytes::GRADIENT;
+    drop(accum_phase);
+    let (grads, pose) = {
+        let _p = crate::phase::begin("render/reproject");
+        reproject(scene, camera, &accum, want, threads)
+    };
+    (grads, pose, trace)
+}
+
+/// What every chunk of a [`run_backward`] reads: the forward's per-pixel
+/// lists and projection, indexed by Gaussian id, and the loss gradients.
+struct GradStage<'a> {
+    contributions: &'a PixelLists,
+    loss_grads: &'a [LossGrad],
+    projected: &'a [ProjectedGaussian],
+    /// Gaussian id → index into `projected`.
+    proj_of_id: Vec<u32>,
+}
+
+/// One pool chunk of a [`run_backward`]: its private accumulator and its
+/// backward counters.
+pub(crate) struct ChunkGrads<'s> {
+    stage: &'s GradStage<'s>,
+    acc: CamGradAccumulator,
+    /// The chunk's counters, merged into the backward trace in chunk order.
+    pub(crate) stats: BackwardStats,
+}
+
+impl ChunkGrads<'_> {
+    /// Computes the per-pair gradients of the pixel `p` at output index
+    /// `out_idx` into the chunk's accumulator and counts its pairs, atomic
+    /// adds and gradient bytes. Returns the pair count.
+    pub(crate) fn pixel(&mut self, p: PixelCoord, out_idx: usize) -> u64 {
+        let st = self.stage;
+        let LossGrad { d_color, d_depth } = st.loss_grads[out_idx];
+        let counts = pixel_backward(
+            p.center(),
+            &st.contributions[out_idx],
+            &|id| st.projected[st.proj_of_id[id as usize] as usize],
+            d_color,
+            d_depth,
+            &mut self.acc,
+        );
+        self.stats.pairs_grad += counts.pairs;
+        self.stats.atomic_adds += counts.atomic_adds;
+        self.stats.bytes_written += counts.pairs * bytes::GRADIENT;
+        counts.pairs
+    }
 }
 
 #[cfg(test)]
@@ -607,6 +755,69 @@ mod tests {
             &mut acc,
         );
         assert_eq!(counts.pairs, 0);
+    }
+
+    #[test]
+    fn backward_phases_nest_in_their_pass_phase() {
+        use crate::{phase, render_backward, render_forward, Pipeline};
+        use splatonic_math::{timebase, Quat};
+        let _serial = phase::GATE_TEST_LOCK.lock().unwrap();
+        let scene: GaussianScene = (0..12)
+            .map(|i| {
+                let t = i as f64;
+                Gaussian::new(
+                    Vec3::new(0.1 * t - 0.6, 0.05 * t - 0.3, 2.0 + 0.1 * t),
+                    Vec3::splat(0.15),
+                    Quat::IDENTITY,
+                    0.8,
+                    Vec3::new(0.9, 0.1 * t / 12.0, 0.3),
+                )
+            })
+            .collect();
+        let cam = Camera::new(Intrinsics::with_fov(64, 48, 1.2), Pose::identity());
+        let pixels = PixelSet::dense(64, 48);
+        let cfg = RenderConfig::default();
+        let loss = vec![
+            LossGrad {
+                d_color: Vec3::splat(1.0),
+                d_depth: 0.1,
+            };
+            pixels.len()
+        ];
+        let cases = [
+            (Pipeline::PixelBased, "render/pixel_backward", 9301),
+            (Pipeline::TileBased, "render/tile_backward", 9302),
+        ];
+        for (pipeline, pass, run) in cases {
+            phase::enable(true);
+            let cursor = phase::cursor();
+            {
+                let _scope = timebase::run_scope(run);
+                let fwd = render_forward(&scene, &cam, &pixels, pipeline, &cfg);
+                let _ =
+                    render_backward(&scene, &cam, &pixels, &fwd, &loss, &cfg, GradRequest::Both);
+            }
+            let events: Vec<_> = phase::events_since(cursor)
+                .into_iter()
+                .filter(|e| e.run == run)
+                .collect();
+            phase::enable(false);
+            let outer = events
+                .iter()
+                .find(|e| e.name == pass)
+                .unwrap_or_else(|| panic!("no {pass} phase"));
+            for name in ["render/backward_accum", "render/reproject"] {
+                let e = events
+                    .iter()
+                    .find(|e| e.name == name)
+                    .unwrap_or_else(|| panic!("{pass}: no {name} phase"));
+                assert!(
+                    e.start_ns >= outer.start_ns
+                        && e.start_ns + e.dur_ns <= outer.start_ns + outer.dur_ns,
+                    "{pass}: {name} lies outside its pass phase"
+                );
+            }
+        }
     }
 
     #[test]

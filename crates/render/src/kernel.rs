@@ -75,12 +75,12 @@ pub struct RenderConfig {
     pub threads: usize,
     /// Kernel implementation selector (default [`crate::simd::KernelMode::Simd`]).
     ///
-    /// `Simd` uses the runtime-detected vector paths in [`crate::simd`]
-    /// (projection and the per-pixel backward) and falls back to scalar
-    /// automatically when no vector unit is detected. Every shipped SIMD
-    /// lane replicates the scalar operation order exactly, so outputs are
-    /// bit-identical across modes (enforced by the determinism suite); the
-    /// flag is the A/B switch that shows each vector kernel still pays.
+    /// `Simd` uses the runtime-detected vector projection in
+    /// [`crate::simd`] and falls back to scalar automatically when no
+    /// vector unit is detected. Every shipped SIMD lane replicates the
+    /// scalar operation order exactly, so outputs are bit-identical across
+    /// modes (enforced by the determinism suite); the flag is the A/B
+    /// switch that shows the vector kernel still pays.
     pub kernels: crate::simd::KernelMode,
 }
 
@@ -345,23 +345,6 @@ pub fn alpha_at(pg: &ProjectedGaussian, pixel: Vec2) -> (f64, f64) {
     (alpha, q)
 }
 
-/// Composites a depth-sorted contribution list into color, depth, and final
-/// transmittance (Eq. 1). `contribs` must be front-to-back.
-pub fn composite(
-    contribs: &[(f64, Vec3, f64)], // (alpha, color, z) front-to-back
-) -> (Vec3, f64, f64) {
-    let mut t = 1.0;
-    let mut color = Vec3::ZERO;
-    let mut depth = 0.0;
-    for &(alpha, c, z) in contribs {
-        let w = t * alpha;
-        color += c * w;
-        depth += z * w;
-        t *= 1.0 - alpha;
-    }
-    (color, depth, t)
-}
-
 /// Sort of projected Gaussians by ascending depth, tie-broken by Gaussian
 /// id so both pipelines composite equal-depth splats in the same order.
 /// `total_cmp` keeps the comparator a total order even on a NaN depth
@@ -468,40 +451,6 @@ mod tests {
         let near = project_gaussian(&gaussian_at(1.0), 0, &cam).unwrap();
         let far = project_gaussian(&gaussian_at(4.0), 0, &cam).unwrap();
         assert!(near.radius.x > far.radius.x);
-    }
-
-    #[test]
-    fn composite_single_opaque() {
-        let c = Vec3::new(0.2, 0.4, 0.6);
-        let (color, depth, t) = composite(&[(0.99, c, 2.0)]);
-        assert!((color - c * 0.99).norm() < 1e-12);
-        assert!((depth - 1.98).abs() < 1e-12);
-        assert!((t - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn composite_order_matters() {
-        let red = (0.8, Vec3::new(1.0, 0.0, 0.0), 1.0);
-        let blue = (0.8, Vec3::new(0.0, 0.0, 1.0), 2.0);
-        let (front_red, _, _) = composite(&[red, blue]);
-        let (front_blue, _, _) = composite(&[blue, red]);
-        assert!(front_red.x > front_red.z);
-        assert!(front_blue.z > front_blue.x);
-    }
-
-    #[test]
-    fn composite_transmittance_product() {
-        let items = [(0.5, Vec3::ZERO, 1.0), (0.25, Vec3::ZERO, 1.0)];
-        let (_, _, t) = composite(&items);
-        assert!((t - 0.5 * 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn background_fills_remaining_transmittance() {
-        let (color, depth, t) = composite(&[]);
-        assert_eq!(t, 1.0);
-        assert_eq!(depth, 0.0);
-        assert_eq!(color, BACKGROUND);
     }
 
     #[test]

@@ -100,11 +100,12 @@ impl Drop for PhaseGuard {
 }
 
 #[cfg(test)]
+/// Serializes the crate's tests that toggle the process-global capture gate.
+pub(crate) static GATE_TEST_LOCK: Mutex<()> = Mutex::new(());
+
+#[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes the tests that toggle the process-global capture gate.
-    static GATE_TEST_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn guard_records_only_while_enabled() {

@@ -15,26 +15,23 @@
 //!    reduction.
 //!
 //! Backward re-uses the per-pixel sorted lists and the forward's compact
-//! projection, so it projects nothing: a
-//! first cross-thread reduction recovers `Γ_i`, per-pair gradients are
-//! computed in parallel, and a second reduction aggregates them per
-//! Gaussian.
+//! projection, so it projects nothing. Its own part is the walk: pixels in
+//! order, a first cross-thread reduction recovering `Γ_i` and the warp
+//! steps charged per pixel. The per-pair gradients, the second reduction
+//! (per-Gaussian aggregation) and re-projection are the gradient stage it
+//! shares with the tile pipeline (`grad::run_backward`).
 
-use crate::grad::{
-    pixel_backward, reproject, CamGradAccumulator, GradRequest, PoseGrad, SceneGrads,
-};
+use crate::grad::{run_backward, ChunkGrads, GradRequest, PoseGrad, SceneGrads};
 use crate::kernel::{
     alpha_at, ProjectedGaussian, Projector, RenderConfig, ALPHA_THRESHOLD, PROJECT_CHUNK,
     TRANSMITTANCE_MIN,
 };
 use crate::loss::LossGrad;
 use crate::pixelset::{PixelCoord, PixelSet};
-use crate::simd::{self, ProjectedSoA};
 use crate::trace::{bytes, RenderTrace};
 use crate::{ChunkLists, Contribution, ForwardResult, Handoff, PixelLists};
 use splatonic_math::{pool, Vec3};
 use splatonic_scene::{Camera, GaussianScene};
-use std::sync::Mutex;
 
 /// GPU warp width in threads (Gaussian-parallel lanes).
 pub const WARP: usize = 32;
@@ -302,11 +299,13 @@ pub fn forward(
 /// Backward pass of the pixel-based pipeline.
 ///
 /// Re-uses the per-pixel sorted lists (`contributions`) and the compact
-/// projection ([`crate::Handoff::Pixel`]) of the forward pass. The first
-/// cross-thread reduction (recovering `Γ_i` per Gaussian) is charged to the
-/// trace; the partial-gradient computation is lane-parallel; the second
-/// reduction is the aggregation stage. Re-projection computes only the
-/// gradient half `want` asks for.
+/// projection ([`crate::Handoff::Pixel`]) of the forward pass. The walk
+/// visits the pixels in order over fixed chunks and charges the first
+/// cross-thread reduction (recovering `Γ_i` per Gaussian) and the warp
+/// steps to the trace; the lane-parallel per-pair gradients, the second
+/// reduction (aggregation) and re-projection are the shared
+/// [`run_backward`]'s. Re-projection computes only the gradient half `want`
+/// asks for.
 ///
 /// # Panics
 ///
@@ -322,141 +321,42 @@ pub(crate) fn backward(
     config: &RenderConfig,
     want: GradRequest,
 ) -> (SceneGrads, PoseGrad, RenderTrace) {
-    assert_eq!(
-        loss_grads.len(),
-        pixels.len(),
-        "loss gradients must cover the pixel set"
-    );
     let _pass = crate::phase::begin("render/pixel_backward");
-    let mut trace = RenderTrace::new();
-    let mut proj_of_id: Vec<u32> = vec![u32::MAX; scene.len()];
-    for (pi, pg) in projected.iter().enumerate() {
-        proj_of_id[pg.id as usize] = pi as u32;
-    }
-    let lookup = |id: u32| projected[proj_of_id[id as usize] as usize];
-    // SoA view for the vector backward kernel (bit-identical to `lookup` +
-    // `pixel_backward`; see `simd`).
-    let soa = (config.kernels.simd_active()
-        && crate::simd::soa_pays_off(pixels.len(), projected.len()))
-    .then(|| {
-        let _p = crate::phase::begin("render/soa_build");
-        ProjectedSoA::build(projected)
-    });
-    let soa = soa.as_ref();
-
-    // Per-pair gradients, fanned out over fixed chunks of pixels. Each
-    // chunk accumulates into a private accumulator (recycled through a
-    // small pool) and extracts its per-Gaussian partials in first-touch
-    // order; the merge below folds them into the shared accumulator in
-    // chunk order, so the aggregation is identical for every worker count.
-    let threads = pool::resolve_threads(config.threads);
     let all_pixels: Vec<PixelCoord> = pixels.iter_all().collect();
-    let acc_pool: Mutex<Vec<CamGradAccumulator>> = Mutex::new(Vec::new());
-    #[derive(Default)]
-    struct BackwardPartial {
-        entries: Vec<(u32, crate::grad::CamGrad)>,
-        exp_evals: u64,
-        reduction_ops: u64,
-        warp_steps: u64,
-        warp_active: u64,
-        pairs_grad: u64,
-        atomic_adds: u64,
-        bytes_read: u64,
-        bytes_written: u64,
-    }
-    let _accum = crate::phase::begin("render/backward_accum");
-    let partials =
-        pool::par_chunks_indexed(threads, &all_pixels, BACKWARD_CHUNK, |_, offset, chunk| {
-            let mut acc = acc_pool
-                .lock()
-                .unwrap()
-                .pop()
-                .unwrap_or_else(|| CamGradAccumulator::new(scene.len()));
-            acc.reset(scene.len());
-            let mut part = BackwardPartial::default();
-            for (k, p) in chunk.iter().enumerate() {
-                let out_idx = offset + k;
-                let contribs = &contributions[out_idx];
-                if contribs.is_empty() {
-                    continue;
-                }
-                let n = contribs.len() as u64;
-                // Recompute α_i per lane (exp), then the Γ reduction (first
-                // cross-thread reduction introduced by pixel-based rendering).
-                part.exp_evals += n;
-                part.reduction_ops += n;
-                // Lane-parallel gradient computation: all lanes active.
-                let steps = (contribs.len().div_ceil(WARP)) as u64;
-                part.warp_steps += 2 * steps; // α/Γ pass + gradient pass
-                part.warp_active += 2 * n;
-                part.bytes_read += n * (bytes::PAIR_ENTRY + bytes::PROJECTED);
-                let counts = if let Some(soa) = soa {
-                    simd::pixel_backward_simd(
-                        p.center(),
-                        contribs,
-                        soa,
-                        &proj_of_id,
-                        loss_grads[out_idx].d_color,
-                        loss_grads[out_idx].d_depth,
-                        &mut acc,
-                    )
-                } else {
-                    pixel_backward(
-                        p.center(),
-                        contribs,
-                        &lookup,
-                        loss_grads[out_idx].d_color,
-                        loss_grads[out_idx].d_depth,
-                        &mut acc,
-                    )
-                };
-                part.pairs_grad += counts.pairs;
-                part.atomic_adds += counts.atomic_adds;
-                // Second reduction: aggregation of partial gradients.
-                part.reduction_ops += counts.pairs;
-                part.bytes_written += counts.pairs * bytes::GRADIENT;
+    let walk = |offset: usize, chunk: &[PixelCoord], _: &mut (), g: &mut ChunkGrads<'_>| {
+        for (k, &p) in chunk.iter().enumerate() {
+            let out_idx = offset + k;
+            let n = contributions[out_idx].len() as u64;
+            if n == 0 {
+                continue;
             }
-            part.entries = acc.touched().iter().map(|&id| (id, acc.get(id))).collect();
-            acc_pool.lock().unwrap().push(acc);
-            part
-        });
-
-    let mut accum = CamGradAccumulator::new(scene.len());
-    accum.reset(scene.len());
-    {
-        let b = &mut trace.backward;
-        for part in partials {
-            b.exp_evals += part.exp_evals;
-            b.reduction_ops += part.reduction_ops;
-            b.warp_steps += part.warp_steps;
-            b.warp_active += part.warp_active;
-            b.pairs_grad += part.pairs_grad;
-            b.atomic_adds += part.atomic_adds;
-            b.bytes_read += part.bytes_read;
-            b.bytes_written += part.bytes_written;
-            for (id, cg) in &part.entries {
-                accum.merge_entry(*id, cg);
-            }
+            let b = &mut g.stats;
+            // Recompute α_i per lane (exp), then the Γ reduction (first
+            // cross-thread reduction introduced by pixel-based rendering).
+            b.exp_evals += n;
+            b.reduction_ops += n;
+            // Lane-parallel gradient computation: all lanes active.
+            b.warp_steps += 2 * n.div_ceil(WARP as u64); // α/Γ pass + gradient pass
+            b.warp_active += 2 * n;
+            b.bytes_read += n * (bytes::PAIR_ENTRY + bytes::PROJECTED);
+            let pairs = g.pixel(p, out_idx);
+            // Second reduction: aggregation of partial gradients.
+            g.stats.reduction_ops += pairs;
         }
-    }
-
-    {
-        let b = &mut trace.backward;
-        for &id in accum.touched() {
-            b.gaussian_touches.push(accum.get(id).count as f64);
-        }
-        b.gaussians_touched = accum.touched().len() as u64;
-        b.reprojections = accum.touched().len() as u64;
-        b.bytes_read += b.gaussians_touched * bytes::GRADIENT;
-        b.bytes_written += b.gaussians_touched * bytes::GRADIENT;
-    }
-
-    drop(_accum);
-    let (grads, pose) = {
-        let _p = crate::phase::begin("render/reproject");
-        reproject(scene, camera, &accum, want, threads)
     };
-    (grads, pose, trace)
+    run_backward(
+        scene,
+        camera,
+        pixels,
+        contributions,
+        projected,
+        loss_grads,
+        config,
+        want,
+        &all_pixels,
+        BACKWARD_CHUNK,
+        walk,
+    )
 }
 
 #[cfg(test)]

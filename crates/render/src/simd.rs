@@ -1,16 +1,14 @@
 //! Runtime-detected SIMD implementations of the hot kernels, with the
 //! scalar code as the bit-exactness oracle.
 //!
-//! Two kernels get explicit vector paths here, each kept because it
-//! measurably pays (DESIGN.md §13): projection (`project_chunk`, run by
-//! every tracking and mapping iteration) and per-pixel gradient
-//! accumulation (`pixel_backward_simd`, run by the dense and mapping
-//! backward passes). The pixel forward — preemptive α-checking and
-//! compositing — has one scalar path: vector versions of both measured
-//! within run-to-run noise end to end. Every shipped lane replicates the
-//! scalar operation *order* exactly (same adds in the same association,
-//! `exp` evaluated scalar), so SIMD output is **bit-identical** to the
-//! scalar oracle on every input. The determinism suite asserts this
+//! One kernel gets an explicit vector path here: projection
+//! (`project_chunk`, run by every tracking and mapping iteration). The
+//! pixel forward (preemptive α-checking and compositing) and the per-pixel
+//! gradient of the backward have one scalar path each: their vector
+//! versions measured within run-to-run noise end to end (DESIGN.md §13).
+//! The shipped lanes replicate the scalar operation *order* exactly (same
+//! adds in the same association), so SIMD output is **bit-identical** to
+//! the scalar oracle on every input. The determinism suite asserts this
 //! directly; [`KernelMode`] is the A/B switch that suite and the `kernels`
 //! bench drive.
 //!
@@ -26,23 +24,19 @@
 //!
 //! See DESIGN.md §13 for the layout and performance model.
 
-use crate::grad::{CamGradAccumulator, PixelBackwardCounts, GRAD_COMPONENTS};
-use crate::kernel::{
-    in_front_of_near, project_from_cam, project_mean, ProjectedGaussian, ALPHA_MAX,
-};
-use crate::Contribution;
+use crate::kernel::{in_front_of_near, project_from_cam, project_mean, ProjectedGaussian};
 use splatonic_math::{Vec2, Vec3};
 use splatonic_scene::{Camera, GaussianScene, ProjectionTerms};
 
 /// Kernel implementation selector carried by
 /// [`RenderConfig::kernels`](crate::RenderConfig).
 ///
-/// Selects between the scalar oracle and the two vector kernels
-/// (`project_chunk`, `pixel_backward_simd`). Both modes produce
+/// Selects between the scalar oracle and the vector projection kernel
+/// (`project_chunk`). Both modes produce
 /// bit-identical output (the SIMD lanes replicate the scalar operation
 /// order exactly); the flag is the A/B switch the scalar≡SIMD determinism
-/// tests and the `kernels` bench bin (`--scalar` / `--simd`) drive, so each
-/// remaining kernel can keep showing that it pays.
+/// tests and the `kernels` bench bin (`--scalar` / `--simd`) drive, so the
+/// kernel can keep showing that it pays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelMode {
     /// Always use the scalar oracle kernels.
@@ -128,16 +122,8 @@ mod arch {
             unsafe { F4(_mm256_setr_pd(a, b, c, d)) }
         }
         #[inline(always)]
-        pub(super) fn load(p: &[f64; 4]) -> Self {
-            unsafe { F4(_mm256_loadu_pd(p.as_ptr())) }
-        }
-        #[inline(always)]
         pub(super) fn add(self, r: Self) -> Self {
             unsafe { F4(_mm256_add_pd(self.0, r.0)) }
-        }
-        #[inline(always)]
-        pub(super) fn sub(self, r: Self) -> Self {
-            unsafe { F4(_mm256_sub_pd(self.0, r.0)) }
         }
         #[inline(always)]
         pub(super) fn mul(self, r: Self) -> Self {
@@ -183,10 +169,6 @@ mod arch {
             unsafe { F4(vaddq_f64(self.0, r.0), vaddq_f64(self.1, r.1)) }
         }
         #[inline(always)]
-        pub(super) fn sub(self, r: Self) -> Self {
-            unsafe { F4(vsubq_f64(self.0, r.0), vsubq_f64(self.1, r.1)) }
-        }
-        #[inline(always)]
         pub(super) fn mul(self, r: Self) -> Self {
             unsafe { F4(vmulq_f64(self.0, r.0), vmulq_f64(self.1, r.1)) }
         }
@@ -224,16 +206,8 @@ mod arch {
             F4([a, b, c, d])
         }
         #[inline(always)]
-        pub(super) fn load(p: &[f64; 4]) -> Self {
-            F4(*p)
-        }
-        #[inline(always)]
         pub(super) fn add(self, r: Self) -> Self {
             F4(std::array::from_fn(|i| self.0[i] + r.0[i]))
-        }
-        #[inline(always)]
-        pub(super) fn sub(self, r: Self) -> Self {
-            F4(std::array::from_fn(|i| self.0[i] - r.0[i]))
         }
         #[inline(always)]
         pub(super) fn mul(self, r: Self) -> Self {
@@ -252,80 +226,6 @@ mod arch {
 
 use arch::F4;
 
-/// Structure-of-arrays view of a projected-Gaussian list, gathered once per
-/// backward pass so [`pixel_backward_simd`] loads only the attributes it
-/// touches (instead of copying whole [`ProjectedGaussian`] records).
-///
-/// `colorz` packs `[r, g, b, depth]` contiguously per splat: the backward
-/// pass accumulates those four channels in one lane batch.
-#[derive(Debug, Clone, Default)]
-pub struct ProjectedSoA {
-    mx: Vec<f64>,
-    my: Vec<f64>,
-    c00: Vec<f64>,
-    c01: Vec<f64>,
-    c10: Vec<f64>,
-    c11: Vec<f64>,
-    opacity: Vec<f64>,
-    colorz: Vec<[f64; 4]>,
-}
-
-impl ProjectedSoA {
-    /// Scatters an AoS projection list into per-attribute arrays. The f64
-    /// values are copied verbatim, so kernels reading either layout see
-    /// identical bits.
-    pub fn build(projected: &[ProjectedGaussian]) -> Self {
-        let n = projected.len();
-        let mut s = ProjectedSoA {
-            mx: Vec::with_capacity(n),
-            my: Vec::with_capacity(n),
-            c00: Vec::with_capacity(n),
-            c01: Vec::with_capacity(n),
-            c10: Vec::with_capacity(n),
-            c11: Vec::with_capacity(n),
-            opacity: Vec::with_capacity(n),
-            colorz: Vec::with_capacity(n),
-        };
-        for pg in projected {
-            s.mx.push(pg.mean2d.x);
-            s.my.push(pg.mean2d.y);
-            s.c00.push(pg.conic.m[0]);
-            s.c01.push(pg.conic.m[1]);
-            s.c10.push(pg.conic.m[2]);
-            s.c11.push(pg.conic.m[3]);
-            s.opacity.push(pg.opacity);
-            s.colorz
-                .push([pg.color.x, pg.color.y, pg.color.z, pg.depth]);
-        }
-        s
-    }
-
-    /// Number of projected Gaussians.
-    pub fn len(&self) -> usize {
-        self.mx.len()
-    }
-
-    /// Returns `true` when no Gaussian was projected.
-    pub fn is_empty(&self) -> bool {
-        self.mx.is_empty()
-    }
-}
-
-/// Pixels-per-projected-splat ratio below which gathering a
-/// [`ProjectedSoA`] costs more than the vector kernels save.
-const SOA_AMORTIZE: usize = 8;
-
-/// Whether a backward pass over `pixel_count` pixels amortizes the
-/// O(projected) SoA gather. The scalar oracle and the vector kernel produce
-/// bit-identical output, so this heuristic moves wall-clock only — never
-/// results. Sparse tracking passes (tens of pixels against thousands of
-/// projected splats) stay on the scalar path; dense and mapping passes
-/// vectorize.
-#[inline]
-pub fn soa_pays_off(pixel_count: usize, projected_count: usize) -> bool {
-    pixel_count.saturating_mul(SOA_AMORTIZE) >= projected_count
-}
-
 /// Asserts the vector backend is usable before entering `unsafe` kernel
 /// code; turns an API misuse on a non-AVX2 x86 into a panic instead of UB.
 #[inline]
@@ -334,94 +234,6 @@ fn assert_vector_unit() {
         lanes() > 1,
         "SIMD kernel invoked without a vector unit; gate calls on KernelMode::simd_active()"
     );
-}
-
-/// Reverse color integration for one pixel — the vector twin of
-/// [`pixel_backward`](crate::grad::pixel_backward), reading gathered SoA
-/// attributes instead of copying whole projection records.
-///
-/// Lane batch: `[r, g, b, z]` channels share one vector for the direct
-/// gradients (`∂L/∂color`, `∂L/∂z`), the α chain (`∂C/∂α`, `∂D/∂α`), and
-/// the suffix sums. The `∂L/∂α` reduction extracts the four products and
-/// sums them in the oracle's association `((0 + p₀) + p₁ + p₂) + p₃`, so
-/// the result is bit-identical.
-///
-/// # Panics
-///
-/// Panics when called without a vector unit ([`lanes`] == 1).
-#[allow(clippy::too_many_arguments)]
-pub fn pixel_backward_simd(
-    pixel: Vec2,
-    contribs: &[Contribution],
-    soa: &ProjectedSoA,
-    proj_of_id: &[u32],
-    dl_dc: Vec3,
-    dl_dd: f64,
-    accum: &mut CamGradAccumulator,
-) -> PixelBackwardCounts {
-    assert_vector_unit();
-    // SAFETY: `assert_vector_unit` confirmed the target feature at runtime.
-    unsafe { pixel_backward_impl(pixel, contribs, soa, proj_of_id, dl_dc, dl_dd, accum) }
-}
-
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
-#[allow(clippy::too_many_arguments)]
-unsafe fn pixel_backward_impl(
-    pixel: Vec2,
-    contribs: &[Contribution],
-    soa: &ProjectedSoA,
-    proj_of_id: &[u32],
-    dl_dc: Vec3,
-    dl_dd: f64,
-    accum: &mut CamGradAccumulator,
-) -> PixelBackwardCounts {
-    let mut counts = PixelBackwardCounts::default();
-    if contribs.is_empty() {
-        return counts;
-    }
-    let dldc4 = F4::new(dl_dc.x, dl_dc.y, dl_dc.z, dl_dd);
-    let mut sfx = F4::splat(0.0);
-    for c in contribs.iter().rev() {
-        let proj = proj_of_id[c.gaussian as usize] as usize;
-        let colorz = F4::load(&soa.colorz[proj]);
-        let w = c.transmittance * c.alpha;
-        let dl4 = dldc4.mul(F4::splat(w)); // [∂L/∂color · w, ∂L/∂z · w]
-        let one_minus = (1.0 - c.alpha).max(1e-6);
-        let dalpha4 = colorz
-            .mul(F4::splat(c.transmittance))
-            .sub(sfx.div(F4::splat(one_minus)));
-        let p = dldc4.mul(dalpha4).to_array();
-        // Oracle order: dl_dc.dot(dc_dalpha) + dl_dd * dd_dalpha.
-        let dl_dalpha = ((0.0 + p[0]) + p[1] + p[2]) + p[3];
-        let opacity = soa.opacity[proj];
-        let g_val = c.alpha / opacity;
-        let clamped = c.alpha >= ALPHA_MAX - 1e-12;
-        let (dl_do, dl_dg) = if clamped {
-            (0.0, 0.0)
-        } else {
-            (g_val * dl_dalpha, opacity * dl_dalpha)
-        };
-        let dl_dq = -0.5 * g_val * dl_dg;
-        let dx = pixel.x - soa.mx[proj];
-        let dy = pixel.y - soa.my[proj];
-        let ux = soa.c00[proj] * dx + soa.c01[proj] * dy;
-        let uy = soa.c10[proj] * dx + soa.c11[proj] * dy;
-        let dl_dcov = [-dl_dq * ux * ux, -dl_dq * ux * uy, -dl_dq * uy * uy];
-        let dla = dl4.to_array();
-        let e = accum.entry(c.gaussian);
-        e.mean2d += Vec2::new(-2.0 * dl_dq * ux, -2.0 * dl_dq * uy);
-        e.cov2d[0] += dl_dcov[0];
-        e.cov2d[1] += dl_dcov[1];
-        e.cov2d[2] += dl_dcov[2];
-        e.depth += dla[3];
-        e.color += Vec3::new(dla[0], dla[1], dla[2]);
-        e.opacity += dl_do;
-        e.count += 1;
-        counts.pairs += 1;
-        counts.atomic_adds += GRAD_COMPONENTS;
-        sfx = sfx.add(colorz.mul(F4::splat(w)));
-    }
-    counts
 }
 
 /// Projects `len` scene Gaussians starting at `offset`, appending the
@@ -560,20 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn soa_mirrors_projection_list() {
-        let cfg = crate::RenderConfig::default();
-        let (projected, _) = crate::kernel::project_scene(&scene(), &camera(), &cfg);
-        assert!(!projected.is_empty());
-        let soa = ProjectedSoA::build(&projected);
-        assert_eq!(soa.len(), projected.len());
-        for (i, pg) in projected.iter().enumerate() {
-            assert_eq!(soa.mx[i].to_bits(), pg.mean2d.x.to_bits());
-            assert_eq!(soa.c01[i].to_bits(), pg.conic.m[1].to_bits());
-            assert_eq!(soa.colorz[i][3].to_bits(), pg.depth.to_bits());
-        }
-    }
-
-    #[test]
     fn project_chunk_matches_scalar_bitwise() {
         if lanes() == 1 {
             return;
@@ -595,72 +393,6 @@ mod tests {
             assert_eq!(a.mean2d.y.to_bits(), b.mean2d.y.to_bits());
             assert_eq!(a.conic.m[0].to_bits(), b.conic.m[0].to_bits());
             assert_eq!(a.depth.to_bits(), b.depth.to_bits());
-        }
-    }
-
-    #[test]
-    fn backward_matches_scalar_bitwise() {
-        if lanes() == 1 {
-            return;
-        }
-        let cfg = crate::RenderConfig::default();
-        let s = scene();
-        let (projected, _) = crate::kernel::project_scene(&s, &camera(), &cfg);
-        let soa = ProjectedSoA::build(&projected);
-        let mut proj_of_id = vec![u32::MAX; s.len()];
-        for (pi, pg) in projected.iter().enumerate() {
-            proj_of_id[pg.id as usize] = pi as u32;
-        }
-        let lookup = |id: u32| projected[proj_of_id[id as usize] as usize];
-        let mut t = 1.0;
-        let contribs: Vec<Contribution> = projected
-            .iter()
-            .enumerate()
-            .map(|(i, pg)| {
-                let alpha = (0.03 + 0.09 * (i % 10) as f64).min(pg.opacity);
-                let c = Contribution {
-                    gaussian: pg.id,
-                    alpha,
-                    transmittance: t,
-                };
-                t *= 1.0 - alpha;
-                c
-            })
-            .collect();
-        let pixel = Vec2::new(31.5, 23.5);
-        let dl_dc = Vec3::new(0.4, -0.3, 0.2);
-        let dl_dd = 0.07;
-        let mut acc_simd = CamGradAccumulator::new(s.len());
-        acc_simd.reset(s.len());
-        let counts_simd = pixel_backward_simd(
-            pixel,
-            &contribs,
-            &soa,
-            &proj_of_id,
-            dl_dc,
-            dl_dd,
-            &mut acc_simd,
-        );
-        let mut acc_scalar = CamGradAccumulator::new(s.len());
-        acc_scalar.reset(s.len());
-        let counts_scalar =
-            crate::grad::pixel_backward(pixel, &contribs, &lookup, dl_dc, dl_dd, &mut acc_scalar);
-        assert_eq!(counts_simd, counts_scalar);
-        assert_eq!(acc_simd.touched(), acc_scalar.touched());
-        for &id in acc_scalar.touched() {
-            let a = acc_simd.get(id);
-            let b = acc_scalar.get(id);
-            assert_eq!(a.mean2d.x.to_bits(), b.mean2d.x.to_bits());
-            assert_eq!(a.mean2d.y.to_bits(), b.mean2d.y.to_bits());
-            for k in 0..3 {
-                assert_eq!(a.cov2d[k].to_bits(), b.cov2d[k].to_bits());
-            }
-            assert_eq!(a.depth.to_bits(), b.depth.to_bits());
-            assert_eq!(a.color.x.to_bits(), b.color.x.to_bits());
-            assert_eq!(a.color.y.to_bits(), b.color.y.to_bits());
-            assert_eq!(a.color.z.to_bits(), b.color.z.to_bits());
-            assert_eq!(a.opacity.to_bits(), b.opacity.to_bits());
-            assert_eq!(a.count, b.count);
         }
     }
 }

@@ -11,14 +11,13 @@
 //! can (DESIGN.md §13).
 //!
 //! Backward: reverse rasterization re-walks the forward's tile lists
-//! ([`crate::Handoff::Tile`]) per pixel, re-α-checking, then aggregates
-//! partial gradients per Gaussian (the `atomicAdd` stage) and re-projects
-//! them to world space. The walk computes no gradient, so the host counts
-//! it in closed form.
+//! ([`crate::Handoff::Tile`]) per pixel, re-α-checking. The walk computes
+//! no gradient, so the host counts it in closed form; the per-pair
+//! gradients, their per-Gaussian aggregation (the `atomicAdd` stage) and
+//! re-projection are the gradient stage it shares with the pixel pipeline
+//! (`grad::run_backward`).
 
-use crate::grad::{
-    pixel_backward, reproject, CamGradAccumulator, GradRequest, PoseGrad, SceneGrads,
-};
+use crate::grad::{run_backward, ChunkGrads, GradRequest, PoseGrad, SceneGrads};
 use crate::kernel::{
     alpha_at, ProjectedGaussian, RenderConfig, ALPHA_THRESHOLD, BACKGROUND, TRANSMITTANCE_MIN,
 };
@@ -295,8 +294,11 @@ pub fn forward(
 ///
 /// Re-uses the forward pass's projection and tile–Gaussian sorted lists
 /// (`prepared`, [`crate::Handoff::Tile`]) and its per-pixel
-/// `contributions`. Re-projection computes only the gradient half `want`
-/// asks for.
+/// `contributions`. The walk re-walks each tile's list per pixel over fixed
+/// chunks of tiles and charges its α-checks and warp steps to the trace;
+/// the per-pair gradients, their aggregation and re-projection are the
+/// shared [`run_backward`]'s. Re-projection computes only the gradient half
+/// `want` asks for.
 ///
 /// # Panics
 ///
@@ -313,11 +315,6 @@ pub(crate) fn backward(
     config: &RenderConfig,
     want: GradRequest,
 ) -> (SceneGrads, PoseGrad, RenderTrace) {
-    assert_eq!(
-        loss_grads.len(),
-        pixels.len(),
-        "loss gradients must cover the pixel set"
-    );
     let _pass = crate::phase::begin("render/tile_backward");
     let (tiles_x, tiles_y) = tile_grid(pixels);
     assert_eq!(
@@ -325,69 +322,24 @@ pub(crate) fn backward(
         tiles_x * tiles_y,
         "the forward's tile lists must cover the pixel set's tile grid"
     );
-    let mut trace = RenderTrace::new();
-
     let projected: &[ProjectedGaussian] = &prepared.projected;
     let tile_lists: &[Vec<u32>] = &prepared.tile_lists;
-    let tile_pairs = prepared.tile_pairs;
-    let mut proj_of_id: Vec<u32> = vec![u32::MAX; scene.len()];
-    for (pi, pg) in projected.iter().enumerate() {
-        proj_of_id[pg.id as usize] = pi as u32;
-    }
-
-    {
-        let b = &mut trace.backward;
-        b.bytes_read += tile_pairs * bytes::PAIR_ENTRY;
-        b.bytes_read += projected.len() as u64 * bytes::PROJECTED;
-    }
 
     // Reverse rasterization with the same warp shape as the forward pass:
-    // every pixel re-walks its tile list, α-checking each pair. Fanned out
-    // over fixed chunks of tiles; each chunk aggregates into a private
-    // accumulator (recycled through a small pool, together with the chunk's
-    // list-position table) whose per-Gaussian partials are merged in chunk
-    // order below, so the aggregation is identical for every worker count.
+    // every pixel re-walks its tile list, α-checking each pair. The walk's
+    // scratch is a scene-sized list-position table, sized on first use,
+    // recycled across chunks with the chunk's accumulator, and cleared
+    // after each tile.
     let groups = group_pixels_by_tile(pixels, tiles_x, tiles_y);
-    let lookup = |id: u32| projected[proj_of_id[id as usize] as usize];
-    // SoA view for the vector backward kernel (bit-identical to `lookup` +
-    // `pixel_backward`; see `simd`).
-    let soa = (config.kernels.simd_active()
-        && crate::simd::soa_pays_off(pixels.len(), projected.len()))
-    .then(|| {
-        let _p = crate::phase::begin("render/soa_build");
-        crate::simd::ProjectedSoA::build(projected)
-    });
-    let soa = soa.as_ref();
-    let threads = pool::resolve_threads(config.threads);
-    let scratch_pool: Mutex<Vec<(CamGradAccumulator, Vec<u32>)>> = Mutex::new(Vec::new());
-
-    #[derive(Default)]
-    struct TileBackwardPartial {
-        entries: Vec<(u32, crate::grad::CamGrad)>,
-        warp_steps: u64,
-        warp_active: u64,
-        alpha_checks: u64,
-        exp_evals: u64,
-        pairs_grad: u64,
-        atomic_adds: u64,
-        bytes_written: u64,
-    }
-    let partials = pool::par_chunks_indexed(threads, &groups, TILE_CHUNK, |_, offset, chunk| {
-        let (mut acc, mut list_pos) = scratch_pool.lock().unwrap().pop().unwrap_or_else(|| {
-            (
-                CamGradAccumulator::new(scene.len()),
-                vec![u32::MAX; scene.len()],
-            )
-        });
-        acc.reset(scene.len());
-        let mut part = TileBackwardPartial::default();
+    let walk = |offset: usize,
+                chunk: &[Vec<(PixelCoord, usize)>],
+                list_pos: &mut Vec<u32>,
+                g: &mut ChunkGrads<'_>| {
+        list_pos.resize(scene.len(), u32::MAX);
         for (k, group) in chunk.iter().enumerate() {
             let tile_idx = offset + k;
-            if group.is_empty() {
-                continue;
-            }
             let list = &tile_lists[tile_idx];
-            if list.is_empty() {
+            if group.is_empty() || list.is_empty() {
                 continue;
             }
             // The modelled walk: each lane keeps a cursor into its pixel's
@@ -406,6 +358,7 @@ pub(crate) fn backward(
             for (pos, &pi) in list.iter().enumerate() {
                 list_pos[projected[pi as usize].id as usize] = pos as u32;
             }
+            let b = &mut g.stats;
             let mut occupied = 0u32;
             for &(p, out_idx) in group {
                 occupied |= 1 << warp_of(p, x0, y0);
@@ -414,7 +367,7 @@ pub(crate) fn backward(
                     match list_pos.get(c.gaussian as usize) {
                         Some(&pos) if pos != u32::MAX && pos as usize >= next => {
                             next = pos as usize + 1;
-                            part.warp_active += 1;
+                            b.warp_active += 1;
                         }
                         _ => {
                             next = list.len();
@@ -422,76 +375,33 @@ pub(crate) fn backward(
                         }
                     }
                 }
-                part.alpha_checks += next as u64;
-                part.exp_evals += next as u64;
+                b.alpha_checks += next as u64;
+                b.exp_evals += next as u64;
             }
-            part.warp_steps += occupied.count_ones() as u64 * list.len() as u64;
+            b.warp_steps += occupied.count_ones() as u64 * list.len() as u64;
             for &pi in list {
                 list_pos[projected[pi as usize].id as usize] = u32::MAX;
             }
-            // The gradient math itself (schedule-independent).
             for &(p, out_idx) in group {
-                let counts = if let Some(soa) = soa {
-                    crate::simd::pixel_backward_simd(
-                        p.center(),
-                        &contributions[out_idx],
-                        soa,
-                        &proj_of_id,
-                        loss_grads[out_idx].d_color,
-                        loss_grads[out_idx].d_depth,
-                        &mut acc,
-                    )
-                } else {
-                    pixel_backward(
-                        p.center(),
-                        &contributions[out_idx],
-                        &lookup,
-                        loss_grads[out_idx].d_color,
-                        loss_grads[out_idx].d_depth,
-                        &mut acc,
-                    )
-                };
-                part.pairs_grad += counts.pairs;
-                part.atomic_adds += counts.atomic_adds;
-                part.bytes_written += counts.pairs * bytes::GRADIENT;
+                g.pixel(p, out_idx);
             }
         }
-        part.entries = acc.touched().iter().map(|&id| (id, acc.get(id))).collect();
-        scratch_pool.lock().unwrap().push((acc, list_pos));
-        part
-    });
-
-    let mut accum = CamGradAccumulator::new(scene.len());
-    accum.reset(scene.len());
-    {
-        let b = &mut trace.backward;
-        for part in partials {
-            b.warp_steps += part.warp_steps;
-            b.warp_active += part.warp_active;
-            b.alpha_checks += part.alpha_checks;
-            b.exp_evals += part.exp_evals;
-            b.pairs_grad += part.pairs_grad;
-            b.atomic_adds += part.atomic_adds;
-            b.bytes_written += part.bytes_written;
-            for (id, cg) in &part.entries {
-                accum.merge_entry(*id, cg);
-            }
-        }
-    }
-
-    // Aggregation statistics.
-    {
-        let b = &mut trace.backward;
-        for &id in accum.touched() {
-            b.gaussian_touches.push(accum.get(id).count as f64);
-        }
-        b.gaussians_touched = accum.touched().len() as u64;
-        b.reprojections = accum.touched().len() as u64;
-        b.bytes_read += b.gaussians_touched * bytes::GRADIENT;
-        b.bytes_written += b.gaussians_touched * bytes::GRADIENT;
-    }
-
-    let (grads, pose) = reproject(scene, camera, &accum, want, threads);
+    };
+    let (grads, pose, mut trace) = run_backward(
+        scene,
+        camera,
+        pixels,
+        contributions,
+        projected,
+        loss_grads,
+        config,
+        want,
+        &groups,
+        TILE_CHUNK,
+        walk,
+    );
+    trace.backward.bytes_read +=
+        prepared.tile_pairs * bytes::PAIR_ENTRY + projected.len() as u64 * bytes::PROJECTED;
     (grads, pose, trace)
 }
 

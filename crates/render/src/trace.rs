@@ -134,6 +134,38 @@ impl BackwardStats {
     pub fn mean_contention(&self) -> f64 {
         self.gaussian_touches.mean()
     }
+
+    /// Merges another backward pass's counters into this one (summing
+    /// counts); exhaustive like [`RenderTrace::merge`].
+    pub(crate) fn merge(&mut self, other: &BackwardStats) {
+        let b = self;
+        let BackwardStats {
+            alpha_checks,
+            pairs_grad,
+            reduction_ops,
+            atomic_adds,
+            exp_evals,
+            warp_steps,
+            warp_active,
+            gaussian_touches,
+            gaussians_touched,
+            reprojections,
+            bytes_read,
+            bytes_written,
+        } = other;
+        b.alpha_checks += alpha_checks;
+        b.pairs_grad += pairs_grad;
+        b.reduction_ops += reduction_ops;
+        b.atomic_adds += atomic_adds;
+        b.exp_evals += exp_evals;
+        b.warp_steps += warp_steps;
+        b.warp_active += warp_active;
+        b.gaussian_touches.merge(gaussian_touches);
+        b.gaussians_touched += gaussians_touched;
+        b.reprojections += reprojections;
+        b.bytes_read += bytes_read;
+        b.bytes_written += bytes_written;
+    }
 }
 
 /// Complete workload trace of one forward(+backward) render.
@@ -205,33 +237,7 @@ impl RenderTrace {
         f.pixel_list_len.merge(pixel_list_len);
         f.bytes_read += bytes_read;
         f.bytes_written += bytes_written;
-        let b = &mut self.backward;
-        let BackwardStats {
-            alpha_checks,
-            pairs_grad,
-            reduction_ops,
-            atomic_adds,
-            exp_evals,
-            warp_steps,
-            warp_active,
-            gaussian_touches,
-            gaussians_touched,
-            reprojections,
-            bytes_read,
-            bytes_written,
-        } = backward;
-        b.alpha_checks += alpha_checks;
-        b.pairs_grad += pairs_grad;
-        b.reduction_ops += reduction_ops;
-        b.atomic_adds += atomic_adds;
-        b.exp_evals += exp_evals;
-        b.warp_steps += warp_steps;
-        b.warp_active += warp_active;
-        b.gaussian_touches.merge(gaussian_touches);
-        b.gaussians_touched += gaussians_touched;
-        b.reprojections += reprojections;
-        b.bytes_read += bytes_read;
-        b.bytes_written += bytes_written;
+        self.backward.merge(backward);
     }
 }
 

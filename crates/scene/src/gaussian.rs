@@ -17,18 +17,7 @@
 //! copies the old array-of-structs layout paid per element.
 
 use splatonic_math::{pool, Mat3, Quat, Vec3};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-
-/// Process-global source of scene revision numbers. Every value handed out
-/// is unique for the lifetime of the process, so two scenes (or two states
-/// of one scene separated by a mutation) never share a revision.
-static NEXT_REVISION: AtomicU64 = AtomicU64::new(1);
-
-#[inline]
-fn fresh_revision() -> u64 {
-    NEXT_REVISION.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Numerically safe sigmoid.
 #[inline]
@@ -164,7 +153,7 @@ const TERMS_CHUNK: usize = 512;
 
 /// Lazily built [`ProjectionTerms`] column. It is derived from the scene's
 /// contents, so it is never part of the scene's value: clones start empty,
-/// equality and snapshots ignore it, and every new revision drops it.
+/// equality and snapshots ignore it, and every mutation drops it.
 #[derive(Default)]
 struct TermsColumn(OnceLock<Vec<ProjectionTerms>>);
 
@@ -186,9 +175,10 @@ impl std::fmt::Debug for TermsColumn {
 /// Structure-of-arrays view handed out by [`GaussianScene::fields_mut`]:
 /// one mutable slice per attribute, all of equal length.
 ///
-/// Borrowing this view conservatively advances the scene revision (the
-/// caller may write through any slice). The mapping optimizer uses it to
-/// apply per-parameter Adam deltas without reassembling whole Gaussians.
+/// Borrowing this view conservatively drops the scene's derived
+/// [`ProjectionTerms`] column (the caller may write through any slice).
+/// The mapping optimizer uses it to apply per-parameter Adam deltas
+/// without reassembling whole Gaussians.
 #[derive(Debug)]
 pub struct SceneFieldsMut<'a> {
     /// Mean positions in world coordinates.
@@ -231,15 +221,13 @@ pub struct GaussianScene {
     rotations: Vec<Quat>,
     opacity_logits: Vec<f64>,
     colors: Vec<Vec3>,
-    /// Monotonic content-change token; see [`GaussianScene::revision`].
-    revision: u64,
-    /// Derived [`ProjectionTerms`] column for the current revision; see
+    /// Derived [`ProjectionTerms`] column for the current contents; see
     /// [`GaussianScene::projection_terms`].
     terms: TermsColumn,
 }
 
-/// Scene equality is content equality; the revision token is an identity
-/// aid for caches, not part of the value.
+/// Scene equality is content equality; the derived terms column is not
+/// part of the value.
 impl PartialEq for GaussianScene {
     fn eq(&self, other: &Self) -> bool {
         self.means == other.means
@@ -265,7 +253,6 @@ impl GaussianScene {
             rotations: Vec::new(),
             opacity_logits: Vec::new(),
             colors: Vec::new(),
-            revision: fresh_revision(),
             terms: TermsColumn::default(),
         }
     }
@@ -278,7 +265,6 @@ impl GaussianScene {
             rotations: Vec::with_capacity(n),
             opacity_logits: Vec::with_capacity(n),
             colors: Vec::with_capacity(n),
-            revision: fresh_revision(),
             terms: TermsColumn::default(),
         }
     }
@@ -286,11 +272,7 @@ impl GaussianScene {
     /// Builds a scene from a vector of Gaussians (array-of-structs input;
     /// scattered into the structure-of-arrays storage).
     ///
-    /// Used by snapshot restore. The scene gets a *fresh* revision, never a
-    /// restored one: revisions are process-unique identity tokens (see
-    /// [`GaussianScene::revision`]), and replaying a serialized value could
-    /// collide with a revision already handed out in this process, breaking
-    /// the "equal revisions imply bitwise-equal Gaussians" cache contract.
+    /// Used by snapshot restore.
     pub fn from_vec(gaussians: Vec<Gaussian>) -> Self {
         let mut scene = GaussianScene::with_capacity(gaussians.len());
         for g in gaussians {
@@ -305,35 +287,20 @@ impl GaussianScene {
         (0..self.len()).map(|i| self.gaussian(i)).collect()
     }
 
-    /// Process-unique token identifying the current contents of this scene.
-    ///
-    /// Every constructor draws a fresh value and every mutating accessor
-    /// (`push`, `fields_mut`, `set`, `update`, `update_each`, `retain`,
-    /// `extend`) replaces it with a new one — dropping the derived
-    /// [`GaussianScene::projection_terms`] column with it — so *equal
-    /// revisions imply bitwise-equal Gaussians*. Cloning keeps the revision
-    /// (contents are identical at clone time); the first mutation of either
-    /// copy separates them. The render-side projection cache keys on this
-    /// to detect scene changes in O(1).
+    /// Drops the derived [`GaussianScene::projection_terms`] column. Every
+    /// mutating accessor (`push`, `fields_mut`, `set`, `update`,
+    /// `update_each`, `retain`, `extend`) calls this before it writes.
     #[inline]
-    pub fn revision(&self) -> u64 {
-        self.revision
-    }
-
-    /// Draws a fresh revision and drops the derived column. Every mutating
-    /// accessor calls this before it writes.
-    #[inline]
-    fn new_revision(&mut self) {
-        self.revision = fresh_revision();
+    fn invalidate_terms(&mut self) {
         self.terms = TermsColumn::default();
     }
 
     /// The [`ProjectionTerms`] of every Gaussian, indexed by Gaussian id.
     ///
-    /// Built on first use after each new revision, fanned out over
+    /// Built on first use after each mutation, fanned out over
     /// `threads` pool workers (the result does not depend on `threads`),
     /// then shared by every render until the next mutation. Projecting at
-    /// many poses of one revision — the tracking loop — thus computes each
+    /// many poses of one scene state — the tracking loop — thus computes each
     /// covariance once instead of once per render.
     pub fn projection_terms(&self, threads: usize) -> &[ProjectionTerms] {
         self.terms.0.get_or_init(|| {
@@ -359,7 +326,7 @@ impl GaussianScene {
         self.means.is_empty()
     }
 
-    /// Scatters one Gaussian's fields without touching the revision.
+    /// Scatters one Gaussian's fields without dropping the terms column.
     #[inline]
     fn push_fields(&mut self, g: Gaussian) {
         self.means.push(g.mean);
@@ -371,7 +338,7 @@ impl GaussianScene {
 
     /// Appends a Gaussian, returning its index.
     pub fn push(&mut self, g: Gaussian) -> usize {
-        self.new_revision();
+        self.invalidate_terms();
         self.push_fields(g);
         self.means.len() - 1
     }
@@ -408,11 +375,10 @@ impl GaussianScene {
 
     /// Mutable structure-of-arrays view (used by the mapping optimizer).
     ///
-    /// Conservatively advances the revision: handing out mutable access
-    /// *may* change contents, and the cache contract only requires that
-    /// equal revisions imply equal contents.
+    /// Conservatively drops the derived terms column: handing out mutable
+    /// access *may* change contents.
     pub fn fields_mut(&mut self) -> SceneFieldsMut<'_> {
-        self.new_revision();
+        self.invalidate_terms();
         SceneFieldsMut {
             means: &mut self.means,
             log_scales: &mut self.log_scales,
@@ -455,7 +421,7 @@ impl GaussianScene {
     ///
     /// Panics when `i` is out of bounds.
     pub fn set(&mut self, i: usize, g: Gaussian) {
-        self.new_revision();
+        self.invalidate_terms();
         self.means[i] = g.mean;
         self.log_scales[i] = g.log_scale;
         self.rotations[i] = g.rotation;
@@ -477,7 +443,7 @@ impl GaussianScene {
 
     /// Applies `f` to every Gaussian in index order.
     pub fn update_each(&mut self, mut f: impl FnMut(usize, &mut Gaussian)) {
-        self.new_revision();
+        self.invalidate_terms();
         for i in 0..self.len() {
             let mut g = self.gaussian(i);
             f(i, &mut g);
@@ -494,7 +460,7 @@ impl GaussianScene {
     /// All attribute arrays are compacted in lockstep, preserving the
     /// relative order of survivors.
     pub fn retain(&mut self, mut f: impl FnMut(&Gaussian) -> bool) {
-        self.new_revision();
+        self.invalidate_terms();
         let n = self.len();
         let mut write = 0usize;
         for read in 0..n {
@@ -574,7 +540,7 @@ impl FromIterator<Gaussian> for GaussianScene {
 
 impl Extend<Gaussian> for GaussianScene {
     fn extend<I: IntoIterator<Item = Gaussian>>(&mut self, iter: I) {
-        self.new_revision();
+        self.invalidate_terms();
         for g in iter {
             self.push_fields(g);
         }
@@ -769,35 +735,6 @@ mod tests {
         scene.extend(std::iter::once(sample()));
         assert_eq!(scene.len(), 4);
         assert_eq!(scene.iter().count(), 4);
-    }
-
-    #[test]
-    fn revision_changes_on_mutation_only() {
-        let mut scene = GaussianScene::new();
-        let r0 = scene.revision();
-        scene.push(sample());
-        let r1 = scene.revision();
-        assert_ne!(r0, r1);
-        // Read-only access keeps the revision.
-        let _ = scene.means();
-        let _ = scene.len();
-        assert_eq!(scene.revision(), r1);
-        scene.update(0, |g| g.opacity_logit += 0.1);
-        let r2 = scene.revision();
-        assert_ne!(r1, r2);
-        scene.retain(|_| true);
-        assert_ne!(scene.revision(), r2);
-        let r3 = scene.revision();
-        let _ = scene.fields_mut();
-        assert_ne!(scene.revision(), r3);
-        // Two scenes never share a revision, even when equal in content.
-        let a = GaussianScene::new();
-        let b = GaussianScene::new();
-        assert_eq!(a, b);
-        assert_ne!(a.revision(), b.revision());
-        // Clones share the revision until one of them is mutated.
-        let c = scene.clone();
-        assert_eq!(c.revision(), scene.revision());
     }
 
     #[test]

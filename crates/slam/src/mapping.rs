@@ -65,8 +65,8 @@ pub struct MappingOutput {
 /// component `k` of Gaussian `id` in the order mean, log-scale, rotation
 /// `[w, x, y, z]`, opacity logit, color; each delta is scaled by its
 /// group's learning rate relative to `lr.lr`. Always takes the scene's
-/// fields mutably, so the scene gets a new revision even for an empty
-/// `grads`.
+/// fields mutably, so the scene drops its derived projection terms even
+/// for an empty `grads`.
 fn adam_step(
     adam: &mut AdamVector,
     lr: &AdamParams,

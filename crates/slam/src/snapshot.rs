@@ -17,9 +17,8 @@
 //! round trip is bit-exact by construction (NaN payloads and signed zeros
 //! included).
 //!
-//! Deliberately **not** captured: pool worker state and the
-//! scene's revision counter as an identity (it is stored as metadata but a
-//! fresh revision is drawn on restore — revisions are process-unique).
+//! Deliberately **not** captured: pool worker state and the scene's derived
+//! projection-terms column (rebuilt on first use after restore).
 
 use crate::adam::{AdamScalar, AdamVector};
 use splatonic_math::stats::Summary;
@@ -145,8 +144,9 @@ pub struct Snapshot {
     pub config_fingerprint: u64,
     /// Index of the first frame not yet processed.
     pub next_frame: usize,
-    /// The scene's revision at checkpoint time. Metadata only: restore
-    /// draws a fresh revision (see [`GaussianScene::from_vec`]).
+    /// Reserved 8-byte slot: [`SlamSystem::checkpoint`](crate::SlamSystem::checkpoint)
+    /// writes 0 and restore ignores it. The slot keeps the wire format,
+    /// and with it the committed v1/v2 fixtures, unchanged.
     pub scene_revision: u64,
     /// The reconstructed scene's Gaussians.
     pub gaussians: Vec<Gaussian>,
@@ -355,7 +355,7 @@ impl Snapshot {
         Snapshot::from_bytes(&bytes)
     }
 
-    /// Rebuilds the scene: contents restored bitwise, revision fresh (see
+    /// Rebuilds the scene: contents restored bitwise (see
     /// [`GaussianScene::from_vec`]).
     pub fn restore_scene(&self) -> GaussianScene {
         GaussianScene::from_vec(self.gaussians.clone())
@@ -865,16 +865,6 @@ mod tests {
             Snapshot::from_bytes(&bytes),
             Err(SnapshotError::TrailingBytes(1))
         );
-    }
-
-    #[test]
-    fn restored_scene_gets_fresh_revision() {
-        let s = sample_snapshot();
-        let a = s.restore_scene();
-        let b = s.restore_scene();
-        assert_eq!(a, b); // content-equal...
-        assert_ne!(a.revision(), b.revision()); // ...never identity-equal
-        assert_ne!(a.revision(), s.scene_revision);
     }
 
     #[test]

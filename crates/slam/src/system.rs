@@ -532,7 +532,7 @@ impl SlamSystem {
             seed: self.config.seed,
             config_fingerprint: self.config.fingerprint(),
             next_frame: r.next_frame,
-            scene_revision: self.scene.revision(),
+            scene_revision: 0,
             gaussians: self.scene.to_vec(),
             est_poses: r.est_poses.clone(),
             keyframes: r.keyframes.clone(),

@@ -3,7 +3,7 @@
 # and the tile-sort work counts into BENCH_sort.json.
 #
 # Runs the `kernels` micro-benchmark binary twice — once with `--scalar`
-# (the bit-exactness oracle) and once with `--simd` (the vector kernels,
+# (the bit-exactness oracle) and once with `--simd` (the vector projection,
 # DESIGN.md §13) — and hands both run reports to `report_diff record`
 # (crates/bench/src/record.rs), which appends one dated entry, stamped with
 # `rustc -V`, to each trajectory:

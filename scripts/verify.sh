@@ -17,6 +17,20 @@ if grep -rn 'thread_local!' crates/render/src; then
   exit 1
 fi
 
+echo "== no process-global state (static items) under crates/scene/src =="
+# A scene is a value: its only derived state (the projection-terms column)
+# lives in the scene itself. Fails on any `static` item (any visibility or
+# attribute, `static mut` too) or `thread_local!` on a non-comment line
+# under crates/scene/src.
+if grep -rnE "(^|[^A-Za-z0-9_'])static +(mut +)?[A-Za-z_]|thread_local!" crates/scene/src \
+    | grep -vE '^[^:]+:[0-9]+: *//'; then
+  echo "static item or thread_local! found under crates/scene/src" >&2
+  exit 1
+fi
+
+echo "== non-test LoC per crate (scripts/loc.sh; informational) =="
+bash scripts/loc.sh
+
 echo "== cargo build --workspace --release =="
 cargo build --workspace --release
 

@@ -1,7 +1,7 @@
 //! Scalar ≡ SIMD bit-exactness gate (DESIGN.md §13).
 //!
-//! The vector kernels in `splatonic_render::simd` replicate the scalar
-//! oracles' floating-point operation order lane-by-lane, so every render
+//! The vector kernel in `splatonic_render::simd` replicates the scalar
+//! oracle's floating-point operation order lane-by-lane, so every render
 //! output — forward color/depth/transmittance, per-pixel contribution
 //! lists, scene and pose gradients — must be *bitwise* identical between
 //! `KernelMode::Scalar` and `KernelMode::Simd`, at every worker width.
