@@ -93,9 +93,7 @@ impl GsArchModel {
     /// runs the same slot-granular work on `pe_lanes` dedicated lanes.
     /// Sorting is charged per tile–Gaussian pair (`tile_pairs /
     /// sort_per_cycle`): the prior architectures sort each tile's list
-    /// independently, so the grouped-schedule counters (`sort_elems`,
-    /// `sort_lists`) are deliberately ignored here — only SPLATONIC's
-    /// hierarchical sorters model the grouping ablation.
+    /// independently.
     pub fn price(&self, w: &FrameWorkload) -> BaselineReport {
         let slots = w.tile_warp_steps as f64 * 32.0;
         let fwd_bytes = w.fwd_bytes as f64 * self.dram_traffic_factor;
@@ -234,14 +232,10 @@ mod tests {
                         .collect()
                 })
                 .collect(),
-            sort_elems: 40_000,
-            sort_lists: 48,
-            per_tile_sort: (48, 40_000),
             tile_warp_steps: steps,
             fwd_bytes: 4_000_000,
             bwd_bytes: 2_000_000,
             pixels,
-            pipeline: None,
         }
     }
 
@@ -275,16 +269,18 @@ mod tests {
     }
 
     #[test]
-    fn gsarch_pricing_ignores_grouped_sort_counters() {
-        // Prior tile architectures sort per tile and see only tile_pairs:
-        // other sort counters must not change the price.
+    fn gsarch_sorting_reads_tile_pairs_only() {
+        // Prior tile architectures sort each tile's list: the tile-Gaussian
+        // pairs set the sort cost, and the per-pixel lists SPLATONIC's
+        // sorters price must not change GSArch's price.
         let m = GsArchModel::edge();
-        let per_tile = tile_workload(true);
-        let mut grouped = tile_workload(true);
-        grouped.sort_elems = 16_000;
-        grouped.sort_lists = 12;
-        grouped.per_tile_sort = (60, 41_000);
-        assert_eq!(m.price(&per_tile), m.price(&grouped));
+        let base = tile_workload(false);
+        let mut pixel_lists = tile_workload(false);
+        pixel_lists.pixel_lists = vec![7; 100];
+        assert_eq!(m.price(&base), m.price(&pixel_lists));
+        let mut more_pairs = tile_workload(false);
+        more_pairs.tile_pairs *= 4;
+        assert!(m.price(&more_pairs).forward_s > m.price(&base).forward_s);
     }
 
     #[test]

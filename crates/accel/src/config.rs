@@ -61,12 +61,6 @@ pub struct SplatonicConfig {
     pub reprojection_cycles: f64,
     /// Pipeline fill/drain overhead per pass, cycles.
     pub pipeline_fill_cycles: f64,
-    /// Model GS-TG-style tile grouping in the hierarchical sorters: tile
-    /// workloads are priced from the grouped sort schedule (fewer, larger
-    /// shared sorts) plus a mask/scatter stream pass that derives per-tile
-    /// lists. The paper configuration leaves this `false` — the base
-    /// SPLATONIC design sorts per list; the ablation row turns it on.
-    pub tile_grouping: bool,
 }
 
 impl SplatonicConfig {
@@ -92,15 +86,7 @@ impl SplatonicConfig {
             grad_per_unit_cycle: 0.5,
             reprojection_cycles: 8.0,
             pipeline_fill_cycles: 64.0,
-            tile_grouping: false,
         }
-    }
-
-    /// Enables (or disables) tile-grouping in the sorting stage — used by
-    /// the SPLATONIC vs. SPLATONIC+tile-grouping ablation.
-    pub fn with_tile_grouping(mut self, on: bool) -> Self {
-        self.tile_grouping = on;
-        self
     }
 
     /// A variant with different projection / render unit counts (for the
@@ -164,22 +150,6 @@ mod tests {
         assert_eq!(c.gaussian_cache_bytes, 32 * 1024);
         assert_eq!(c.scoreboard_bytes, 8 * 1024);
         assert!((c.clock_mhz - 500.0).abs() < 1e-12);
-        assert!(!c.tile_grouping, "paper config sorts per list");
-    }
-
-    #[test]
-    fn with_tile_grouping_toggles_knob() {
-        assert!(
-            SplatonicConfig::paper()
-                .with_tile_grouping(true)
-                .tile_grouping
-        );
-        assert!(
-            !SplatonicConfig::paper()
-                .with_tile_grouping(true)
-                .with_tile_grouping(false)
-                .tile_grouping
-        );
     }
 
     #[test]

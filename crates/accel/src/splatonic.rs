@@ -16,7 +16,6 @@ use crate::aggregation::{simulate, AggregationConfig, AggregationResult};
 use crate::config::SplatonicConfig;
 use crate::dram::DramModel;
 use crate::workload::FrameWorkload;
-use splatonic_render::Pipeline;
 
 /// Per-stage cycle breakdown of one pass on SPLATONIC.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -156,38 +155,20 @@ impl SplatonicAccel {
         let alpha = w.proj_alpha_checks as f64 / c.alpha_check_rate();
         let projection_cycles = transform + alpha;
 
-        // Sorting on the hierarchical sorters. Pixel workloads (the
-        // architecture's native schedule) sort per-pixel lists. Tile
-        // workloads sort per tile, or, with `tile_grouping`, run the fewer,
-        // larger shared group sorts plus one mask/scatter stream pass over
-        // the tile–Gaussian pairs to derive per-tile lists from them.
-        let (lists, elems) = if c.tile_grouping {
-            (w.sort_lists, w.sort_elems)
-        } else {
-            w.per_tile_sort
-        };
-        let sort_work: f64 = match w.pipeline {
-            Some(Pipeline::TileBased) if lists > 0 => {
-                let mean_len = (elems as f64 / lists as f64).max(2.0);
-                let mut work = elems as f64 * mean_len.log2();
-                if c.tile_grouping {
-                    work += w.tile_pairs as f64;
+        // Sorting on the hierarchical sorters: the architecture's pixel
+        // schedule depth-sorts each pixel's list.
+        let sort_work: f64 = w
+            .pixel_lists
+            .iter()
+            .map(|&l| {
+                let l = l as f64;
+                if l > 1.0 {
+                    l * l.log2()
+                } else {
+                    l
                 }
-                work
-            }
-            _ => w
-                .pixel_lists
-                .iter()
-                .map(|&l| {
-                    let l = l as f64;
-                    if l > 1.0 {
-                        l * l.log2()
-                    } else {
-                        l
-                    }
-                })
-                .sum(),
-        };
+            })
+            .sum();
         let sorting_cycles = sort_work / (c.sorting_units as f64 * c.sort_elems_per_unit_cycle);
 
         // Rasterization: render units blend pre-filtered pairs; one
@@ -268,14 +249,10 @@ mod tests {
             tile_pairs: 0,
             pixel_lists,
             grad_stream,
-            sort_elems: 0,
-            sort_lists: 0,
-            per_tile_sort: (0, 0),
             tile_warp_steps: 0,
             fwd_bytes: 4000 * 64 + 960 * 12,
             bwd_bytes: 960 * 48,
             pixels: 48,
-            pipeline: None,
         }
     }
 
@@ -342,50 +319,14 @@ mod tests {
     }
 
     #[test]
-    fn grouped_tile_workload_sorts_cheaper() {
-        // One tile workload, two schedules: per-tile sorts vs. grouped
-        // shared sorts (4× fewer lists, ~2.5× fewer compared elements, as
-        // the render-side ablation measures). Grouping must cut sorting
-        // cycles, and its mask/scatter surcharge must not erase the win.
-        let mut w = sparse_workload();
-        w.pipeline = Some(Pipeline::TileBased);
-        w.tile_pairs = 100_000;
-        w.per_tile_sort = (192, 100_000);
-        w.sort_elems = 40_000;
-        w.sort_lists = 48;
-
-        let baseline = SplatonicAccel::paper().price(&w).sorting_cycles;
-        let mut with_grouping = SplatonicAccel::paper();
-        with_grouping.config = with_grouping.config.with_tile_grouping(true);
-        let ablation = with_grouping.price(&w).sorting_cycles;
-        assert!(baseline > 0.0);
-        assert!(
-            ablation < baseline,
-            "grouped sorting {ablation} should beat per-tile {baseline}"
-        );
-        // The mask/scatter pass is charged: grouping-aware pricing costs
-        // more than pricing the shared sorts alone.
-        let c = with_grouping.config;
-        let shared_sorts = 40_000.0 * (40_000.0f64 / 48.0).log2()
-            / (c.sorting_units as f64 * c.sort_elems_per_unit_cycle);
-        assert!(ablation > shared_sorts);
-    }
-
-    #[test]
     fn pixel_workloads_ignore_tile_sort_counters() {
         // The architecture's native pixel schedule prices per-pixel lists;
-        // stray tile counters (or the grouping knob) must not change it.
+        // the tile schedule's pair count must not change any stage.
         let mut w = sparse_workload();
-        w.sort_elems = 123_456;
-        w.sort_lists = 7;
-        w.per_tile_sort = (9, 234_567);
+        w.tile_pairs = 234_567;
         let base = SplatonicAccel::paper().price(&sparse_workload());
         let noisy = SplatonicAccel::paper().price(&w);
-        let mut grouped = SplatonicAccel::paper();
-        grouped.config = grouped.config.with_tile_grouping(true);
-        let knob = grouped.price(&w);
-        assert_eq!(base.sorting_cycles, noisy.sorting_cycles);
-        assert_eq!(base.sorting_cycles, knob.sorting_cycles);
+        assert_eq!(base, noisy);
     }
 
     #[test]

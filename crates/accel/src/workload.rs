@@ -8,7 +8,7 @@
 //! *distribution* (sorter load balance, aggregation locality) therefore
 //! comes from measured data.
 
-use splatonic_render::{ForwardResult, Pipeline, RenderTrace};
+use splatonic_render::{ForwardResult, RenderTrace};
 
 /// The work shape of one forward+backward training iteration.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -29,17 +29,6 @@ pub struct FrameWorkload {
     /// Gradient stream: per pixel, the Gaussian ids receiving partial
     /// gradients (in reverse integration order).
     pub grad_stream: Vec<Vec<u32>>,
-    /// Depth-compared elements across the schedule's sorted lists (tile
-    /// pipeline: GS-TG-style shared group lists; pixel pipeline: per-pixel
-    /// lists).
-    pub sort_elems: u64,
-    /// Number of depth sorts the schedule executed (tile pipeline: one
-    /// shared sort per non-empty tile group).
-    pub sort_lists: u64,
-    /// Tile pipeline: `(lists, elements)` of the per-tile sort schedule,
-    /// from [`splatonic_render::trace::ForwardStats::per_tile_sort`].
-    /// Unused for pixel workloads.
-    pub per_tile_sort: (u64, u64),
     /// Warp-steps the GPU tile schedule would issue (for baselines that
     /// inherit tile-granular work).
     pub tile_warp_steps: u64,
@@ -50,8 +39,6 @@ pub struct FrameWorkload {
     pub bwd_bytes: u64,
     /// Pixels shaded.
     pub pixels: u64,
-    /// Which schedule produced this workload.
-    pub pipeline: Option<Pipeline>,
 }
 
 impl FrameWorkload {
@@ -60,11 +47,7 @@ impl FrameWorkload {
     /// `forward.trace` supplies the forward counts; `backward` (from
     /// `render_backward`) supplies the backward counts. List lengths and
     /// the gradient stream come from the per-pixel contribution lists.
-    pub fn from_render(
-        forward: &ForwardResult,
-        backward: &RenderTrace,
-        pipeline: Pipeline,
-    ) -> FrameWorkload {
+    pub fn from_render(forward: &ForwardResult, backward: &RenderTrace) -> FrameWorkload {
         let f = &forward.trace.forward;
         let grad_stream: Vec<Vec<u32>> = forward
             .contributions
@@ -83,14 +66,10 @@ impl FrameWorkload {
                 .map(|l| l.len() as u32)
                 .collect(),
             grad_stream,
-            sort_elems: f.sort_elems,
-            sort_lists: f.sort_lists,
-            per_tile_sort: f.per_tile_sort(),
             tile_warp_steps: f.warp_steps,
             fwd_bytes: f.bytes_read + f.bytes_written,
             bwd_bytes: backward.backward.bytes_read + backward.backward.bytes_written,
             pixels: f.pixels_shaded,
-            pipeline: Some(pipeline),
         }
     }
 
@@ -156,8 +135,7 @@ mod tests {
 
     #[test]
     fn extracts_grad_stream_in_reverse_order() {
-        let w =
-            FrameWorkload::from_render(&fake_forward(), &RenderTrace::new(), Pipeline::PixelBased);
+        let w = FrameWorkload::from_render(&fake_forward(), &RenderTrace::new());
         assert_eq!(w.grad_stream.len(), 2);
         // Reverse integration: farthest Gaussian first.
         assert_eq!(w.grad_stream[0], vec![7, 4]);

@@ -5,11 +5,9 @@
 use crate::experiments::{canonical_scenario, measurements};
 use crate::tables::{fmt_f, fmt_x, Table};
 use crate::Settings;
-use splatonic::harness::measure_dense_iteration;
 use splatonic_accel::aggregation::{simulate, AggregationConfig};
-use splatonic_accel::{DramModel, SplatonicAccel, SplatonicConfig};
+use splatonic_accel::{DramModel, SplatonicAccel};
 use splatonic_math::ExpLut;
-use splatonic_render::Pipeline;
 
 /// LUT-size sweep (paper Sec. V-C: "a LUT with a size of 64 entries is
 /// sufficient"): maximum α error versus the 1/255 α-check quantum.
@@ -142,87 +140,18 @@ pub fn gamma_cache(settings: &Settings) -> Vec<Table> {
     vec![t]
 }
 
-/// Tile-grouping ablation (DESIGN.md §16): one dense tile frame priced on
-/// SPLATONIC's hierarchical sorters with the conventional per-tile sort
-/// schedule versus the GS-TG-style grouped schedule (one shared sort per
-/// tile group, per-tile lists derived by masking). The trace counts the
-/// grouped schedule and carries the per-tile one
-/// ([`splatonic_render::trace::ForwardStats::per_tile_sort`]), so one
-/// render prices both. The grouped row uses the grouping-aware hardware
-/// config, which additionally charges the mask/scatter stream pass — the
-/// win reported is net of that cost.
-pub fn tile_grouping(settings: &Settings) -> Vec<Table> {
-    let scenario = canonical_scenario(settings);
-    let m = measure_dense_iteration(&scenario, Pipeline::TileBased);
-    let f = &m.trace.forward;
-    let (per_tile_lists, per_tile_elems) = f.per_tile_sort();
-    let base_report = SplatonicAccel::paper().price(&m.workload);
-    let mut grouped_accel = SplatonicAccel::paper();
-    grouped_accel.config = SplatonicConfig::paper().with_tile_grouping(true);
-    let grouped_report = grouped_accel.price(&m.workload);
-
-    let mut t = Table::new(
-        "Ablation — tile grouping in the hierarchical sorters (dense tile frame)",
-        &[
-            "variant",
-            "sort elems",
-            "sort lists",
-            "sorting cycles",
-            "total (s)",
-        ],
-    );
-    t.row([
-        "SPLATONIC".to_string(),
-        per_tile_elems.to_string(),
-        per_tile_lists.to_string(),
-        format!("{:.0}", base_report.sorting_cycles),
-        format!("{:.2e}", base_report.total_seconds()),
-    ]);
-    t.row([
-        "SPLATONIC+tile-grouping".to_string(),
-        f.sort_elems.to_string(),
-        f.sort_lists.to_string(),
-        format!("{:.0}", grouped_report.sorting_cycles),
-        format!("{:.2e}", grouped_report.total_seconds()),
-    ]);
-    t.row([
-        "sorting-cycle saving".to_string(),
-        fmt_x(per_tile_elems as f64 / f.sort_elems.max(1) as f64),
-        format!("group reuse: {}", f.sort_group_reuse),
-        fmt_x(base_report.sorting_cycles / grouped_report.sorting_cycles.max(1.0)),
-        String::new(),
-    ]);
-    vec![t]
-}
-
 /// All ablations.
 pub fn all(settings: &Settings) -> Vec<Table> {
     let mut out = lut_sweep(settings);
     out.extend(aggregation_sweep(settings));
     out.extend(preemptive_alpha(settings));
     out.extend(gamma_cache(settings));
-    out.extend(tile_grouping(settings));
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tile_grouping_row_shows_sorting_win() {
-        let t = &tile_grouping(&Settings::quick())[0];
-        let row = |name: &str| &t.rows.iter().find(|r| r[0] == name).unwrap()[1..4];
-        // The grouped schedule compares fewer elements in fewer, larger
-        // shared sorts. (The ≥2× acceptance bar is on sort_elems with the
-        // frame-coherent cache included — measured by the kernels A/B run
-        // into BENCH_sort.json, not by this single cold frame.) Sort
-        // elements, lists and sorting cycles are pinned to the values each
-        // schedule gave when it was rendered on its own.
-        assert_eq!(row("SPLATONIC"), ["13396", "30", "3685"]);
-        assert_eq!(row("SPLATONIC+tile-grouping"), ["9558", "9", "3421"]);
-        assert_eq!(t.rows[2][2], "group reuse: 21");
-    }
 
     #[test]
     fn lut_table_has_paper_row() {

@@ -88,27 +88,8 @@ impl Default for Settings {
 
 /// All experiment ids, in paper order.
 pub const EXPERIMENTS: &[&str] = &[
-    "fig04",
-    "fig05",
-    "fig07",
-    "fig08",
-    "fig09",
-    "fig10",
-    "fig11",
-    "fig14",
-    "fig17",
-    "fig18",
-    "fig19",
-    "fig20",
-    "fig21",
-    "fig22",
-    "fig23",
-    "fig24",
-    "fig25",
-    "fig26",
-    "fig27",
-    "area",
-    "sortgroup",
+    "fig04", "fig05", "fig07", "fig08", "fig09", "fig10", "fig11", "fig14", "fig17", "fig18",
+    "fig19", "fig20", "fig21", "fig22", "fig23", "fig24", "fig25", "fig26", "fig27", "area",
 ];
 
 /// Runs one experiment by id, returning its tables.
@@ -138,7 +119,6 @@ pub fn run_experiment(id: &str, settings: &Settings) -> Vec<Table> {
         "fig26" => experiments::accuracy::fig26(settings),
         "fig27" => experiments::hardware::fig27(settings),
         "area" => experiments::hardware::area(settings),
-        "sortgroup" => experiments::ablations::tile_grouping(settings),
         "ablations" => experiments::ablations::all(settings),
         other => panic!("unknown experiment id: {other}"),
     }

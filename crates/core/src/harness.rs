@@ -176,7 +176,7 @@ fn measure_iteration(
     );
     // Only the trace is used, and it is the same for every request.
     let (_, _, bwd) = render_backward(scene, cam, pixels, &out, &l.grads, cfg, GradRequest::Pose);
-    let workload = FrameWorkload::from_render(&out, &bwd, pipeline);
+    let workload = FrameWorkload::from_render(&out, &bwd);
     let mut trace = out.trace.clone();
     trace.merge(&bwd);
     IterationMeasurement {
@@ -235,7 +235,7 @@ mod tests {
             let cam = Camera::new(intrinsics, s.pose);
             let cfg = RenderConfig::default();
             let out = render_forward(&s.scene, &cam, &pixels, pipeline, &cfg);
-            let w = FrameWorkload::from_render(&out, &RenderTrace::new(), pipeline);
+            let w = FrameWorkload::from_render(&out, &RenderTrace::new());
             let lens: Vec<usize> = out.contributions.iter().map(<[_]>::len).collect();
             let derived: Vec<usize> = w.pixel_lists.iter().map(|&l| l as usize).collect();
             assert_eq!(derived, lens, "{pipeline:?}");

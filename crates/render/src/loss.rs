@@ -138,39 +138,6 @@ pub fn evaluate_loss(
     LossResult { value, grads }
 }
 
-/// Per-tile mean color loss, used by the loss-guided (GauSPU-style) sampler.
-///
-/// Returns a `tiles_x × tiles_y` row-major vector of mean per-pixel L1 color
-/// losses, given a *dense* forward result.
-pub fn per_tile_loss(
-    forward: &ForwardResult,
-    reference: &Frame,
-    width: usize,
-    height: usize,
-    tile: usize,
-) -> Vec<f64> {
-    assert_eq!(forward.color.len(), width * height, "needs a dense forward");
-    let tiles_x = width.div_ceil(tile);
-    let tiles_y = height.div_ceil(tile);
-    let mut sums = vec![0.0; tiles_x * tiles_y];
-    let mut counts = vec![0u32; tiles_x * tiles_y];
-    for y in 0..height {
-        for x in 0..width {
-            let i = y * width + x;
-            let r = forward.color[i] - reference.color[(x, y)];
-            let t = (y / tile) * tiles_x + (x / tile);
-            sums[t] += r.abs().sum();
-            counts[t] += 1;
-        }
-    }
-    for (s, c) in sums.iter_mut().zip(counts.iter()) {
-        if *c > 0 {
-            *s /= *c as f64;
-        }
-    }
-    sums
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,21 +223,6 @@ mod tests {
         // Continuity at the knee: r²/(2δ) = |r| − δ/2 at r = δ.
         let delta = 1e-3;
         assert!((smooth_abs(delta, delta) - 0.5 * delta).abs() < 1e-15);
-    }
-
-    #[test]
-    fn per_tile_loss_localizes_error() {
-        // 4x4 image, 2x2 tiles; error only in the top-left tile.
-        let mut colors = vec![Vec3::ZERO; 16];
-        colors[0] = Vec3::splat(1.0);
-        let f = dummy_forward(colors, vec![1.0; 16]);
-        let r = frame(4, 4, Vec3::ZERO, 1.0);
-        let tl = per_tile_loss(&f, &r, 4, 4, 2);
-        assert_eq!(tl.len(), 4);
-        assert!(tl[0] > 0.0);
-        assert_eq!(tl[1], 0.0);
-        assert_eq!(tl[2], 0.0);
-        assert_eq!(tl[3], 0.0);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::kernel::{
 };
 use crate::loss::LossGrad;
 use crate::pixelset::{PixelCoord, PixelSet};
-use crate::trace::{bytes, RenderTrace};
+use crate::trace::{bytes, ForwardStats, RenderTrace};
 use crate::{ChunkLists, Contribution, ForwardResult, Handoff, PixelLists};
 use splatonic_math::{pool, Vec3};
 use splatonic_scene::{Camera, GaussianScene};
@@ -90,9 +90,7 @@ pub fn forward(
     struct ProjectPartial {
         kept: Vec<ProjectedGaussian>,
         entries: Vec<(usize, PixelEntry)>,
-        projected: u64,
-        culled: u64,
-        alpha_checks: u64,
+        stats: ForwardStats,
     }
     let partials =
         pool::par_chunks_indexed(threads, scene.means(), PROJECT_CHUNK, |_, offset, means| {
@@ -101,16 +99,18 @@ pub fn forward(
             let mut part = ProjectPartial {
                 kept: Vec::new(),
                 entries: Vec::new(),
-                projected: visible.len() as u64,
-                culled,
-                alpha_checks: 0,
+                stats: ForwardStats {
+                    gaussians_projected: visible.len() as u64,
+                    gaussians_culled: culled,
+                    ..ForwardStats::default()
+                },
             };
             for pg in visible {
                 let local = part.kept.len() as u32;
                 let before = part.entries.len();
                 let (lo, hi) = pg.bbox();
                 pixels.samples_in_bbox(lo, hi, |out_idx: usize, p: PixelCoord| {
-                    part.alpha_checks += 1;
+                    part.stats.proj_alpha_checks += 1;
                     let c = p.center();
                     if !pg.bbox_contains(c) {
                         return;
@@ -131,6 +131,8 @@ pub fn forward(
                     part.kept.push(pg);
                 }
             }
+            part.stats.exp_evals = part.stats.proj_alpha_checks;
+            part.stats.proj_pairs_kept = part.entries.len() as u64;
             part
         });
     // Counting sort of the chunks' pairs into one flat array of per-pixel
@@ -160,11 +162,7 @@ pub fn forward(
     ];
     let mut projected = Vec::with_capacity(n_kept);
     for part in partials {
-        f.gaussians_culled += part.culled;
-        f.gaussians_projected += part.projected;
-        f.proj_alpha_checks += part.alpha_checks;
-        f.exp_evals += part.alpha_checks;
-        f.proj_pairs_kept += part.entries.len() as u64;
+        f.merge(&part.stats);
         let base = projected.len() as u32;
         for (out_idx, mut e) in part.entries {
             e.proj += base;
@@ -191,13 +189,7 @@ pub fn forward(
         depth: Vec<f64>,
         t_final: Vec<f64>,
         lists: ChunkLists,
-        sort_lists: u64,
-        sort_elems: u64,
-        pairs_integrated: u64,
-        warp_steps: u64,
-        warp_active: u64,
-        bytes_read: u64,
-        bytes_written: u64,
+        stats: ForwardStats,
     }
     let _raster = crate::phase::begin("render/sort_raster");
     let raster_partials = pool::par_chunks_indexed(threads, &lists, RASTER_CHUNK, |j, _, chunk| {
@@ -206,21 +198,18 @@ pub fn forward(
             depth: Vec::with_capacity(chunk.len()),
             t_final: Vec::with_capacity(chunk.len()),
             lists: ChunkLists::with_capacity(chunk.iter().map(|l| l.len()).sum()),
-            sort_lists: 0,
-            sort_elems: 0,
-            pairs_integrated: 0,
-            warp_steps: 0,
-            warp_active: 0,
-            bytes_read: 0,
-            bytes_written: 0,
+            stats: ForwardStats {
+                pixels_shaded: chunk.len() as u64,
+                ..ForwardStats::default()
+            },
         };
         let mut sorted: Vec<PixelEntry> = Vec::new();
         for (k, list) in chunk.iter().enumerate() {
             sorted.clear();
             sorted.extend_from_slice(list);
             if !sorted.is_empty() {
-                part.sort_lists += 1;
-                part.sort_elems += sorted.len() as u64;
+                part.stats.sort_lists += 1;
+                part.stats.sort_elems += sorted.len() as u64;
                 // Tie-break equal depths by projection index (ascending
                 // scene id), matching the tile pipeline's global sort order.
                 sorted.sort_by(|a, b| a.depth.total_cmp(&b.depth).then(a.proj.cmp(&b.proj)));
@@ -248,16 +237,16 @@ pub fn forward(
             part.color.push(c);
             part.depth.push(d);
             part.t_final.push(t);
-            part.pairs_integrated += used as u64;
+            part.stats.pairs_integrated += used as u64;
             // Warp accounting: ceil(used/32) integration steps with every
             // resident lane doing useful work, plus one reduction step per
             // warp of lanes (the color/depth tree reduction) — the same
             // two-pass model the backward trace uses.
             let steps = 2 * used.div_ceil(WARP);
-            part.warp_steps += steps as u64;
-            part.warp_active += 2 * used as u64;
-            part.bytes_read += used as u64 * bytes::PROJECTED;
-            part.bytes_written += bytes::PIXEL_OUT;
+            part.stats.warp_steps += steps as u64;
+            part.stats.warp_active += 2 * used as u64;
+            part.stats.bytes_read += used as u64 * bytes::PROJECTED;
+            part.stats.bytes_written += bytes::PIXEL_OUT;
             part.lists.finish(j * RASTER_CHUNK + k);
         }
         part
@@ -268,14 +257,7 @@ pub fn forward(
     let mut t_final = Vec::with_capacity(n_out);
     let mut chunk_lists = Vec::with_capacity(raster_partials.len());
     for part in raster_partials {
-        f.sort_lists += part.sort_lists;
-        f.sort_elems += part.sort_elems;
-        f.pairs_integrated += part.pairs_integrated;
-        f.pixels_shaded += part.color.len() as u64;
-        f.warp_steps += part.warp_steps;
-        f.warp_active += part.warp_active;
-        f.bytes_read += part.bytes_read;
-        f.bytes_written += part.bytes_written;
+        f.merge(&part.stats);
         color.extend(part.color);
         depth.extend(part.depth);
         t_final.extend(part.t_final);

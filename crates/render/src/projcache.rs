@@ -4,7 +4,7 @@
 //! Each forward pass hands its projection to its backward pass in
 //! [`crate::ForwardResult::handoff`], so no render looks a projection up.
 //! [`CacheStats`], [`stats`] and [`clear`] exist only until the benchmark
-//! driver stops reading them (ROADMAP item 4(b)), which deletes this module.
+//! driver stops reading them (ROADMAP item 7(b)), which deletes this module.
 
 /// Projection-cache statistics; every field is always 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

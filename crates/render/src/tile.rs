@@ -24,7 +24,7 @@ use crate::kernel::{
 use crate::loss::LossGrad;
 use crate::pixelset::{PixelCoord, PixelSet};
 use crate::tilesort::{prepare_tiles, PreparedTiles};
-use crate::trace::{bytes, RenderTrace};
+use crate::trace::{bytes, ForwardStats, RenderTrace};
 use crate::{ChunkLists, Contribution, ForwardResult, Handoff, PixelLists};
 use splatonic_math::{pool, Vec2, Vec3};
 use splatonic_scene::{Camera, GaussianScene};
@@ -64,7 +64,7 @@ pub(crate) fn tile_grid(pixels: &PixelSet) -> (usize, usize) {
 }
 
 /// Groups the requested pixels by tile, keeping their output indices.
-fn group_pixels_by_tile(
+pub(crate) fn group_pixels_by_tile(
     pixels: &PixelSet,
     tiles_x: usize,
     tiles_y: usize,
@@ -94,8 +94,9 @@ pub fn forward(
     // Projection (tile granularity: one projection per Gaussian, shared by
     // all pixels of every covered tile) plus depth-sorted tile lists: one
     // shared sort per tile group, per-tile lists derived by masking. The
-    // lists hold indices into the scene-index-ordered projection, and both
-    // go to the backward pass in `ForwardResult::handoff`.
+    // lists hold indices into the scene-index-ordered projection; both, and
+    // the requested pixels grouped by tile, go to the backward pass in
+    // `ForwardResult::handoff`.
     let prepared = prepare_tiles(scene, camera, pixels, config);
     f.gaussians_culled = prepared.culled;
     f.gaussians_projected = prepared.projected.len() as u64;
@@ -106,9 +107,10 @@ pub fn forward(
     f.sort_elems = prepared.sort_elems;
     f.sort_group_reuse = prepared.sort_group_reuse;
     f.bytes_read += prepared.tile_pairs * bytes::PAIR_ENTRY;
-    let (tiles_x, tiles_y) = tile_grid(pixels);
+    let (tiles_x, _) = tile_grid(pixels);
     let projected: &[ProjectedGaussian] = &prepared.projected;
     let tile_lists: &[Vec<u32>] = &prepared.tile_lists;
+    let groups: &[Vec<(PixelCoord, usize)>] = &prepared.pixel_groups;
 
     // Rasterization, warp by warp, fanned out over fixed chunks of tiles.
     // Each chunk shades its tiles into scatter lists applied in chunk order
@@ -118,21 +120,13 @@ pub fn forward(
     let mut color = vec![Vec3::ZERO; n_out];
     let mut depth = vec![0.0; n_out];
     let mut t_final = vec![1.0; n_out];
-    let groups = group_pixels_by_tile(pixels, tiles_x, tiles_y);
     let threads = pool::resolve_threads(config.threads);
 
     #[derive(Default)]
     struct TilePartial {
         outputs: Vec<(usize, Vec3, f64, f64)>,
         lists: ChunkLists,
-        bytes_read: u64,
-        bytes_written: u64,
-        warp_steps: u64,
-        warp_active: u64,
-        raster_alpha_checks: u64,
-        exp_evals: u64,
-        pairs_integrated: u64,
-        pixels_shaded: u64,
+        stats: ForwardStats,
     }
     // A chunk's list count is known only once it is shaded, so its lists
     // are built in a buffer recycled across the render's chunks and copied
@@ -140,8 +134,9 @@ pub fn forward(
     // left the allocator holding ~10% more peak RSS on dense renders.
     let list_scratch: Mutex<Vec<ChunkLists>> = Mutex::new(Vec::new());
     let tile_partials =
-        pool::par_chunks_indexed(threads, &groups, TILE_CHUNK, |_, offset, chunk| {
+        pool::par_chunks_indexed(threads, groups, TILE_CHUNK, |_, offset, chunk| {
             let mut part = TilePartial::default();
+            let stats = &mut part.stats;
             let mut lists = list_scratch
                 .lock()
                 .expect("a worker panicked")
@@ -163,12 +158,12 @@ pub fn forward(
                 let list = &tile_lists[tile_idx];
                 if list.is_empty() {
                     for &(_, out_idx) in group {
-                        part.pixels_shaded += 1;
+                        stats.pixels_shaded += 1;
                         part.outputs.push((out_idx, BACKGROUND, 0.0, 1.0));
                     }
                     continue;
                 }
-                part.bytes_read += list.len() as u64 * bytes::PROJECTED;
+                stats.bytes_read += list.len() as u64 * bytes::PROJECTED;
                 // Warp assignment: pixels of the tile in row-major order, 32
                 // lanes per warp. Only warps containing a requested pixel
                 // execute; within them, every resident requested pixel
@@ -199,7 +194,7 @@ pub fn forward(
                         if live == 0 {
                             break;
                         }
-                        part.warp_steps += 1;
+                        stats.warp_steps += 1;
                         // The modelled warp α-checks every live lane (those
                         // with `T ≥ T_min`). The trace counts those checks
                         // here, once per step; the host then skips the ones
@@ -207,8 +202,8 @@ pub fn forward(
                         // (`kernel::BBOX_SIGMA`) — for the whole warp at
                         // once when the rectangle misses the bbox. NaN
                         // bounds compare false and take the per-lane path.
-                        part.raster_alpha_checks += live as u64;
-                        part.exp_evals += live as u64;
+                        stats.raster_alpha_checks += live as u64;
+                        stats.exp_evals += live as u64;
                         let pg = &projected[pi as usize];
                         let (lo, hi) = pg.bbox();
                         if rhi.x < lo.x || rlo.x > hi.x || rhi.y < lo.y || rlo.y > hi.y {
@@ -237,19 +232,19 @@ pub fn forward(
                                 alpha,
                                 transmittance: t,
                             });
-                            part.pairs_integrated += 1;
+                            stats.pairs_integrated += 1;
                             state[mi] = (nc, nd, nt);
                             if nt < TRANSMITTANCE_MIN {
                                 live -= 1;
                             }
                         }
-                        part.warp_active += active_this_step;
+                        stats.warp_active += active_this_step;
                     }
                     for (mi, &(_, out_idx)) in members.iter().enumerate() {
                         let (c, d, t) = state[mi];
                         part.outputs.push((out_idx, c, d, t));
-                        part.pixels_shaded += 1;
-                        part.bytes_written += bytes::PIXEL_OUT;
+                        stats.pixels_shaded += 1;
+                        stats.bytes_written += bytes::PIXEL_OUT;
                         lists.push_list(out_idx, &member_contribs[mi]);
                     }
                 }
@@ -260,14 +255,7 @@ pub fn forward(
         });
     let mut chunk_lists = Vec::with_capacity(tile_partials.len());
     for part in tile_partials {
-        f.bytes_read += part.bytes_read;
-        f.bytes_written += part.bytes_written;
-        f.warp_steps += part.warp_steps;
-        f.warp_active += part.warp_active;
-        f.raster_alpha_checks += part.raster_alpha_checks;
-        f.exp_evals += part.exp_evals;
-        f.pairs_integrated += part.pairs_integrated;
-        f.pixels_shaded += part.pixels_shaded;
+        f.merge(&part.stats);
         for (out_idx, c, d, t) in part.outputs {
             color[out_idx] = c;
             depth[out_idx] = d;
@@ -292,10 +280,10 @@ pub fn forward(
 
 /// Backward pass of the tile-based pipeline.
 ///
-/// Re-uses the forward pass's projection and tile–Gaussian sorted lists
-/// (`prepared`, [`crate::Handoff::Tile`]) and its per-pixel
-/// `contributions`. The walk re-walks each tile's list per pixel over fixed
-/// chunks of tiles and charges its α-checks and warp steps to the trace;
+/// Re-uses the forward pass's projection, tile–Gaussian sorted lists and
+/// per-tile pixel groups (`prepared`, [`crate::Handoff::Tile`]) and its
+/// per-pixel `contributions`. The walk re-walks each tile's list per pixel
+/// over fixed chunks of tiles and charges its α-checks and warp steps to the trace;
 /// the per-pair gradients, their aggregation and re-projection are the
 /// shared [`run_backward`]'s. Re-projection computes only the gradient half
 /// `want` asks for.
@@ -303,7 +291,7 @@ pub fn forward(
 /// # Panics
 ///
 /// Panics when `loss_grads` does not cover `pixels`, or when `prepared`
-/// was built for another tile grid than `pixels`'.
+/// was built for another tile grid or pixel count than `pixels`'.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn backward(
     scene: &GaussianScene,
@@ -322,6 +310,12 @@ pub(crate) fn backward(
         tiles_x * tiles_y,
         "the forward's tile lists must cover the pixel set's tile grid"
     );
+    let groups: &[Vec<(PixelCoord, usize)>] = &prepared.pixel_groups;
+    assert_eq!(
+        groups.iter().map(Vec::len).sum::<usize>(),
+        pixels.len(),
+        "the forward's pixel groups must cover the pixel set"
+    );
     let projected: &[ProjectedGaussian] = &prepared.projected;
     let tile_lists: &[Vec<u32>] = &prepared.tile_lists;
 
@@ -330,7 +324,6 @@ pub(crate) fn backward(
     // scratch is a scene-sized list-position table, sized on first use,
     // recycled across chunks with the chunk's accumulator, and cleared
     // after each tile.
-    let groups = group_pixels_by_tile(pixels, tiles_x, tiles_y);
     let walk = |offset: usize,
                 chunk: &[Vec<(PixelCoord, usize)>],
                 list_pos: &mut Vec<u32>,
@@ -396,7 +389,7 @@ pub(crate) fn backward(
         loss_grads,
         config,
         want,
-        &groups,
+        groups,
         TILE_CHUNK,
         walk,
     );
@@ -513,6 +506,34 @@ mod tests {
         assert!(out.trace.forward.pixels_shaded as usize == pixels.len());
         // Tile work is unchanged by sparsity (that is the point).
         assert!(out.trace.forward.tile_pairs > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "pixel groups must cover")]
+    fn backward_rejects_another_pixel_set() {
+        // The hand-over's pixel groups belong to the forward's pixel set; a
+        // backward over another set on the same grid must not read them.
+        let (scene, cam) = small_scene();
+        let sparse = PixelSet::from_tile_chooser(64, 48, 16, |_, _, x0, y0, _, _| {
+            Some(crate::pixelset::PixelCoord::new(x0 as u16, y0 as u16))
+        });
+        let cfg = RenderConfig::default();
+        let out = forward(&scene, &cam, &sparse, &cfg);
+        let Handoff::Tile(prepared) = &out.handoff else {
+            panic!("a tile forward hands over its tile lists");
+        };
+        let dense = PixelSet::dense(64, 48);
+        let grads = vec![LossGrad::default(); dense.len()];
+        let _ = backward(
+            &scene,
+            &cam,
+            &dense,
+            &out.contributions,
+            prepared,
+            &grads,
+            &cfg,
+            GradRequest::Pose,
+        );
     }
 
     #[test]

@@ -37,16 +37,16 @@
 //! fully determined by (scene, camera, grid).
 
 use crate::kernel::{project_scene, ProjectedGaussian, RenderConfig};
-use crate::pixelset::PixelSet;
-use crate::tile::{tile_grid, TILE};
+use crate::pixelset::{PixelCoord, PixelSet};
+use crate::tile::{group_pixels_by_tile, tile_grid, TILE};
 use splatonic_scene::{Camera, GaussianScene};
 
 /// Tile-group edge length in tiles (2×2 tiles = one 32×32-pixel group, the
 /// GS-TG sweet spot between union size and mask selectivity).
 pub const GROUP_SIZE: usize = 2;
 
-/// The tile forward pass's projection and depth-sorted tile lists, which
-/// its backward pass reads ([`crate::Handoff::Tile`]).
+/// The tile forward pass's projection, depth-sorted tile lists and per-tile
+/// pixel groups, which its backward pass reads ([`crate::Handoff::Tile`]).
 ///
 /// The tile grid is the pixel set's ([`PixelSet::width`] and
 /// [`PixelSet::height`] in 16×16 tiles), so the lists are read back with
@@ -61,6 +61,9 @@ pub struct PreparedTiles {
     /// Per-tile candidate lists (indices into `projected`), depth-ordered,
     /// row-major over the tile grid.
     pub(crate) tile_lists: Vec<Vec<u32>>,
+    /// The requested pixels of each tile with their output indices,
+    /// row-major over the tile grid.
+    pub(crate) pixel_groups: Vec<Vec<(PixelCoord, usize)>>,
     /// Total tile–Gaussian pairs (sum of tile-list lengths).
     pub(crate) tile_pairs: u64,
     /// Sorting-schedule counter: non-empty groups, one shared sort each.
@@ -73,7 +76,7 @@ pub struct PreparedTiles {
 
 /// Sorted-list cache statistics, all zero: the renderer keeps no
 /// sorted-list cache. This type, [`stats`] and [`clear`] exist only until
-/// the benchmark driver stops reading them (ROADMAP item 4(b)), which
+/// the benchmark driver stops reading them (ROADMAP item 7(b)), which
 /// deletes them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SortStats {
@@ -122,24 +125,26 @@ fn depth_cmp(projected: &[ProjectedGaussian], a: u32, b: u32) -> std::cmp::Order
     pa.depth.total_cmp(&pb.depth).then(pa.id.cmp(&pb.id))
 }
 
-/// Projects the scene (`render/project`), then builds the depth-sorted
-/// tile lists over `pixels`' tile grid (`render/tile_sort`): one global
-/// argsort by (depth, id) over the projected set, then a single walk in
-/// that order appends each element to every tile its bbox covers — every
-/// tile list comes out depth-sorted with no per-tile sort — and counts each
-/// group's union length for the schedule counters.
+/// Groups `pixels` by tile, projects the scene (`render/project`), then
+/// builds the depth-sorted tile lists over `pixels`' tile grid
+/// (`render/tile_sort`): one global argsort by (depth, id) over the
+/// projected set, then a single walk in that order appends each element to
+/// every tile its bbox covers — every tile list comes out depth-sorted with
+/// no per-tile sort — and counts each group's union length for the
+/// schedule counters.
 pub(crate) fn prepare_tiles(
     scene: &GaussianScene,
     camera: &Camera,
     pixels: &PixelSet,
     config: &RenderConfig,
 ) -> PreparedTiles {
+    let (tiles_x, tiles_y) = tile_grid(pixels);
+    let pixel_groups = group_pixels_by_tile(pixels, tiles_x, tiles_y);
     let (projected, culled) = {
         let _p = crate::phase::begin("render/project");
         project_scene(scene, camera, config)
     };
     let _p = crate::phase::begin("render/tile_sort");
-    let (tiles_x, tiles_y) = tile_grid(pixels);
     let groups_x = tiles_x.div_ceil(GROUP_SIZE);
     let mut group_lens = vec![0u64; groups_x * tiles_y.div_ceil(GROUP_SIZE)];
     let mut order: Vec<u32> = (0..projected.len() as u32).collect();
@@ -168,6 +173,7 @@ pub(crate) fn prepare_tiles(
         projected,
         culled,
         tile_lists,
+        pixel_groups,
         tile_pairs,
         sort_lists,
         sort_elems: group_lens.iter().sum(),

@@ -26,7 +26,7 @@ pub struct ForwardStats {
     /// Always zero: it counted the visits of a screen-space bin walk that
     /// no longer exists (every pixel set is direct-indexed, DESIGN.md §11).
     /// Kept because the benchmark driver and the snapshot format read it;
-    /// it goes with the next change to the benchmark (ROADMAP item 6).
+    /// it goes with the next change to the benchmark (ROADMAP item 7(b)).
     pub bin_candidates: u64,
     /// Pixel-based: candidate pairs that passed preemptive α-checking.
     pub proj_pairs_kept: u64,
@@ -85,6 +85,52 @@ impl ForwardStats {
         } else {
             self.warp_active as f64 / (self.warp_steps * 32) as f64
         }
+    }
+
+    /// Merges another forward pass's counters into this one (summing
+    /// counts); exhaustive like [`RenderTrace::merge`].
+    pub(crate) fn merge(&mut self, other: &ForwardStats) {
+        let f = self;
+        let ForwardStats {
+            gaussians_input,
+            gaussians_culled,
+            gaussians_projected,
+            tile_pairs,
+            proj_alpha_checks,
+            bin_candidates,
+            proj_pairs_kept,
+            sort_elems,
+            sort_lists,
+            sort_group_reuse,
+            raster_alpha_checks,
+            pairs_integrated,
+            pixels_shaded,
+            exp_evals,
+            warp_steps,
+            warp_active,
+            pixel_list_len,
+            bytes_read,
+            bytes_written,
+        } = other;
+        f.gaussians_input += gaussians_input;
+        f.gaussians_culled += gaussians_culled;
+        f.gaussians_projected += gaussians_projected;
+        f.tile_pairs += tile_pairs;
+        f.proj_alpha_checks += proj_alpha_checks;
+        f.bin_candidates += bin_candidates;
+        f.proj_pairs_kept += proj_pairs_kept;
+        f.sort_elems += sort_elems;
+        f.sort_lists += sort_lists;
+        f.sort_group_reuse += sort_group_reuse;
+        f.raster_alpha_checks += raster_alpha_checks;
+        f.pairs_integrated += pairs_integrated;
+        f.pixels_shaded += pixels_shaded;
+        f.exp_evals += exp_evals;
+        f.warp_steps += warp_steps;
+        f.warp_active += warp_active;
+        f.pixel_list_len.merge(pixel_list_len);
+        f.bytes_read += bytes_read;
+        f.bytes_written += bytes_written;
     }
 }
 
@@ -190,53 +236,15 @@ impl RenderTrace {
 
     /// Merges another trace's counters into this one (summing counts).
     ///
-    /// The destructuring below is deliberately exhaustive (no `..`): adding
-    /// a counter to [`ForwardStats`], [`BackwardStats`], or [`RenderTrace`]
-    /// fails compilation here until the merge handles it, so a new counter
-    /// can never be silently dropped when traces are aggregated.
+    /// The destructuring here and in `ForwardStats::merge` and
+    /// `BackwardStats::merge` is deliberately exhaustive (no `..`):
+    /// adding a counter to [`ForwardStats`], [`BackwardStats`], or
+    /// [`RenderTrace`] fails compilation until the merge handles it, so a
+    /// new counter can never be silently dropped when traces are
+    /// aggregated.
     pub fn merge(&mut self, other: &RenderTrace) {
         let RenderTrace { forward, backward } = other;
-        let f = &mut self.forward;
-        let ForwardStats {
-            gaussians_input,
-            gaussians_culled,
-            gaussians_projected,
-            tile_pairs,
-            proj_alpha_checks,
-            bin_candidates,
-            proj_pairs_kept,
-            sort_elems,
-            sort_lists,
-            sort_group_reuse,
-            raster_alpha_checks,
-            pairs_integrated,
-            pixels_shaded,
-            exp_evals,
-            warp_steps,
-            warp_active,
-            pixel_list_len,
-            bytes_read,
-            bytes_written,
-        } = forward;
-        f.gaussians_input += gaussians_input;
-        f.gaussians_culled += gaussians_culled;
-        f.gaussians_projected += gaussians_projected;
-        f.tile_pairs += tile_pairs;
-        f.proj_alpha_checks += proj_alpha_checks;
-        f.bin_candidates += bin_candidates;
-        f.proj_pairs_kept += proj_pairs_kept;
-        f.sort_elems += sort_elems;
-        f.sort_lists += sort_lists;
-        f.sort_group_reuse += sort_group_reuse;
-        f.raster_alpha_checks += raster_alpha_checks;
-        f.pairs_integrated += pairs_integrated;
-        f.pixels_shaded += pixels_shaded;
-        f.exp_evals += exp_evals;
-        f.warp_steps += warp_steps;
-        f.warp_active += warp_active;
-        f.pixel_list_len.merge(pixel_list_len);
-        f.bytes_read += bytes_read;
-        f.bytes_written += bytes_written;
+        self.forward.merge(forward);
         self.backward.merge(backward);
     }
 }

@@ -1,8 +1,7 @@
 //! Multi-session SLAM serving layer.
 //!
-//! The ROADMAP north star is serving many users, and SplaTAM-style
-//! per-frame track/map loops are embarrassingly parallel *across* sessions
-//! — but the repo once could only run one [`SlamSystem`] at a time
+//! SplaTAM-style per-frame track/map loops are embarrassingly parallel
+//! *across* sessions — but the repo once could only run one [`SlamSystem`] at a time
 //! correctly: the render-phase ring buffer and the pool trace collectors
 //! were process-global, so interleaved sessions cross-attributed each
 //! other's events. With those session-scoped (run-id-tagged trace events,

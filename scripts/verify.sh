@@ -34,8 +34,8 @@ bash scripts/loc.sh
 echo "== cargo build --workspace --release =="
 cargo build --workspace --release
 
-echo "== bench binaries refuse an unknown flag (exit 2, before any work) =="
-for cmd in "kernels --bogus" "fleet --qiuck" "fault_inject run --bogus"; do
+echo "== bench binaries refuse an unknown flag or experiment id (exit 2, before any work) =="
+for cmd in "kernels --bogus" "fleet --qiuck" "fault_inject run --bogus" "figures --bogus" "figures sortgroup"; do
   status=0
   ./target/release/$cmd 2>/dev/null || status=$?
   if [ "$status" -ne 2 ]; then
